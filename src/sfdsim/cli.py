@@ -6,9 +6,10 @@ recording the exact invocation, resolved configuration, and output paths,
 with no timestamps, so reruns can be reproduced and diffed byte for byte.
 
 Exit codes: 0 success; 1 file I/O failure; 2 parse, validation, or usage
-errors (lint violations included); 3 non-finite values during integration;
-4 no feasible policy in an optimization grid. Errors go to stderr, colored
-when attached to a terminal unless SFDSIM_NO_COLOR is set.
+errors (lint violations included); 3 integration failures (non-finite
+values, a conserving clamp that does not converge); 4 no feasible policy in
+an optimization grid. Errors go to stderr, colored when attached to a
+terminal unless SFDSIM_NO_COLOR is set.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .engine import SimConfig, Trajectory, run_simulation
 from .errors import (
     ModelError,
     NoFeasiblePolicyError,
-    NonFiniteError,
     ParseError,
     SfdError,
+    SimulationError,
 )
 from .charts import render_chart
 from .language import format_model, lint_model, parse_model
@@ -69,7 +70,7 @@ def _load_scenarios(args) -> list[Scenario]:
     return out
 
 
-def _config(args, compiled: bool = False) -> SimConfig:
+def _config(args) -> SimConfig:
     return SimConfig(
         t_start=args.t_start,
         t_end=args.t_end,
@@ -77,7 +78,6 @@ def _config(args, compiled: bool = False) -> SimConfig:
         method=args.method,
         seed=args.seed,
         record_every=args.record_every,
-        compiled=compiled,
     )
 
 
@@ -352,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = effective
     try:
         return args.func(args)
-    except NonFiniteError as err:
+    except SimulationError as err:
         _error(str(err))
         return 3
     except NoFeasiblePolicyError as err:

@@ -2,16 +2,22 @@
 
 Integrates a validated model with Euler or classic Runge-Kutta steps on a
 uniform time grid, applies scheduled events between steps, and records a
-Trajectory. Determinism is a hard requirement: identical inputs produce
-byte-identical CSV output, including under the stochastic `noise` builtin,
-whose draws are keyed by (seed, day) rather than call order.
+Trajectory. Every evaluation calls the model's generated evaluator
+(`ValidatedModel.evaluator`); the state is a list of stock values, and the
+stock updates run over inflow and outflow index tuples built once per run.
+Determinism is a hard requirement: identical inputs produce byte-identical
+CSV output, including under the stochastic `noise` builtin, whose draws are
+keyed by (seed, day) rather than call order. Draws are made only when some
+`noise()` scale can be non-zero; otherwise noise reads as zero.
 
 Negative stocks are prevented by a conserving clamp: when a step would push
 a non-negative stock below zero, all outflows draining that stock are scaled
 down by a common factor so the stock lands exactly on zero. Scaling an
-outflow reduces the matching inflow of any downstream stock, so the clamp
-iterates stock scale factors to a fixpoint instead of clamping each stock
-independently; mass is conserved through flow chains.
+outflow reduces the matching inflow of any downstream stock, so scale
+factors are settled upstream first: once each, in topological order, for
+stocks outside a cycle of flows, and iterated to a fixpoint for the rest.
+A fixpoint that does not converge raises ClampError; mass is conserved
+through flow chains.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .errors import EventGridError, ModelError, NonFiniteError
+from .errors import ClampError, EventGridError, NonFiniteError
 from .model import ModelSpec, ValidatedModel, validate_model
 
 _GRID_TOL = 1e-9
@@ -37,9 +43,7 @@ class SimConfig:
 
     `t_end == t_start` is allowed and yields a single recorded row of the
     initial state. `record_every` keeps one row per that many steps; the
-    final time is always recorded. `compiled` switches per-variable
-    evaluation from the tree interpreter to generated Python functions; the
-    two produce bit-identical results and differ only in speed.
+    final time is always recorded.
     """
 
     t_start: float = 0.0
@@ -48,7 +52,6 @@ class SimConfig:
     method: str = "euler"
     seed: int = 0
     record_every: int = 1
-    compiled: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
@@ -149,120 +152,118 @@ class Trajectory:
 def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Trajectory:
     """Integrate `model` over the configured horizon.
 
-    Raises EventGridError if an event schedule misses the step grid and
-    NonFiniteError if any rate or stock leaves the finite range.
+    Raises EventGridError if an event schedule misses the step grid,
+    NonFiniteError if any rate or stock leaves the finite range, and
+    ClampError if the conserving clamp cannot settle a cycle of flows.
     """
     vm = model if isinstance(model, ValidatedModel) else validate_model(model)
     spec = vm.spec
     steps = config.step_count()
+    dt = config.dt
 
     stock_names = [s.name for s in spec.stocks]
     flow_names = [f.name for f in spec.flows]
     aux_names = [a.name for a in spec.auxiliaries]
     columns = tuple(stock_names + flow_names + aux_names)
+    n_flows = len(flow_names)
 
     event_steps = _event_schedule(spec, config, steps)
-    uses_noise = _uses_noise(vm)
-    evaluators = vm.compiled() if config.compiled else None
+    flow_index = {name: j for j, name in enumerate(flow_names)}
+    ins = [tuple(flow_index[f] for f in vm.inflows[name]) for name in stock_names]
+    outs = [tuple(flow_index[f] for f in vm.outflows[name]) for name in stock_names]
+    floored = [s.non_negative for s in spec.stocks]
+    clamp = _ConservingClamp(vm, flow_index)
 
-    params = dict(vm.params)
-    state = {s.name: float(s.initial) for s in spec.stocks}
-    flow_integrals = {name: 0.0 for name in flow_names}
+    evaluator = vm.evaluator
+    draws_noise = vm.draws_noise
+    seed = config.seed
+    noise_day = None
+    g = 0.0
+
+    def evaluate(x: list[float], tv: float) -> tuple[float, ...]:
+        """Flows then auxiliaries at stock values `x` and time `tv`."""
+        nonlocal noise_day, g
+        if draws_noise:
+            day = math.floor(tv)
+            if day != noise_day:  # evaluation times never decrease
+                noise_day, g = day, ex.daily_gauss(seed, day)
+        try:
+            return evaluator(tv, g, *x)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            _name_failure(vm, x, tv, g)
+            raise
+
+    def advance(base: list[float], rates, h: float) -> list[float]:
+        rate = rates.__getitem__
+        return [v + h * (sum(map(rate, i)) - sum(map(rate, o)))
+                for v, i, o in zip(base, ins, outs)]
+
+    x = [float(s.initial) for s in spec.stocks]
+    integrals = [0.0] * n_flows
     event_deltas = {name: 0.0 for name in stock_names}
     event_log: list[EventRecord] = []
-
-    gauss_cache: dict[int, float] = {}
-
-    def gauss(tv: float) -> float:
-        if not uses_noise:
-            return 0.0
-        day = math.floor(tv)
-        try:
-            return gauss_cache[day]
-        except KeyError:
-            g = ex.daily_gauss(config.seed, day)
-            gauss_cache[day] = g
-            return g
-
-    def evaluate(st: dict[str, float], tv: float) -> dict[str, float]:
-        env = dict(params)
-        env.update(st)
-        g = gauss(tv)
-        for name in vm.order:
-            try:
-                if evaluators is None:
-                    v = ex.eval_expression(vm.expressions[name], env, tv, g)
-                else:
-                    v = evaluators[name](env, tv, g)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                raise NonFiniteError(name, tv) from None
-            if not math.isfinite(v):
-                raise NonFiniteError(name, tv)
-            env[name] = v
-        return env
-
     times: list[float] = []
     rows: list[list[float]] = []
 
-    def record(tv: float, env: dict[str, float]) -> None:
-        times.append(tv)
-        rows.append([env[c] for c in columns])
-
     for n in range(steps + 1):
-        t_n = config.t_start + n * config.dt
-        env = evaluate(state, t_n)
+        t_n = config.t_start + n * dt
+        out = evaluate(x, t_n)
         if n % config.record_every == 0 or n == steps:
-            record(t_n, env)
+            times.append(t_n)
+            rows.append([*x, *out])
         if n == steps:
             break
 
+        k1 = out[:n_flows]
         if config.method == "euler":
-            raw = {name: env[name] for name in flow_names}
+            rates = k1
         else:
-            raw = _rk4_combined(vm, state, t_n, config.dt, env, evaluate, flow_names)
+            # Classic fourth-order combination of per-flow rates. Stage
+            # states are not clamped; the clamp sees the combined rates.
+            k2 = evaluate(advance(x, k1, dt / 2), t_n + dt / 2)
+            k3 = evaluate(advance(x, k2, dt / 2), t_n + dt / 2)
+            k4 = evaluate(advance(x, k3, dt), t_n + dt)
+            rates = [(a + 2 * b + 2 * c + d) / 6 for a, b, c, d in zip(k1, k2, k3, k4)]
 
-        realized = _conserving_clamp(vm, state, raw, config.dt)
-        t_next = config.t_start + (n + 1) * config.dt
-        for s in spec.stocks:
-            net = sum(realized[f] for f in vm.inflows[s.name]) - sum(
-                realized[f] for f in vm.outflows[s.name]
-            )
-            v = state[s.name] + config.dt * net
-            if s.non_negative and v < 0.0:
-                v = 0.0  # clamp residue is dust-sized by construction
-            if not math.isfinite(v):
-                raise NonFiniteError(s.name, t_next)
-            state[s.name] = v
-        for f in flow_names:
-            flow_integrals[f] += config.dt * realized[f]
+        if clamp.stocks:
+            rates = clamp(x, rates, dt, t_n)
+        t_next = config.t_start + (n + 1) * dt
+        # A floored value is below the clamp tolerance once it has settled.
+        x = [0.0 if f and v < 0.0 else v for v, f in zip(advance(x, rates, dt), floored)]
+        if not all(map(math.isfinite, x)):
+            bad = next(i for i, v in enumerate(x) if not math.isfinite(v))
+            raise NonFiniteError(stock_names[bad], t_next)
+        integrals = [total + dt * r for total, r in zip(integrals, rates)]
 
         fired = event_steps.get(n + 1)
         if fired:
-            _fire_events(vm, fired, state, t_next, evaluate, event_deltas, event_log)
+            _fire_events(vm, fired, x, t_next, evaluate, event_deltas, event_log)
 
     return Trajectory(
         times=np.array(times, dtype=float),
         columns=columns,
         values=np.array(rows, dtype=float) if rows else np.zeros((0, len(columns))),
         events=tuple(event_log),
-        parameters=params,
-        flow_integrals=flow_integrals,
+        parameters=dict(vm.params),
+        flow_integrals=dict(zip(flow_names, integrals)),
         event_deltas=event_deltas,
         config=config,
     )
 
 
-def _uses_noise(vm: ValidatedModel) -> bool:
-    def has_noise(e: ex.Expr) -> bool:
-        if isinstance(e, ex.Call):
-            return e.fn == "noise" or any(has_noise(a) for a in e.args)
-        if isinstance(e, ex.BinOp):
-            return has_noise(e.left) or has_noise(e.right)
-        return False
-
-    return any(has_noise(e) for e in vm.expressions.values()) or any(
-        has_noise(a.expression) for ev in vm.spec.events for a in ev.actions
-    )
+def _name_failure(vm: ValidatedModel, x: list[float], t: float, g: float) -> None:
+    """Re-run one evaluation on the tree interpreter to name the variable
+    behind an arithmetic fault of the generated evaluator."""
+    env = dict(vm.params)
+    env.update(zip(vm.stocks, x))
+    for name in vm.order:
+        try:
+            v = ex.eval_expression(vm.expressions[name], env, t, g)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            raise NonFiniteError(name, t) from None
+        if not math.isfinite(v):
+            raise NonFiniteError(name, t)
+        env[name] = v
 
 
 def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int, list]:
@@ -300,15 +301,19 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
     return schedule
 
 
-def _fire_events(vm, fired, state, t, evaluate, event_deltas, event_log) -> None:
+def _fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
     """Apply each fired event in declaration order.
 
     All of one event's action expressions are evaluated against a snapshot
     taken before that event changes anything, then applied sequentially.
     Non-negative stocks are floored at zero.
     """
+    index = {name: i for i, name in enumerate(vm.stocks)}
+    computed = [d.name for d in (*vm.spec.flows, *vm.spec.auxiliaries)]
     for event in fired:
-        env = evaluate(state, t)
+        env = dict(vm.params)
+        env.update(zip(vm.stocks, x))
+        env.update(zip(computed, evaluate(x, t)))
         planned = []
         for act in event.actions:
             # Interventions are exact amounts: noise reads as 0 in actions.
@@ -320,7 +325,8 @@ def _fire_events(vm, fired, state, t, evaluate, event_deltas, event_log) -> None
                 raise NonFiniteError(f"event {event.name}", t)
             planned.append((act, v))
         for act, v in planned:
-            old = state[act.target]
+            i = index[act.target]
+            old = x[i]
             if act.op == "add":
                 new = old + v
             elif act.op == "subtract":
@@ -329,79 +335,92 @@ def _fire_events(vm, fired, state, t, evaluate, event_deltas, event_log) -> None
                 new = v
             if vm.stocks[act.target].non_negative and new < 0.0:
                 new = 0.0
-            state[act.target] = new
+            x[i] = new
             event_deltas[act.target] += new - old
             amount = old - new if act.op == "subtract" else (new if act.op == "set" else new - old)
             event_log.append(EventRecord(t=t, event=event.name, target=act.target, amount=amount))
 
 
-def _rk4_combined(vm, state, t_n, dt, env1, evaluate, flow_names):
-    """Classic fourth-order combination of per-flow rates.
+class _ConservingClamp:
+    """Scales outflows so no non-negative stock is driven below zero.
 
-    Stage states are advanced without clamping; the conserving clamp is
-    applied once to the combined rates by the caller.
+    Each clamped stock (non-negative, with outflows) gets a scale factor
+    applied to every flow draining it. A reduced outflow also reduces the
+    inflow it feeds downstream, so a stock's factor depends on the factors
+    of the clamped stocks that feed it. Stocks outside a cycle of such
+    flows are settled once each, upstream first. The rest (cycles, and
+    what they feed) are iterated in declaration order until a pass changes
+    nothing; factors only ever decrease. A cycle whose factors still move
+    after 4n+8 passes, for n stocks, raises ClampError. Flows from outside
+    the boundary or from unclamped stocks are never scaled.
     """
-    def nets(env):
-        return {name: env[name] for name in flow_names}
 
-    def advance(base, rates, h):
-        st = dict(base)
-        for s in vm.spec.stocks:
-            net = sum(rates[f] for f in vm.inflows[s.name]) - sum(
-                rates[f] for f in vm.outflows[s.name]
-            )
-            st[s.name] = base[s.name] + h * net
-        return st
+    def __init__(self, vm: ValidatedModel, flow_index: dict[str, int]):
+        self.names = list(vm.stocks)
+        position = {name: i for i, name in enumerate(self.names)}
+        self.stocks = [i for i, name in enumerate(self.names)
+                       if vm.stocks[name].non_negative and vm.outflows[name]]
+        clamped = set(self.stocks)
+        source = {f.name: position[f.source] if f.source in position else -1
+                  for f in vm.spec.flows}
+        # Per clamped stock: its inflows as (flow, clamped source or -1),
+        # and its outflows.
+        self.terms = {}
+        for i in self.stocks:
+            name = self.names[i]
+            ins = tuple((flow_index[f], source[f] if source[f] in clamped else -1)
+                        for f in vm.inflows[name])
+            self.terms[i] = (ins, tuple(flow_index[f] for f in vm.outflows[name]))
+        self.scaled = tuple((flow_index[f], src) for f, src in source.items() if src in clamped)
 
-    k1 = nets(env1)
-    k2 = nets(evaluate(advance(state, k1, dt / 2), t_n + dt / 2))
-    k3 = nets(evaluate(advance(state, k2, dt / 2), t_n + dt / 2))
-    k4 = nets(evaluate(advance(state, k3, dt), t_n + dt))
-    return {
-        f: (k1[f] + 2 * k2[f] + 2 * k3[f] + k4[f]) / 6 for f in flow_names
-    }
+        feeds = {i: {src for _, src in self.terms[i][0] if src >= 0} for i in self.stocks}
+        waiting = {i: len(up) for i, up in feeds.items()}
+        order = [i for i in self.stocks if not waiting[i]]
+        for i in order:  # grows while it is walked: Kahn's algorithm
+            for j in self.stocks:
+                if i in feeds[j]:
+                    waiting[j] -= 1
+                    if not waiting[j]:
+                        order.append(j)
+        self.settled = tuple(order)
+        self.cyclic = tuple(i for i in self.stocks if waiting[i])
+        self.max_passes = 4 * len(self.names) + 8
 
+    def __call__(self, x: list[float], raw, dt: float, t: float):
+        """Realized flow rates for state `x` and raw rates `raw`; `raw`
+        itself when nothing needs scaling."""
+        scale = [1.0] * len(x)
+        settle = self._settle
+        scaled = [i for i in self.settled if settle(i, x, raw, dt, scale)]
+        if self.cyclic:
+            for _ in range(self.max_passes):
+                moved = [i for i in self.cyclic if settle(i, x, raw, dt, scale)]
+                if not moved:
+                    break
+                scaled += moved
+            else:
+                raise ClampError(tuple(self.names[i] for i in moved), t)
+        if not scaled:
+            return raw
+        realized = list(raw)
+        for j, src in self.scaled:
+            realized[j] = raw[j] * scale[src]
+        return realized
 
-def _conserving_clamp(vm, state, raw, dt):
-    """Scale outflows so no non-negative stock is driven below zero.
-
-    Each stock gets a scale factor applied to all flows draining it. A
-    reduced outflow also reduces the inflow it feeds downstream, so factors
-    are iterated to a fixpoint; they only ever decrease, which guarantees
-    convergence. Flows from outside the boundary are never scaled.
-    """
-    source_of = {f.name: f.source for f in vm.spec.flows}
-    if not any(
-        vm.stocks[s].non_negative and vm.outflows[s] for s in vm.stocks
-    ):
-        return dict(raw)
-
-    scale = {name: 1.0 for name in vm.stocks}
-    stocks = list(vm.stocks)
-    for _ in range(4 * len(stocks) + 8):
-        changed = False
-        for name in stocks:
-            sdef = vm.stocks[name]
-            if not sdef.non_negative or not vm.outflows[name]:
-                continue
-            inflow = 0.0
-            for f in vm.inflows[name]:
-                src = source_of[f]
-                inflow += raw[f] * (scale[src] if src is not None else 1.0)
-            out_raw = sum(raw[f] for f in vm.outflows[name])
-            if out_raw <= 0.0:
-                continue
-            candidate = state[name] + dt * (inflow - scale[name] * out_raw)
-            if candidate < -_CLAMP_TOL * max(1.0, abs(state[name])):
-                wanted = (state[name] + dt * inflow) / (dt * out_raw)
-                wanted = max(0.0, wanted)
-                if wanted < scale[name] - 1e-15:
-                    scale[name] = wanted
-                    changed = True
-        if not changed:
-            break
-
-    return {
-        f: raw[f] * (scale[source_of[f]] if source_of[f] is not None else 1.0)
-        for f in raw
-    }
+    def _settle(self, i: int, x, raw, dt: float, scale: list[float]) -> bool:
+        """Lower stock i's factor if its outflows would overdraw it; True
+        if the factor changed."""
+        ins, outs = self.terms[i]
+        out_raw = sum(map(raw.__getitem__, outs))
+        if out_raw <= 0.0:
+            return False
+        inflow = 0.0
+        for j, src in ins:
+            inflow += raw[j] if src < 0 else raw[j] * scale[src]
+        candidate = x[i] + dt * (inflow - scale[i] * out_raw)
+        if candidate < -_CLAMP_TOL * max(1.0, abs(x[i])):
+            wanted = max(0.0, (x[i] + dt * inflow) / (dt * out_raw))
+            if wanted < scale[i] - 1e-15:
+                scale[i] = wanted
+                return True
+        return False

@@ -69,5 +69,17 @@ class NonFiniteError(SimulationError):
         self.t = t
 
 
+class ClampError(SimulationError):
+    """The conserving clamp's scale factors did not settle on a cycle of
+    stock-to-stock flows."""
+
+    def __init__(self, stocks: tuple[str, ...], t: float):
+        super().__init__(
+            f"conserving clamp did not converge for stocks {', '.join(stocks)} at t={t:g}"
+        )
+        self.stocks = stocks
+        self.t = t
+
+
 class NoFeasiblePolicyError(SfdError):
     """No point in a policy grid satisfies the feasibility constraint."""

@@ -1,11 +1,14 @@
 """Arithmetic expression trees for model equations.
 
 Expressions are built from numeric literals, variable references, binary
-operators, and a fixed set of builtin functions. Two evaluation paths exist:
-a tree-walking interpreter (`eval_expression`) and a code generator that
-turns an expression into a plain Python function (`compile_function`). Both
-paths perform the same floating-point operations in the same order, so their
-results are bit-identical; tests rely on that.
+operators, and a fixed set of builtin functions. `eval_expression` walks a
+tree; `python_source` renders one as Python expression text, from which
+`model.ValidatedModel.evaluator` generates one function per model. Both
+perform the same floating-point operations in the same order, so their
+results, and the exceptions they raise, are identical; tests rely on that.
+The simulation engine runs the generated code; the interpreter evaluates
+event actions, names the variable behind an arithmetic fault, and serves as
+the tests' oracle.
 
 The symbol `t` always refers to current simulation time. `noise(scale)`
 multiplies its argument by the per-evaluation Gaussian draw `g` supplied by
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import UnknownSymbolError
 
@@ -147,20 +150,28 @@ def eval_expression(expr: Expr, env: dict[str, float], t: float = 0.0, g: float 
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def variables(expr: Expr) -> set[str]:
-    """All names referenced by `expr`, including `t` if present."""
-    out: set[str] = set()
+def walk(expr: Expr) -> Iterator[Expr]:
+    """Every node of `expr`, the root first."""
     stack = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, BinOp):
+        yield node
+        if isinstance(node, BinOp):
             stack.append(node.left)
             stack.append(node.right)
         elif isinstance(node, Call):
             stack.extend(node.args)
-    return out
+
+
+def variables(expr: Expr) -> set[str]:
+    """All names referenced by `expr`, including `t` if present."""
+    return {node.name for node in walk(expr) if isinstance(node, Var)}
+
+
+def noise_scales(expr: Expr) -> list[Expr]:
+    """The argument of every `noise()` call in `expr`."""
+    return [node.args[0] for node in walk(expr)
+            if isinstance(node, Call) and node.fn == "noise"]
 
 
 def validate_expression(expr: Expr, known: set[str]) -> None:
@@ -238,59 +249,66 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
-def compile_source(expr: Expr) -> str:
-    """Generate a Python expression string equivalent to `expr`.
+# Globals of generated code (see model.ValidatedModel.evaluator): the math
+# functions that builtins are emitted as. No name here starts with "_", so
+# none can clash with a model variable's local, which always does.
+CODEGEN_GLOBALS: dict[str, object] = {
+    "pow": math.pow, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+    "log": math.log, "ceil": math.ceil, "floor": math.floor,
+}
 
-    Free names: `env` (dict of variable values), `t`, `g`, and `math`.
-    Generated code mirrors the interpreter operation for operation so the
-    two paths cannot drift apart numerically.
+
+def python_source(expr: Expr, local: Callable[[str], str]) -> str:
+    """Python expression text equivalent to `expr`.
+
+    Variables become the names `local(name)` returns; `t` and `g` stay free,
+    as do the builtins and `CODEGEN_GLOBALS`. The text mirrors
+    `eval_expression` operation for operation, so the two cannot drift
+    apart numerically.
     """
     if isinstance(expr, Num):
         return repr(expr.value)
     if isinstance(expr, Var):
-        if expr.name == "t":
-            return "t"
-        return f"env[{expr.name!r}]"
+        return "t" if expr.name == "t" else local(expr.name)
     if isinstance(expr, BinOp):
-        a = compile_source(expr.left)
-        b = compile_source(expr.right)
-        if expr.op == "^":
-            return f"math.pow({a}, {b})"
         if expr.op in COMPARISONS:
-            return f"(1.0 if {a} {expr.op} {b} else 0.0)"
+            return f"(1.0 if {_condition(expr, local)} else 0.0)"
+        a = python_source(expr.left, local)
+        b = python_source(expr.right, local)
+        if expr.op == "^":
+            return f"pow({a}, {b})"
         return f"({a} {expr.op} {b})"
     if isinstance(expr, Call):
-        args = [compile_source(a) for a in expr.args]
+        if expr.fn == "if":
+            return (f"({python_source(expr.args[1], local)} if {_condition(expr.args[0], local)}"
+                    f" else {python_source(expr.args[2], local)})")
+        args = [python_source(a, local) for a in expr.args]
         fn = expr.fn
-        if fn == "if":
-            return f"({args[1]} if {args[0]} != 0.0 else {args[2]})"
-        if fn == "min":
-            return f"min({args[0]}, {args[1]})"
-        if fn == "max":
-            return f"max({args[0]}, {args[1]})"
+        if fn in ("min", "max"):
+            return f"{fn}({args[0]}, {args[1]})"
+        if fn in ("abs", "sin", "cos", "exp"):
+            return f"{fn}({args[0]})"
         if fn == "clamp":
             return f"min(max({args[0]}, {args[1]}), {args[2]})"
-        if fn == "abs":
-            return f"abs({args[0]})"
         if fn == "ln":
-            return f"math.log({args[0]})"
-        if fn in ("sin", "cos", "exp"):
-            return f"math.{fn}({args[0]})"
+            return f"log({args[0]})"
         if fn in ("ceil", "floor"):
-            return f"float(math.{fn}({args[0]}))"
+            return f"float({fn}({args[0]}))"
         if fn == "noise":
             return f"({args[0]} * g)"
         raise UnknownSymbolError(f"unknown function '{fn}'")
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def compile_function(expr: Expr, name: str = "<expr>") -> Callable[[dict[str, float], float, float], float]:
-    """Compile `expr` into a callable f(env, t, g) -> float."""
-    src = f"def _compiled(env, t, g):\n    return {compile_source(expr)}\n"
-    namespace: dict[str, object] = {"math": math}
-    code = compile(src, f"<compiled {name}>", "exec")
-    exec(code, namespace)
-    return namespace["_compiled"]  # type: ignore[return-value]
+def _condition(expr: Expr, local: Callable[[str], str]) -> str:
+    """Python test that holds exactly when `expr` is non-zero, as `if()`
+    reads its condition. A comparison is tested directly: its 1.0/0.0
+    indicator is non-zero exactly when it holds."""
+    if isinstance(expr, BinOp) and expr.op in COMPARISONS:
+        a = python_source(expr.left, local)
+        b = python_source(expr.right, local)
+        return f"{a} {expr.op} {b}"
+    return f"{python_source(expr, local)} != 0.0"
 
 
 _MASK64 = (1 << 64) - 1

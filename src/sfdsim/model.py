@@ -3,20 +3,23 @@
 A model is a declarative bundle of stocks, flows, auxiliaries, parameters,
 and scheduled events. `validate_model` checks it for duplicate names,
 undefined references, dependency cycles, and unit mismatches, and returns a
-`ValidatedModel` carrying the dependency-sorted evaluation order the engine
-executes each step.
+`ValidatedModel` carrying the dependency-sorted evaluation order and the
+generated evaluator the engine calls at every evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
+from typing import Callable
 
 from . import expr as ex
 from .errors import (
     CycleError,
     DuplicateNameError,
     ModelError,
+    NonFiniteError,
     UnitError,
     UnknownSymbolError,
 )
@@ -168,16 +171,75 @@ class ValidatedModel:
     inflows: dict[str, tuple[str, ...]] = field(repr=False)
     outflows: dict[str, tuple[str, ...]] = field(repr=False)
 
-    def compiled(self) -> dict[str, object]:
-        """Per-variable compiled evaluators, built on first use."""
-        cache = getattr(self, "_compiled_cache", None)
-        if cache is None:
-            cache = {
-                name: ex.compile_function(self.expressions[name], name)
-                for name in self.order
-            }
-            object.__setattr__(self, "_compiled_cache", cache)
-        return cache
+    @cached_property
+    def evaluator(self) -> Callable[..., tuple[float, ...]]:
+        """The generated whole-model evaluator, built on first use.
+
+        `evaluator(t, g, *stocks)` takes the stock values in declaration
+        order and returns every flow then every auxiliary, each in
+        declaration order. Parameters are bound when it is built. A value
+        that is not finite raises NonFiniteError naming its variable; an
+        arithmetic fault propagates as ZeroDivisionError, OverflowError or
+        ValueError, exactly where `eval_expression` raises it.
+        """
+        bind = _compile_evaluator(self.evaluator_source())
+        return bind(*self.params.values())
+
+    def evaluator_source(self) -> str:
+        """Python source of the function that binds the parameters and
+        returns `evaluator`; every model name `x` is the local `_x`."""
+        spec = self.spec
+        names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
+                                      spec.flows) for d in group]
+        local = {
+            name: f"_{name}" if name.isidentifier() and name.isascii() else f"_{i}"
+            for i, name in enumerate(names)
+        }
+        lines = [
+            f"def bind({', '.join(local[p.name] for p in spec.parameters)}):",
+            f"    def evaluate({', '.join(['t', 'g'] + [local[s.name] for s in spec.stocks])}):",
+        ]
+        for name in self.order:
+            var = local[name]
+            lines.append(f"        {var} = {ex.python_source(self.expressions[name], local.__getitem__)}")
+            lines.append(f"        if {var} - {var} != 0.0:")
+            lines.append(f"            raise NonFiniteError({name!r}, t)")
+        outputs = [local[d.name] for d in (*spec.flows, *spec.auxiliaries)]
+        lines.append(f"        return ({''.join(v + ', ' for v in outputs)})")
+        lines.append("    return evaluate")
+        return "\n".join(lines) + "\n"
+
+    @cached_property
+    def draws_noise(self) -> bool:
+        """Whether some `noise()` in an auxiliary or flow can be non-zero.
+
+        A scale that references only parameters and constants is evaluated
+        once; when every scale is a zero constant, the engine skips the
+        daily draws and runs with g = 0.
+        """
+        return any(
+            not _zero_constant(scale, self.params)
+            for expression in self.expressions.values()
+            for scale in ex.noise_scales(expression)
+        )
+
+
+@lru_cache(maxsize=64)
+def _compile_evaluator(source: str) -> Callable[..., Callable[..., tuple[float, ...]]]:
+    """The `bind` function defined by `source`. Models that differ only in
+    parameter values share the source, so they compile it once."""
+    namespace: dict[str, object] = {**ex.CODEGEN_GLOBALS, "NonFiniteError": NonFiniteError}
+    exec(compile(source, "<sfdsim evaluator>", "exec"), namespace)
+    return namespace["bind"]  # type: ignore[return-value]
+
+
+def _zero_constant(scale: ex.Expr, params: dict[str, float]) -> bool:
+    if ex.noise_scales(scale) or not ex.variables(scale) <= params.keys():
+        return False
+    try:
+        return ex.eval_expression(scale, params) == 0.0
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return False
 
 
 def validate_model(spec: ModelSpec) -> ValidatedModel:

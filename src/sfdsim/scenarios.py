@@ -233,26 +233,20 @@ def calibrate(
     every coordinate, keeping the first strict improvement. When a whole
     pass improves nothing, all steps are halved. The search stops when
     every step is below tol times its coordinate's range, or after
-    `max_passes`. Simulations run on the compiled evaluation path; the
-    result is identical to the interpreted path, just cheaper per run.
+    `max_passes`.
     """
     if len(problem.param_names) != len(problem.bounds):
         raise ValueError("one bounds pair is required per parameter")
     if len(problem.observed_times) != len(problem.observed_values):
         raise ValueError("observed times and values must pair up")
 
-    run_config = SimConfig(
-        t_start=config.t_start, t_end=config.t_end, dt=config.dt,
-        method=config.method, seed=config.seed,
-        record_every=config.record_every, compiled=True,
-    )
     evaluations = 0
 
     def objective(point: list[float]) -> float:
         nonlocal evaluations
         evaluations += 1
         overrides = dict(zip(problem.param_names, point))
-        traj = run_simulation(spec.with_params(overrides), run_config)
+        traj = run_simulation(spec.with_params(overrides), config)
         sse = 0.0
         for t_obs, v_obs in zip(problem.observed_times, problem.observed_values):
             err = traj.at(problem.column, t_obs) - v_obs
@@ -338,14 +332,8 @@ def run_sweep(
     Each run is independent and deterministic, so the thread pool cannot
     change results, only wall time. Rows come back in input order.
     """
-    run_config = SimConfig(
-        t_start=config.t_start, t_end=config.t_end, dt=config.dt,
-        method=config.method, seed=config.seed,
-        record_every=config.record_every, compiled=True,
-    )
-
     def one(value: float) -> SweepRow:
-        traj = run_simulation(spec.with_params({param: value}), run_config)
+        traj = run_simulation(spec.with_params({param: value}), config)
         metrics = summarize(traj)
         return SweepRow(
             value=float(value),

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import sfdsim.expr
 from sfdsim import (
     AuxDef,
+    ClampError,
     EventAction,
     EventDef,
     EventGridError,
@@ -129,6 +131,44 @@ class TestConservingClamp:
         traj = run_simulation(spec, SimConfig(t_end=1.0))
         assert traj.final("S") == -4.0
         assert traj.flow_integrals["out"] == 5.0
+
+    def test_chain_declared_downstream_first(self):
+        # Upstream factors settle first whatever the declaration order.
+        flows = [FlowDef("a2b", expr("5"), "A", "B"), FlowDef("bout", expr("4"), "B", None)]
+        forward = make_model([StockDef("A", 1.0), StockDef("B", 0.0)], flows)
+        backward = make_model([StockDef("B", 0.0), StockDef("A", 1.0)], flows[::-1])
+        a = run_simulation(forward, SimConfig(t_end=3.0))
+        b = run_simulation(backward, SimConfig(t_end=3.0))
+        assert b.flow_integrals == a.flow_integrals == {"a2b": 1.0, "bout": 1.0}
+        assert (b.final("A"), b.final("B")) == (0.0, 0.0)
+
+    def test_converging_cycle(self):
+        # A sends 5/day to B and gets 1/day back: A can pass on 2, B keeps 1.
+        spec = make_model(
+            stocks=[StockDef("A", 1.0), StockDef("B", 0.0)],
+            flows=[FlowDef("ab", expr("5"), "A", "B"), FlowDef("ba", expr("1"), "B", "A")],
+        )
+        traj = run_simulation(spec, SimConfig(t_end=1.0))
+        assert traj.flow_integrals == {"ab": 2.0, "ba": 1.0}
+        assert (traj.final("A"), traj.final("B")) == (0.0, 1.0)
+
+    def test_unconverged_cycle_raises(self):
+        # Around the A <-> B loop each pass keeps 10/10.001 of the flow, so
+        # the factors creep towards 0 far slower than the pass cap allows.
+        # Flooring A instead would let outA drain mass the system never had.
+        spec = make_model(
+            stocks=[StockDef("A", 0.0), StockDef("B", 0.0)],
+            flows=[
+                FlowDef("ab", expr("10"), "A", "B"),
+                FlowDef("ba", expr("9.9"), "B", "A"),
+                FlowDef("outA", expr("0.001"), "A", None),
+            ],
+        )
+        with pytest.raises(ClampError) as err:
+            run_simulation(spec, SimConfig(t_end=5.0))
+        assert err.value.stocks == ("A", "B")
+        assert err.value.t == 0.0
+        assert "A, B" in str(err.value) and "t=0" in str(err.value)
 
     def test_recorded_rate_is_instantaneous_demand(self):
         # The column shows the evaluated rate; realized amounts live in
@@ -437,3 +477,38 @@ class TestDeterminism:
         a = run_simulation(noisy, SimConfig(t_end=50.0, seed=1))
         b = run_simulation(noisy, SimConfig(t_end=50.0, seed=2))
         assert not np.array_equal(a.values, b.values)
+
+
+class TestLazyNoise:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        real = sfdsim.expr.daily_gauss
+
+        def counting(seed, day):
+            calls.append(day)
+            return real(seed, day)
+
+        monkeypatch.setattr(sfdsim.expr, "daily_gauss", counting)
+        return calls
+
+    def test_zero_noise_scale_draws_nothing(self, baseline_spec, draws):
+        assert baseline_spec.param("NoiseStdDev") == 0.0
+        run_simulation(baseline_spec, SimConfig(t_end=365.0))
+        assert draws == []
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_one_draw_per_simulated_day(self, baseline_spec, draws, method):
+        noisy = baseline_spec.with_params({"NoiseStdDev": 1.5})
+        run_simulation(noisy, SimConfig(t_end=365.0, method=method))
+        assert draws == list(range(366))  # days 0 through 365
+
+    def test_state_dependent_scale_draws(self, draws):
+        spec = make_model(
+            stocks=[StockDef("S", 0.0)],
+            flows=[FlowDef("feed", expr("1 + noise(S * 0.1)"), None, "S")],
+        )
+        traj = run_simulation(spec, SimConfig(t_end=10.0))
+        assert draws == list(range(11))
+        assert traj.column("feed")[0] == 1.0
+        assert traj.column("feed")[1] != 1.0

@@ -1,21 +1,29 @@
-"""Expression tree semantics, printing, compilation, and noise draws."""
+"""Expression tree semantics, printing, code generation, and noise draws."""
 
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfdsim import UnknownSymbolError, parse_expression
+from sfdsim import (
+    AuxDef,
+    ModelSpec,
+    NonFiniteError,
+    ParamDef,
+    StockDef,
+    UnknownSymbolError,
+    parse_expression,
+    validate_model,
+)
 from sfdsim.expr import (
     BinOp,
     Call,
     Num,
     Var,
-    compile_function,
-    compile_source,
     daily_gauss,
     eval_expression,
     format_number,
@@ -148,7 +156,7 @@ class TestPrinting:
 
 
 # Random expression trees over a fixed environment; used to pin the
-# interpreter and the compiled path to identical behavior.
+# interpreter and the generated model evaluator to identical behavior.
 _names = st.sampled_from(["x", "y", "z", "t"])
 _numbers = st.floats(min_value=-50, max_value=50, allow_nan=False).map(
     lambda v: Num(round(v, 3))
@@ -176,19 +184,38 @@ def _exprs(depth: int):
     return st.one_of(leaf, binop, unary_call, binary_call, ternary_call)
 
 
+def one_aux_model(tree) -> ModelSpec:
+    """`tree` as auxiliary `e` over parameters x, y and stock z."""
+    return ModelSpec(
+        name="One",
+        stocks=(StockDef("z", 0.0),),
+        auxiliaries=(AuxDef("e", tree),),
+        parameters=(ParamDef("x", 3.0), ParamDef("y", -2.0)),
+    )
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(tree=_exprs(3), g=st.floats(min_value=-3, max_value=3, allow_nan=False))
 def test_compiled_matches_interpreter(tree, g):
     env = {"x": 3.0, "y": -2.0, "z": 0.5}
-    fn = compile_function(tree)
+    evaluator = validate_model(one_aux_model(tree)).evaluator
     try:
         expected = eval_expression(tree, env, 7.0, g)
     except (ZeroDivisionError, OverflowError, ValueError) as err:
         with pytest.raises(type(err)):
-            fn(env, 7.0, g)
+            evaluator(7.0, g, 0.5)
         return
-    actual = fn(env, 7.0, g)
-    assert actual == expected or (math.isnan(actual) and math.isnan(expected))
+    if not math.isfinite(expected):
+        with pytest.raises(NonFiniteError) as err:
+            evaluator(7.0, g, 0.5)
+        assert (err.value.name, err.value.t) == ("e", 7.0)
+        return
+    (actual,) = evaluator(7.0, g, 0.5)
+    assert bits(actual) == bits(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,8 +225,11 @@ def test_printer_round_trips_random_trees(tree):
 
 
 def test_compile_source_names_env():
-    src = compile_source(parse_expression("x + t"))
-    assert "env['x']" in src and "t" in src
+    src = validate_model(one_aux_model(parse_expression("x + t"))).evaluator_source()
+    assert "def bind(_x, _y):" in src
+    assert "def evaluate(t, g, _z):" in src
+    assert "_e = (_x + t)" in src
+    assert "raise NonFiniteError('e', t)" in src
 
 
 class TestDailyGauss:

@@ -1,6 +1,12 @@
-"""Model structure validation and copy-with-override helpers."""
+"""Model structure validation, copy-with-override helpers, and the
+generated evaluator."""
 
 from __future__ import annotations
+
+import math
+import random
+import struct
+import traceback
 
 import pytest
 
@@ -13,6 +19,7 @@ from sfdsim import (
     FlowDef,
     ModelError,
     ModelSpec,
+    NonFiniteError,
     ParamDef,
     StockDef,
     UnitError,
@@ -20,7 +27,7 @@ from sfdsim import (
     parse_expression,
     validate_model,
 )
-from sfdsim.expr import variables
+from sfdsim.expr import BinOp, Num, Var, eval_expression, variables
 
 from modelgen import generate_model
 
@@ -208,3 +215,95 @@ class TestOverrides:
         spec = tiny_model()
         spec.with_params({"Rate": 0.9})
         assert spec.param("Rate") == 0.1
+
+
+def interpreted(vm, stocks, t, g):
+    """Per-variable `eval_expression` walk over `vm.order`: the flow and
+    auxiliary values, or the (exception type, variable) it stops at."""
+    env = dict(vm.params)
+    env.update(zip(vm.stocks, stocks))
+    for name in vm.order:
+        try:
+            v = eval_expression(vm.expressions[name], env, t, g)
+        except (ZeroDivisionError, OverflowError, ValueError) as err:
+            return type(err), name
+        if not math.isfinite(v):
+            return NonFiniteError, name
+        env[name] = v
+    return [env[d.name] for d in (*vm.spec.flows, *vm.spec.auxiliaries)]
+
+
+def generated(vm, stocks, t, g):
+    """The generated evaluator's values, or the (exception type, variable)
+    it stops at. An arithmetic fault is traced to the variable whose line
+    of the generated source raised it."""
+    try:
+        return list(vm.evaluator(t, g, *stocks))
+    except NonFiniteError as err:
+        assert err.t == t
+        return NonFiniteError, err.name
+    except (ZeroDivisionError, OverflowError, ValueError) as err:
+        frames = [f for f in traceback.extract_tb(err.__traceback__)
+                  if f.filename == "<sfdsim evaluator>"]
+        line = vm.evaluator_source().splitlines()[frames[-1].lineno - 1]
+        return type(err), line.split("=")[0].strip().removeprefix("_")
+
+
+def as_bits(outcome):
+    if isinstance(outcome, list):
+        return [struct.pack("<d", v) for v in outcome]
+    return outcome
+
+
+class TestGeneratedEvaluator:
+    def test_matches_interpreter_on_random_models(self):
+        # Stock values include ones that fault the generated templates:
+        # -Level0 zeroes a denominator, +-1e308 overflows a product to inf.
+        outcomes = set()
+        for seed in range(60):
+            spec = generate_model(seed)
+            vm = validate_model(spec)
+            rng = random.Random(seed)
+            picks = (0.0, -0.0, -spec.param("Level0"), 1e308, -1e308)
+            for _ in range(40):
+                stocks = [rng.choice(picks) if rng.random() < 0.3 else rng.uniform(-200.0, 200.0)
+                          for _ in spec.stocks]
+                t = rng.choice((0.0, 365.0, rng.uniform(-50.0, 500.0)))
+                g = rng.gauss(0.0, 1.0)
+                expected = interpreted(vm, stocks, t, g)
+                assert as_bits(generated(vm, stocks, t, g)) == as_bits(expected), (seed, stocks, t)
+                outcomes.add(expected[0] if isinstance(expected, tuple) else list)
+        assert {list, ZeroDivisionError, NonFiniteError} <= outcomes
+
+    def test_parameter_variants_share_generated_code(self):
+        spec = tiny_model()
+        a = validate_model(spec)
+        b = validate_model(spec.with_params({"Rate": 0.5}))
+        assert a.evaluator_source() == b.evaluator_source()
+        assert a.evaluator.__code__ is b.evaluator.__code__
+        assert a.evaluator(0.0, 0.0, 10.0) == (1.0,)
+        assert b.evaluator(0.0, 0.0, 10.0) == (5.0,)
+
+    def test_non_identifier_names_get_positional_locals(self):
+        spec = ModelSpec(
+            name="Odd",
+            stocks=(StockDef("a b", 4.0),),
+            flows=(FlowDef("out flow", parse_expression("0"), "a b", None),),
+            auxiliaries=(AuxDef("half", BinOp("/", Var("a b"), Num(2.0))),),
+        )
+        vm = validate_model(spec)
+        assert "def evaluate(t, g, _0):" in vm.evaluator_source()
+        assert vm.evaluator(0.0, 0.0, 4.0) == (0.0, 2.0)
+
+    @pytest.mark.parametrize("text, draws", [
+        ("noise(0)", False),
+        ("noise(Rate - 0.1)", False),
+        ("noise(Rate)", True),
+        ("noise(Tank * 0)", True),
+        ("noise(t)", True),
+        ("noise(noise(0))", True),
+        ("noise(1 / (Rate - 0.1))", True),
+    ])
+    def test_draws_noise(self, text, draws):
+        spec = tiny_model(auxiliaries=(AuxDef("wobble", parse_expression(text)),))
+        assert validate_model(spec).draws_noise is draws
