@@ -2,9 +2,22 @@
 
 Integrates a validated model with Euler or classic Runge-Kutta steps on a
 uniform time grid, applies scheduled events between steps, and records a
-Trajectory. Every evaluation calls the model's generated evaluator
-(`ValidatedModel.evaluator`); the state is a list of stock values, and the
-stock updates run over inflow and outflow index tuples built once per run.
+Trajectory.
+
+A run is one generated Python loop per stretch of steps between event
+firings. The loop's source depends only on the model's topology: the
+method, which stocks are floored at zero, and each flow's source and
+target (`segment_source`). It is compiled once per topology and cached,
+so parameter and scenario variants, and models that differ only in their
+expressions, share it. Inside the loop the stocks, rates and flow
+integrals are Python locals; each stage calls the model's generated
+evaluator (`ValidatedModel.evaluator`) once, and the stage states, the
+RK4 combination, the stock updates, the floor, the finiteness check, the
+flow integrals and the recorded rows are inlined. Every sum of rates is
+spelled out as the float additions CPython 3.11's `sum()` performs, so
+results match the former list-based loop bit for bit (and do not change
+with the compensated float `sum()` of later versions).
+
 Determinism is a hard requirement: identical inputs produce byte-identical
 CSV output, including under the stochastic `noise` builtin, whose draws are
 keyed by (seed, day) rather than call order. Draws are made only when some
@@ -12,18 +25,22 @@ keyed by (seed, day) rather than call order. Draws are made only when some
 
 Negative stocks are prevented by a conserving clamp: when a step would push
 a non-negative stock below zero, all outflows draining that stock are scaled
-down by a common factor so the stock lands exactly on zero. Scaling an
-outflow reduces the matching inflow of any downstream stock, so scale
-factors are settled upstream first: once each, in topological order, for
-stocks outside a cycle of flows, and iterated to a fixpoint for the rest.
-A fixpoint that does not converge raises ClampError; mass is conserved
-through flow chains.
+down by a common factor so the stock lands exactly on zero. The loop calls
+the clamp only on a step where some clamped stock's unscaled update falls
+below `-_CLAMP_TOL * max(1, |stock|)`, which is exactly when the clamp
+would scale a flow or raise. Scaling an outflow reduces the matching
+inflow of any downstream stock, so scale factors are settled upstream
+first: once each, in topological order, for stocks outside a cycle of
+flows, and iterated to a fixpoint for the rest. A fixpoint that does not
+converge raises ClampError; mass is conserved through flow chains.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +50,7 @@ from .model import ModelSpec, ValidatedModel, validate_model
 
 _GRID_TOL = 1e-9
 _CLAMP_TOL = 1e-12
+_FAULTS = (ZeroDivisionError, OverflowError, ValueError)  # arithmetic faults of an evaluation
 
 METHODS = ("euler", "rk4")
 
@@ -136,10 +154,10 @@ class Trajectory:
         raise KeyError(f"t={t:g} is not a recorded time")
 
     def to_csv(self) -> str:
+        row = "%.6f," + ",".join(["%.6f"] * len(self.columns))
         lines = ["t," + ",".join(self.columns)]
-        for i, t in enumerate(self.times):
-            row = self.values[i]
-            lines.append(f"{t:.6f}," + ",".join(f"{v:.6f}" for v in row))
+        lines += [row % (t, *values)
+                  for t, values in zip(self.times.tolist(), self.values.tolist())]
         return "\n".join(lines) + "\n"
 
     def events_to_csv(self) -> str:
@@ -159,96 +177,185 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     vm = model if isinstance(model, ValidatedModel) else validate_model(model)
     spec = vm.spec
     steps = config.step_count()
-    dt = config.dt
+    t_start, dt = config.t_start, config.dt
 
-    stock_names = [s.name for s in spec.stocks]
+    stock_names = tuple(vm.stocks)
     flow_names = [f.name for f in spec.flows]
-    aux_names = [a.name for a in spec.auxiliaries]
-    columns = tuple(stock_names + flow_names + aux_names)
-    n_flows = len(flow_names)
-
+    columns = (*stock_names, *flow_names, *(a.name for a in spec.auxiliaries))
     event_steps = _event_schedule(spec, config, steps)
-    flow_index = {name: j for j, name in enumerate(flow_names)}
-    ins = [tuple(flow_index[f] for f in vm.inflows[name]) for name in stock_names]
-    outs = [tuple(flow_index[f] for f in vm.outflows[name]) for name in stock_names]
-    floored = [s.non_negative for s in spec.stocks]
-    clamp = _ConservingClamp(vm, flow_index)
+    segment = _segment(*_topology(vm, config.method))
+    clamp = _ConservingClamp(vm, {name: j for j, name in enumerate(flow_names)})
 
     evaluator = vm.evaluator
-    draws_noise = vm.draws_noise
+    noisy = vm.draws_noise
+    gauss = ex.daily_gauss
     seed = config.seed
+    fail = partial(_name_failure, vm)
     noise_day = None
     g = 0.0
 
-    def evaluate(x: list[float], tv: float) -> tuple[float, ...]:
+    def evaluate(x, tv: float) -> tuple[float, ...]:
         """Flows then auxiliaries at stock values `x` and time `tv`."""
         nonlocal noise_day, g
-        if draws_noise:
+        if noisy:
             day = math.floor(tv)
             if day != noise_day:  # evaluation times never decrease
-                noise_day, g = day, ex.daily_gauss(seed, day)
+                noise_day, g = day, gauss(seed, day)
         try:
             return evaluator(tv, g, *x)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            _name_failure(vm, x, tv, g)
+        except _FAULTS:
+            fail(x, tv, g)
             raise
 
-    def advance(base: list[float], rates, h: float) -> list[float]:
-        rate = rates.__getitem__
-        return [v + h * (sum(map(rate, i)) - sum(map(rate, o)))
-                for v, i, o in zip(base, ins, outs)]
-
-    x = [float(s.initial) for s in spec.stocks]
-    integrals = [0.0] * n_flows
+    n_stocks = len(stock_names)
+    state = [float(s.initial) for s in spec.stocks] + [0.0] * len(flow_names)
     event_deltas = {name: 0.0 for name in stock_names}
     event_log: list[EventRecord] = []
     times: list[float] = []
-    rows: list[list[float]] = []
+    rows: list[tuple[float, ...]] = []
 
-    for n in range(steps + 1):
-        t_n = config.t_start + n * dt
-        out = evaluate(x, t_n)
-        if n % config.record_every == 0 or n == steps:
-            times.append(t_n)
-            rows.append([*x, *out])
-        if n == steps:
-            break
-
-        k1 = out[:n_flows]
-        if config.method == "euler":
-            rates = k1
-        else:
-            # Classic fourth-order combination of per-flow rates. Stage
-            # states are not clamped; the clamp sees the combined rates.
-            k2 = evaluate(advance(x, k1, dt / 2), t_n + dt / 2)
-            k3 = evaluate(advance(x, k2, dt / 2), t_n + dt / 2)
-            k4 = evaluate(advance(x, k3, dt), t_n + dt)
-            rates = [(a + 2 * b + 2 * c + d) / 6 for a, b, c, d in zip(k1, k2, k3, k4)]
-
-        if clamp.stocks:
-            rates = clamp(x, rates, dt, t_n)
-        t_next = config.t_start + (n + 1) * dt
-        # A floored value is below the clamp tolerance once it has settled.
-        x = [0.0 if f and v < 0.0 else v for v, f in zip(advance(x, rates, dt), floored)]
-        if not all(map(math.isfinite, x)):
-            bad = next(i for i, v in enumerate(x) if not math.isfinite(v))
-            raise NonFiniteError(stock_names[bad], t_next)
-        integrals = [total + dt * r for total, r in zip(integrals, rates)]
-
-        fired = event_steps.get(n + 1)
+    n = 0
+    for stop in sorted({*event_steps, steps}):
+        noise_day, g, *state = segment(
+            n, stop, t_start, dt, config.record_every, times, rows, evaluator, clamp,
+            fail, stock_names, noisy, gauss, seed, noise_day, g, *state)
+        n = stop
+        fired = event_steps.get(stop)
         if fired:
-            _fire_events(vm, fired, x, t_next, evaluate, event_deltas, event_log)
+            x = state[:n_stocks]
+            _fire_events(vm, fired, x, t_start + stop * dt, evaluate, event_deltas, event_log)
+            state[:n_stocks] = x
+
+    x = state[:n_stocks]
+    t_end = t_start + steps * dt
+    times.append(t_end)
+    rows.append((*x, *evaluate(x, t_end)))
 
     return Trajectory(
         times=np.array(times, dtype=float),
         columns=columns,
-        values=np.array(rows, dtype=float) if rows else np.zeros((0, len(columns))),
+        values=np.array(rows, dtype=float),
         events=tuple(event_log),
         parameters=dict(vm.params),
-        flow_integrals=dict(zip(flow_names, integrals)),
+        flow_integrals=dict(zip(flow_names, state[n_stocks:])),
         event_deltas=event_deltas,
         config=config,
     )
+
+
+def _topology(vm: ValidatedModel, method: str) -> tuple:
+    """What the generated step loop depends on: the method, each stock's
+    floor, and each flow's (source, target) stock positions, -1 for the
+    model boundary. Expressions and parameters never enter it."""
+    position = {name: i for i, name in enumerate(vm.stocks)}
+    return (
+        method,
+        tuple(s.non_negative for s in vm.spec.stocks),
+        tuple((position.get(f.source, -1), position.get(f.target, -1)) for f in vm.spec.flows),
+    )
+
+
+def segment_source(method: str, floored: tuple[bool, ...],
+                   endpoints: tuple[tuple[int, int], ...]) -> str:
+    """Python source of the step loop for one topology (see `_topology`).
+
+    `segment(n0, n1, t0, dt, every, times, rows, evaluate, clamp, fail,
+    names, noisy, gauss, seed, noise_day, g, *stocks, *integrals)` runs
+    steps n0..n1-1, recording each step whose index is a multiple of
+    `every`, and returns `(noise_day, g, *stocks, *integrals)` at step n1.
+    Stock i is the local `x{i}`, flow j's rate `r{j}` and its integral
+    `i{j}`. Every sum of rates is spelled out as `(0.0 + r1 + r2)`, the
+    float additions of CPython 3.11's `sum()`, and an empty one as the
+    int 0.
+    """
+    ns, nf = len(floored), len(endpoints)
+    ins = [[j for j, (_, dst) in enumerate(endpoints) if dst == i] for i in range(ns)]
+    outs = [[j for j, (src, _) in enumerate(endpoints) if src == i] for i in range(ns)]
+    clamped = [i for i in range(ns) if floored[i] and outs[i]]
+
+    def tup(names) -> str:
+        return "(" + "".join(f"{v}, " for v in names) + ")"
+
+    def total(flows, rate: str) -> str:
+        return "(" + " + ".join(["0.0"] + [f"{rate}{j}" for j in flows]) + ")" if flows else "0"
+
+    def advance(target: str, rate: str, h: str) -> list[str]:
+        return [f"{target}{i} = x{i} + {h} * ({total(ins[i], rate)} - {total(outs[i], rate)})"
+                for i in range(ns)]
+
+    def stage(tv: str, stocks: str, draw: bool = True) -> list[str]:
+        """Evaluate at time `tv` with stock locals `{stocks}{i}` into `o`."""
+        lines = []
+        if draw:
+            lines += ["if noisy:",
+                      f"    day = floor({tv})",
+                      "    if day != noise_day:",
+                      "        noise_day = day",
+                      "        g = gauss(seed, day)"]
+        state = [f"{stocks}{i}" for i in range(ns)]
+        return lines + ["try:",
+                        f"    o = evaluate({', '.join([tv, 'g', *state])})",
+                        "except FAULTS:",
+                        f"    fail({tup(state)}, {tv}, g)",
+                        "    raise"]
+
+    xs = [f"x{i}" for i in range(ns)]
+    rs = [f"r{j}" for j in range(nf)]
+    integrals = [f"i{j}" for j in range(nf)]
+    body = ["t = t0 + n * dt", *stage("t", "x"),
+            "if n % every == 0:",
+            "    times.append(t)",
+            f"    rows.append({tup(xs)} + o)"]
+    if method == "euler":
+        body += [f"r{j} = o[{j}]" for j in range(nf)]
+    else:
+        # Classic fourth-order combination of per-flow rates. Stage states
+        # are not clamped; the clamp sees the combined rates.
+        body += [f"a{j} = o[{j}]" for j in range(nf)]
+        body += advance("s", "a", "h2") + ["tm = t + h2", *stage("tm", "s")]
+        body += [f"b{j} = o[{j}]" for j in range(nf)]
+        # The third stage shares the second's time, so its day is drawn already.
+        body += advance("s", "b", "h2") + stage("tm", "s", draw=False)
+        body += [f"c{j} = o[{j}]" for j in range(nf)]
+        body += advance("s", "c", "dt") + ["te = t + dt", *stage("te", "s")]
+        body += [f"r{j} = (a{j} + 2 * b{j} + 2 * c{j} + o[{j}]) / 6" for j in range(nf)]
+    body += advance("y", "r", "dt")
+    if clamped:
+        # The clamp changes a rate only where a clamped stock's update
+        # undershoots its tolerance, so it is called only then.
+        short = " or ".join(f"(y{i} < 0.0 and y{i} < {-_CLAMP_TOL!r} * max(1.0, abs(x{i})))"
+                            for i in clamped)
+        body += [f"if {short}:",
+                 f"    {tup(rs)} = clamp({tup(xs)}, {tup(rs)}, dt, t)",
+                 *("    " + line for line in advance("y", "r", "dt"))]
+    # A floored value is below the clamp tolerance once it has settled.
+    body += [f"x{i} = 0.0 if y{i} < 0.0 else y{i}" if floored[i] else f"x{i} = y{i}"
+             for i in range(ns)]
+    for i in range(ns):
+        body += [f"if x{i} - x{i} != 0.0:",
+                 f"    raise NonFiniteError(names[{i}], t0 + (n + 1) * dt)"]
+    body += [f"i{j} = i{j} + dt * r{j}" for j in range(nf)]
+
+    params = ["n0", "n1", "t0", "dt", "every", "times", "rows", "evaluate", "clamp", "fail",
+              "names", "noisy", "gauss", "seed", "noise_day", "g", *xs, *integrals]
+    lines = [f"def segment({', '.join(params)}):"]
+    if method == "rk4":
+        lines.append("    h2 = dt / 2")
+    lines.append("    for n in range(n0, n1):")
+    lines += ["        " + line for line in body]
+    lines.append(f"    return {tup(['noise_day', 'g', *xs, *integrals])}")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=64)
+def _segment(method: str, floored: tuple[bool, ...],
+             endpoints: tuple[tuple[int, int], ...]) -> Callable[..., tuple]:
+    """The compiled `segment` of `segment_source`, shared by every model
+    with this topology."""
+    namespace = {"floor": math.floor, "FAULTS": _FAULTS, "NonFiniteError": NonFiniteError}
+    source = segment_source(method, floored, endpoints)
+    exec(compile(source, "<sfdsim step loop>", "exec"), namespace)
+    return namespace["segment"]  # type: ignore[return-value]
 
 
 def _name_failure(vm: ValidatedModel, x: list[float], t: float, g: float) -> None:
@@ -259,7 +366,7 @@ def _name_failure(vm: ValidatedModel, x: list[float], t: float, g: float) -> Non
     for name in vm.order:
         try:
             v = ex.eval_expression(vm.expressions[name], env, t, g)
-        except (ZeroDivisionError, OverflowError, ValueError):
+        except _FAULTS:
             raise NonFiniteError(name, t) from None
         if not math.isfinite(v):
             raise NonFiniteError(name, t)
@@ -319,7 +426,7 @@ def _fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
             # Interventions are exact amounts: noise reads as 0 in actions.
             try:
                 v = ex.eval_expression(act.expression, env, t, 0.0)
-            except (ZeroDivisionError, OverflowError, ValueError):
+            except _FAULTS:
                 raise NonFiniteError(f"event {event.name}", t) from None
             if not math.isfinite(v):
                 raise NonFiniteError(f"event {event.name}", t)
@@ -411,7 +518,9 @@ class _ConservingClamp:
         """Lower stock i's factor if its outflows would overdraw it; True
         if the factor changed."""
         ins, outs = self.terms[i]
-        out_raw = sum(map(raw.__getitem__, outs))
+        out_raw = 0.0  # added as the step loop adds it, whatever `sum()` does
+        for j in outs:
+            out_raw += raw[j]
         if out_raw <= 0.0:
             return False
         inflow = 0.0

@@ -13,8 +13,7 @@ On top of plain scenario runs this module provides:
   with deterministic ranking.
 * `calibrate`: coordinate pattern search fitting chosen parameters to an
   observed series.
-* `run_sweep`: one-parameter sweeps, executed on a thread pool with
-  result order independent of scheduling.
+* `run_sweep`: one-parameter sweeps, one run per value in input order.
 
 Scenario files use a small text format sharing the expression-language
 lexer; semicolons between directives are optional:
@@ -29,7 +28,6 @@ lexer; semicolons between directives are optional:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .engine import SimConfig, Trajectory, run_simulation
@@ -325,30 +323,19 @@ def run_sweep(
     param: str,
     values: list[float] | tuple[float, ...],
     config: SimConfig,
-    max_workers: int = 4,
 ) -> SweepResult:
-    """Simulate once per value of `param`, in parallel, order preserved.
-
-    Each run is independent and deterministic, so the thread pool cannot
-    change results, only wall time. Rows come back in input order.
-    """
-    def one(value: float) -> SweepRow:
-        traj = run_simulation(spec.with_params({param: value}), config)
-        metrics = summarize(traj)
-        return SweepRow(
+    """Simulate once per value of `param`; rows come back in input order."""
+    rows = []
+    for value in values:
+        metrics = summarize(run_simulation(spec.with_params({param: value}), config))
+        rows.append(SweepRow(
             value=float(value),
             total_cost=metrics["total_cost"],
             peak_sludge=metrics["peak_sludge_kg"],
             saturation_day=metrics["saturation_day"],
             final_vinasse=metrics["final_vinasse_m3"],
             final_sludge=metrics["final_sludge_kg"],
-        )
-
-    if len(values) <= 1:
-        rows = [one(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(values))) as pool:
-            rows = list(pool.map(one, values))
+        ))
     return SweepResult(param=param, rows=tuple(rows))
 
 

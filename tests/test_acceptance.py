@@ -28,7 +28,9 @@ from sfdsim import (
     run_simulation,
     run_sweep,
     saturation_time,
+    summarize,
 )
+from sfdsim.scenarios import SweepRow
 from sfdsim.cli import main as cli_main
 
 import vinasse_oracle as oracle
@@ -323,12 +325,16 @@ def test_ac8_byte_identical_outputs(tmp_path, monkeypatch, capsys):
     if manifest["config"]["seed"] != 7:
         problems.append("manifest lost the seed")
 
-    sequential = run_sweep(build_baseline(), "Dose", (0.0, 10.0, 20.0, 40.0),
-                           YEAR, max_workers=1)
-    parallel = run_sweep(build_baseline(), "Dose", (0.0, 10.0, 20.0, 40.0),
-                         YEAR, max_workers=8)
-    if sequential.to_csv() != parallel.to_csv():
-        problems.append("sweep parallelism changed the CSV")
+    doses = (0.0, 10.0, 20.0, 40.0)
+    sweep = run_sweep(build_baseline(), "Dose", doses, YEAR)
+    separate = []
+    for dose in doses:
+        metrics = summarize(run_simulation(build_baseline().with_params({"Dose": dose}), YEAR))
+        separate.append(SweepRow(dose, metrics["total_cost"], metrics["peak_sludge_kg"],
+                                 metrics["saturation_day"], metrics["final_vinasse_m3"],
+                                 metrics["final_sludge_kg"]))
+    if sweep.rows != tuple(separate):
+        problems.append("sweep rows differ from separate runs of each value")
 
     ok = _verdict("AC8", "CSV, JSON, and SVG outputs byte-identical across runs",
                   not problems)

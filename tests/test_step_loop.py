@@ -1,0 +1,214 @@
+"""The generated step loop against the reference per-step integrator, and
+the cache of compiled loops."""
+
+from __future__ import annotations
+
+import dataclasses
+import struct
+
+import pytest
+
+import sfdsim.engine as engine
+import sfdsim.expr
+from sfdsim import (
+    ClampError,
+    FlowDef,
+    ModelSpec,
+    NonFiniteError,
+    SimConfig,
+    StockDef,
+    build_baseline,
+    parse_expression,
+    run_simulation,
+    validate_model,
+)
+
+from modelgen import generate_model
+from reference_integrator import reference_run
+
+
+def bits(values) -> bytes:
+    values = list(values)
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def outcome(run, spec, config):
+    """Everything a run produces, with floats as raw bits, or the error."""
+    try:
+        traj = run(spec, config)
+    except (NonFiniteError, ClampError) as err:
+        return (type(err), getattr(err, "name", None), getattr(err, "stocks", None),
+                bits([err.t]), str(err))
+    return (
+        traj.values.shape,
+        traj.times.tobytes(),
+        traj.values.tobytes(),
+        tuple(traj.flow_integrals), bits(traj.flow_integrals.values()),
+        tuple(traj.event_deltas), bits(traj.event_deltas.values()),
+        tuple((e.event, e.target) for e in traj.events),
+        bits(v for e in traj.events for v in (e.t, e.amount)),
+    )
+
+
+def variants(seed: int):
+    """A generated model and versions of it that fault or change the floor:
+    Level0 = 0 makes `S / (S + Level0)` divide 0 by 0 once S empties,
+    a huge Rate0 overflows a stock, and one stock may go negative."""
+    spec = generate_model(seed)
+    yield spec
+    yield spec.with_params({"Level0": 0.0})
+    yield spec.with_params({"Rate0": 1e307})
+    free = dataclasses.replace(spec.stocks[-1], non_negative=False)
+    yield dataclasses.replace(spec, stocks=(*spec.stocks[:-1], free))
+
+
+def model(stocks, flows) -> ModelSpec:
+    return ModelSpec(
+        name="M",
+        stocks=tuple(stocks),
+        flows=tuple(FlowDef(name, parse_expression(text), src, dst)
+                    for name, text, src, dst in flows),
+    )
+
+
+HAND_MODELS = {
+    "converging_cycle": model(
+        [StockDef("A", 1.0), StockDef("B", 0.0)],
+        [("ab", "5", "A", "B"), ("ba", "1 + 0.5 * sin(t)", "B", "A")]),
+    "unconverged_cycle": model(
+        [StockDef("A", 0.0), StockDef("B", 0.0)],
+        [("ab", "10", "A", "B"), ("ba", "9.9", "B", "A"), ("outA", "0.001", "A", None)]),
+    "stage_fault": model(
+        [StockDef("S", 1.0)], [("out", "3 + 0 * ln(S + 0.5)", "S", None)]),
+    "stock_overflow": model(
+        [StockDef("S", 0.0), StockDef("D", 0.0, non_negative=False)],
+        [("feed", "1e308", None, "S"), ("drain", "1e308", "D", None)]),
+    "drained_chain": model(
+        [StockDef("A", 3.0), StockDef("B", 0.0), StockDef("C", 1.0)],
+        [("ab", "2 + sin(t)", "A", "B"), ("bc", "4", "B", "C"), ("cout", "C", "C", None),
+         ("leak", "0.5", "A", None)]),
+    "no_flows": ModelSpec(name="Empty", stocks=(StockDef("S", 2.0),)),
+}
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_generated_models(self, method, every):
+        errors = set()
+        for seed in range(30):
+            config = SimConfig(t_start=float(seed % 2), t_end=91.0 + seed % 2,
+                               dt=0.5 if seed % 3 == 0 else 1.0, method=method,
+                               record_every=every, seed=seed)
+            for spec in variants(seed):
+                expected = outcome(reference_run, spec, config)
+                assert outcome(run_simulation, spec, config) == expected, (seed, spec.name)
+                if isinstance(expected[0], type):
+                    errors.add(expected[0])
+        assert NonFiniteError in errors
+
+    @pytest.mark.parametrize("name", sorted(HAND_MODELS))
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_hand_models(self, name, method, every):
+        config = SimConfig(t_end=12.0, method=method, record_every=every)
+        spec = HAND_MODELS[name]
+        assert outcome(run_simulation, spec, config) == outcome(reference_run, spec, config)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_noisy_plant_with_events(self, method, every):
+        spec = build_baseline().with_params({"NoiseStdDev": 1.5})
+        config = SimConfig(t_end=120.0, method=method, record_every=every, seed=11)
+        assert outcome(run_simulation, spec, config) == outcome(reference_run, spec, config)
+
+    def test_expected_errors(self):
+        # The error cases above raise what they are meant to raise.
+        with pytest.raises(ClampError) as clamp_err:
+            run_simulation(HAND_MODELS["unconverged_cycle"], SimConfig(t_end=5.0))
+        assert (clamp_err.value.stocks, clamp_err.value.t) == (("A", "B"), 0.0)
+        with pytest.raises(NonFiniteError) as stage_err:
+            run_simulation(HAND_MODELS["stage_fault"], SimConfig(t_end=3.0, method="rk4"))
+        assert (stage_err.value.name, stage_err.value.t) == ("out", 0.5)
+        with pytest.raises(NonFiniteError) as stock_err:
+            run_simulation(HAND_MODELS["stock_overflow"], SimConfig(t_end=4.0, dt=2.0))
+        assert (stock_err.value.name, stock_err.value.t) == ("S", 2.0)
+
+    def test_clamp_called_only_when_an_update_undershoots(self, monkeypatch):
+        calls = []
+        real = engine._ConservingClamp.__call__
+
+        def counting(self, x, raw, dt, t):
+            calls.append(t)
+            return real(self, x, raw, dt, t)
+
+        monkeypatch.setattr(engine._ConservingClamp, "__call__", counting)
+        # S fills at 1/day and drains at 3/day from t = 6: it reaches 0 at
+        # t = 9, and only the steps from there on would overdraw it.
+        late_drain = model([StockDef("S", 0.0)],
+                           [("feed", "1", None, "S"), ("out", "if(t > 5, 3, 0)", "S", None)])
+        traj = run_simulation(late_drain, SimConfig(t_end=12.0))
+        assert calls == [9.0, 10.0, 11.0]
+        assert traj.column("S").tolist()[7:] == [4.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+        calls.clear()
+        run_simulation(build_baseline(), SimConfig(t_end=365.0))
+        assert calls == []
+
+
+class TestLoopCache:
+    def test_same_topology_shares_one_loop(self):
+        a = generate_model(5)
+        flows = tuple(dataclasses.replace(f, expression=parse_expression("Rate1 * 2 + t"))
+                      for f in a.flows)
+        b = dataclasses.replace(a, flows=flows).with_params({"Rate0": 3.0, "Level0": 1.0})
+        key_a = engine._topology(validate_model(a), "rk4")
+        assert engine._topology(validate_model(b), "rk4") == key_a
+        assert engine._topology(validate_model(a), "euler") != key_a
+        engine._segment.cache_clear()
+        run_simulation(a, SimConfig(t_end=10.0, method="rk4"))
+        misses = engine._segment.cache_info().misses
+        run_simulation(b, SimConfig(t_end=10.0, method="rk4", seed=3))
+        info = engine._segment.cache_info()
+        assert (info.misses, info.currsize) == (misses, 1)
+        assert info.hits >= 1
+
+    def test_distinct_topologies_stay_within_bound(self):
+        bound = engine._segment.cache_parameters()["maxsize"]
+        chain = ((-1, 0), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, -1))
+        for code in range(bound + 16):
+            floored = tuple(bool(code >> i & 1) for i in range(7))
+            segment = engine._segment("euler", floored, chain)
+            assert callable(segment)
+            assert engine._segment.cache_info().currsize <= bound
+        assert engine._segment.cache_info().currsize == bound
+
+    def test_source_names_no_model_variable(self):
+        vm = validate_model(build_baseline())
+        source = engine.segment_source(*engine._topology(vm, "rk4"))
+        assert all(name not in source for name in (*vm.stocks, *vm.params, *vm.order))
+        assert source.count("evaluate(") == 4
+
+
+class TestNoiseDraws:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        real = sfdsim.expr.daily_gauss
+
+        def counting(seed, day):
+            calls.append(day)
+            return real(seed, day)
+
+        monkeypatch.setattr(sfdsim.expr, "daily_gauss", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_same_draws_as_reference(self, draws, method, every):
+        spec = build_baseline().with_params({"NoiseStdDev": 1.5})
+        config = SimConfig(t_end=365.0, method=method, record_every=every)
+        reference_run(spec, config)
+        expected = list(draws)
+        draws.clear()
+        run_simulation(spec, config)
+        assert draws == expected == list(range(366))
