@@ -15,6 +15,7 @@ terminal unless SFDSIM_NO_COLOR is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -83,18 +84,10 @@ def _config(args) -> SimConfig:
 
 def _write_manifest(args, command: str, spec: ModelSpec, source: str,
                     scenarios: list[Scenario], outputs: list[str]) -> str:
-    config = {
-        "t_start": args.t_start,
-        "t_end": args.t_end,
-        "dt": args.dt,
-        "method": args.method,
-        "seed": args.seed,
-        "record_every": args.record_every,
-    }
     manifest = {
         "argv": args._argv,
         "command": command,
-        "config": config,
+        "config": dataclasses.asdict(_config(args)),
         "model": {
             "name": spec.name,
             "source": source,
@@ -109,12 +102,12 @@ def _write_manifest(args, command: str, spec: ModelSpec, source: str,
     return path
 
 
-def _add_sim_flags(p: argparse.ArgumentParser, t_end: float = 365.0) -> None:
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help="model file; the built-in treatment pond when omitted")
     p.add_argument("--scenario", action="append", metavar="FILE",
                    help="scenario file; repeatable, applied in order")
     p.add_argument("--t-start", type=float, default=0.0, dest="t_start")
-    p.add_argument("--t-end", type=float, default=t_end, dest="t_end")
+    p.add_argument("--t-end", type=float, default=365.0, dest="t_end")
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--method", choices=("euler", "rk4"), default="euler")
     p.add_argument("--seed", type=int, default=0)

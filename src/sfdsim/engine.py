@@ -16,7 +16,10 @@ RK4 combination, the stock updates, the floor, the finiteness check, the
 flow integrals and the recorded rows are inlined. Every sum of rates is
 spelled out as the float additions CPython 3.11's `sum()` performs, so
 results match the former list-based loop bit for bit (and do not change
-with the compensated float `sum()` of later versions).
+with the compensated float `sum()` of later versions). Events run the
+model's generated actions (`ValidatedModel.actions`), so the engine never
+interprets an expression tree. The evaluator raises only NonFiniteError,
+naming the variable behind a non-finite value or an arithmetic fault.
 
 Determinism is a hard requirement: identical inputs produce byte-identical
 CSV output, including under the stochastic `noise` builtin, whose draws are
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -50,7 +53,6 @@ from .model import ModelSpec, ValidatedModel, validate_model
 
 _GRID_TOL = 1e-9
 _CLAMP_TOL = 1e-12
-_FAULTS = (ZeroDivisionError, OverflowError, ValueError)  # arithmetic faults of an evaluation
 
 METHODS = ("euler", "rk4")
 
@@ -184,13 +186,11 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     columns = (*stock_names, *flow_names, *(a.name for a in spec.auxiliaries))
     event_steps = _event_schedule(spec, config, steps)
     segment = _segment(*_topology(vm, config.method))
-    clamp = _ConservingClamp(vm, {name: j for j, name in enumerate(flow_names)})
 
     evaluator = vm.evaluator
     noisy = vm.draws_noise
     gauss = ex.daily_gauss
     seed = config.seed
-    fail = partial(_name_failure, vm)
     noise_day = None
     g = 0.0
 
@@ -201,11 +201,7 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
             day = math.floor(tv)
             if day != noise_day:  # evaluation times never decrease
                 noise_day, g = day, gauss(seed, day)
-        try:
-            return evaluator(tv, g, *x)
-        except _FAULTS:
-            fail(x, tv, g)
-            raise
+        return evaluator(tv, g, *x)
 
     n_stocks = len(stock_names)
     state = [float(s.initial) for s in spec.stocks] + [0.0] * len(flow_names)
@@ -217,8 +213,8 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     n = 0
     for stop in sorted({*event_steps, steps}):
         noise_day, g, *state = segment(
-            n, stop, t_start, dt, config.record_every, times, rows, evaluator, clamp,
-            fail, stock_names, noisy, gauss, seed, noise_day, g, *state)
+            n, stop, t_start, dt, config.record_every, times, rows, evaluator,
+            stock_names, noisy, gauss, seed, noise_day, g, *state)
         n = stop
         fired = event_steps.get(stop)
         if fired:
@@ -259,14 +255,14 @@ def segment_source(method: str, floored: tuple[bool, ...],
                    endpoints: tuple[tuple[int, int], ...]) -> str:
     """Python source of the step loop for one topology (see `_topology`).
 
-    `segment(n0, n1, t0, dt, every, times, rows, evaluate, clamp, fail,
-    names, noisy, gauss, seed, noise_day, g, *stocks, *integrals)` runs
-    steps n0..n1-1, recording each step whose index is a multiple of
-    `every`, and returns `(noise_day, g, *stocks, *integrals)` at step n1.
-    Stock i is the local `x{i}`, flow j's rate `r{j}` and its integral
-    `i{j}`. Every sum of rates is spelled out as `(0.0 + r1 + r2)`, the
-    float additions of CPython 3.11's `sum()`, and an empty one as the
-    int 0.
+    `segment(n0, n1, t0, dt, every, times, rows, evaluate, names, noisy,
+    gauss, seed, noise_day, g, *stocks, *integrals)` runs steps n0..n1-1,
+    recording each step whose index is a multiple of `every`, and returns
+    `(noise_day, g, *stocks, *integrals)` at step n1. Stock i is the local
+    `x{i}`, flow j's rate `r{j}` and its integral `i{j}`; the global
+    `clamp` is the topology's `_ConservingClamp`. Every sum of rates is
+    spelled out as `(0.0 + r1 + r2)`, the float additions of CPython
+    3.11's `sum()`, and an empty one as the int 0.
     """
     ns, nf = len(floored), len(endpoints)
     ins = [[j for j, (_, dst) in enumerate(endpoints) if dst == i] for i in range(ns)]
@@ -292,12 +288,7 @@ def segment_source(method: str, floored: tuple[bool, ...],
                       "    if day != noise_day:",
                       "        noise_day = day",
                       "        g = gauss(seed, day)"]
-        state = [f"{stocks}{i}" for i in range(ns)]
-        return lines + ["try:",
-                        f"    o = evaluate({', '.join([tv, 'g', *state])})",
-                        "except FAULTS:",
-                        f"    fail({tup(state)}, {tv}, g)",
-                        "    raise"]
+        return lines + [f"o = evaluate({', '.join([tv, 'g', *(f'{stocks}{i}' for i in range(ns))])})"]
 
     xs = [f"x{i}" for i in range(ns)]
     rs = [f"r{j}" for j in range(nf)]
@@ -326,7 +317,7 @@ def segment_source(method: str, floored: tuple[bool, ...],
         short = " or ".join(f"(y{i} < 0.0 and y{i} < {-_CLAMP_TOL!r} * max(1.0, abs(x{i})))"
                             for i in clamped)
         body += [f"if {short}:",
-                 f"    {tup(rs)} = clamp({tup(xs)}, {tup(rs)}, dt, t)",
+                 f"    {tup(rs)} = clamp(names, {tup(xs)}, {tup(rs)}, dt, t)",
                  *("    " + line for line in advance("y", "r", "dt"))]
     # A floored value is below the clamp tolerance once it has settled.
     body += [f"x{i} = 0.0 if y{i} < 0.0 else y{i}" if floored[i] else f"x{i} = y{i}"
@@ -336,8 +327,8 @@ def segment_source(method: str, floored: tuple[bool, ...],
                  f"    raise NonFiniteError(names[{i}], t0 + (n + 1) * dt)"]
     body += [f"i{j} = i{j} + dt * r{j}" for j in range(nf)]
 
-    params = ["n0", "n1", "t0", "dt", "every", "times", "rows", "evaluate", "clamp", "fail",
-              "names", "noisy", "gauss", "seed", "noise_day", "g", *xs, *integrals]
+    params = ["n0", "n1", "t0", "dt", "every", "times", "rows", "evaluate", "names", "noisy",
+              "gauss", "seed", "noise_day", "g", *xs, *integrals]
     lines = [f"def segment({', '.join(params)}):"]
     if method == "rk4":
         lines.append("    h2 = dt / 2")
@@ -351,36 +342,23 @@ def segment_source(method: str, floored: tuple[bool, ...],
 def _segment(method: str, floored: tuple[bool, ...],
              endpoints: tuple[tuple[int, int], ...]) -> Callable[..., tuple]:
     """The compiled `segment` of `segment_source`, shared by every model
-    with this topology."""
-    namespace = {"floor": math.floor, "FAULTS": _FAULTS, "NonFiniteError": NonFiniteError}
+    with this topology, and bound to the topology's clamp."""
+    namespace = {"floor": math.floor, "NonFiniteError": NonFiniteError,
+                 "clamp": _ConservingClamp(floored, endpoints)}
     source = segment_source(method, floored, endpoints)
     exec(compile(source, "<sfdsim step loop>", "exec"), namespace)
     return namespace["segment"]  # type: ignore[return-value]
 
 
-def _name_failure(vm: ValidatedModel, x: list[float], t: float, g: float) -> None:
-    """Re-run one evaluation on the tree interpreter to name the variable
-    behind an arithmetic fault of the generated evaluator."""
-    env = dict(vm.params)
-    env.update(zip(vm.stocks, x))
-    for name in vm.order:
-        try:
-            v = ex.eval_expression(vm.expressions[name], env, t, g)
-        except _FAULTS:
-            raise NonFiniteError(name, t) from None
-        if not math.isfinite(v):
-            raise NonFiniteError(name, t)
-        env[name] = v
-
-
-def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int, list]:
-    """Map step index (1-based end of step) to the events firing there.
+def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int, list[int]]:
+    """Map step index (1-based end of step) to the indices of the events
+    firing there, in declaration order.
 
     Every firing must land on the grid. Firings at t_start are skipped: the
     first row is the initial condition by definition.
     """
-    schedule: dict[int, list] = {}
-    for event in spec.events:
+    schedule: dict[int, list[int]] = {}
+    for k, event in enumerate(spec.events):
         rel = (event.start - config.t_start) / config.dt
         n_start = round(rel)
         if abs(rel - n_start) > _GRID_TOL:
@@ -401,7 +379,7 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
         n = n_start
         while n <= steps:
             if n >= 1:
-                schedule.setdefault(n, []).append(event)
+                schedule.setdefault(n, []).append(k)
             if n_int == 0:
                 break
             n += n_int
@@ -409,37 +387,25 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
 
 
 def _fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
-    """Apply each fired event in declaration order.
+    """Apply each fired event, by index, in declaration order.
 
-    All of one event's action expressions are evaluated against a snapshot
-    taken before that event changes anything, then applied sequentially.
+    An event's generated action computes all its values against the state
+    before that event changes anything; they are then applied sequentially.
     Non-negative stocks are floored at zero.
     """
     index = {name: i for i, name in enumerate(vm.stocks)}
-    computed = [d.name for d in (*vm.spec.flows, *vm.spec.auxiliaries)]
-    for event in fired:
-        env = dict(vm.params)
-        env.update(zip(vm.stocks, x))
-        env.update(zip(computed, evaluate(x, t)))
-        planned = []
-        for act in event.actions:
-            # Interventions are exact amounts: noise reads as 0 in actions.
-            try:
-                v = ex.eval_expression(act.expression, env, t, 0.0)
-            except _FAULTS:
-                raise NonFiniteError(f"event {event.name}", t) from None
-            if not math.isfinite(v):
-                raise NonFiniteError(f"event {event.name}", t)
-            planned.append((act, v))
-        for act, v in planned:
+    for k in fired:
+        event = vm.spec.events[k]
+        try:
+            planned = vm.actions[k](t, x, evaluate(x, t))
+        except ex.FAULTS:
+            raise NonFiniteError(f"event {event.name}", t) from None
+        if not all(map(math.isfinite, planned)):
+            raise NonFiniteError(f"event {event.name}", t)
+        for act, v in zip(event.actions, planned):
             i = index[act.target]
             old = x[i]
-            if act.op == "add":
-                new = old + v
-            elif act.op == "subtract":
-                new = old - v
-            else:
-                new = v
+            new = old + v if act.op == "add" else old - v if act.op == "subtract" else v
             if vm.stocks[act.target].non_negative and new < 0.0:
                 new = 0.0
             x[i] = new
@@ -462,23 +428,19 @@ class _ConservingClamp:
     the boundary or from unclamped stocks are never scaled.
     """
 
-    def __init__(self, vm: ValidatedModel, flow_index: dict[str, int]):
-        self.names = list(vm.stocks)
-        position = {name: i for i, name in enumerate(self.names)}
-        self.stocks = [i for i, name in enumerate(self.names)
-                       if vm.stocks[name].non_negative and vm.outflows[name]]
+    def __init__(self, floored: tuple[bool, ...], endpoints: tuple[tuple[int, int], ...]):
+        self.stocks = [i for i in range(len(floored))
+                       if floored[i] and any(src == i for src, _ in endpoints)]
         clamped = set(self.stocks)
-        source = {f.name: position[f.source] if f.source in position else -1
-                  for f in vm.spec.flows}
         # Per clamped stock: its inflows as (flow, clamped source or -1),
         # and its outflows.
-        self.terms = {}
-        for i in self.stocks:
-            name = self.names[i]
-            ins = tuple((flow_index[f], source[f] if source[f] in clamped else -1)
-                        for f in vm.inflows[name])
-            self.terms[i] = (ins, tuple(flow_index[f] for f in vm.outflows[name]))
-        self.scaled = tuple((flow_index[f], src) for f, src in source.items() if src in clamped)
+        self.terms = {
+            i: (tuple((j, src if src in clamped else -1)
+                      for j, (src, dst) in enumerate(endpoints) if dst == i),
+                tuple(j for j, (src, _) in enumerate(endpoints) if src == i))
+            for i in self.stocks
+        }
+        self.scaled = tuple((j, src) for j, (src, _) in enumerate(endpoints) if src in clamped)
 
         feeds = {i: {src for _, src in self.terms[i][0] if src >= 0} for i in self.stocks}
         waiting = {i: len(up) for i, up in feeds.items()}
@@ -491,11 +453,12 @@ class _ConservingClamp:
                         order.append(j)
         self.settled = tuple(order)
         self.cyclic = tuple(i for i in self.stocks if waiting[i])
-        self.max_passes = 4 * len(self.names) + 8
+        self.max_passes = 4 * len(floored) + 8
 
-    def __call__(self, x: list[float], raw, dt: float, t: float):
+    def __call__(self, names, x, raw, dt: float, t: float):
         """Realized flow rates for state `x` and raw rates `raw`; `raw`
-        itself when nothing needs scaling."""
+        itself when nothing needs scaling. `names` are the stock names a
+        ClampError reports."""
         scale = [1.0] * len(x)
         settle = self._settle
         scaled = [i for i in self.settled if settle(i, x, raw, dt, scale)]
@@ -506,7 +469,7 @@ class _ConservingClamp:
                     break
                 scaled += moved
             else:
-                raise ClampError(tuple(self.names[i] for i in moved), t)
+                raise ClampError(tuple(names[i] for i in moved), t)
         if not scaled:
             return raw
         realized = list(raw)

@@ -3,12 +3,12 @@
 Expressions are built from numeric literals, variable references, binary
 operators, and a fixed set of builtin functions. `eval_expression` walks a
 tree; `python_source` renders one as Python expression text, from which
-`model.ValidatedModel.evaluator` generates one function per model. Both
-perform the same floating-point operations in the same order, so their
-results, and the exceptions they raise, are identical; tests rely on that.
-The simulation engine runs the generated code; the interpreter evaluates
-event actions, names the variable behind an arithmetic fault, and serves as
-the tests' oracle.
+`model.ValidatedModel` generates one evaluator and one action function per
+event for each model. Both perform the same floating-point operations in
+the same order, so their results, and the exceptions they raise, are
+identical; tests rely on that. The simulation engine runs only the
+generated code. The interpreter names the variable behind an arithmetic
+fault of the generated evaluator and serves as the tests' oracle.
 
 The symbol `t` always refers to current simulation time. `noise(scale)`
 multiplies its argument by the per-evaluation Gaussian draw `g` supplied by
@@ -43,6 +43,10 @@ BUILTINS: dict[str, int] = {
 
 COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 ARITHMETIC = ("+", "-", "*", "/", "^")
+
+# The exceptions an evaluation raises on an arithmetic fault (division by
+# zero, overflow of pow/exp, a math domain error).
+FAULTS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 class Expr:

@@ -136,6 +136,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.definitions: list[tuple[str, Token]] = []  # (keyword, name token)
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -169,6 +170,12 @@ class _Parser:
         if tok.kind != "ident":
             raise self.fail(f"expected {what}")
         return self.advance()
+
+    def define(self, keyword: str, what: str) -> str:
+        """Read the name a `keyword` definition introduces."""
+        tok = self.expect_ident(what)
+        self.definitions.append((keyword, tok))
+        return tok.text
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
@@ -281,19 +288,19 @@ class _Parser:
         events: list[EventDef] = []
         while not (self.peek().kind == "punct" and self.peek().text == "}"):
             if self.take_keyword("param"):
-                pname = self.expect_ident("parameter name").text
+                pname = self.define("param", "parameter name")
                 self.expect_punct("=")
                 value = self.number()
                 params.append(ParamDef(pname, value, self.unit()))
             elif self.take_keyword("stock"):
-                sname = self.expect_ident("stock name").text
+                sname = self.define("stock", "stock name")
                 self.expect_punct("=")
                 initial = self.number()
                 unit = self.unit()
                 non_negative = not self.take_keyword("allow_negative")
                 stocks.append(StockDef(sname, initial, unit, non_negative))
             elif self.take_keyword("flow"):
-                fname = self.expect_ident("flow name").text
+                fname = self.define("flow", "flow name")
                 self.expect_punct(":")
                 source = None
                 if self.peek().kind == "ident":
@@ -306,7 +313,7 @@ class _Parser:
                 expression = self.expression()
                 flows.append(FlowDef(fname, expression, source, target, self.unit()))
             elif self.take_keyword("aux"):
-                aname = self.expect_ident("auxiliary name").text
+                aname = self.define("aux", "auxiliary name")
                 self.expect_punct("=")
                 expression = self.expression()
                 auxes.append(AuxDef(aname, expression, self.unit()))
@@ -329,7 +336,7 @@ class _Parser:
         )
 
     def event(self) -> EventDef:
-        name = self.expect_ident("event name").text
+        name = self.define("event", "event name")
         if not self.take_keyword("every"):
             raise self.fail("expected 'every'")
         interval = self.number()
@@ -432,23 +439,19 @@ def lint_model(text: str) -> list[LintIssue]:
     events are computed or scheduled behavior and start lowercase. The text
     must parse; structural problems raise ParseError instead.
     """
-    parse_model(text)
+    parser = _Parser(tokenize(text))
+    parser.model()
     issues: list[LintIssue] = []
-    tokens = tokenize(text)
-    for i, tok in enumerate(tokens[:-1]):
-        nxt = tokens[i + 1]
-        if tok.kind != "ident" or nxt.kind != "ident":
-            continue
-        kind = tok.text
-        name = nxt.text
+    for kind, tok in parser.definitions:
+        name = tok.text
         if kind in _UPPER_KINDS and not name[0].isupper():
             issues.append(LintIssue(
-                nxt.line, nxt.column, "naming",
+                tok.line, tok.column, "naming",
                 f"{_UPPER_KINDS[kind]} '{name}' should start with an uppercase letter",
             ))
         elif kind in _LOWER_KINDS and not name[0].islower():
             issues.append(LintIssue(
-                nxt.line, nxt.column, "naming",
+                tok.line, tok.column, "naming",
                 f"{_LOWER_KINDS[kind]} '{name}' should start with a lowercase letter",
             ))
     return issues

@@ -4,14 +4,14 @@ A model is a declarative bundle of stocks, flows, auxiliaries, parameters,
 and scheduled events. `validate_model` checks it for duplicate names,
 undefined references, dependency cycles, and unit mismatches, and returns a
 `ValidatedModel` carrying the dependency-sorted evaluation order and the
-generated evaluator the engine calls at every evaluation.
+generated code the engine runs: the evaluator and the event actions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 from . import expr as ex
@@ -172,22 +172,30 @@ class ValidatedModel:
     outflows: dict[str, tuple[str, ...]] = field(repr=False)
 
     @cached_property
-    def evaluator(self) -> Callable[..., tuple[float, ...]]:
-        """The generated whole-model evaluator, built on first use.
-
-        `evaluator(t, g, *stocks)` takes the stock values in declaration
-        order and returns every flow then every auxiliary, each in
-        declaration order. Parameters are bound when it is built. A value
-        that is not finite raises NonFiniteError naming its variable; an
-        arithmetic fault propagates as ZeroDivisionError, OverflowError or
-        ValueError, exactly where `eval_expression` raises it.
-        """
+    def _bound(self) -> tuple[Callable[..., tuple[float, ...]], tuple[Callable[..., tuple], ...]]:
+        """`(evaluator, actions)`, generated and bound on first use."""
         bind = _compile_evaluator(self.evaluator_source())
-        return bind(*self.params.values())
+        return bind(partial(_name_failure, self.params, tuple(self.stocks), self.order,
+                            self.expressions), *self.params.values())
+
+    @property
+    def evaluator(self) -> Callable[..., tuple[float, ...]]:
+        """The generated `evaluator(t, g, *stocks)`: every flow, then every
+        auxiliary, in declaration order, for stock values in declaration
+        order. It raises only NonFiniteError, naming the variable and `t`,
+        for a value that is not finite or an arithmetic fault."""
+        return self._bound[0]
+
+    @property
+    def actions(self) -> tuple[Callable[..., tuple], ...]:
+        """Per event, the generated `act(t, x, o)`: its action values for
+        stock values `x` and evaluator output `o`, with noise read as 0."""
+        return self._bound[1]
 
     def evaluator_source(self) -> str:
-        """Python source of the function that binds the parameters and
-        returns `evaluator`; every model name `x` is the local `_x`."""
+        """Python source of `bind(fail, *params) -> (evaluator, actions)`.
+        Every model name `x` is the local `_x`, except that an action reads
+        stock i as `x[i]` and flow or auxiliary j as `o[j]`."""
         spec = self.spec
         names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
                                       spec.flows) for d in group]
@@ -195,18 +203,29 @@ class ValidatedModel:
             name: f"_{name}" if name.isidentifier() and name.isascii() else f"_{i}"
             for i, name in enumerate(names)
         }
-        lines = [
-            f"def bind({', '.join(local[p.name] for p in spec.parameters)}):",
-            f"    def evaluate({', '.join(['t', 'g'] + [local[s.name] for s in spec.stocks])}):",
-        ]
+
+        def tup(items) -> str:
+            return "(" + "".join(f"{v}, " for v in items) + ")"
+
+        stocks = [local[s.name] for s in spec.stocks]
+        computed = [d.name for d in (*spec.flows, *spec.auxiliaries)]
+        lines = [f"def bind({', '.join(['fail'] + [local[p.name] for p in spec.parameters])}):",
+                 f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:"]
         for name in self.order:
             var = local[name]
-            lines.append(f"        {var} = {ex.python_source(self.expressions[name], local.__getitem__)}")
-            lines.append(f"        if {var} - {var} != 0.0:")
-            lines.append(f"            raise NonFiniteError({name!r}, t)")
-        outputs = [local[d.name] for d in (*spec.flows, *spec.auxiliaries)]
-        lines.append(f"        return ({''.join(v + ', ' for v in outputs)})")
-        lines.append("    return evaluate")
+            lines += [f"            {var} = {ex.python_source(self.expressions[name], local.__getitem__)}",
+                      f"            if {var} - {var} != 0.0:",
+                      f"                raise NonFiniteError({name!r}, t)"]
+        lines += [f"            return {tup(local[name] for name in computed)}",
+                  "        except FAULTS:",
+                  f"            fail({tup(stocks)}, t, g)",
+                  "            raise"]
+        reads = {**local, **{name: f"x[{i}]" for i, name in enumerate(self.stocks)},
+                 **{name: f"o[{j}]" for j, name in enumerate(computed)}}
+        for k, event in enumerate(spec.events):
+            values = (ex.python_source(a.expression, reads.__getitem__) for a in event.actions)
+            lines += [f"    def act{k}(t, x, o):", "        g = 0.0", f"        return {tup(values)}"]
+        lines.append(f"    return evaluate, {tup(f'act{k}' for k in range(len(spec.events)))}")
         return "\n".join(lines) + "\n"
 
     @cached_property
@@ -225,12 +244,28 @@ class ValidatedModel:
 
 
 @lru_cache(maxsize=64)
-def _compile_evaluator(source: str) -> Callable[..., Callable[..., tuple[float, ...]]]:
+def _compile_evaluator(source: str) -> Callable[..., tuple]:
     """The `bind` function defined by `source`. Models that differ only in
     parameter values share the source, so they compile it once."""
-    namespace: dict[str, object] = {**ex.CODEGEN_GLOBALS, "NonFiniteError": NonFiniteError}
+    namespace: dict[str, object] = {**ex.CODEGEN_GLOBALS, "FAULTS": ex.FAULTS,
+                                    "NonFiniteError": NonFiniteError}
     exec(compile(source, "<sfdsim evaluator>", "exec"), namespace)
     return namespace["bind"]  # type: ignore[return-value]
+
+
+def _name_failure(params, stocks, order, expressions, x, t: float, g: float) -> None:
+    """Re-run one evaluation on the tree interpreter to name the variable
+    behind an arithmetic fault of the generated evaluator."""
+    env = dict(params)
+    env.update(zip(stocks, x))
+    for name in order:
+        try:
+            v = ex.eval_expression(expressions[name], env, t, g)
+        except ex.FAULTS:
+            raise NonFiniteError(name, t) from None
+        if not math.isfinite(v):
+            raise NonFiniteError(name, t)
+        env[name] = v
 
 
 def _zero_constant(scale: ex.Expr, params: dict[str, float]) -> bool:
@@ -238,7 +273,7 @@ def _zero_constant(scale: ex.Expr, params: dict[str, float]) -> bool:
         return False
     try:
         return ex.eval_expression(scale, params) == 0.0
-    except (ZeroDivisionError, OverflowError, ValueError):
+    except ex.FAULTS:
         return False
 
 

@@ -1,12 +1,14 @@
 """Reference integrator: the engine's former interpreted per-step loop.
 
 `reference_run` integrates exactly as `sfdsim.engine.run_simulation` did
-before the step loop was generated: one Python iteration per step, stage
-states and stock updates as list comprehensions over sums of the inflow
-and outflow rates, the conserving clamp called on every step, and
-the floor, finiteness check and flow integrals rebuilt as lists. It shares
-the clamp, the event schedule, event firing and failure naming with the
-engine, so a differential test against it isolates the generated loop.
+before the step loop and the event actions were generated: one Python
+iteration per step, stage states and stock updates as list comprehensions
+over sums of the inflow and outflow rates, the conserving clamp called on
+every step, the floor, finiteness check and flow integrals rebuilt as
+lists, and event actions walked by the tree interpreter over a dict of
+every parameter, stock and computed value. It shares the clamp, the event
+schedule and the generated evaluator with the engine, so a differential
+test against it isolates the generated loop and the generated actions.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from sfdsim.engine import (
     Trajectory,
     _ConservingClamp,
     _event_schedule,
-    _fire_events,
-    _name_failure,
+    _topology,
 )
 from sfdsim.errors import NonFiniteError
 from sfdsim.model import ModelSpec, ValidatedModel, validate_model
@@ -55,7 +56,7 @@ def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traje
     ins = [tuple(flow_index[f] for f in vm.inflows[name]) for name in stock_names]
     outs = [tuple(flow_index[f] for f in vm.outflows[name]) for name in stock_names]
     floored = [s.non_negative for s in spec.stocks]
-    clamp = _ConservingClamp(vm, flow_index)
+    clamp = _ConservingClamp(*_topology(vm, config.method)[1:])
 
     evaluator = vm.evaluator
     draws_noise = vm.draws_noise
@@ -69,11 +70,7 @@ def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traje
             day = math.floor(tv)
             if day != noise_day:
                 noise_day, g = day, ex.daily_gauss(seed, day)
-        try:
-            return evaluator(tv, g, *x)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            _name_failure(vm, x, tv, g)
-            raise
+        return evaluator(tv, g, *x)
 
     def advance(base: list[float], rates, h: float) -> list[float]:
         return [v + h * (total(rates, i) - total(rates, o))
@@ -105,7 +102,7 @@ def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traje
             rates = [(a + 2 * b + 2 * c + d) / 6 for a, b, c, d in zip(k1, k2, k3, k4)]
 
         if clamp.stocks:
-            rates = clamp(x, rates, dt, t_n)
+            rates = clamp(stock_names, x, rates, dt, t_n)
         t_next = config.t_start + (n + 1) * dt
         x = [0.0 if f and v < 0.0 else v for v, f in zip(advance(x, rates, dt), floored)]
         if not all(map(math.isfinite, x)):
@@ -115,7 +112,7 @@ def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traje
 
         fired = event_steps.get(n + 1)
         if fired:
-            _fire_events(vm, fired, x, t_next, evaluate, event_deltas, event_log)
+            fire_events(vm, fired, x, t_next, evaluate, event_deltas, event_log)
 
     return Trajectory(
         times=np.array(times, dtype=float),
@@ -127,3 +124,45 @@ def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traje
         event_deltas=event_deltas,
         config=config,
     )
+
+
+def fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
+    """Apply each fired event (indices into the model's events) in
+    declaration order, walking its actions on the tree interpreter.
+
+    All of one event's action expressions are evaluated against a snapshot
+    taken before that event changes anything, then applied sequentially.
+    Non-negative stocks are floored at zero.
+    """
+    index = {name: i for i, name in enumerate(vm.stocks)}
+    computed = [d.name for d in (*vm.spec.flows, *vm.spec.auxiliaries)]
+    for k in fired:
+        event = vm.spec.events[k]
+        env = dict(vm.params)
+        env.update(zip(vm.stocks, x))
+        env.update(zip(computed, evaluate(x, t)))
+        planned = []
+        for act in event.actions:
+            # Interventions are exact amounts: noise reads as 0 in actions.
+            try:
+                v = ex.eval_expression(act.expression, env, t, 0.0)
+            except (ZeroDivisionError, OverflowError, ValueError):
+                raise NonFiniteError(f"event {event.name}", t) from None
+            if not math.isfinite(v):
+                raise NonFiniteError(f"event {event.name}", t)
+            planned.append((act, v))
+        for act, v in planned:
+            i = index[act.target]
+            old = x[i]
+            if act.op == "add":
+                new = old + v
+            elif act.op == "subtract":
+                new = old - v
+            else:
+                new = v
+            if vm.stocks[act.target].non_negative and new < 0.0:
+                new = 0.0
+            x[i] = new
+            event_deltas[act.target] += new - old
+            amount = old - new if act.op == "subtract" else (new if act.op == "set" else new - old)
+            event_log.append(EventRecord(t=t, event=event.name, target=act.target, amount=amount))

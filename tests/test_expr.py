@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from sfdsim import (
     AuxDef,
+    EventAction,
+    EventDef,
     ModelSpec,
     NonFiniteError,
     ParamDef,
@@ -185,12 +187,14 @@ def _exprs(depth: int):
 
 
 def one_aux_model(tree) -> ModelSpec:
-    """`tree` as auxiliary `e` over parameters x, y and stock z."""
+    """`tree` as auxiliary `e` and as the action of an event adding to
+    stock z, over parameters x, y and stock z."""
     return ModelSpec(
         name="One",
         stocks=(StockDef("z", 0.0),),
         auxiliaries=(AuxDef("e", tree),),
         parameters=(ParamDef("x", 3.0), ParamDef("y", -2.0)),
+        events=(EventDef("bump", 1.0, 0.0, (EventAction("z", "add", tree),)),),
     )
 
 
@@ -202,19 +206,29 @@ def bits(value: float) -> bytes:
 @given(tree=_exprs(3), g=st.floats(min_value=-3, max_value=3, allow_nan=False))
 def test_compiled_matches_interpreter(tree, g):
     env = {"x": 3.0, "y": -2.0, "z": 0.5}
-    evaluator = validate_model(one_aux_model(tree)).evaluator
+    vm = validate_model(one_aux_model(tree))
+
+    # As an event action noise reads as 0, and a fault propagates.
     try:
-        expected = eval_expression(tree, env, 7.0, g)
+        expected = eval_expression(tree, env, 7.0, 0.0)
     except (ZeroDivisionError, OverflowError, ValueError) as err:
         with pytest.raises(type(err)):
-            evaluator(7.0, g, 0.5)
-        return
+            vm.actions[0](7.0, [0.5], (0.0,))
+    else:
+        (actual,) = vm.actions[0](7.0, [0.5], (0.0,))
+        assert bits(actual) == bits(expected)
+
+    # As an auxiliary, a fault or a non-finite value is named.
+    try:
+        expected = eval_expression(tree, env, 7.0, g)
+    except (ZeroDivisionError, OverflowError, ValueError):
+        expected = math.nan
     if not math.isfinite(expected):
         with pytest.raises(NonFiniteError) as err:
-            evaluator(7.0, g, 0.5)
+            vm.evaluator(7.0, g, 0.5)
         assert (err.value.name, err.value.t) == ("e", 7.0)
         return
-    (actual,) = evaluator(7.0, g, 0.5)
+    (actual,) = vm.evaluator(7.0, g, 0.5)
     assert bits(actual) == bits(expected)
 
 
@@ -226,10 +240,15 @@ def test_printer_round_trips_random_trees(tree):
 
 def test_compile_source_names_env():
     src = validate_model(one_aux_model(parse_expression("x + t"))).evaluator_source()
-    assert "def bind(_x, _y):" in src
+    assert "def bind(fail, _x, _y):" in src
     assert "def evaluate(t, g, _z):" in src
     assert "_e = (_x + t)" in src
     assert "raise NonFiniteError('e', t)" in src
+    assert "fail((_z, ), t, g)" in src
+    assert src.count("try:") == 1
+    assert "def act0(t, x, o):" in src
+    assert "return ((_x + t), )" in src
+    assert "return evaluate, (act0, )" in src
 
 
 class TestDailyGauss:

@@ -170,6 +170,15 @@ class TestLinter:
         assert lint_model((fixtures_dir / "baseline.sfd").read_text()) == []
         assert lint_model(SAMPLE) == []
 
+    def test_names_come_from_definitions_only(self):
+        # A parameter named like a keyword, used in an expression just before
+        # the next definition: `stock aux` is not a stock definition.
+        text = ("model M {\n  param stock = 2\n  aux level = stock\n"
+                "  aux other = 1\n}\n")
+        issues = lint_model(text)
+        assert [(i.line, i.column, i.message) for i in issues] == [
+            (2, 9, "parameter 'stock' should start with an uppercase letter")]
+
     def test_unparseable_text_raises(self):
         with pytest.raises(ParseError):
             lint_model("model M {")

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import random
 import struct
-import traceback
 
 import pytest
 
@@ -234,19 +233,13 @@ def interpreted(vm, stocks, t, g):
 
 
 def generated(vm, stocks, t, g):
-    """The generated evaluator's values, or the (exception type, variable)
-    it stops at. An arithmetic fault is traced to the variable whose line
-    of the generated source raised it."""
+    """The generated evaluator's values, or (NonFiniteError, variable) for
+    the variable it names."""
     try:
         return list(vm.evaluator(t, g, *stocks))
     except NonFiniteError as err:
         assert err.t == t
         return NonFiniteError, err.name
-    except (ZeroDivisionError, OverflowError, ValueError) as err:
-        frames = [f for f in traceback.extract_tb(err.__traceback__)
-                  if f.filename == "<sfdsim evaluator>"]
-        line = vm.evaluator_source().splitlines()[frames[-1].lineno - 1]
-        return type(err), line.split("=")[0].strip().removeprefix("_")
 
 
 def as_bits(outcome):
@@ -271,8 +264,11 @@ class TestGeneratedEvaluator:
                 t = rng.choice((0.0, 365.0, rng.uniform(-50.0, 500.0)))
                 g = rng.gauss(0.0, 1.0)
                 expected = interpreted(vm, stocks, t, g)
-                assert as_bits(generated(vm, stocks, t, g)) == as_bits(expected), (seed, stocks, t)
                 outcomes.add(expected[0] if isinstance(expected, tuple) else list)
+                if isinstance(expected, tuple):
+                    # An arithmetic fault is named as a non-finite value.
+                    expected = NonFiniteError, expected[1]
+                assert as_bits(generated(vm, stocks, t, g)) == as_bits(expected), (seed, stocks, t)
         assert {list, ZeroDivisionError, NonFiniteError} <= outcomes
 
     def test_parameter_variants_share_generated_code(self):

@@ -19,6 +19,7 @@ from sfdsim import (
     StockDef,
     build_baseline,
     parse_expression,
+    parse_model,
     run_simulation,
     validate_model,
 )
@@ -88,6 +89,44 @@ HAND_MODELS = {
         [("ab", "2 + sin(t)", "A", "B"), ("bc", "4", "B", "C"), ("cout", "C", "C", None),
          ("leak", "0.5", "A", None)]),
     "no_flows": ModelSpec(name="Empty", stocks=(StockDef("S", 2.0),)),
+    # Actions read a flow, an auxiliary, t and noise(5), which reads as 0.
+    "event_reads_computed": parse_model("""model Reads {
+        param K = 0.25
+        stock S = 10
+        stock R = 0
+        aux half = S / 2
+        flow out : S -> R = K * S
+        event move every 3 start 2 {
+          S -= out + half / 4 + t / 100 + noise(5)
+          R += out * 2 + noise(5)
+        }
+      }"""),
+    # Both events fire on steps 4 and 8; the second reads what the first moved.
+    "events_same_step": parse_model("""model Both {
+        stock A = 8
+        stock B = 1
+        aux twice = 2 * A
+        flow leak : A -> = 0.5
+        event first every 4 { A -= A / 2  B += A / 2 }
+        event second every 4 { B += twice + A  A = B - A }
+      }"""),
+    # A set below zero floors a non-negative stock, not one allowed negative.
+    "event_set_below_zero": parse_model("""model SetNeg {
+        stock S = 5
+        stock F = 5 allow_negative
+        flow feed : -> S = 1
+        event reset every 5 { S = S - 20  F = F - 20 }
+      }"""),
+    "event_fault": parse_model("""model EventFault {
+        stock S = 1
+        flow feed : -> S = 1
+        event boom every 4 { S -= 1 / (S - S) }
+      }"""),
+    "event_overflow": parse_model("""model EventOverflow {
+        stock S = 1
+        flow feed : -> S = 1
+        event boom every 4 { S += 1e308 * 10 }
+      }"""),
 }
 
 
@@ -133,14 +172,30 @@ class TestMatchesReference:
         with pytest.raises(NonFiniteError) as stock_err:
             run_simulation(HAND_MODELS["stock_overflow"], SimConfig(t_end=4.0, dt=2.0))
         assert (stock_err.value.name, stock_err.value.t) == ("S", 2.0)
+        for name in ("event_fault", "event_overflow"):
+            with pytest.raises(NonFiniteError) as event_err:
+                run_simulation(HAND_MODELS[name], SimConfig(t_end=12.0))
+            assert (event_err.value.name, event_err.value.t) == ("event boom", 4.0)
+
+    def test_event_models_fire_as_meant(self):
+        traj = run_simulation(HAND_MODELS["events_same_step"], SimConfig(t_end=4.0))
+        # At t = 4, first takes A = 6 to 3 and B = 1 to 4; second reads that
+        # state, and twice = 6 computed from it, for both its actions:
+        # B = 4 + (6 + 3), A = 4 - 3.
+        assert [(e.event, e.target, e.amount) for e in traj.events] == [
+            ("first", "A", 3.0), ("first", "B", 3.0), ("second", "B", 9.0), ("second", "A", 1.0)]
+        traj = run_simulation(HAND_MODELS["event_set_below_zero"], SimConfig(t_end=5.0))
+        assert (traj.final("S"), traj.final("F")) == (0.0, -15.0)
+        reads = run_simulation(HAND_MODELS["event_reads_computed"], SimConfig(t_end=3.0))
+        assert reads.events[0].t == 2.0 and reads.events[0].amount > 0.0
 
     def test_clamp_called_only_when_an_update_undershoots(self, monkeypatch):
         calls = []
         real = engine._ConservingClamp.__call__
 
-        def counting(self, x, raw, dt, t):
+        def counting(self, names, x, raw, dt, t):
             calls.append(t)
-            return real(self, x, raw, dt, t)
+            return real(self, names, x, raw, dt, t)
 
         monkeypatch.setattr(engine._ConservingClamp, "__call__", counting)
         # S fills at 1/day and drains at 3/day from t = 6: it reaches 0 at
@@ -182,11 +237,27 @@ class TestLoopCache:
             assert engine._segment.cache_info().currsize <= bound
         assert engine._segment.cache_info().currsize == bound
 
+    def test_clamp_built_once_per_topology(self, monkeypatch):
+        built = []
+        real = engine._ConservingClamp.__init__
+
+        def counting(self, floored, endpoints):
+            built.append((floored, endpoints))
+            real(self, floored, endpoints)
+
+        monkeypatch.setattr(engine._ConservingClamp, "__init__", counting)
+        engine._segment.cache_clear()
+        spec = HAND_MODELS["drained_chain"]
+        run_simulation(spec, SimConfig(t_end=12.0))
+        run_simulation(spec.with_initial({"A": 9.0}), SimConfig(t_end=12.0, seed=2))
+        assert built == [engine._topology(validate_model(spec), "euler")[1:]]
+
     def test_source_names_no_model_variable(self):
         vm = validate_model(build_baseline())
         source = engine.segment_source(*engine._topology(vm, "rk4"))
         assert all(name not in source for name in (*vm.stocks, *vm.params, *vm.order))
         assert source.count("evaluate(") == 4
+        assert "try" not in source  # the evaluator names its own faults
 
 
 class TestNoiseDraws:
