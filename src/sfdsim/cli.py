@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .engine import SimConfig, Trajectory, run_simulation
+from .engine import METHODS, SimConfig, run_simulation
 from .errors import (
     ModelError,
     NoFeasiblePolicyError,
@@ -57,18 +57,20 @@ def _error(message: str) -> None:
         sys.stderr.write(f"error: {message}\n")
 
 
-def _load_model(args) -> tuple[ModelSpec, str]:
+def _load(args) -> tuple[ModelSpec, str, list[Scenario]]:
+    """The model with the --scenario files applied, its source, and the
+    scenarios."""
     if args.model:
-        text = Path(args.model).read_text()
-        return parse_model(text), args.model
-    return build_baseline(), "builtin"
+        spec, source = parse_model(Path(args.model).read_text()), args.model
+    else:
+        spec, source = build_baseline(), "builtin"
+    scenarios = [parse_scenario(Path(path).read_text()) for path in args.scenario or []]
+    return apply_scenarios(spec, scenarios), source, scenarios
 
 
-def _load_scenarios(args) -> list[Scenario]:
-    out = []
-    for path in args.scenario or []:
-        out.append(parse_scenario(Path(path).read_text()))
-    return out
+def _float_list(text: str) -> tuple[float, ...]:
+    """Comma-separated numbers; empty items are skipped."""
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def _config(args) -> SimConfig:
@@ -103,27 +105,22 @@ def _write_manifest(args, command: str, spec: ModelSpec, source: str,
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    defaults = SimConfig()
     p.add_argument("--model", help="model file; the built-in treatment pond when omitted")
     p.add_argument("--scenario", action="append", metavar="FILE",
                    help="scenario file; repeatable, applied in order")
-    p.add_argument("--t-start", type=float, default=0.0, dest="t_start")
-    p.add_argument("--t-end", type=float, default=365.0, dest="t_end")
-    p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--method", choices=("euler", "rk4"), default="euler")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--record-every", type=int, default=1, dest="record_every")
-
-
-def _run_with_scenarios(args) -> tuple[Trajectory, ModelSpec, str, list[Scenario]]:
-    spec, source = _load_model(args)
-    scenarios = _load_scenarios(args)
-    effective = apply_scenarios(spec, scenarios)
-    traj = run_simulation(effective, _config(args))
-    return traj, effective, source, scenarios
+    p.add_argument("--t-start", type=float, default=defaults.t_start, dest="t_start")
+    p.add_argument("--t-end", type=float, default=defaults.t_end, dest="t_end")
+    p.add_argument("--dt", type=float, default=defaults.dt)
+    p.add_argument("--method", choices=METHODS, default=defaults.method)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--record-every", type=int, default=defaults.record_every,
+                   dest="record_every")
 
 
 def cmd_simulate(args) -> int:
-    traj, spec, source, scenarios = _run_with_scenarios(args)
+    spec, source, scenarios = _load(args)
+    traj = run_simulation(spec, _config(args))
     csv_text = traj.to_csv()
     if not args.out:
         sys.stdout.write(csv_text)
@@ -140,13 +137,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec, source = _load_model(args)
-    scenarios = _load_scenarios(args)
-    effective = apply_scenarios(spec, scenarios)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
+    effective, source, scenarios = _load(args)
+    if not args.values:
         raise ValueError("--values must list at least one number")
-    result = run_sweep(effective, args.param, values, _config(args))
+    result = run_sweep(effective, args.param, args.values, _config(args))
     csv_text = result.to_csv()
     if not args.out:
         sys.stdout.write(csv_text)
@@ -159,13 +153,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    spec, source = _load_model(args)
-    scenarios = _load_scenarios(args)
-    effective = apply_scenarios(spec, scenarios)
+    effective, source, scenarios = _load(args)
     grid = PolicyGrid(
-        intervals=tuple(float(v) for v in args.intervals.split(",")),
-        truck_capacities=tuple(float(v) for v in args.trucks.split(",")),
-        truck_counts=tuple(float(v) for v in args.counts.split(",")),
+        intervals=args.intervals,
+        truck_capacities=args.trucks,
+        truck_counts=args.counts,
         sludge_limit_kg=args.sludge_limit,
     )
     result = optimize_transport_policy(effective, grid, _config(args))
@@ -207,9 +199,7 @@ def _read_observed(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def cmd_calibrate(args) -> int:
-    spec, source = _load_model(args)
-    scenarios = _load_scenarios(args)
-    effective = apply_scenarios(spec, scenarios)
+    effective, source, scenarios = _load(args)
     names: list[str] = []
     bounds: list[tuple[float, float]] = []
     for item in args.param:
@@ -262,7 +252,8 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    traj, spec, _source, _scenarios = _run_with_scenarios(args)
+    spec, _source, _scenarios = _load(args)
+    traj = run_simulation(spec, _config(args))
     if args.columns:
         columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     else:
@@ -294,17 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="simulate across values of one parameter")
     _add_sim_flags(p)
     p.add_argument("--param", required=True, help="parameter name to sweep")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, type=_float_list,
+                   help="comma-separated values")
     p.add_argument("--out", help="sweep CSV path; stdout when omitted")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", help="search sludge pickup policies")
     _add_sim_flags(p)
-    p.add_argument("--intervals", default="15,30,45,60", help="days between pickups")
-    p.add_argument("--trucks", default="3000,6000", help="truck capacities in kg")
-    p.add_argument("--counts", default="1,2", help="trucks per pickup")
-    p.add_argument("--sludge-limit", type=float, default=6000.0, dest="sludge_limit",
-                   help="feasibility cap on peak sludge in kg")
+    grid = PolicyGrid()
+    p.add_argument("--intervals", type=_float_list, default=grid.intervals,
+                   help="days between pickups")
+    p.add_argument("--trucks", type=_float_list, default=grid.truck_capacities,
+                   help="truck capacities in kg")
+    p.add_argument("--counts", type=_float_list, default=grid.truck_counts,
+                   help="trucks per pickup")
+    p.add_argument("--sludge-limit", type=float, default=grid.sludge_limit_kg,
+                   dest="sludge_limit", help="feasibility cap on peak sludge in kg")
     p.add_argument("--out", help="ranked policy CSV path")
     p.set_defaults(func=cmd_optimize)
 

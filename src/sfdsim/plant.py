@@ -18,29 +18,23 @@ Structure:
   dosed m3, amortized capacity expansion) and in steps (truck pickups, a
   fixed cost per truck trip plus a per-kg disposal fee).
 
-`build_baseline` assembles the model; parameter groups below carry the
-default values. All magnitudes are plain floats in day units, so any of
-them can be overridden per scenario.
+The model itself is the shipped model file `fixtures/baseline.sfd`;
+`build_baseline` parses it and sets its parameters from the groups below,
+which carry the default values. All magnitudes are plain floats in day
+units, so any of them can be overridden per scenario.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 from .engine import Trajectory
 from .errors import InvalidParameterError
 from .expr import daily_gauss
-from .language import parse_expression
-from .model import (
-    AuxDef,
-    EventAction,
-    EventDef,
-    FlowDef,
-    ModelSpec,
-    ParamDef,
-    StockDef,
-)
+from .language import parse_model
+from .model import ModelSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,159 +150,48 @@ def build_baseline(
     costs: CostParams = CostParams(),
     allow_unusual_ratio: bool = False,
 ) -> ModelSpec:
-    """Assemble the treatment pond model with the given parameter groups.
+    """The shipped treatment pond model with the given parameter groups.
 
-    Every group value becomes a named model parameter, so scenarios can
-    override any of them without rebuilding. The pickup schedule is the one
-    piece baked into the event definition; scenarios reschedule it by name.
+    Parses `fixtures/baseline.sfd` and sets each group value on its named
+    model parameter, so scenarios can override any of them without
+    rebuilding. The transport policy's interval and start day become the
+    schedule of the `pickup` event; scenarios reschedule it by name.
     Group values are range-checked up front; a vinasse yield outside the
     usual 10-15 L per L of ethanol additionally requires
     `allow_unusual_ratio=True`.
     """
     _check_parameters(plant, temperature, coagulant, transport, costs,
                       allow_unusual_ratio)
-    params = (
-        ParamDef("TotalCapacity", plant.total_capacity_m3, "m3"),
-        ParamDef("BaseCapacity", plant.base_capacity_m3, "m3"),
-        ParamDef("DtNominal", 1.0, "day"),
-        ParamDef("EthanolProduction", plant.ethanol_production_l_day, "L/day"),
-        ParamDef("VinassePerEthanol", plant.vinasse_per_ethanol, "L/L"),
-        ParamDef("PondArea", plant.pond_area_m2, "m2"),
-        ParamDef("KEvap", plant.evap_coefficient, "m/day"),
-        ParamDef("Alpha", plant.evap_temp_slope, "1/C"),
-        ParamDef("TRef", plant.reference_temp_c, "C"),
-        ParamDef("TMean", temperature.mean_c, "C"),
-        ParamDef("TAmp", temperature.amplitude_c, "C"),
-        ParamDef("TPhase", temperature.phase_days, "day"),
-        ParamDef("NoiseStdDev", temperature.noise_std_c, "C"),
-        ParamDef("Sigma", plant.sludge_yield_kg_m3, "kg/m3"),
-        ParamDef("SludgeDensity", plant.sludge_density_kg_m3, "kg/m3"),
-        ParamDef("Dose", coagulant.dose_g_m3, "g/m3"),
-        ParamDef("EtaMax", coagulant.eta_max),
-        ParamDef("KHalf", coagulant.half_dose_g_m3, "g/m3"),
-        ParamDef("TruckCapacityKg", transport.truck_capacity_kg, "kg"),
-        ParamDef("TrucksPerPickup", transport.trucks_per_pickup),
-        ParamDef("TripFixedCost", costs.trip_fixed, "currency"),
-        ParamDef("PerKgCost", costs.per_kg, "currency/kg"),
-        ParamDef("CoagulantUnitCost", costs.coagulant_unit, "currency/g"),
-        ParamDef("OpCostPerM3Day", costs.op_per_m3_day, "currency/m3/day"),
-        ParamDef("CapexPerM3", costs.capex_per_m3, "currency/m3"),
-        ParamDef("AmortDays", costs.amortization_days, "day"),
-        ParamDef("CostThreshold", costs.cost_threshold, "currency"),
-    )
-
-    stocks = (
-        StockDef("AccumulatedVinasse", 0.0, "m3"),
-        StockDef("AccumulatedSludge", 0.0, "kg"),
-        StockDef("TotalCost", 0.0, "currency"),
-    )
-
-    auxiliaries = (
-        AuxDef(
-            "temperature",
-            parse_expression(
-                "TMean + TAmp * sin(6.283185307179586 * (t - TPhase) / 365)"
-                " + noise(NoiseStdDev)"
-            ),
-            "C",
-        ),
-        AuxDef("vinasseSupply",
-               parse_expression("EthanolProduction * VinassePerEthanol / 1000"),
-               "m3/day"),
-        AuxDef("eta", parse_expression("EtaMax * Dose / (Dose + KHalf)")),
-        AuxDef(
-            "marginalCost",
-            parse_expression("if(AccumulatedVinasse > 0, TotalCost / AccumulatedVinasse, 0)"),
-            "currency/m3",
-        ),
-    )
-
-    flows = (
-        FlowDef(
-            "vinasseInflow",
-            parse_expression(
-                "min(vinasseSupply, max(0, (TotalCapacity - AccumulatedVinasse) / DtNominal))"
-            ),
-            source=None,
-            target="AccumulatedVinasse",
-            unit="m3/day",
-        ),
-        FlowDef(
-            "evaporationOutflow",
-            parse_expression("KEvap * PondArea * max(0, 1 + Alpha * (temperature - TRef))"),
-            source="AccumulatedVinasse",
-            target=None,
-            unit="m3/day",
-        ),
-        FlowDef(
-            "sludgeSettlingOutflow",
-            parse_expression("sludgeProductionRate / SludgeDensity"),
-            source="AccumulatedVinasse",
-            target=None,
-            unit="m3/day",
-        ),
-        FlowDef(
-            "sludgeProductionRate",
-            parse_expression("Sigma * vinasseInflow * (1 + eta)"),
-            source=None,
-            target="AccumulatedSludge",
-            unit="kg/day",
-        ),
-        FlowDef(
-            "operatingCostRate",
-            parse_expression("OpCostPerM3Day * AccumulatedVinasse"),
-            source=None,
-            target="TotalCost",
-            unit="currency/day",
-        ),
-        FlowDef(
-            "coagulantCostRate",
-            parse_expression("CoagulantUnitCost * Dose * vinasseInflow"),
-            source=None,
-            target="TotalCost",
-            unit="currency/day",
-        ),
-        FlowDef(
-            "capexAmortizationRate",
-            parse_expression(
-                "if(t < AmortDays, CapexPerM3 * max(0, TotalCapacity - BaseCapacity)"
-                " / AmortDays, 0)"
-            ),
-            source=None,
-            target="TotalCost",
-            unit="currency/day",
-        ),
-    )
-
+    text = (resources.files(__package__) / "fixtures" / "baseline.sfd").read_text()
     start = transport.start_day if transport.start_day is not None else transport.interval_days
-    removed = "min(AccumulatedSludge, TruckCapacityKg * TrucksPerPickup)"
-    events = (
-        EventDef(
-            "pickup",
-            start=float(start),
-            interval=float(transport.interval_days),
-            actions=(
-                EventAction("AccumulatedSludge", "subtract", parse_expression(removed)),
-                EventAction(
-                    "TotalCost",
-                    "add",
-                    parse_expression(
-                        f"TripFixedCost * ceil({removed} / TruckCapacityKg)"
-                        f" + PerKgCost * {removed}"
-                    ),
-                ),
-            ),
-        ),
-    )
-
-    return ModelSpec(
-        name="VinasseTreatment",
-        stocks=stocks,
-        flows=flows,
-        auxiliaries=auxiliaries,
-        parameters=params,
-        events=events,
-    )
+    return parse_model(text).with_params({
+        "TotalCapacity": plant.total_capacity_m3,
+        "BaseCapacity": plant.base_capacity_m3,
+        "EthanolProduction": plant.ethanol_production_l_day,
+        "VinassePerEthanol": plant.vinasse_per_ethanol,
+        "PondArea": plant.pond_area_m2,
+        "KEvap": plant.evap_coefficient,
+        "Alpha": plant.evap_temp_slope,
+        "TRef": plant.reference_temp_c,
+        "Sigma": plant.sludge_yield_kg_m3,
+        "SludgeDensity": plant.sludge_density_kg_m3,
+        "TMean": temperature.mean_c,
+        "TAmp": temperature.amplitude_c,
+        "TPhase": temperature.phase_days,
+        "NoiseStdDev": temperature.noise_std_c,
+        "Dose": coagulant.dose_g_m3,
+        "EtaMax": coagulant.eta_max,
+        "KHalf": coagulant.half_dose_g_m3,
+        "TruckCapacityKg": transport.truck_capacity_kg,
+        "TrucksPerPickup": transport.trucks_per_pickup,
+        "TripFixedCost": costs.trip_fixed,
+        "PerKgCost": costs.per_kg,
+        "CoagulantUnitCost": costs.coagulant_unit,
+        "OpCostPerM3Day": costs.op_per_m3_day,
+        "CapexPerM3": costs.capex_per_m3,
+        "AmortDays": costs.amortization_days,
+        "CostThreshold": costs.cost_threshold,
+    }).with_event_schedule("pickup", start=start, interval=transport.interval_days)
 
 
 def temperature(t: float, profile: TemperatureProfile = TemperatureProfile(),

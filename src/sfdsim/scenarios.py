@@ -159,9 +159,12 @@ def optimize_transport_policy(
 
     Rows are ordered feasible first, then by (total cost, interval, truck
     capacity, truck count); ties cannot reorder nondeterministically since
-    the key includes every axis. Raises NoFeasiblePolicyError when no grid
-    point is feasible.
+    the key includes every axis. Raises ValueError, before any run, when an
+    axis is empty, and NoFeasiblePolicyError when no grid point is feasible.
     """
+    for axis in ("intervals", "truck_capacities", "truck_counts"):
+        if not getattr(grid, axis):
+            raise ValueError(f"policy grid axis '{axis}' is empty")
     threshold = spec.param("CostThreshold")
     rows: list[PolicyRow] = []
     for interval in grid.intervals:
@@ -388,7 +391,13 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def format_scenario(scenario: Scenario) -> str:
-    """Render a Scenario as canonical text; round-trips with parse_scenario."""
+    """Render a Scenario as canonical text.
+
+    `parse_scenario` reads the text back as an equal Scenario. Raises
+    ValueError for what the text format cannot say: a description with
+    double quotes or newlines, and an event reschedule that keeps the
+    event's start (start None), since a bare `every N` starts at N.
+    """
     from .expr import format_number
 
     lines = [f"scenario {scenario.name} {{"]
@@ -401,10 +410,12 @@ def format_scenario(scenario: Scenario) -> str:
     for name, value in scenario.initials.items():
         lines.append(f"  initial {name} = {format_number(value)}")
     for name, (start, interval) in scenario.events.items():
+        if start is None:
+            raise ValueError(f"event '{name}': the format cannot keep the event's start")
         parts = [f"  event {name}"]
         if interval is not None:
             parts.append(f"every {format_number(interval)}")
-        if start is not None and start != interval:
+        if start != interval:
             parts.append(f"start {format_number(start)}")
         lines.append(" ".join(parts))
     lines.append("}")

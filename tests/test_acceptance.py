@@ -263,6 +263,11 @@ def test_ac7_fixture_corpus_parses_and_round_trips(fixtures_dir):
             problems.append(f"{path.name}: reparse changed the model")
         if format_model(second) != text:
             problems.append(f"{path.name}: formatting is not idempotent")
+        lines = path.read_text().splitlines(keepends=True)
+        while lines and (lines[0].startswith("#") or not lines[0].strip()):
+            lines.pop(0)
+        if "".join(lines) != text:
+            problems.append(f"{path.name}: not canonical below its leading comments")
 
     for path in scenario_files:
         try:

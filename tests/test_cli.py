@@ -115,6 +115,11 @@ class TestOptimize:
         assert len(lines) == 1 + 2
         assert (tmp_path / "policies.manifest.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--intervals", "--trucks", "--counts"])
+    def test_empty_axis_exits_2(self, flag, capsys):
+        assert main(["optimize", flag, ",", "--t-end", "5"]) == 2
+        assert "is empty" in capsys.readouterr().err
+
     def test_infeasible_grid_exits_4(self, capsys):
         rc = main([
             "optimize", "--intervals", "30", "--trucks", "3000",

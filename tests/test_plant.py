@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import fnmatch
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from sfdsim import (
     TransportPolicy,
     build_baseline,
     cost_breakdown,
+    parse_model,
     peak_sludge,
     pickup_summary,
     run_simulation,
@@ -195,6 +199,10 @@ class TestConstruction:
         spec = build_baseline(transport=TransportPolicy(interval_days=30.0, start_day=10.0))
         event = spec.events[0]
         assert event.start == 10.0 and event.interval == 30.0
+        spec = build_baseline(transport=TransportPolicy(interval_days=20.0, start_day=5.0))
+        assert (spec.events[0].start, spec.events[0].interval) == (5.0, 20.0)
+        spec = build_baseline(transport=TransportPolicy(interval_days=20.0, start_day=None))
+        assert (spec.events[0].start, spec.events[0].interval) == (20.0, 20.0)
 
     def test_builder_rejects_unknown_overrides(self):
         from sfdsim import UnknownSymbolError
@@ -205,6 +213,85 @@ class TestConstruction:
     def test_noise_defaults_off(self):
         spec = build_baseline()
         assert spec.param("NoiseStdDev") == 0.0
+
+
+# Each group field and the model parameter it sets.
+GROUP_PARAMETERS = {
+    ("plant", "total_capacity_m3"): "TotalCapacity",
+    ("plant", "base_capacity_m3"): "BaseCapacity",
+    ("plant", "ethanol_production_l_day"): "EthanolProduction",
+    ("plant", "vinasse_per_ethanol"): "VinassePerEthanol",
+    ("plant", "pond_area_m2"): "PondArea",
+    ("plant", "evap_coefficient"): "KEvap",
+    ("plant", "evap_temp_slope"): "Alpha",
+    ("plant", "reference_temp_c"): "TRef",
+    ("plant", "sludge_yield_kg_m3"): "Sigma",
+    ("plant", "sludge_density_kg_m3"): "SludgeDensity",
+    ("temperature", "mean_c"): "TMean",
+    ("temperature", "amplitude_c"): "TAmp",
+    ("temperature", "phase_days"): "TPhase",
+    ("temperature", "noise_std_c"): "NoiseStdDev",
+    ("coagulant", "dose_g_m3"): "Dose",
+    ("coagulant", "eta_max"): "EtaMax",
+    ("coagulant", "half_dose_g_m3"): "KHalf",
+    ("transport", "truck_capacity_kg"): "TruckCapacityKg",
+    ("transport", "trucks_per_pickup"): "TrucksPerPickup",
+    ("costs", "trip_fixed"): "TripFixedCost",
+    ("costs", "per_kg"): "PerKgCost",
+    ("costs", "coagulant_unit"): "CoagulantUnitCost",
+    ("costs", "op_per_m3_day"): "OpCostPerM3Day",
+    ("costs", "capex_per_m3"): "CapexPerM3",
+    ("costs", "amortization_days"): "AmortDays",
+    ("costs", "cost_threshold"): "CostThreshold",
+}
+GROUPS = {
+    "plant": PlantParams,
+    "temperature": TemperatureProfile,
+    "coagulant": CoagulantResponse,
+    "transport": TransportPolicy,
+    "costs": CostParams,
+}
+
+
+class TestSingleDefinition:
+    """The shipped baseline.sfd is the plant model; the groups only set its
+    parameters and the pickup schedule."""
+
+    def test_defaults_equal_the_shipped_file(self, fixtures_dir):
+        assert build_baseline() == parse_model((fixtures_dir / "baseline.sfd").read_text())
+
+    def test_table_covers_every_parameter_field(self):
+        fields = {
+            (group, f.name)
+            for group, cls in GROUPS.items()
+            for f in dataclasses.fields(cls)
+        } - {("transport", "interval_days"), ("transport", "start_day")}
+        assert set(GROUP_PARAMETERS) == fields
+        assert len(GROUP_PARAMETERS) == 26
+
+    @pytest.mark.parametrize(
+        "group,field_name", list(GROUP_PARAMETERS), ids=list(GROUP_PARAMETERS.values())
+    )
+    def test_each_field_sets_only_its_parameter(self, group, field_name):
+        base = build_baseline()
+        value = 1000.0 + 7.25 * list(GROUP_PARAMETERS).index((group, field_name))
+        changed = build_baseline(
+            **{group: GROUPS[group](**{field_name: value})}, allow_unusual_ratio=True,
+        )
+        name = GROUP_PARAMETERS[(group, field_name)]
+        assert changed.param(name) == value
+        assert all(
+            new == old
+            for new, old in zip(changed.parameters, base.parameters)
+            if new.name != name
+        )
+        assert changed.with_params({name: base.param(name)}) == base
+
+    def test_package_data_ships_the_model(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
+        assert any(fnmatch.fnmatch("fixtures/baseline.sfd", g) for g in globs["sfdsim"])
 
 
 class TestParameterValidation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from sfdsim import (
@@ -91,7 +93,7 @@ class TestScenarioText:
             "Everything",
             params={"Dose": 30.0},
             initials={"AccumulatedVinasse": 100.0},
-            events={"pickup": (10.0, 15.0)},
+            events={"pickup": (10.0, 15.0), "flush": (12.0, None)},
             description="kitchen sink",
         )
         assert parse_scenario(format_scenario(sc)) == sc
@@ -112,6 +114,12 @@ class TestScenarioText:
     def test_unprintable_description_rejected(self):
         with pytest.raises(ValueError):
             format_scenario(Scenario("S", description='has "quotes"'))
+
+    @pytest.mark.parametrize("schedule", [(None, 15.0), (None, None)])
+    def test_reschedule_keeping_start_rejected(self, schedule):
+        # "every 15" would read back with start 15, moving the first pickup.
+        with pytest.raises(ValueError, match="pickup"):
+            format_scenario(Scenario("S", events={"pickup": schedule}))
 
     def test_event_start_defaults_to_interval(self):
         sc = parse_scenario("scenario S { event pickup every 20 }")
@@ -172,6 +180,19 @@ class TestPolicySearch:
             sludge_limit_kg=0.0,
         )
         with pytest.raises(NoFeasiblePolicyError):
+            optimize_transport_policy(baseline_spec, grid, year_config)
+
+    @pytest.mark.parametrize("axis", ["intervals", "truck_capacities", "truck_counts"])
+    def test_empty_axis_rejected_before_any_run(self, baseline_spec, year_config,
+                                                monkeypatch, axis):
+        import sfdsim.scenarios
+
+        def no_run(*args):
+            raise AssertionError("simulated an empty grid")
+
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation", no_run)
+        grid = dataclasses.replace(self.GRID, **{axis: ()})
+        with pytest.raises(ValueError, match=axis):
             optimize_transport_policy(baseline_spec, grid, year_config)
 
 
