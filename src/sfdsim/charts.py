@@ -35,13 +35,13 @@ def render_chart(traj: Trajectory, columns: list[str] | tuple[str, ...],
     """Render the chosen columns of a trajectory as stacked SVG panels."""
     if not columns:
         raise ValueError("at least one column is required")
-    if len(traj.times) == 0:
+    times = [float(t) for t in traj.row_times]
+    if not times:
         raise ValueError("trajectory has no recorded rows")
-    for name in columns:
-        traj.column(name)  # raise early on unknown names
+    panels = [traj.series(name) for name in columns]  # raises early on unknown names
 
-    t0 = float(traj.times[0])
-    t1 = float(traj.times[-1])
+    t0 = times[0]
+    t1 = times[-1]
     span = t1 - t0 if t1 > t0 else 1.0
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
 
@@ -68,10 +68,10 @@ def render_chart(traj: Trajectory, columns: list[str] | tuple[str, ...],
         )
         y_cursor += _TITLE_H
 
-    for idx, name in enumerate(columns):
-        series = traj.column(name)
-        lo = float(series.min())
-        hi = float(series.max())
+    for idx, (name, series) in enumerate(zip(columns, panels)):
+        # Bounds of zero read +0.0 whichever sign of zero comes first.
+        lo = min(series) + 0.0
+        hi = max(series) + 0.0
         if hi <= lo:
             lo, hi = lo - 1.0, hi + 1.0
         color = _PALETTE[idx % len(_PALETTE)]
@@ -90,9 +90,9 @@ def render_chart(traj: Trajectory, columns: list[str] | tuple[str, ...],
         )
 
         points = []
-        for i in range(len(traj.times)):
-            x = _MARGIN_LEFT + (float(traj.times[i]) - t0) / span * plot_w
-            y = plot_y + _PANEL_PLOT_H - (float(series[i]) - lo) / (hi - lo) * _PANEL_PLOT_H
+        for t, v in zip(times, series):
+            x = _MARGIN_LEFT + (t - t0) / span * plot_w
+            y = plot_y + _PANEL_PLOT_H - (v - lo) / (hi - lo) * _PANEL_PLOT_H
             points.append(f"{_fmt(x)},{_fmt(y)}")
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

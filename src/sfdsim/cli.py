@@ -32,8 +32,8 @@ from .errors import (
 )
 from .charts import render_chart
 from .language import format_model, lint_model, parse_model
-from .model import ModelSpec, validate_model
-from .plant import build_baseline, summarize
+from .model import ModelSpec
+from .plant import build_baseline
 from .scenarios import (
     CalibrationProblem,
     PolicyGrid,

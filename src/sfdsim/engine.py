@@ -2,7 +2,9 @@
 
 Integrates a validated model with Euler or classic Runge-Kutta steps on a
 uniform time grid, applies scheduled events between steps, and records a
-Trajectory.
+Trajectory. The Trajectory keeps the recorded times and rows as the lists
+the loop builds; its numpy views (`times`, `values`, `column()`) are built
+on first access, so a run that never asks for them never imports numpy.
 
 A run is one generated Python loop per stretch of steps between event
 firings. The loop's source depends only on the model's topology: the
@@ -41,15 +43,18 @@ converge raises ClampError; mass is conserved through flow chains.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable
-
-import numpy as np
+from functools import cached_property, lru_cache
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable
 
 from . import expr as ex
 from .errors import ClampError, EventGridError, NonFiniteError
 from .model import ModelSpec, ValidatedModel, validate_model
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _GRID_TOL = 1e-9
 _CLAMP_TOL = 1e-12
@@ -111,17 +116,19 @@ class EventRecord:
 class Trajectory:
     """Recorded simulation output.
 
-    `values` has one row per recorded time and one column per variable in
-    `columns` (stocks, then flows, then auxiliaries, in declaration order).
+    `rows` holds one tuple per recorded time in `row_times`, with one value
+    per variable in `columns` (stocks, then flows, then auxiliaries, in
+    declaration order): the lists the step loop builds. `times`, `values`
+    and `column()` are numpy views of them, built on first access.
     Flow columns are instantaneous rates as evaluated; `flow_integrals`
     holds each flow's realized time integral after clamp scaling, and
     `event_deltas` the net change events applied per stock, so that
     final stock = initial + inflow integrals - outflow integrals + events.
     """
 
-    times: np.ndarray
+    row_times: list[float] = field(repr=False)
     columns: tuple[str, ...]
-    values: np.ndarray
+    rows: list[tuple[float, ...]] = field(repr=False)
     events: tuple[EventRecord, ...]
     parameters: dict[str, float]
     flow_integrals: dict[str, float]
@@ -132,34 +139,55 @@ class Trajectory:
     def __post_init__(self):
         object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.columns)})
 
-    def column(self, name: str) -> np.ndarray:
+    def _position(self, name: str) -> int:
         try:
-            return self.values[:, self._index[name]]
+            return self._index[name]
         except KeyError:
             raise KeyError(f"no recorded column '{name}'") from None
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.row_times, dtype=float)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """One row per recorded time, one column per entry of `columns`."""
+        import numpy as np
+
+        return np.array(self.rows, dtype=float).reshape(len(self.rows), len(self.columns))
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self._position(name)]
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.column(name)
 
+    def series(self, name: str) -> list[float]:
+        """One column's recorded values, as a list."""
+        return list(map(itemgetter(self._position(name)), self.rows))
+
     def final(self, name: str) -> float:
-        return float(self.column(name)[-1])
+        return float(self.rows[-1][self._position(name)])
 
     def peak(self, name: str) -> float:
-        return float(self.column(name).max())
+        """The largest recorded value; a zero of either sign reads +0.0."""
+        return float(max(map(itemgetter(self._position(name)), self.rows))) + 0.0
 
     def at(self, name: str, t: float) -> float:
         """Value at a recorded time; `t` must be on the recorded grid."""
-        idx = np.searchsorted(self.times, t)
+        times = self.row_times
+        idx = bisect_left(times, t)
         for i in (idx, idx - 1, idx + 1):
-            if 0 <= i < len(self.times) and abs(float(self.times[i]) - t) <= 1e-9:
-                return float(self.column(name)[i])
+            if 0 <= i < len(times) and abs(times[i] - t) <= 1e-9:
+                return float(self.rows[i][self._position(name)])
         raise KeyError(f"t={t:g} is not a recorded time")
 
     def to_csv(self) -> str:
         row = "%.6f," + ",".join(["%.6f"] * len(self.columns))
         lines = ["t," + ",".join(self.columns)]
-        lines += [row % (t, *values)
-                  for t, values in zip(self.times.tolist(), self.values.tolist())]
+        lines += [row % (t, *values) for t, values in zip(self.row_times, self.rows)]
         return "\n".join(lines) + "\n"
 
     def events_to_csv(self) -> str:
@@ -228,9 +256,9 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     rows.append((*x, *evaluate(x, t_end)))
 
     return Trajectory(
-        times=np.array(times, dtype=float),
+        row_times=times,
         columns=columns,
-        values=np.array(rows, dtype=float),
+        rows=rows,
         events=tuple(event_log),
         parameters=dict(vm.params),
         flow_integrals=dict(zip(flow_names, state[n_stocks:])),

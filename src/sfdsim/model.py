@@ -5,6 +5,9 @@ and scheduled events. `validate_model` checks it for duplicate names,
 undefined references, dependency cycles, and unit mismatches, and returns a
 `ValidatedModel` carrying the dependency-sorted evaluation order and the
 generated code the engine runs: the evaluator and the event actions.
+Parameter and schedule variants of a validated model
+(`ValidatedModel.with_params`, `ValidatedModel.with_event_schedule`)
+share its structure and code, and check only the fields they change.
 """
 
 from __future__ import annotations
@@ -161,19 +164,53 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ValidatedModel:
-    """A model whose structure has been checked, plus derived lookups."""
+    """A model whose structure has been checked, plus derived lookups.
+
+    `with_params` and `with_event_schedule` make variants that share this
+    model's structure, its generated source and its compiled code; only
+    the changed fields are checked again.
+    """
 
     spec: ModelSpec
     order: tuple[str, ...]  # aux and flow names in evaluation order
     expressions: dict[str, ex.Expr] = field(repr=False)
     stocks: dict[str, StockDef] = field(repr=False)
     params: dict[str, float] = field(repr=False)
-    inflows: dict[str, tuple[str, ...]] = field(repr=False)
-    outflows: dict[str, tuple[str, ...]] = field(repr=False)
+    # What every variant of this structure shares, filled in on first use:
+    # the evaluator "source" and the "noise" scales.
+    _shared: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+
+    def with_params(self, overrides: dict[str, float]) -> ValidatedModel:
+        """Variant with the given parameter values replaced.
+
+        Raises what `validate_model` would for the copied spec: an unknown
+        name is an UnknownSymbolError, a non-finite value a ModelError.
+        """
+        spec = self.spec.with_params(overrides)
+        params = _checked_params(spec)
+        return ValidatedModel(spec, self.order, self.expressions, self.stocks, params,
+                              self._shared)
+
+    def with_event_schedule(self, name: str, start: float | None = None,
+                            interval: float | None = None) -> ValidatedModel:
+        """Variant with one event's schedule changed.
+
+        Raises UnknownSymbolError for an unknown event and ModelError for a
+        negative or non-finite schedule, as `validate_model` would. The
+        parameters are unchanged, so the variant keeps the bound code.
+        """
+        spec = self.spec.with_event_schedule(name, start, interval)
+        _check_schedule(next(e for e in spec.events if e.name == name))
+        variant = ValidatedModel(spec, self.order, self.expressions, self.stocks,
+                                 self.params, self._shared)
+        for key in ("_bound", "draws_noise"):
+            if key in self.__dict__:
+                variant.__dict__[key] = self.__dict__[key]
+        return variant
 
     @cached_property
     def _bound(self) -> tuple[Callable[..., tuple[float, ...]], tuple[Callable[..., tuple], ...]]:
-        """`(evaluator, actions)`, generated and bound on first use."""
+        """`(evaluator, actions)`, bound to this model's parameters on first use."""
         bind = _compile_evaluator(self.evaluator_source())
         return bind(partial(_name_failure, self.params, tuple(self.stocks), self.order,
                             self.expressions), *self.params.values())
@@ -195,7 +232,14 @@ class ValidatedModel:
     def evaluator_source(self) -> str:
         """Python source of `bind(fail, *params) -> (evaluator, actions)`.
         Every model name `x` is the local `_x`, except that an action reads
-        stock i as `x[i]` and flow or auxiliary j as `o[j]`."""
+        stock i as `x[i]` and flow or auxiliary j as `o[j]`. Emitted once
+        per structure."""
+        source = self._shared.get("source")
+        if source is None:
+            source = self._shared["source"] = self._emit_source()
+        return source
+
+    def _emit_source(self) -> str:
         spec = self.spec
         names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
                                       spec.flows) for d in group]
@@ -233,14 +277,15 @@ class ValidatedModel:
         """Whether some `noise()` in an auxiliary or flow can be non-zero.
 
         A scale that references only parameters and constants is evaluated
-        once; when every scale is a zero constant, the engine skips the
-        daily draws and runs with g = 0.
+        once per parameter set; when every scale is a zero constant, the
+        engine skips the daily draws and runs with g = 0.
         """
-        return any(
-            not _zero_constant(scale, self.params)
-            for expression in self.expressions.values()
-            for scale in ex.noise_scales(expression)
-        )
+        noise = self._shared.get("noise")
+        if noise is None:
+            noise = self._shared["noise"] = _noise_scales(self.expressions.values(),
+                                                          self.params.keys())
+        varying, constant = noise
+        return varying or not all(_is_zero(scale, self.params) for scale in constant)
 
 
 @lru_cache(maxsize=64)
@@ -268,17 +313,40 @@ def _name_failure(params, stocks, order, expressions, x, t: float, g: float) -> 
         env[name] = v
 
 
-def _zero_constant(scale: ex.Expr, params: dict[str, float]) -> bool:
-    if ex.noise_scales(scale) or not ex.variables(scale) <= params.keys():
-        return False
+def _noise_scales(expressions, params) -> tuple[bool, tuple[ex.Expr, ...]]:
+    """`(varying, constant)`: whether some `noise()` scale reads state,
+    time or noise, and the scales that read only parameters and constants."""
+    scales = [scale for expression in expressions for scale in ex.noise_scales(expression)]
+    constant = tuple(scale for scale in scales
+                     if not ex.noise_scales(scale) and ex.variables(scale) <= params)
+    return len(constant) < len(scales), constant
+
+
+def _is_zero(scale: ex.Expr, params: dict[str, float]) -> bool:
     try:
         return ex.eval_expression(scale, params) == 0.0
     except ex.FAULTS:
         return False
 
 
+def _checked_params(spec: ModelSpec) -> dict[str, float]:
+    """The parameter values by name; ModelError for a non-finite one."""
+    params = {p.name: p.value for p in spec.parameters}
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ModelError(f"parameter '{name}' has non-finite value")
+    return params
+
+
+def _check_schedule(event: EventDef) -> None:
+    if not (math.isfinite(event.start) and math.isfinite(event.interval)):
+        raise ModelError(f"event '{event.name}' has a non-finite schedule")
+    if event.start < 0 or event.interval < 0:
+        raise ModelError(f"event '{event.name}' has a negative schedule")
+
+
 def validate_model(spec: ModelSpec) -> ValidatedModel:
-    """Check `spec` and derive evaluation order and stock attachment maps.
+    """Check `spec` and derive its evaluation order.
 
     Raises DuplicateNameError, UnknownSymbolError, CycleError, UnitError, or
     ModelError. Event grid alignment is checked at simulation time because
@@ -293,7 +361,6 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         seen.add(name)
 
     stocks = {s.name: s for s in spec.stocks}
-    params = {p.name: p.value for p in spec.parameters}
     expressions: dict[str, ex.Expr] = {}
     for a in spec.auxiliaries:
         expressions[a.name] = a.expression
@@ -303,9 +370,7 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     for s in spec.stocks:
         if not math.isfinite(s.initial):
             raise ModelError(f"stock '{s.name}' has non-finite initial value")
-    for p in spec.parameters:
-        if not math.isfinite(p.value):
-            raise ModelError(f"parameter '{p.name}' has non-finite value")
+    params = _checked_params(spec)
 
     known = seen | {"t"}
     for name, expression in expressions.items():
@@ -314,19 +379,16 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         except (UnknownSymbolError, ValueError) as err:
             raise type(err)(f"in '{name}': {err}") from None
 
-    inflows: dict[str, list[str]] = {name: [] for name in stocks}
-    outflows: dict[str, list[str]] = {name: [] for name in stocks}
     for f in spec.flows:
         if f.source is None and f.target is None:
             raise ModelError(f"flow '{f.name}' is attached to no stock")
-        for endpoint, bucket in ((f.source, outflows), (f.target, inflows)):
+        for endpoint in (f.source, f.target):
             if endpoint is None:
                 continue
             if endpoint not in stocks:
                 raise UnknownSymbolError(
                     f"flow '{f.name}' references unknown stock '{endpoint}'"
                 )
-            bucket[endpoint].append(f.name)
             stock_unit = stocks[endpoint].unit
             if f.unit and stock_unit and f.unit != f"{stock_unit}/day":
                 raise UnitError(
@@ -335,10 +397,7 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
                 )
 
     for e in spec.events:
-        if not (math.isfinite(e.start) and math.isfinite(e.interval)):
-            raise ModelError(f"event '{e.name}' has a non-finite schedule")
-        if e.start < 0 or e.interval < 0:
-            raise ModelError(f"event '{e.name}' has a negative schedule")
+        _check_schedule(e)
         if not e.actions:
             raise ModelError(f"event '{e.name}' has no actions")
         for act in e.actions:
@@ -361,8 +420,6 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         expressions=expressions,
         stocks=stocks,
         params=params,
-        inflows={k: tuple(v) for k, v in inflows.items()},
-        outflows={k: tuple(v) for k, v in outflows.items()},
     )
 
 

@@ -213,11 +213,11 @@ def saturation_time(traj: Trajectory) -> float | None:
 
     None if disposal keeps up with production over the whole horizon.
     """
-    inflow = traj.column("vinasseInflow")
-    supply = traj.column("vinasseSupply")
-    for i in range(len(traj.times)):
-        if inflow[i] < supply[i] - 1e-9:
-            return float(traj.times[i])
+    inflow = traj.series("vinasseInflow")
+    supply = traj.series("vinasseSupply")
+    for t, taken, wanted in zip(traj.row_times, inflow, supply):
+        if taken < wanted - 1e-9:
+            return float(t)
     return None
 
 
@@ -250,9 +250,9 @@ def cost_breakdown(traj: Trajectory) -> CostReport:
     threshold = traj.parameters.get("CostThreshold")
     cross = None
     if threshold is not None:
-        for t, cost in zip(traj.times, traj.column("TotalCost")):
+        for t, cost in zip(traj.row_times, traj.series("TotalCost")):
             if cost > threshold:
-                cross = t
+                cross = float(t)
                 break
     return CostReport(
         operating=traj.flow_integrals.get("operatingCostRate", 0.0),

@@ -15,6 +15,11 @@ On top of plain scenario runs this module provides:
   observed series.
 * `run_sweep`: one-parameter sweeps, one run per value in input order.
 
+The policy search, calibration and sweeps validate the model once and run
+each grid point, evaluation or value as a variant of that validated model
+(`ValidatedModel.with_params`, `ValidatedModel.with_event_schedule`), so
+they share its evaluation order and generated code.
+
 Scenario files use a small text format sharing the expression-language
 lexer; semicolons between directives are optional:
 
@@ -31,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import SimConfig, Trajectory, run_simulation
-from .errors import NoFeasiblePolicyError, ParseError
+from .errors import NoFeasiblePolicyError
 from .language import _Parser, tokenize
-from .model import ModelSpec
+from .model import ModelSpec, validate_model
 from .plant import summarize
 
 
@@ -166,11 +171,12 @@ def optimize_transport_policy(
         if not getattr(grid, axis):
             raise ValueError(f"policy grid axis '{axis}' is empty")
     threshold = spec.param("CostThreshold")
+    vm = validate_model(spec)
     rows: list[PolicyRow] = []
     for interval in grid.intervals:
         for truck in grid.truck_capacities:
             for count in grid.truck_counts:
-                candidate = spec.with_params(
+                candidate = vm.with_params(
                     {"TruckCapacityKg": truck, "TrucksPerPickup": count}
                 ).with_event_schedule("pickup", start=interval, interval=interval)
                 traj = run_simulation(candidate, config)
@@ -240,23 +246,24 @@ def calibrate(
         raise ValueError("one bounds pair is required per parameter")
     if len(problem.observed_times) != len(problem.observed_values):
         raise ValueError("observed times and values must pair up")
+    ranges = [hi - lo for lo, hi in problem.bounds]
+    if any(r <= 0 for r in ranges):
+        raise ValueError("each bounds pair must satisfy lo < hi")
 
+    vm = validate_model(spec)
     evaluations = 0
 
     def objective(point: list[float]) -> float:
         nonlocal evaluations
         evaluations += 1
         overrides = dict(zip(problem.param_names, point))
-        traj = run_simulation(spec.with_params(overrides), config)
+        traj = run_simulation(vm.with_params(overrides), config)
         sse = 0.0
         for t_obs, v_obs in zip(problem.observed_times, problem.observed_values):
             err = traj.at(problem.column, t_obs) - v_obs
             sse += err * err
         return sse
 
-    ranges = [hi - lo for lo, hi in problem.bounds]
-    if any(r <= 0 for r in ranges):
-        raise ValueError("each bounds pair must satisfy lo < hi")
     point = [(lo + hi) / 2 for lo, hi in problem.bounds]
     steps = [0.25 * r for r in ranges]
     best = objective(point)
@@ -328,9 +335,10 @@ def run_sweep(
     config: SimConfig,
 ) -> SweepResult:
     """Simulate once per value of `param`; rows come back in input order."""
+    vm = validate_model(spec)
     rows = []
     for value in values:
-        metrics = summarize(run_simulation(spec.with_params({param: value}), config))
+        metrics = summarize(run_simulation(vm.with_params({param: value}), config))
         rows.append(SweepRow(
             value=float(value),
             total_cost=metrics["total_cost"],

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from sfdsim import expr as ex
 from sfdsim.engine import (
     EventRecord,
@@ -28,6 +26,16 @@ from sfdsim.engine import (
 )
 from sfdsim.errors import NonFiniteError
 from sfdsim.model import ModelSpec, ValidatedModel, validate_model
+
+
+def attachments(spec: ModelSpec) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+    """`(inflows, outflows)`: per stock, the names of the flows that end
+    and that start there, in declaration order."""
+    inflows = {s.name: tuple(f.name for f in spec.flows if f.target == s.name)
+               for s in spec.stocks}
+    outflows = {s.name: tuple(f.name for f in spec.flows if f.source == s.name)
+                for s in spec.stocks}
+    return inflows, outflows
 
 
 def total(rates, flows):
@@ -53,8 +61,9 @@ def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traje
 
     event_steps = _event_schedule(spec, config, steps)
     flow_index = {name: j for j, name in enumerate(flow_names)}
-    ins = [tuple(flow_index[f] for f in vm.inflows[name]) for name in stock_names]
-    outs = [tuple(flow_index[f] for f in vm.outflows[name]) for name in stock_names]
+    inflows, outflows = attachments(spec)
+    ins = [tuple(flow_index[f] for f in inflows[name]) for name in stock_names]
+    outs = [tuple(flow_index[f] for f in outflows[name]) for name in stock_names]
     floored = [s.non_negative for s in spec.stocks]
     clamp = _ConservingClamp(*_topology(vm, config.method)[1:])
 
@@ -81,14 +90,14 @@ def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traje
     event_deltas = {name: 0.0 for name in stock_names}
     event_log: list[EventRecord] = []
     times: list[float] = []
-    rows: list[list[float]] = []
+    rows: list[tuple[float, ...]] = []
 
     for n in range(steps + 1):
         t_n = config.t_start + n * dt
         out = evaluate(x, t_n)
         if n % config.record_every == 0 or n == steps:
             times.append(t_n)
-            rows.append([*x, *out])
+            rows.append((*x, *out))
         if n == steps:
             break
 
@@ -115,9 +124,9 @@ def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traje
             fire_events(vm, fired, x, t_next, evaluate, event_deltas, event_log)
 
     return Trajectory(
-        times=np.array(times, dtype=float),
+        row_times=times,
         columns=columns,
-        values=np.array(rows, dtype=float) if rows else np.zeros((0, len(columns))),
+        rows=rows,
         events=tuple(event_log),
         parameters=dict(vm.params),
         flow_integrals=dict(zip(flow_names, integrals)),

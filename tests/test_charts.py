@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from sfdsim import SimConfig, render_chart, run_simulation
+from sfdsim import SimConfig, Trajectory, render_chart, run_simulation
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +41,20 @@ class TestRenderChart:
     def test_empty_columns_rejected(self, short_run):
         with pytest.raises(ValueError):
             render_chart(short_run, [])
+
+    @pytest.mark.parametrize("column, bounds", [
+        ((-2.0, -0.0, 0.0), (">0<", ">-2<")),
+        ((-2.0, 0.0, -0.0), (">0<", ">-2<")),
+        ((0.0, -0.0, 3.0), (">3<", ">0<")),
+        ((-0.0, 0.0, 3.0), (">3<", ">0<")),
+    ])
+    def test_zero_bounds_print_without_sign(self, column, bounds):
+        traj = Trajectory(
+            row_times=[0.0, 1.0, 2.0], columns=("Z",), rows=[(v,) for v in column],
+            events=(), parameters={}, flow_integrals={}, event_deltas={},
+            config=SimConfig(t_end=2.0),
+        )
+        svg = render_chart(traj, ["Z"])
+        hi, lo = bounds
+        assert f'text-anchor="end"{hi}' in svg and f'text-anchor="end"{lo}' in svg
+        assert ">-0<" not in svg

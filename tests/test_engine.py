@@ -20,12 +20,14 @@ from sfdsim import (
     ParamDef,
     SimConfig,
     StockDef,
+    Trajectory,
     parse_expression,
     run_simulation,
     validate_model,
 )
 
 from modelgen import generate_model
+from reference_integrator import attachments
 
 
 def make_model(stocks, flows, auxes=(), params=(), events=()) -> ModelSpec:
@@ -41,6 +43,15 @@ def make_model(stocks, flows, auxes=(), params=(), events=()) -> ModelSpec:
 
 def expr(text: str):
     return parse_expression(text)
+
+
+def recorded(column) -> Trajectory:
+    """A trajectory of one column `Z` recorded on days 0, 1, 2, ..."""
+    return Trajectory(
+        row_times=[float(day) for day in range(len(column))], columns=("Z",),
+        rows=[(v,) for v in column], events=(), parameters={}, flow_integrals={},
+        event_deltas={}, config=SimConfig(t_end=float(len(column) - 1)),
+    )
 
 
 class TestEulerStepping:
@@ -429,6 +440,30 @@ class TestTrajectoryApi:
         assert len(lines) == 7
         assert traj.to_csv().endswith("\n")
 
+    def test_arrays_are_built_once_from_the_rows(self):
+        traj = self.make()
+        assert isinstance(traj.values, np.ndarray) and isinstance(traj.times, np.ndarray)
+        assert traj.values is traj.values and traj.times is traj.times
+        assert traj.times.tolist() == traj.row_times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert traj.values.tolist() == [list(row) for row in traj.rows]
+        assert traj.column("doubled").tolist() == traj.series("doubled")
+        assert np.shares_memory(traj.column("S"), traj.values)
+
+    def test_accessors_return_python_floats(self):
+        # Integer time bounds record integer times; the accessors still
+        # return floats, as they did when reading numpy arrays.
+        spec = make_model(stocks=[StockDef("S", 0.0)], flows=[FlowDef("feed", expr("1"), None, "S")])
+        traj = run_simulation(spec, SimConfig(t_start=0, t_end=4, dt=1))
+        for value in (traj.final("S"), traj.peak("S"), traj.at("S", 2), traj.at("feed", 4)):
+            assert type(value) is float
+        assert (traj.final("S"), traj.peak("S"), traj.at("S", 2)) == (4.0, 4.0, 2.0)
+
+    @pytest.mark.parametrize("column", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-3.0, -0.0, 0.0)])
+    def test_peak_of_zero_is_positive_zero(self, column):
+        traj = recorded(column)
+        assert math.copysign(1.0, traj.peak("Z")) == 1.0
+        assert "%.6f" % traj.peak("Z") == "0.000000"
+
     def test_events_csv_header(self):
         spec = make_model(
             stocks=[StockDef("S", 0.0)],
@@ -448,9 +483,10 @@ class TestMassBalance:
         vm = validate_model(spec)
         method = "rk4" if seed % 2 else "euler"
         traj = run_simulation(vm, SimConfig(t_end=365.0, method=method))
+        inflows, outflows = attachments(spec)
         for stock in spec.stocks:
-            inflow = sum(traj.flow_integrals[f] for f in vm.inflows[stock.name])
-            outflow = sum(traj.flow_integrals[f] for f in vm.outflows[stock.name])
+            inflow = sum(traj.flow_integrals[f] for f in inflows[stock.name])
+            outflow = sum(traj.flow_integrals[f] for f in outflows[stock.name])
             expected = stock.initial + inflow - outflow + traj.event_deltas[stock.name]
             scale = max(1.0, abs(expected), abs(traj.final(stock.name)))
             assert abs(traj.final(stock.name) - expected) / scale < 1e-9

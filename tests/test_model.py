@@ -9,6 +9,8 @@ import struct
 
 import pytest
 
+import sfdsim.expr
+
 from sfdsim import (
     AuxDef,
     CycleError,
@@ -29,6 +31,7 @@ from sfdsim import (
 from sfdsim.expr import BinOp, Num, Var, eval_expression, variables
 
 from modelgen import generate_model
+from reference_integrator import attachments
 
 
 def tiny_model(**kwargs) -> ModelSpec:
@@ -48,8 +51,9 @@ class TestValidation:
     def test_valid_model_passes(self):
         vm = validate_model(tiny_model())
         assert vm.order == ("drain",)
-        assert vm.outflows["Tank"] == ("drain",)
-        assert vm.inflows["Tank"] == ()
+        inflows, outflows = attachments(vm.spec)
+        assert outflows["Tank"] == ("drain",)
+        assert inflows["Tank"] == ()
 
     def test_duplicate_name_rejected(self):
         spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Rate", 0.2)))
@@ -303,3 +307,129 @@ class TestGeneratedEvaluator:
     def test_draws_noise(self, text, draws):
         spec = tiny_model(auxiliaries=(AuxDef("wobble", parse_expression(text)),))
         assert validate_model(spec).draws_noise is draws
+
+
+def raised(make):
+    """`(type, message)` of the error `make()` raises, or None."""
+    try:
+        make()
+    except Exception as err:  # noqa: BLE001 - the comparison is the point
+        return type(err), str(err)
+    return None
+
+
+def same_model(variant, expected):
+    """`variant` equals `expected` field by field, and its generated
+    evaluator and actions give bit-equal results on a few states."""
+    assert variant.spec == expected.spec
+    assert variant.order == expected.order
+    assert variant.params == expected.params
+    assert list(variant.params) == list(expected.params)
+    assert variant.draws_noise is expected.draws_noise
+    rng = random.Random(variant.spec.name)
+    computed = len(variant.spec.flows) + len(variant.spec.auxiliaries)
+    for _ in range(5):
+        stocks = [rng.uniform(0.0, 200.0) for _ in variant.spec.stocks]
+        t, g = rng.uniform(0.0, 365.0), rng.gauss(0.0, 1.0)
+        assert as_bits(generated(variant, stocks, t, g)) == as_bits(generated(expected, stocks, t, g))
+        o = tuple(rng.uniform(0.0, 50.0) for _ in range(computed))
+        for act, want in zip(variant.actions, expected.actions, strict=True):
+            assert as_bits(list(act(t, stocks, o))) == as_bits(list(want(t, stocks, o)))
+
+
+def variant_case(seed):
+    """A model to make variants of, parameter overrides, and its event: the
+    baseline plant for seed None, else a generated model."""
+    if seed is None:
+        from sfdsim import build_baseline
+
+        return build_baseline(), {"Dose": 30.0, "KEvap": 0.004}, "pickup"
+    spec = generate_model(seed)
+    return spec, {"Rate0": 2.5, "Level0": 17.0}, spec.events[0].name if spec.events else None
+
+
+VARIANT_SEEDS = [None, *range(12)]
+EVENT_SEEDS = [seed for seed in VARIANT_SEEDS if variant_case(seed)[2] is not None]
+
+
+class TestValidatedVariants:
+    """`ValidatedModel.with_params` and `with_event_schedule` rebind one
+    validated structure; each must equal `validate_model` of the copied spec."""
+
+    @pytest.mark.parametrize("seed", VARIANT_SEEDS)
+    def test_with_params_equals_revalidation(self, seed):
+        spec, overrides, _ = variant_case(seed)
+        vm = validate_model(spec)
+        vm.evaluator  # a bound parent must not leak its parameters into the variant
+        variant = vm.with_params(overrides)
+        same_model(variant, validate_model(spec.with_params(overrides)))
+        assert variant.evaluator_source() is vm.evaluator_source()
+        same_model(vm, validate_model(spec))
+
+    @pytest.mark.parametrize("seed", EVENT_SEEDS)
+    def test_with_event_schedule_equals_revalidation(self, seed):
+        spec, _, event = variant_case(seed)
+        vm = validate_model(spec)
+        for start, interval in ((21.0, 7.0), (5.0, None), (None, 0.0)):
+            variant = vm.with_event_schedule(event, start=start, interval=interval)
+            same_model(variant, validate_model(spec.with_event_schedule(event, start, interval)))
+        bound = validate_model(spec)
+        evaluator = bound.evaluator
+        moved = bound.with_event_schedule(event, start=14.0, interval=14.0)
+        assert moved.evaluator is evaluator
+        assert moved.actions is bound.actions
+
+    def test_noise_turns_on_and_off_with_its_scale(self, baseline_spec):
+        vm = validate_model(baseline_spec)
+        assert vm.spec.param("NoiseStdDev") == 0.0 and not vm.draws_noise
+        noisy = vm.with_params({"NoiseStdDev": 1.5})
+        assert noisy.draws_noise
+        assert not noisy.with_params({"NoiseStdDev": 0.0}).draws_noise
+        assert noisy.with_event_schedule("pickup", start=10.0, interval=10.0).draws_noise
+
+    def test_noise_scales_are_evaluated_without_walking_expressions(
+            self, baseline_spec, monkeypatch):
+        vm = validate_model(baseline_spec)
+        vm.draws_noise
+        walks = []
+        original = sfdsim.expr.noise_scales
+        monkeypatch.setattr(sfdsim.expr, "noise_scales",
+                            lambda e: walks.append(e) or original(e))
+        assert vm.with_params({"NoiseStdDev": 2.0}).draws_noise
+        assert walks == []
+
+    @pytest.mark.parametrize("overrides", [
+        {"Missing": 1.0},
+        {"Rate": math.nan},
+        {"Rate": math.inf},
+        {"Rate": -math.inf, "Missing": 1.0},
+    ])
+    def test_bad_params_raise_as_validation_does(self, overrides):
+        spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Other", 2.0)))
+        expected = raised(lambda: validate_model(spec.with_params(overrides)))
+        assert expected is not None
+        assert raised(lambda: validate_model(spec).with_params(overrides)) == expected
+
+    def test_first_non_finite_parameter_is_named(self):
+        spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Other", 2.0)))
+        overrides = {"Other": math.nan, "Rate": math.inf}
+        got = raised(lambda: validate_model(spec).with_params(overrides))
+        assert got == (ModelError, "parameter 'Rate' has non-finite value")
+        assert got == raised(lambda: validate_model(spec.with_params(overrides)))
+
+    @pytest.mark.parametrize("name, start, interval", [
+        ("missing", 1.0, 1.0),
+        ("e", -1.0, None),
+        ("e", None, -2.0),
+        ("e", math.nan, None),
+        ("e", None, math.inf),
+        ("e", -math.inf, 1.0),
+    ])
+    def test_bad_schedules_raise_as_validation_does(self, name, start, interval):
+        spec = tiny_model(events=(
+            EventDef("e", 10.0, 10.0, (EventAction("Tank", "add", parse_expression("1")),)),
+        ))
+        expected = raised(lambda: validate_model(spec.with_event_schedule(name, start, interval)))
+        assert expected is not None
+        got = raised(lambda: validate_model(spec).with_event_schedule(name, start, interval))
+        assert got == expected

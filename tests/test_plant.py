@@ -169,6 +169,15 @@ class TestCosts:
         crossed = [t for t, c in zip(traj.times, traj.column("TotalCost")) if c > 1e6]
         assert cost_breakdown(traj).threshold_cross_day == crossed[0] == 100.0
 
+    def test_reports_are_python_floats(self):
+        spec = build_baseline().with_params({"CostThreshold": 1e6})
+        traj = run_simulation(spec, SimConfig(t_end=365.0))
+        assert type(cost_breakdown(traj).threshold_cross_day) is float
+        assert type(saturation_time(traj)) is float
+        assert type(traj.final("TotalCost")) is float
+        assert type(traj.peak("AccumulatedSludge")) is float
+        assert type(traj.at("AccumulatedVinasse", 100.0)) is float
+
     def test_zero_cost_model_never_crosses(self):
         spec = build_baseline(costs=CostParams(
             trip_fixed=0.0, per_kg=0.0, coagulant_unit=0.0,

@@ -330,3 +330,46 @@ class TestSweep:
         assert result.rows[0].saturation_day is None
         line = result.to_csv().strip().split("\n")[1]
         assert line.split(",")[3] == ""
+
+
+class TestValidateOnce:
+    """Grid points, sweep values and calibration evaluations are variants
+    of one validated model."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        import sfdsim.engine
+        import sfdsim.model
+        import sfdsim.scenarios
+
+        calls = []
+        original = sfdsim.model.validate_model
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+
+        for module in (sfdsim.model, sfdsim.engine, sfdsim.scenarios):
+            monkeypatch.setattr(module, "validate_model", counted)
+        return calls
+
+    def test_policy_grid(self, baseline_spec, year_config, validations):
+        result = optimize_transport_policy(baseline_spec, TestPolicySearch.GRID, year_config)
+        assert len(result.rows) == 12
+        assert validations == [baseline_spec]
+
+    def test_sweep(self, baseline_spec, year_config, validations):
+        run_sweep(baseline_spec, "Dose", (0.0, 10.0, 20.0), year_config)
+        assert validations == [baseline_spec]
+
+    def test_calibration(self, baseline_spec, year_config, validations):
+        truth = run_simulation(baseline_spec, year_config)
+        times = (100.0, 200.0, 300.0)
+        validations.clear()
+        problem = CalibrationProblem(
+            ("KEvap",), ((0.001, 0.01),), "AccumulatedVinasse", times,
+            tuple(truth.at("AccumulatedVinasse", t) for t in times),
+        )
+        result = calibrate(baseline_spec, problem, year_config, max_passes=3)
+        assert result.evaluations > 3
+        assert validations == [baseline_spec]
