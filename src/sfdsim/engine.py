@@ -19,7 +19,8 @@ flow integrals and the recorded rows are inlined. Every sum of rates is
 spelled out as the float additions CPython 3.11's `sum()` performs, so
 results match the former list-based loop bit for bit (and do not change
 with the compensated float `sum()` of later versions). Events run the
-model's generated actions (`ValidatedModel.actions`), so the engine never
+model's generated actions (`ValidatedModel.actions`), which evaluate the
+model only when they read a flow or auxiliary, so the engine never
 interprets an expression tree. The evaluator raises only NonFiniteError,
 naming the variable behind a non-finite value or an arithmetic fault.
 
@@ -419,13 +420,14 @@ def _fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
 
     An event's generated action computes all its values against the state
     before that event changes anything; they are then applied sequentially.
+    The action calls `evaluate` only if it reads a flow or auxiliary.
     Non-negative stocks are floored at zero.
     """
     index = {name: i for i, name in enumerate(vm.stocks)}
     for k in fired:
         event = vm.spec.events[k]
         try:
-            planned = vm.actions[k](t, x, evaluate(x, t))
+            planned = vm.actions[k](t, x, evaluate)
         except ex.FAULTS:
             raise NonFiniteError(f"event {event.name}", t) from None
         if not all(map(math.isfinite, planned)):

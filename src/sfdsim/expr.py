@@ -1,14 +1,14 @@
 """Arithmetic expression trees for model equations.
 
 Expressions are built from numeric literals, variable references, binary
-operators, and a fixed set of builtin functions. `eval_expression` walks a
-tree; `python_source` renders one as Python expression text, from which
-`model.ValidatedModel` generates one evaluator and one action function per
-event for each model. Both perform the same floating-point operations in
-the same order, so their results, and the exceptions they raise, are
-identical; tests rely on that. The simulation engine runs only the
-generated code. The interpreter names the variable behind an arithmetic
-fault of the generated evaluator and serves as the tests' oracle.
+operators, and a fixed set of builtin functions. `python_source` renders
+a tree as Python expression text, from which `model.validate_model`
+generates one evaluator and one action function per event for each model;
+the package evaluates expressions only through that code. `eval_expression`
+walks a tree, performing the same floating-point operations in the same
+order, so its results, and the exceptions it raises, are identical to the
+generated code's. It is kept as the tests' reference; `bench/tracer.py`
+also calls it.
 
 The symbol `t` always refers to current simulation time. `noise(scale)`
 multiplies its argument by the per-evaluation Gaussian draw `g` supplied by
@@ -253,7 +253,7 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
-# Globals of generated code (see model.ValidatedModel.evaluator): the math
+# Globals of generated code (see model.ValidatedModel): the math
 # functions that builtins are emitted as. No name here starts with "_", so
 # none can clash with a model variable's local, which always does.
 CODEGEN_GLOBALS: dict[str, object] = {

@@ -4,17 +4,20 @@ A model is a declarative bundle of stocks, flows, auxiliaries, parameters,
 and scheduled events. `validate_model` checks it for duplicate names,
 undefined references, dependency cycles, and unit mismatches, and returns a
 `ValidatedModel` carrying the dependency-sorted evaluation order and the
-generated code the engine runs: the evaluator and the event actions.
+generated code the engine runs, bound to the parameters: the evaluator,
+the event actions and whether noise is drawn. The generated code names
+its own faults, so nothing walks an expression tree after validation.
 Parameter and schedule variants of a validated model
 (`ValidatedModel.with_params`, `ValidatedModel.with_event_schedule`)
-share its structure and code, and check only the fields they change.
+share its structure and source, and check only the fields they change; a
+parameter variant binds the cached compiled code to its own values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 from . import expr as ex
@@ -164,11 +167,26 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ValidatedModel:
-    """A model whose structure has been checked, plus derived lookups.
+    """A model whose structure has been checked, with its generated code
+    bound to its parameters.
+
+    `source` is the Python source of `bind(*params) -> (evaluator, actions,
+    noisy)`, emitted once by `validate_model`; `evaluator`, `actions` and
+    `draws_noise` are what it returns for `params`:
+
+    - `evaluator(t, g, *stocks)` gives every flow, then every auxiliary, in
+      declaration order, for stock values in declaration order. It raises
+      only NonFiniteError, naming the variable and `t`, for a value that is
+      not finite or an arithmetic fault.
+    - Per event, `act(t, x, evaluate)` gives its action values for stock
+      values `x`, with noise read as 0. It calls `evaluate(x, t)` only if
+      one of its expressions reads a flow or auxiliary.
+    - `draws_noise` is whether some `noise()` scale can be non-zero; if
+      not, the engine skips the daily draws and runs with g = 0.
 
     `with_params` and `with_event_schedule` make variants that share this
-    model's structure, its generated source and its compiled code; only
-    the changed fields are checked again.
+    model's structure and source; only the changed fields are checked
+    again.
     """
 
     spec: ModelSpec
@@ -176,20 +194,23 @@ class ValidatedModel:
     expressions: dict[str, ex.Expr] = field(repr=False)
     stocks: dict[str, StockDef] = field(repr=False)
     params: dict[str, float] = field(repr=False)
-    # What every variant of this structure shares, filled in on first use:
-    # the evaluator "source" and the "noise" scales.
-    _shared: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+    source: str = field(repr=False)
+    evaluator: Callable[..., tuple[float, ...]] = field(repr=False, compare=False)
+    actions: tuple[Callable[..., tuple], ...] = field(repr=False, compare=False)
+    draws_noise: bool
 
     def with_params(self, overrides: dict[str, float]) -> ValidatedModel:
-        """Variant with the given parameter values replaced.
+        """Variant with the given parameter values replaced, its code bound
+        to them.
 
         Raises what `validate_model` would for the copied spec: an unknown
         name is an UnknownSymbolError, a non-finite value a ModelError.
         """
         spec = self.spec.with_params(overrides)
         params = _checked_params(spec)
-        return ValidatedModel(spec, self.order, self.expressions, self.stocks, params,
-                              self._shared)
+        evaluator, actions, noisy = _compile_evaluator(self.source)(*params.values())
+        return replace(self, spec=spec, params=params, evaluator=evaluator, actions=actions,
+                       draws_noise=noisy)
 
     def with_event_schedule(self, name: str, start: float | None = None,
                             interval: float | None = None) -> ValidatedModel:
@@ -201,91 +222,62 @@ class ValidatedModel:
         """
         spec = self.spec.with_event_schedule(name, start, interval)
         _check_schedule(next(e for e in spec.events if e.name == name))
-        variant = ValidatedModel(spec, self.order, self.expressions, self.stocks,
-                                 self.params, self._shared)
-        for key in ("_bound", "draws_noise"):
-            if key in self.__dict__:
-                variant.__dict__[key] = self.__dict__[key]
-        return variant
+        return replace(self, spec=spec)
 
-    @cached_property
-    def _bound(self) -> tuple[Callable[..., tuple[float, ...]], tuple[Callable[..., tuple], ...]]:
-        """`(evaluator, actions)`, bound to this model's parameters on first use."""
-        bind = _compile_evaluator(self.evaluator_source())
-        return bind(partial(_name_failure, self.params, tuple(self.stocks), self.order,
-                            self.expressions), *self.params.values())
 
-    @property
-    def evaluator(self) -> Callable[..., tuple[float, ...]]:
-        """The generated `evaluator(t, g, *stocks)`: every flow, then every
-        auxiliary, in declaration order, for stock values in declaration
-        order. It raises only NonFiniteError, naming the variable and `t`,
-        for a value that is not finite or an arithmetic fault."""
-        return self._bound[0]
+def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
+                      expressions: dict[str, ex.Expr]) -> str:
+    """Python source of `bind(*params) -> (evaluator, actions, noisy)`
+    (see `ValidatedModel`). Every model name `x` is the local `_x`, except
+    that an action reads stock i as `x[i]` and flow or auxiliary j as
+    `o[j]`. The module-level `NAMES` maps the line of each variable's
+    assignment to its name, so a fault names the variable at that line."""
+    names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
+                                  spec.flows) for d in group]
+    local = {
+        name: f"_{name}" if name.isidentifier() and name.isascii() else f"_{i}"
+        for i, name in enumerate(names)
+    }
 
-    @property
-    def actions(self) -> tuple[Callable[..., tuple], ...]:
-        """Per event, the generated `act(t, x, o)`: its action values for
-        stock values `x` and evaluator output `o`, with noise read as 0."""
-        return self._bound[1]
+    def tup(items) -> str:
+        return "(" + "".join(f"{v}, " for v in items) + ")"
 
-    def evaluator_source(self) -> str:
-        """Python source of `bind(fail, *params) -> (evaluator, actions)`.
-        Every model name `x` is the local `_x`, except that an action reads
-        stock i as `x[i]` and flow or auxiliary j as `o[j]`. Emitted once
-        per structure."""
-        source = self._shared.get("source")
-        if source is None:
-            source = self._shared["source"] = self._emit_source()
-        return source
-
-    def _emit_source(self) -> str:
-        spec = self.spec
-        names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
-                                      spec.flows) for d in group]
-        local = {
-            name: f"_{name}" if name.isidentifier() and name.isascii() else f"_{i}"
-            for i, name in enumerate(names)
-        }
-
-        def tup(items) -> str:
-            return "(" + "".join(f"{v}, " for v in items) + ")"
-
-        stocks = [local[s.name] for s in spec.stocks]
-        computed = [d.name for d in (*spec.flows, *spec.auxiliaries)]
-        lines = [f"def bind({', '.join(['fail'] + [local[p.name] for p in spec.parameters])}):",
-                 f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:"]
-        for name in self.order:
-            var = local[name]
-            lines += [f"            {var} = {ex.python_source(self.expressions[name], local.__getitem__)}",
-                      f"            if {var} - {var} != 0.0:",
-                      f"                raise NonFiniteError({name!r}, t)"]
-        lines += [f"            return {tup(local[name] for name in computed)}",
-                  "        except FAULTS:",
-                  f"            fail({tup(stocks)}, t, g)",
-                  "            raise"]
-        reads = {**local, **{name: f"x[{i}]" for i, name in enumerate(self.stocks)},
-                 **{name: f"o[{j}]" for j, name in enumerate(computed)}}
-        for k, event in enumerate(spec.events):
-            values = (ex.python_source(a.expression, reads.__getitem__) for a in event.actions)
-            lines += [f"    def act{k}(t, x, o):", "        g = 0.0", f"        return {tup(values)}"]
-        lines.append(f"    return evaluate, {tup(f'act{k}' for k in range(len(spec.events)))}")
-        return "\n".join(lines) + "\n"
-
-    @cached_property
-    def draws_noise(self) -> bool:
-        """Whether some `noise()` in an auxiliary or flow can be non-zero.
-
-        A scale that references only parameters and constants is evaluated
-        once per parameter set; when every scale is a zero constant, the
-        engine skips the daily draws and runs with g = 0.
-        """
-        noise = self._shared.get("noise")
-        if noise is None:
-            noise = self._shared["noise"] = _noise_scales(self.expressions.values(),
-                                                          self.params.keys())
-        varying, constant = noise
-        return varying or not all(_is_zero(scale, self.params) for scale in constant)
+    stocks = [local[s.name] for s in spec.stocks]
+    computed = [d.name for d in (*spec.flows, *spec.auxiliaries)]
+    lines = [f"def bind({', '.join(local[p.name] for p in spec.parameters)}):",
+             f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:"]
+    at_line: dict[int, str] = {}
+    for name in order:
+        var = local[name]
+        at_line[len(lines) + 1] = name
+        lines += [f"            {var} = {ex.python_source(expressions[name], local.__getitem__)}",
+                  f"            if {var} - {var} != 0.0:",
+                  f"                raise NonFiniteError({name!r}, t)"]
+    lines += [f"            return {tup(local[name] for name in computed)}",
+              "        except FAULTS as e:",
+              "            raise NonFiniteError(NAMES[e.__traceback__.tb_lineno], t) from None"]
+    reads = {**local, **{s.name: f"x[{i}]" for i, s in enumerate(spec.stocks)},
+             **{name: f"o[{j}]" for j, name in enumerate(computed)}}
+    for k, event in enumerate(spec.events):
+        values = (ex.python_source(a.expression, reads.__getitem__) for a in event.actions)
+        lines += [f"    def act{k}(t, x, evaluate):", "        g = 0.0"]
+        if any(ex.variables(a.expression) & expressions.keys() for a in event.actions):
+            lines.append("        o = evaluate(x, t)")
+        lines.append(f"        return {tup(values)}")
+    # Noise is drawn if a scale reads state, time or noise, or if one of
+    # parameters and constants is non-zero or faults.
+    params = {p.name for p in spec.parameters}
+    scales = [scale for expression in expressions.values()
+              for scale in ex.noise_scales(expression)]
+    constant = [scale for scale in scales
+                if not ex.noise_scales(scale) and ex.variables(scale) <= params]
+    tests = ["True"] if len(constant) < len(scales) else [
+        f"{ex.python_source(scale, local.__getitem__)} != 0.0" for scale in constant]
+    lines += ["    try:", f"        noisy = {' or '.join(tests) or 'False'}",
+              "    except FAULTS:", "        noisy = True",
+              f"    return evaluate, {tup(f'act{k}' for k in range(len(spec.events)))}, noisy",
+              f"NAMES = {at_line!r}"]
+    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=64)
@@ -296,37 +288,6 @@ def _compile_evaluator(source: str) -> Callable[..., tuple]:
                                     "NonFiniteError": NonFiniteError}
     exec(compile(source, "<sfdsim evaluator>", "exec"), namespace)
     return namespace["bind"]  # type: ignore[return-value]
-
-
-def _name_failure(params, stocks, order, expressions, x, t: float, g: float) -> None:
-    """Re-run one evaluation on the tree interpreter to name the variable
-    behind an arithmetic fault of the generated evaluator."""
-    env = dict(params)
-    env.update(zip(stocks, x))
-    for name in order:
-        try:
-            v = ex.eval_expression(expressions[name], env, t, g)
-        except ex.FAULTS:
-            raise NonFiniteError(name, t) from None
-        if not math.isfinite(v):
-            raise NonFiniteError(name, t)
-        env[name] = v
-
-
-def _noise_scales(expressions, params) -> tuple[bool, tuple[ex.Expr, ...]]:
-    """`(varying, constant)`: whether some `noise()` scale reads state,
-    time or noise, and the scales that read only parameters and constants."""
-    scales = [scale for expression in expressions for scale in ex.noise_scales(expression)]
-    constant = tuple(scale for scale in scales
-                     if not ex.noise_scales(scale) and ex.variables(scale) <= params)
-    return len(constant) < len(scales), constant
-
-
-def _is_zero(scale: ex.Expr, params: dict[str, float]) -> bool:
-    try:
-        return ex.eval_expression(scale, params) == 0.0
-    except ex.FAULTS:
-        return False
 
 
 def _checked_params(spec: ModelSpec) -> dict[str, float]:
@@ -346,7 +307,8 @@ def _check_schedule(event: EventDef) -> None:
 
 
 def validate_model(spec: ModelSpec) -> ValidatedModel:
-    """Check `spec` and derive its evaluation order.
+    """Check `spec`, derive its evaluation order, and generate its code and
+    bind it to the parameters.
 
     Raises DuplicateNameError, UnknownSymbolError, CycleError, UnitError, or
     ModelError. Event grid alignment is checked at simulation time because
@@ -413,14 +375,10 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
                 raise type(err)(f"in event '{e.name}': {err}") from None
 
     order = _evaluation_order(spec, expressions)
-
-    return ValidatedModel(
-        spec=spec,
-        order=order,
-        expressions=expressions,
-        stocks=stocks,
-        params=params,
-    )
+    source = _evaluator_source(spec, order, expressions)
+    evaluator, actions, noisy = _compile_evaluator(source)(*params.values())
+    return ValidatedModel(spec, order, expressions, stocks, params, source, evaluator, actions,
+                          noisy)
 
 
 def _all_names(spec: ModelSpec):

@@ -141,7 +141,8 @@ def fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
 
     All of one event's action expressions are evaluated against a snapshot
     taken before that event changes anything, then applied sequentially.
-    Non-negative stocks are floored at zero.
+    The model is evaluated for the snapshot only when an action reads a
+    flow or auxiliary. Non-negative stocks are floored at zero.
     """
     index = {name: i for i, name in enumerate(vm.stocks)}
     computed = [d.name for d in (*vm.spec.flows, *vm.spec.auxiliaries)]
@@ -149,7 +150,8 @@ def fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
         event = vm.spec.events[k]
         env = dict(vm.params)
         env.update(zip(vm.stocks, x))
-        env.update(zip(computed, evaluate(x, t)))
+        if any(ex.variables(act.expression) & set(computed) for act in event.actions):
+            env.update(zip(computed, evaluate(x, t)))
         planned = []
         for act in event.actions:
             # Interventions are exact amounts: noise reads as 0 in actions.

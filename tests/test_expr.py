@@ -213,9 +213,9 @@ def test_compiled_matches_interpreter(tree, g):
         expected = eval_expression(tree, env, 7.0, 0.0)
     except (ZeroDivisionError, OverflowError, ValueError) as err:
         with pytest.raises(type(err)):
-            vm.actions[0](7.0, [0.5], (0.0,))
+            vm.actions[0](7.0, [0.5], lambda x, t: (0.0,))
     else:
-        (actual,) = vm.actions[0](7.0, [0.5], (0.0,))
+        (actual,) = vm.actions[0](7.0, [0.5], lambda x, t: (0.0,))
         assert bits(actual) == bits(expected)
 
     # As an auxiliary, a fault or a non-finite value is named.
@@ -239,16 +239,22 @@ def test_printer_round_trips_random_trees(tree):
 
 
 def test_compile_source_names_env():
-    src = validate_model(one_aux_model(parse_expression("x + t"))).evaluator_source()
-    assert "def bind(fail, _x, _y):" in src
+    src = validate_model(one_aux_model(parse_expression("x + t"))).source
+    assert "def bind(_x, _y):" in src
     assert "def evaluate(t, g, _z):" in src
     assert "_e = (_x + t)" in src
     assert "raise NonFiniteError('e', t)" in src
-    assert "fail((_z, ), t, g)" in src
-    assert src.count("try:") == 1
-    assert "def act0(t, x, o):" in src
+    assert "raise NonFiniteError(NAMES[e.__traceback__.tb_lineno], t) from None" in src
+    lines = src.splitlines()
+    assert lines[-1] == "NAMES = {4: 'e'}"
+    assert lines[3] == "            _e = (_x + t)"
+    assert "fail" not in src
+    assert src.partition("def act0")[0].count("try:") == 1  # one in the evaluator
+    assert "def act0(t, x, evaluate):" in src
+    assert "evaluate(x, t)" not in src  # the action reads no flow or auxiliary
     assert "return ((_x + t), )" in src
-    assert "return evaluate, (act0, )" in src
+    assert "noisy = False" in src
+    assert "return evaluate, (act0, ), noisy" in src
 
 
 class TestDailyGauss:

@@ -1,5 +1,5 @@
-"""Source hygiene: no unused module-level imports, and numpy stays off the
-paths that do not need arrays."""
+"""Source hygiene: no unused module-level imports or private definitions,
+and numpy stays off the paths that do not need arrays."""
 
 from __future__ import annotations
 
@@ -56,6 +56,58 @@ def test_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom . import used, unused\n__all__ = ['used']\n")
     assert [name for name, _ in module_imports(tree.body) if name not in names_read(tree)] == [
         "os", "unused"]
+
+
+def private_definitions(tree):
+    """`(name, node)` of each module-level function, class or constant whose
+    name starts with a single underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def unread_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:name` of each private definition that no package module
+    reads, as a name or an attribute, outside the definition itself."""
+    reads = []  # (top-level node, names it reads)
+    for tree in trees.values():
+        for top in tree.body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            reads.append((top, names))
+    return [f"{module}:{name}" for module, tree in trees.items()
+            for name, node in private_definitions(tree)
+            if not any(name in names for top, names in reads if top is not node)]
+
+
+def test_no_unread_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_definitions(trees) == []
+
+
+def test_scan_sees_an_unread_private_definition():
+    module = ast.parse(
+        "_USED = 1\n_UNUSED: int = 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Helper:\n    pass\n"
+        "def __getattr__(name):\n    return _USED\n"
+    )
+    other = ast.parse("from .a import _Helper\nmodel._Helper()\n")
+    assert unread_private_definitions({"a.py": module, "b.py": other}) == [
+        "a.py:_UNUSED", "a.py:_recursive"]
 
 
 NO_NUMPY = """

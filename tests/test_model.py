@@ -3,6 +3,7 @@ generated evaluator."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import struct
@@ -22,10 +23,12 @@ from sfdsim import (
     ModelSpec,
     NonFiniteError,
     ParamDef,
+    SimConfig,
     StockDef,
     UnitError,
     UnknownSymbolError,
     parse_expression,
+    run_simulation,
     validate_model,
 )
 from sfdsim.expr import BinOp, Num, Var, eval_expression, variables
@@ -279,7 +282,7 @@ class TestGeneratedEvaluator:
         spec = tiny_model()
         a = validate_model(spec)
         b = validate_model(spec.with_params({"Rate": 0.5}))
-        assert a.evaluator_source() == b.evaluator_source()
+        assert a.source == b.source
         assert a.evaluator.__code__ is b.evaluator.__code__
         assert a.evaluator(0.0, 0.0, 10.0) == (1.0,)
         assert b.evaluator(0.0, 0.0, 10.0) == (5.0,)
@@ -292,8 +295,40 @@ class TestGeneratedEvaluator:
             auxiliaries=(AuxDef("half", BinOp("/", Var("a b"), Num(2.0))),),
         )
         vm = validate_model(spec)
-        assert "def evaluate(t, g, _0):" in vm.evaluator_source()
+        assert "def evaluate(t, g, _0):" in vm.source
         assert vm.evaluator(0.0, 0.0, 4.0) == (0.0, 2.0)
+
+    def test_fault_names_the_variable_at_its_source_line(self):
+        # Non-identifier names get positional locals, and the events add
+        # action functions after the evaluator: the last variable in `order`
+        # divides by zero at the RK4 stage time t = 0.5.
+        spec = ModelSpec(
+            name="Lines",
+            stocks=(StockDef("pond level", 5.0), StockDef("B", 0.0)),
+            flows=(FlowDef("drain out", BinOp("*", Var("k rate"), Var("pond level")),
+                           "pond level", "B"),
+                   FlowDef("last one", BinOp("/", Num(1.0), BinOp("-", Var("t"), Num(0.5))),
+                           "B", None)),
+            auxiliaries=(AuxDef("half level", BinOp("/", Var("pond level"), Num(2.0))),
+                         AuxDef("ratio", BinOp("/", Var("half level"),
+                                               BinOp("+", Var("k rate"), Num(1.0))))),
+            parameters=(ParamDef("k rate", 0.5),),
+            events=(EventDef("top up", 1.0, 1.0, (
+                EventAction("pond level", "add", Var("ratio")),
+                EventAction("B", "set", BinOp("/", Var("pond level"), Num(4.0))))),),
+        )
+        vm = validate_model(spec)
+        assert vm.order[-1] == "last one"
+        assert "_0" in vm.source and "o = evaluate(x, t)" in vm.source
+        traj = run_simulation(vm, SimConfig(t_end=3.0))
+        assert traj.events
+        with pytest.raises(NonFiniteError) as err:
+            run_simulation(vm, SimConfig(t_end=3.0, method="rk4"))
+        assert (err.value.name, err.value.t) == ("last one", 0.5)
+        with pytest.raises(NonFiniteError) as err:
+            vm.evaluator(0.5, 0.0, 5.0, 0.0)
+        assert err.value.name == "last one"
+        assert set(vars(vm)) == {f.name for f in dataclasses.fields(vm)}
 
     @pytest.mark.parametrize("text, draws", [
         ("noise(0)", False),
@@ -334,7 +369,8 @@ def same_model(variant, expected):
         assert as_bits(generated(variant, stocks, t, g)) == as_bits(generated(expected, stocks, t, g))
         o = tuple(rng.uniform(0.0, 50.0) for _ in range(computed))
         for act, want in zip(variant.actions, expected.actions, strict=True):
-            assert as_bits(list(act(t, stocks, o))) == as_bits(list(want(t, stocks, o)))
+            assert (as_bits(list(act(t, stocks, lambda x, t: o)))
+                    == as_bits(list(want(t, stocks, lambda x, t: o))))
 
 
 def variant_case(seed):
@@ -360,10 +396,9 @@ class TestValidatedVariants:
     def test_with_params_equals_revalidation(self, seed):
         spec, overrides, _ = variant_case(seed)
         vm = validate_model(spec)
-        vm.evaluator  # a bound parent must not leak its parameters into the variant
         variant = vm.with_params(overrides)
         same_model(variant, validate_model(spec.with_params(overrides)))
-        assert variant.evaluator_source() is vm.evaluator_source()
+        assert variant.source is vm.source
         same_model(vm, validate_model(spec))
 
     @pytest.mark.parametrize("seed", EVENT_SEEDS)

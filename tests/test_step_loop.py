@@ -117,6 +117,14 @@ HAND_MODELS = {
         flow feed : -> S = 1
         event reset every 5 { S = S - 20  F = F - 20 }
       }"""),
+    # S empties at t = 1, where 1 / S would fault, but the refill reads no
+    # flow or auxiliary, so only the refilled state is evaluated.
+    "event_refills_empty": parse_model("""model Refill {
+        stock S = 1
+        aux inv = 1 / S
+        flow drain : S -> = 1
+        event refill every 1 { S += 5 }
+      }"""),
     "event_fault": parse_model("""model EventFault {
         stock S = 1
         flow feed : -> S = 1
@@ -188,6 +196,9 @@ class TestMatchesReference:
         assert (traj.final("S"), traj.final("F")) == (0.0, -15.0)
         reads = run_simulation(HAND_MODELS["event_reads_computed"], SimConfig(t_end=3.0))
         assert reads.events[0].t == 2.0 and reads.events[0].amount > 0.0
+        # The emptied state 1 / S would fault on is refilled before any use.
+        traj = run_simulation(HAND_MODELS["event_refills_empty"], SimConfig(t_end=2.0))
+        assert (traj.series("S"), traj.series("inv")) == ([1.0, 5.0, 9.0], [1.0, 0.2, 1 / 9])
 
     def test_clamp_called_only_when_an_update_undershoots(self, monkeypatch):
         calls = []
@@ -283,3 +294,58 @@ class TestNoiseDraws:
         draws.clear()
         run_simulation(spec, config)
         assert draws == expected == list(range(366))
+
+
+def counting_evaluator(vm, calls):
+    """`vm` with its evaluator wrapped to record the time of each call."""
+    real = vm.evaluator
+
+    def counting(t, g, *stocks):
+        calls.append(t)
+        return real(t, g, *stocks)
+
+    return dataclasses.replace(vm, evaluator=counting)
+
+
+class TestEventEvaluations:
+    def test_pickups_do_not_evaluate_the_model(self):
+        # The pickup's action reads only a stock and parameters, so a
+        # year evaluates once per step and once for the final row.
+        calls = []
+        vm = counting_evaluator(validate_model(build_baseline()), calls)
+        traj = run_simulation(vm, SimConfig(t_end=365.0))
+        assert {e.event for e in traj.events} == {"pickup"}
+        assert calls == [float(n) for n in range(366)]
+
+    def test_an_action_reading_an_auxiliary_evaluates(self):
+        calls = []
+        vm = counting_evaluator(validate_model(HAND_MODELS["event_reads_computed"]), calls)
+        traj = run_simulation(vm, SimConfig(t_end=12.0))
+        fired = sorted({e.t for e in traj.events})
+        assert fired == [2.0, 5.0, 8.0, 11.0]
+        assert sorted(calls) == sorted([*map(float, range(13)), *fired])
+
+
+class TestNothingInterpretedAfterValidation:
+    def test_runs_never_walk_an_expression(self, monkeypatch):
+        walked = []
+
+        def refuse(*args, **kwargs):
+            walked.append(args)
+            raise AssertionError("eval_expression called")
+
+        monkeypatch.setattr(sfdsim.expr, "eval_expression", refuse)
+        vm = validate_model(build_baseline())
+        noisy = vm.with_params({"NoiseStdDev": 1.5})
+        moved = noisy.with_event_schedule("pickup", start=10.0, interval=10.0)
+        assert (vm.draws_noise, noisy.draws_noise, moved.draws_noise) == (False, True, True)
+        for model in (vm, noisy, moved):
+            for method in ("euler", "rk4"):
+                traj = run_simulation(model, SimConfig(t_end=365.0, method=method, seed=3))
+                assert traj.events
+        reads = run_simulation(HAND_MODELS["event_reads_computed"], SimConfig(t_end=12.0))
+        assert reads.events
+        with pytest.raises(NonFiniteError) as err:
+            run_simulation(HAND_MODELS["stage_fault"], SimConfig(t_end=3.0, method="rk4"))
+        assert (err.value.name, err.value.t) == ("out", 0.5)
+        assert walked == []
