@@ -10,6 +10,11 @@ errors (lint violations included); 3 integration failures (non-finite
 values, a conserving clamp that does not converge); 4 no feasible policy in
 an optimization grid. Errors go to stderr, colored when attached to a
 terminal unless SFDSIM_NO_COLOR is set.
+
+`main` parses with one parser per process, built by `build_parser` on the
+first call and reused, so repeated in-process calls do not pay for it
+again. Usage errors and `--version` still write to the `sys.stderr` and
+`sys.stdout` current at each call. `build_parser` returns a fresh parser.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -334,10 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     effective = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(effective)
+    args = _parser().parse_args(effective)
     args._argv = effective
     try:
         return args.func(args)

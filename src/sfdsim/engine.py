@@ -371,12 +371,13 @@ def segment_source(method: str, floored: tuple[bool, ...],
 def _segment(method: str, floored: tuple[bool, ...],
              endpoints: tuple[tuple[int, int], ...]) -> Callable[..., tuple]:
     """The compiled `segment` of `segment_source`, shared by every model
-    with this topology, and bound to the topology's clamp."""
+    with this topology, and bound to the topology's clamp. It is popped
+    from its globals, so refcounting frees it once the cache drops it."""
     namespace = {"floor": math.floor, "NonFiniteError": NonFiniteError,
                  "clamp": _ConservingClamp(floored, endpoints)}
     source = segment_source(method, floored, endpoints)
     exec(compile(source, "<sfdsim step loop>", "exec"), namespace)
-    return namespace["segment"]  # type: ignore[return-value]
+    return namespace.pop("segment")  # type: ignore[return-value]
 
 
 def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int, list[int]]:

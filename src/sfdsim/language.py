@@ -19,6 +19,12 @@ flow. Units in square brackets are optional everywhere. A stock may be
 marked `allow_negative` after its unit. `#` starts a comment. Keywords are
 contextual, so they remain usable as variable names.
 
+Identifiers start with a letter (`str.isalpha`) or `_` and go on with
+letters, digits, other numeric characters (`str.isalnum`) or `_`, so `é1`
+and `a²` are names. Numbers use decimal digits (`str.isdecimal`), in any
+script: `٣` reads as 3. Any other character, such as `²`, `①` or `½`
+where a token starts, is a ParseError at its line and column.
+
 `format_model` renders a ModelSpec back to canonical text and round-trips
 with `parse_model`. `lint_model` reports naming-convention violations:
 parameters and stocks are UpperCamelCase, flows, auxiliaries, and events
@@ -27,6 +33,7 @@ lowerCamelCase.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -46,6 +53,25 @@ _PUNCT = (
     "{", "}", "(", ")", ",", "=", ":", ";", "+", "-", "*", "/", "^", "<", ">",
 )
 
+# One match per token: skip whitespace and comments, then take the token.
+# A comment on the last line belongs to `eof`, which so starts at the `#`.
+# `\d` is a decimal digit and `\w` a character for which `str.isalnum`
+# holds, or `_`; `word` is a non-ASCII `\w` run, an identifier only when
+# it starts with a letter. `error` takes any other character.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
+    r"(?:(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"
+    r"|(?P<unit>\[[^\]\n]*\])"
+    r'|(?P<string>"[^"\n]*")'
+    r"|(?P<word>\w+)"
+    r"|(?P<eof>(?:#[^\n]*)?\Z)"
+    r"|(?P<error>.))",
+    re.DOTALL,
+)
+_PLAIN = frozenset(("ident", "number", "punct"))
+
 
 @dataclass(frozen=True, slots=True)
 class Token:
@@ -57,79 +83,42 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "[":
-            j = text.find("]", i + 1)
-            if j < 0:
-                raise ParseError("unterminated unit bracket", line, col)
-            unit = text[i + 1:j].strip()
-            if "\n" in text[i:j]:
-                raise ParseError("unit bracket spans lines", line, col)
-            tokens.append(Token("unit", unit, line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", line, col)
-            if "\n" in text[i:j]:
-                raise ParseError("string spans lines", line, col)
-            tokens.append(Token("string", text[i + 1:j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+    match = _TOKEN.match
+    pos, line, line_start = 0, 1, 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        skipped = text.count("\n", pos, start)
+        if skipped:
+            line += skipped
+            line_start = text.rindex("\n", pos, start) + 1
+        column = start - line_start + 1
+        pos = m.end()
+        if kind in _PLAIN:
+            tokens.append(Token(kind, text[start:pos], line, column))
+        elif kind == "unit":
+            tokens.append(Token(kind, text[start + 1:pos - 1].strip(), line, column))
+        elif kind == "string":
+            tokens.append(Token(kind, text[start + 1:pos - 1], line, column))
+        elif kind == "word" and text[start].isalpha():
+            tokens.append(Token("ident", text[start:pos], line, column))
+        elif kind == "eof":
+            tokens.append(Token(kind, "", line, column))
+            return tokens
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+            raise _lex_error(text, start, line, column)
+
+
+def _lex_error(text: str, start: int, line: int, column: int) -> ParseError:
+    """The error for the token that cannot start at `start`."""
+    ch = text[start]
+    if ch in "[\"":
+        what = "unit bracket" if ch == "[" else "string"
+        close = text.find("]" if ch == "[" else '"', start + 1)
+        message = f"unterminated {what}" if close < 0 else f"{what} spans lines"
+        return ParseError(message, line, column)
+    return ParseError(f"unexpected character {ch!r}", line, column)
 
 
 class _Parser:

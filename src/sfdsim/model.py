@@ -283,11 +283,14 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
 @lru_cache(maxsize=64)
 def _compile_evaluator(source: str) -> Callable[..., tuple]:
     """The `bind` function defined by `source`. Models that differ only in
-    parameter values share the source, so they compile it once."""
+    parameter values share the source, so they compile it once.
+
+    `bind` is popped from its globals, so no cycle holds it: once the cache
+    drops it and no model holds what it returned, refcounting frees it."""
     namespace: dict[str, object] = {**ex.CODEGEN_GLOBALS, "FAULTS": ex.FAULTS,
                                     "NonFiniteError": NonFiniteError}
     exec(compile(source, "<sfdsim evaluator>", "exec"), namespace)
-    return namespace["bind"]  # type: ignore[return-value]
+    return namespace.pop("bind")  # type: ignore[return-value]
 
 
 def _checked_params(spec: ModelSpec) -> dict[str, float]:

@@ -3,6 +3,7 @@ common fixtures."""
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -21,6 +22,17 @@ def baseline_spec():
 @pytest.fixture(scope="session")
 def year_config():
     return SimConfig(t_end=365.0)
+
+
+@pytest.fixture
+def gc_off():
+    """The cyclic garbage collector off for one test, so that only
+    refcounting frees objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sfdsim
+from sfdsim import cli
 from sfdsim.cli import main
 
 MINI_MODEL = """
@@ -246,3 +254,91 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("sfdsim ")
+
+
+class TestNonDecimalDigits:
+    @pytest.mark.parametrize("command", ["fmt", "lint"])
+    def test_superscript_value_exits_2_with_position(self, command, tmp_path, capsys):
+        path = tmp_path / "sup.sfd"
+        path.write_text("model M {\n  param A = \u00b2\n}\n")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 2:13: unexpected character '\u00b2'\n"
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """The parsers built for `main`, counted from an empty cache."""
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    yield built
+    cli._parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_one_build_across_commands(self, counted_builds, tmp_path, capsys):
+        model = tmp_path / "tank.sfd"
+        model.write_text(MINI_MODEL)
+        assert main(["simulate", "--model", str(model), "--t-end", "2"]) == 0
+        assert main(["lint", str(model)]) == 0
+        assert main(["fmt", str(model)]) == 0
+        assert main(["sweep", "--param", "Dose", "--values", "0,10", "--t-end", "5"]) == 0
+        assert main(["optimize", "--intervals", "30", "--trucks", "3000", "--counts", "1",
+                     "--t-end", "40"]) == 0
+        assert len(counted_builds) == 1
+
+    def test_no_state_leaks_between_calls(self, counted_builds, tmp_path, fixtures_dir,
+                                          capsys):
+        scenario = str(fixtures_dir / "coagulant_addition.scn")
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["simulate", "--t-end", "3", "--scenario", scenario,
+                     "--out", str(first)]) == 0
+        assert main(["simulate", "--t-end", "3", "--out", str(second)]) == 0
+        manifests = [json.loads((tmp_path / f"{name}.manifest.json").read_text())
+                     for name in ("first", "second")]
+        assert [m["scenarios"] for m in manifests] == [["CoagulantAddition"], []]
+        assert [m["model"]["parameters"]["Dose"] for m in manifests] == [30.0, 0.0]
+
+        model = tmp_path / "tank.sfd"
+        model.write_text(MINI_MODEL)
+        assert main(["fmt", str(model), "--write"]) == 0
+        formatted = model.read_text()
+        capsys.readouterr()
+        model.write_text(MINI_MODEL)
+        assert main(["fmt", str(model)]) == 0
+        assert capsys.readouterr().out == formatted
+        assert model.read_text() == MINI_MODEL
+        assert len(counted_builds) == 1
+
+    def test_usage_and_version_go_to_the_current_streams(self, counted_builds):
+        for _ in range(2):
+            err, out = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+                main(["simulate", "--no-such-flag"])
+            assert exit_.value.code == 2
+            assert err.getvalue().startswith("usage: sfdsim")
+            assert "--no-such-flag" in err.getvalue()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+                main(["--version"])
+            assert exit_.value.code == 0
+            assert out.getvalue() == f"sfdsim {sfdsim.__version__}\n"
+        assert len(counted_builds) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(sfdsim.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = "import sfdsim.cli as c; print(c._parser.cache_info().currsize)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, check=True, timeout=60)
+        assert result.stdout == "0\n"

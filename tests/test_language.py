@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfdsim import ParseError, format_model, lint_model, parse_expression, parse_model
-from sfdsim.language import tokenize
+from sfdsim.language import Token, tokenize
 
 from modelgen import generate_model
+from reference_lexer import reference_tokenize
 
 SAMPLE = """
 # Water butt with an overflow and a weekly top-up.
@@ -54,6 +55,15 @@ class TestTokenizer:
         with pytest.raises(ParseError):
             tokenize("param X = 1 [m\n3]")
 
+    def test_comment_on_last_line_puts_eof_at_the_hash(self):
+        assert tokenize("a # end")[-1] == Token("eof", "", 1, 3)
+        assert tokenize("a\n  # end\n")[-1] == Token("eof", "", 3, 1)
+
+    def test_whitespace_counts_one_column_per_character(self):
+        tokens = tokenize("\ta\r b\n\t\tc")
+        assert [(t.text, t.line, t.column) for t in tokens] == [
+            ("a", 1, 2), ("b", 1, 5), ("c", 2, 3), ("", 2, 4)]
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as err:
             tokenize("aux x = 1 $ 2")
@@ -73,6 +83,85 @@ class TestTokenizer:
     def test_string_across_lines_rejected(self):
         with pytest.raises(ParseError):
             tokenize('description "first\nsecond"')
+
+
+class TestNonDecimalDigits:
+    """Numbers take decimal digits only; `²`, `①` and `½` are not numbers."""
+
+    @pytest.mark.parametrize("value, column", [("²", 13), ("①", 13), ("½", 13), ("1²", 14)])
+    def test_rejected_with_position(self, value, column):
+        with pytest.raises(ParseError) as err:
+            parse_model(f"model M {{\n  param A = {value}\n}}\n")
+        assert (err.value.line, err.value.column) == (2, column)
+        assert err.value.message == f"unexpected character {value[-1]!r}"
+
+    @pytest.mark.parametrize("value, expected", [("٣", 3.0), ("١٢.٥", 12.5), ("１e２", 100.0)])
+    def test_decimal_digits_of_any_script_parse(self, value, expected):
+        spec = parse_model(f"model M {{\n  param A = {value}\n}}\n")
+        assert spec.param("A") == expected
+
+    def test_non_decimal_digits_continue_names(self):
+        assert [t.text for t in tokenize("é² a½ _①")[:-1]] == ["é²", "a½", "_①"]
+
+
+def _offset(text: str, line: int, column: int) -> int:
+    start = 0
+    for _ in range(line - 1):
+        start = text.index("\n", start) + 1
+    return start + column - 1
+
+
+def _outcome(lex, text: str):
+    try:
+        return lex(text)
+    except ParseError as err:
+        return err.message, err.line, err.column
+
+
+def _reference_tokens(text: str) -> list:
+    """The reference's tokens up to its error, if it raises, without `eof`."""
+    outcome = _outcome(reference_tokenize, text)
+    if isinstance(outcome, tuple):
+        outcome = reference_tokenize(text[:_offset(text, *outcome[1:])])
+    return outcome[:-1]
+
+
+def _readable(number: str) -> bool:
+    try:
+        float(number)
+    except ValueError:
+        return False
+    return True
+
+
+_CHARS = 'abeEXM_019.+-*/^()<>=!,:;{}[]"# \t\r\n' + "é²٣½１"
+_FRAGMENTS = ("model", "param", "aux", "event", "->", "+=", "1.5e-3", "2E+", "٣.٥",
+              "[m3/day]", "[ m3 ]", '"a b"', "# note", "\n", "\r\n", "\t")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.text(alphabet=_CHARS, max_size=4)),
+                max_size=30).map("".join))
+@example("aux x = 1 # end")
+@example("param X = 1 [m3")
+@example('s "open\n"')
+@example("a\n[b\n]")
+@example("param A = ²")
+@example("x = 1² [u")
+def test_tokenize_matches_reference_lexer(text):
+    # Equal tokens or an equal ParseError, except from the first number token
+    # of the reference that `float` cannot read, such as `²`: before it the
+    # results agree, and the lexer never makes such a token.
+    bad = next((t for t in _reference_tokens(text)
+                if t.kind == "number" and not _readable(t.text)), None)
+    if bad is None:
+        assert _outcome(tokenize, text) == _outcome(reference_tokenize, text)
+        return
+    prefix = text[:_offset(text, bad.line, bad.column)]
+    assert _outcome(tokenize, prefix) == _outcome(reference_tokenize, prefix)
+    outcome = _outcome(tokenize, text)
+    if isinstance(outcome, list):
+        assert all(_readable(t.text) for t in outcome if t.kind == "number")
 
 
 class TestParser:

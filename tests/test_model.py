@@ -7,10 +7,12 @@ import dataclasses
 import math
 import random
 import struct
+import weakref
 
 import pytest
 
 import sfdsim.expr
+import sfdsim.model
 
 from sfdsim import (
     AuxDef,
@@ -286,6 +288,15 @@ class TestGeneratedEvaluator:
         assert a.evaluator.__code__ is b.evaluator.__code__
         assert a.evaluator(0.0, 0.0, 10.0) == (1.0,)
         assert b.evaluator(0.0, 0.0, 10.0) == (5.0,)
+
+    def test_dropped_bind_is_freed_by_refcount(self, gc_off):
+        spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Unused", 1.0)))
+        vm = validate_model(spec)
+        bind = weakref.ref(sfdsim.model._compile_evaluator(vm.source))
+        sfdsim.model._compile_evaluator.cache_clear()
+        assert bind() is None
+        # The model keeps what bind returned, not bind.
+        assert vm.evaluator(0.0, 0.0, 10.0) == (1.0,)
 
     def test_non_identifier_names_get_positional_locals(self):
         spec = ModelSpec(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import weakref
 
 import pytest
 
@@ -247,6 +248,18 @@ class TestLoopCache:
             assert callable(segment)
             assert engine._segment.cache_info().currsize <= bound
         assert engine._segment.cache_info().currsize == bound
+
+    def test_evicted_loop_is_freed_by_refcount(self, gc_off):
+        chain = ((-1, 0), (0, 1), (1, -1))
+        engine._segment.cache_clear()
+        first = weakref.ref(engine._segment("euler", (True, True), chain))
+        assert first() is not None
+        for floored in ((True, False), (False, True), (False, False)):
+            engine._segment("rk4", floored, chain)
+        assert first() is not None
+        for code in range(engine._segment.cache_parameters()["maxsize"]):
+            engine._segment("euler", tuple(bool(code >> i & 1) for i in range(7)), chain)
+        assert first() is None
 
     def test_clamp_built_once_per_topology(self, monkeypatch):
         built = []
