@@ -30,7 +30,6 @@ from pathlib import Path
 from . import __version__
 from .engine import METHODS, SimConfig, run_simulation
 from .errors import (
-    ModelError,
     NoFeasiblePolicyError,
     ParseError,
     SfdError,
@@ -362,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         # Unknown column names surface as mapping lookups.
         _error(err.args[0] if err.args else str(err))
         return 2
-    except (ParseError, ModelError, SfdError, ValueError) as err:
+    except (SfdError, ValueError) as err:
         _error(str(err))
         return 2
     except OSError as err:

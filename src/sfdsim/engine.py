@@ -26,8 +26,10 @@ naming the variable behind a non-finite value or an arithmetic fault.
 
 Determinism is a hard requirement: identical inputs produce byte-identical
 CSV output, including under the stochastic `noise` builtin, whose draws are
-keyed by (seed, day) rather than call order. Draws are made only when some
-`noise()` scale can be non-zero; otherwise noise reads as zero.
+keyed by (seed, day) rather than call order. A run's draws are computed
+once, before the loop, each day once (`_noise_draws`); the loop only
+indexes them. Draws are made only when some `noise()` scale can be
+non-zero; otherwise noise reads as zero.
 
 Negative stocks are prevented by a conserving clamp: when a step would push
 a non-negative stock below zero, all outflows draining that stock are scaled
@@ -215,22 +217,7 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     columns = (*stock_names, *flow_names, *(a.name for a in spec.auxiliaries))
     event_steps = _event_schedule(spec, config, steps)
     segment = _segment(*_topology(vm, config.method))
-
-    evaluator = vm.evaluator
-    noisy = vm.draws_noise
-    gauss = ex.daily_gauss
-    seed = config.seed
-    noise_day = None
-    g = 0.0
-
-    def evaluate(x, tv: float) -> tuple[float, ...]:
-        """Flows then auxiliaries at stock values `x` and time `tv`."""
-        nonlocal noise_day, g
-        if noisy:
-            day = math.floor(tv)
-            if day != noise_day:  # evaluation times never decrease
-                noise_day, g = day, gauss(seed, day)
-        return evaluator(tv, g, *x)
+    draws = _noise_draws(vm.draws_noise, config, steps)
 
     n_stocks = len(stock_names)
     state = [float(s.initial) for s in spec.stocks] + [0.0] * len(flow_names)
@@ -241,20 +228,19 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
 
     n = 0
     for stop in sorted({*event_steps, steps}):
-        noise_day, g, *state = segment(
-            n, stop, t_start, dt, config.record_every, times, rows, evaluator,
-            stock_names, noisy, gauss, seed, noise_day, g, *state)
+        state = list(segment(n, stop, t_start, dt, config.record_every, times, rows,
+                             vm.evaluator, stock_names, *draws, *state))
         n = stop
         fired = event_steps.get(stop)
         if fired:
             x = state[:n_stocks]
-            _fire_events(vm, fired, x, t_start + stop * dt, evaluate, event_deltas, event_log)
+            _fire_events(vm, fired, x, t_start + stop * dt, draws[0][stop], event_deltas, event_log)
             state[:n_stocks] = x
 
     x = state[:n_stocks]
     t_end = t_start + steps * dt
     times.append(t_end)
-    rows.append((*x, *evaluate(x, t_end)))
+    rows.append((*x, *vm.evaluator(t_end, draws[0][steps], *x)))
 
     return Trajectory(
         row_times=times,
@@ -266,6 +252,24 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
         event_deltas=event_deltas,
         config=config,
     )
+
+
+def _noise_draws(noisy: bool, config: SimConfig, steps: int) -> tuple[list[float], ...]:
+    """One list of draws per stage kind, indexed by step n: `g0` at
+    `t = t0 + n * dt` for n <= steps, and for RK4 `gm` at `t + dt / 2` and
+    `ge` at `t + dt` for n < steps, each time computed as the loop computes
+    it (`floor(t + dt)` can differ from `floor(t0 + (n + 1) * dt)`). Each
+    day is drawn once, in ascending order. Without noise, every kind is one
+    shared list of zeros."""
+    if not noisy:
+        return ([0.0] * (steps + 1),) * (1 if config.method == "euler" else 3)
+    t0, dt, h2 = config.t_start, config.dt, config.dt / 2
+    times = [t0 + n * dt for n in range(steps + 1)]
+    stages = [times] if config.method == "euler" else [
+        times, [t + h2 for t in times[:-1]], [t + dt for t in times[:-1]]]
+    days = [list(map(math.floor, stage)) for stage in stages]
+    drawn = {day: ex.daily_gauss(config.seed, day) for day in sorted(set().union(*days))}
+    return tuple([drawn[day] for day in stage] for stage in days)
 
 
 def _topology(vm: ValidatedModel, method: str) -> tuple:
@@ -284,14 +288,15 @@ def segment_source(method: str, floored: tuple[bool, ...],
                    endpoints: tuple[tuple[int, int], ...]) -> str:
     """Python source of the step loop for one topology (see `_topology`).
 
-    `segment(n0, n1, t0, dt, every, times, rows, evaluate, names, noisy,
-    gauss, seed, noise_day, g, *stocks, *integrals)` runs steps n0..n1-1,
-    recording each step whose index is a multiple of `every`, and returns
-    `(noise_day, g, *stocks, *integrals)` at step n1. Stock i is the local
-    `x{i}`, flow j's rate `r{j}` and its integral `i{j}`; the global
-    `clamp` is the topology's `_ConservingClamp`. Every sum of rates is
-    spelled out as `(0.0 + r1 + r2)`, the float additions of CPython
-    3.11's `sum()`, and an empty one as the int 0.
+    `segment(n0, n1, t0, dt, every, times, rows, evaluate, names, *draws,
+    *stocks, *integrals)` runs steps n0..n1-1, recording each step whose
+    index is a multiple of `every`, and returns `(*stocks, *integrals)` at
+    step n1. `draws` are the run's lists from `_noise_draws` (`g0`, or
+    `g0, gm, ge` for RK4); a stage reads `g0[n]`, `gm[n]` or `ge[n]`.
+    Stock i is the local `x{i}`, flow j's rate `r{j}` and its integral
+    `i{j}`; the global `clamp` is the topology's `_ConservingClamp`. Every
+    sum of rates is spelled out as `(0.0 + r1 + r2)`, the float additions
+    of CPython 3.11's `sum()`, and an empty one as the int 0.
     """
     ns, nf = len(floored), len(endpoints)
     ins = [[j for j, (_, dst) in enumerate(endpoints) if dst == i] for i in range(ns)]
@@ -308,21 +313,14 @@ def segment_source(method: str, floored: tuple[bool, ...],
         return [f"{target}{i} = x{i} + {h} * ({total(ins[i], rate)} - {total(outs[i], rate)})"
                 for i in range(ns)]
 
-    def stage(tv: str, stocks: str, draw: bool = True) -> list[str]:
-        """Evaluate at time `tv` with stock locals `{stocks}{i}` into `o`."""
-        lines = []
-        if draw:
-            lines += ["if noisy:",
-                      f"    day = floor({tv})",
-                      "    if day != noise_day:",
-                      "        noise_day = day",
-                      "        g = gauss(seed, day)"]
-        return lines + [f"o = evaluate({', '.join([tv, 'g', *(f'{stocks}{i}' for i in range(ns))])})"]
+    def stage(tv: str, g: str, stocks: str) -> str:
+        """Evaluate at time `tv`, draw `g` and stock locals `{stocks}{i}` into `o`."""
+        return f"o = evaluate({', '.join([tv, g, *(f'{stocks}{i}' for i in range(ns))])})"
 
     xs = [f"x{i}" for i in range(ns)]
     rs = [f"r{j}" for j in range(nf)]
     integrals = [f"i{j}" for j in range(nf)]
-    body = ["t = t0 + n * dt", *stage("t", "x"),
+    body = ["t = t0 + n * dt", stage("t", "g0[n]", "x"),
             "if n % every == 0:",
             "    times.append(t)",
             f"    rows.append({tup(xs)} + o)"]
@@ -332,12 +330,11 @@ def segment_source(method: str, floored: tuple[bool, ...],
         # Classic fourth-order combination of per-flow rates. Stage states
         # are not clamped; the clamp sees the combined rates.
         body += [f"a{j} = o[{j}]" for j in range(nf)]
-        body += advance("s", "a", "h2") + ["tm = t + h2", *stage("tm", "s")]
+        body += advance("s", "a", "h2") + ["tm = t + h2", stage("tm", "gm[n]", "s")]
         body += [f"b{j} = o[{j}]" for j in range(nf)]
-        # The third stage shares the second's time, so its day is drawn already.
-        body += advance("s", "b", "h2") + stage("tm", "s", draw=False)
+        body += advance("s", "b", "h2") + [stage("tm", "gm[n]", "s")]
         body += [f"c{j} = o[{j}]" for j in range(nf)]
-        body += advance("s", "c", "dt") + ["te = t + dt", *stage("te", "s")]
+        body += advance("s", "c", "dt") + ["te = t + dt", stage("te", "ge[n]", "s")]
         body += [f"r{j} = (a{j} + 2 * b{j} + 2 * c{j} + o[{j}]) / 6" for j in range(nf)]
     body += advance("y", "r", "dt")
     if clamped:
@@ -356,14 +353,15 @@ def segment_source(method: str, floored: tuple[bool, ...],
                  f"    raise NonFiniteError(names[{i}], t0 + (n + 1) * dt)"]
     body += [f"i{j} = i{j} + dt * r{j}" for j in range(nf)]
 
-    params = ["n0", "n1", "t0", "dt", "every", "times", "rows", "evaluate", "names", "noisy",
-              "gauss", "seed", "noise_day", "g", *xs, *integrals]
+    draws = ["g0"] if method == "euler" else ["g0", "gm", "ge"]
+    params = ["n0", "n1", "t0", "dt", "every", "times", "rows", "evaluate", "names", *draws,
+              *xs, *integrals]
     lines = [f"def segment({', '.join(params)}):"]
     if method == "rk4":
         lines.append("    h2 = dt / 2")
     lines.append("    for n in range(n0, n1):")
     lines += ["        " + line for line in body]
-    lines.append(f"    return {tup(['noise_day', 'g', *xs, *integrals])}")
+    lines.append(f"    return {tup([*xs, *integrals])}")
     return "\n".join(lines) + "\n"
 
 
@@ -373,8 +371,7 @@ def _segment(method: str, floored: tuple[bool, ...],
     """The compiled `segment` of `segment_source`, shared by every model
     with this topology, and bound to the topology's clamp. It is popped
     from its globals, so refcounting frees it once the cache drops it."""
-    namespace = {"floor": math.floor, "NonFiniteError": NonFiniteError,
-                 "clamp": _ConservingClamp(floored, endpoints)}
+    namespace = {"NonFiniteError": NonFiniteError, "clamp": _ConservingClamp(floored, endpoints)}
     source = segment_source(method, floored, endpoints)
     exec(compile(source, "<sfdsim step loop>", "exec"), namespace)
     return namespace.pop("segment")  # type: ignore[return-value]
@@ -416,14 +413,19 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
     return schedule
 
 
-def _fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
+def _fire_events(vm, fired, x, t, g, event_deltas, event_log) -> None:
     """Apply each fired event, by index, in declaration order.
 
     An event's generated action computes all its values against the state
     before that event changes anything; they are then applied sequentially.
-    The action calls `evaluate` only if it reads a flow or auxiliary.
-    Non-negative stocks are floored at zero.
+    The action calls `evaluate` only if it reads a flow or auxiliary; the
+    model then sees `g`, the noise draw at `t`. Non-negative stocks are
+    floored at zero.
     """
+
+    def evaluate(x, t):
+        return vm.evaluator(t, g, *x)
+
     index = {name: i for i, name in enumerate(vm.stocks)}
     for k in fired:
         event = vm.spec.events[k]

@@ -127,8 +127,9 @@ class _Parser:
         self.pos = 0
         self.definitions: list[tuple[str, Token]] = []  # (keyword, name token)
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # `eof` is the last token and `advance` never passes it.
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -141,16 +142,18 @@ class _Parser:
         got = tok.text or "end of input"
         return ParseError(f"{message}, got {got!r}", tok.line, tok.column)
 
+    def at_punct(self, *texts: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "punct" and tok.text in texts
+
     def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
+        if not self.at_punct(text):
             raise self.fail(f"expected '{text}'")
         return self.advance()
 
     def take_punct(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
-            self.advance()
+        if self.at_punct(text):
+            self.pos += 1
             return True
         return False
 
@@ -180,8 +183,7 @@ class _Parser:
 
     def number(self) -> float:
         sign = 1.0
-        if self.peek().kind == "punct" and self.peek().text == "-":
-            self.advance()
+        if self.take_punct("-"):
             sign = -1.0
         tok = self.peek()
         if tok.kind != "number":
@@ -204,44 +206,41 @@ class _Parser:
 
     def expression(self) -> ex.Expr:
         left = self.sum_()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in ex.COMPARISONS:
-            self.advance()
-            right = self.sum_()
-            return ex.BinOp(tok.text, left, right)
+        if self.at_punct(*ex.COMPARISONS):
+            op = self.advance().text
+            return ex.BinOp(op, left, self.sum_())
         return left
 
     def sum_(self) -> ex.Expr:
         node = self.product()
-        while self.peek().kind == "punct" and self.peek().text in ("+", "-"):
+        while self.at_punct("+", "-"):
             op = self.advance().text
             node = ex.BinOp(op, node, self.product())
         return node
 
     def product(self) -> ex.Expr:
         node = self.power()
-        while self.peek().kind == "punct" and self.peek().text in ("*", "/"):
+        while self.at_punct("*", "/"):
             op = self.advance().text
             node = ex.BinOp(op, node, self.power())
         return node
 
     def power(self) -> ex.Expr:
         base = self.atom()
-        if self.peek().kind == "punct" and self.peek().text == "^":
-            self.advance()
+        if self.take_punct("^"):
             return ex.BinOp("^", base, self.power())
         return base
 
     def atom(self) -> ex.Expr:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "(":
-            self.advance()
+        if self.take_punct("("):
             node = self.expression()
             self.expect_punct(")")
             return node
-        if tok.kind == "punct" and tok.text == "-":
-            # A sign is permitted only directly before a numeric literal.
-            nxt = self.peek(1)
+        tok = self.peek()
+        if self.at_punct("-"):
+            # A sign is permitted only directly before a numeric literal;
+            # a `-` is not `eof`, so a token follows it.
+            nxt = self.tokens[self.pos + 1]
             if nxt.kind != "number":
                 raise self.fail("'-' must be followed by a number here")
             self.advance()
@@ -252,11 +251,9 @@ class _Parser:
             return ex.Num(float(tok.text))
         if tok.kind == "ident":
             self.advance()
-            if self.peek().kind == "punct" and self.peek().text == "(":
-                self.advance()
+            if self.take_punct("("):
                 args = [self.expression()]
-                while self.peek().kind == "punct" and self.peek().text == ",":
-                    self.advance()
+                while self.take_punct(","):
                     args.append(self.expression())
                 self.expect_punct(")")
                 return ex.Call(tok.text, tuple(args))
@@ -275,7 +272,7 @@ class _Parser:
         auxes: list[AuxDef] = []
         params: list[ParamDef] = []
         events: list[EventDef] = []
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
+        while not self.at_punct("}"):
             if self.take_keyword("param"):
                 pname = self.define("param", "parameter name")
                 self.expect_punct("=")
@@ -334,10 +331,9 @@ class _Parser:
             start = self.number()
         self.expect_punct("{")
         actions: list[EventAction] = []
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
+        while not self.at_punct("}"):
             target = self.expect_ident("stock name").text
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text in ("+=", "-=", "="):
+            if self.at_punct("+=", "-=", "="):
                 op = {"+=": "add", "-=": "subtract", "=": "set"}[self.advance().text]
             else:
                 raise self.fail("expected '+=', '-=', or '='")

@@ -410,23 +410,24 @@ def _evaluation_order(spec: ModelSpec, expressions: dict[str, ex.Expr]) -> tuple
 
     order: list[str] = []
     state: dict[str, int] = {}  # 0 absent, 1 visiting, 2 done
-    declared = [a.name for a in spec.auxiliaries] + [f.name for f in spec.flows]
-
-    def visit(name: str, path: list[str]) -> None:
-        mark = state.get(name, 0)
-        if mark == 2:
-            return
-        if mark == 1:
-            cycle = path[path.index(name):] + [name]
-            raise CycleError(cycle)
-        state[name] = 1
-        path.append(name)
-        for dep in deps[name]:
-            visit(dep, path)
-        path.pop()
-        state[name] = 2
-        order.append(name)
-
-    for name in declared:
-        visit(name, [])
+    for name in [a.name for a in spec.auxiliaries] + [f.name for f in spec.flows]:
+        _visit(name, [], deps, state, order)
     return tuple(order)
+
+
+def _visit(name: str, path: list[str], deps: dict[str, list[str]], state: dict[str, int],
+           order: list[str]) -> None:
+    """Append `name` to `order` after its dependencies. Not a closure: a
+    recursive one is a reference cycle, left to the cyclic collector."""
+    mark = state.get(name, 0)
+    if mark == 2:
+        return
+    if mark == 1:
+        raise CycleError(path[path.index(name):] + [name])
+    state[name] = 1
+    path.append(name)
+    for dep in deps[name]:
+        _visit(dep, path, deps, state, order)
+    path.pop()
+    state[name] = 2
+    order.append(name)

@@ -364,7 +364,7 @@ def parse_scenario(text: str) -> Scenario:
     initials: dict[str, float] = {}
     events: dict[str, tuple[float | None, float | None]] = {}
     description = ""
-    while not (parser.peek().kind == "punct" and parser.peek().text == "}"):
+    while not parser.at_punct("}"):
         if parser.take_keyword("set"):
             pname = parser.expect_ident("parameter name").text
             parser.expect_punct("=")

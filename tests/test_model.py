@@ -4,6 +4,7 @@ generated evaluator."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import random
 import struct
@@ -29,6 +30,7 @@ from sfdsim import (
     StockDef,
     UnitError,
     UnknownSymbolError,
+    build_baseline,
     parse_expression,
     run_simulation,
     validate_model,
@@ -193,6 +195,12 @@ class TestEvaluationOrder:
             for dep in variables(vm.expressions[name]):
                 if dep in vm.expressions:
                     assert position[dep] < position[name]
+
+    def test_sorting_leaves_no_reference_cycle(self, gc_off):
+        validate_model(build_baseline())  # warm the compile caches
+        gc.collect()
+        validate_model(build_baseline())
+        assert gc.collect() == 0
 
 
 class TestOverrides:

@@ -4,7 +4,9 @@ the cache of compiled loops."""
 from __future__ import annotations
 
 import dataclasses
+import re
 import struct
+import types
 import weakref
 
 import pytest
@@ -100,6 +102,15 @@ HAND_MODELS = {
         event move every 3 start 2 {
           S -= out + half / 4 + t / 100 + noise(5)
           R += out * 2 + noise(5)
+        }
+      }"""),
+    # The action reads an auxiliary that draws noise, at the firing's draw.
+    "event_reads_noise": parse_model("""model Wet {
+        stock S = 10
+        aux wet = 1 + noise(0.5)
+        flow out : S -> = 0.1 * S * wet
+        event top every 4 {
+          S += wet
         }
       }"""),
     # Both events fire on steps 4 and 8; the second reads what the first moved.
@@ -307,6 +318,37 @@ class TestNoiseDraws:
         draws.clear()
         run_simulation(spec, config)
         assert draws == expected == list(range(366))
+
+    def test_each_day_drawn_once(self, draws):
+        # At dt = 0.7 an RK4 end stage's time t + dt can floor one day past
+        # the next step's time, so the reference's lazy draw redraws days.
+        spec = (build_baseline().with_params({"NoiseStdDev": 1.5})
+                .with_event_schedule("pickup", start=7.0, interval=7.0))
+        config = SimConfig(t_end=70.0, dt=0.7, method="rk4")
+        expected = outcome(reference_run, spec, config)
+        reference_days = list(draws)
+        draws.clear()
+        assert outcome(run_simulation, spec, config) == expected
+        assert draws == sorted(set(reference_days))
+        assert len(draws) < len(reference_days)
+
+    def test_no_noise_shares_one_list_of_zeros(self, draws):
+        g0, gm, ge = engine._noise_draws(False, SimConfig(t_end=10.0, method="rk4"), 10)
+        assert g0 is gm is ge
+        assert g0 == [0.0] * 11
+        assert draws == []
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_loop_keeps_no_noise_state(self, method):
+        source = engine.segment_source(*engine._topology(validate_model(build_baseline()), method))
+        assert not any(word in source for word in ("noisy", "gauss", "seed", "noise_day", "floor"))
+        stages = ["g0[n]"] if method == "euler" else ["g0[n]", "gm[n]", "gm[n]", "ge[n]"]
+        assert re.findall(r"evaluate\(\w+, (\w+\[n\])", source) == stages
+        # The run defines no nested function, so no closure keeps noise state.
+        code = run_simulation.__code__
+        assert code.co_cellvars == ()
+        assert all(c.co_name in ("<listcomp>", "<genexpr>", "<dictcomp>")
+                   for c in code.co_consts if isinstance(c, types.CodeType))
 
 
 def counting_evaluator(vm, calls):
