@@ -127,14 +127,13 @@ def cmd_simulate(args) -> int:
     spec, source, scenarios = _load(args)
     traj = run_simulation(spec, _config(args))
     csv_text = traj.to_csv()
+    if args.events_out:
+        Path(args.events_out).write_text(traj.events_to_csv())
     if not args.out:
         sys.stdout.write(csv_text)
         return 0
     Path(args.out).write_text(csv_text)
-    outputs = [args.out]
-    if args.events_out:
-        Path(args.events_out).write_text(traj.events_to_csv())
-        outputs.append(args.events_out)
+    outputs = [path for path in (args.out, args.events_out) if path]
     manifest = _write_manifest(args, "simulate", spec, source, scenarios, outputs)
     for path in outputs + [manifest]:
         print(f"wrote {path}")

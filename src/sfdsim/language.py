@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import expr as ex
 from .errors import ParseError
@@ -73,8 +74,7 @@ _TOKEN = re.compile(
 _PLAIN = frozenset(("ident", "number", "punct"))
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "number", "punct", "unit", "string", "eof"
     text: str
     line: int

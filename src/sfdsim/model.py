@@ -7,10 +7,11 @@ undefined references, dependency cycles, and unit mismatches, and returns a
 generated code the engine runs, bound to the parameters: the evaluator,
 the event actions and whether noise is drawn. The generated code names
 its own faults, so nothing walks an expression tree after validation.
-Parameter and schedule variants of a validated model
-(`ValidatedModel.with_params`, `ValidatedModel.with_event_schedule`)
-share its structure and source, and check only the fields they change; a
-parameter variant binds the cached compiled code to its own values.
+Parameter, initial value and schedule variants of a validated model
+(`ValidatedModel.with_params`, `ValidatedModel.with_initial`,
+`ValidatedModel.with_event_schedule`) share its structure and source, and
+check only the fields they change; a parameter variant binds the cached
+compiled code to its own values.
 """
 
 from __future__ import annotations
@@ -184,9 +185,9 @@ class ValidatedModel:
     - `draws_noise` is whether some `noise()` scale can be non-zero; if
       not, the engine skips the daily draws and runs with g = 0.
 
-    `with_params` and `with_event_schedule` make variants that share this
-    model's structure and source; only the changed fields are checked
-    again.
+    `with_params`, `with_initial` and `with_event_schedule` make variants
+    that share this model's structure and source; only the changed fields
+    are checked again.
     """
 
     spec: ModelSpec
@@ -211,6 +212,18 @@ class ValidatedModel:
         evaluator, actions, noisy = _compile_evaluator(self.source)(*params.values())
         return replace(self, spec=spec, params=params, evaluator=evaluator, actions=actions,
                        draws_noise=noisy)
+
+    def with_initial(self, overrides: dict[str, float]) -> ValidatedModel:
+        """Variant with the given stock initial values replaced.
+
+        Raises what `validate_model` would for the copied spec: an unknown
+        name is an UnknownSymbolError, a non-finite value a ModelError. The
+        generated code never reads initial values, so the variant keeps it.
+        """
+        spec = self.spec.with_initial(overrides)
+        for s in spec.stocks:
+            _check_initial(s)
+        return replace(self, spec=spec, stocks={s.name: s for s in spec.stocks})
 
     def with_event_schedule(self, name: str, start: float | None = None,
                             interval: float | None = None) -> ValidatedModel:
@@ -302,6 +315,11 @@ def _checked_params(spec: ModelSpec) -> dict[str, float]:
     return params
 
 
+def _check_initial(stock: StockDef) -> None:
+    if not math.isfinite(stock.initial):
+        raise ModelError(f"stock '{stock.name}' has non-finite initial value")
+
+
 def _check_schedule(event: EventDef) -> None:
     if not (math.isfinite(event.start) and math.isfinite(event.interval)):
         raise ModelError(f"event '{event.name}' has a non-finite schedule")
@@ -333,8 +351,7 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         expressions[f.name] = f.expression
 
     for s in spec.stocks:
-        if not math.isfinite(s.initial):
-            raise ModelError(f"stock '{s.name}' has non-finite initial value")
+        _check_initial(s)
     params = _checked_params(spec)
 
     known = seen | {"t"}

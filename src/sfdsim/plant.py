@@ -19,66 +19,76 @@ Structure:
   fixed cost per truck trip plus a per-kg disposal fee).
 
 The model itself is the shipped model file `fixtures/baseline.sfd`;
-`build_baseline` parses it and sets its parameters from the groups below,
-which carry the default values. All magnitudes are plain floats in day
-units, so any of them can be overridden per scenario.
+`build_baseline` parses it and sets its parameters from the groups below.
+Each group field declares, once, its default value, the model parameter
+it sets and its range rule. `temperature` evaluates the model's own
+`temperature` auxiliary rather than a copy of its formula. All magnitudes
+are plain floats in day units, so any of them can be overridden per
+scenario.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cache
 from importlib import resources
 
 from .engine import Trajectory
 from .errors import InvalidParameterError
 from .expr import daily_gauss
 from .language import parse_model
-from .model import ModelSpec
+from .model import ModelSpec, ValidatedModel, validate_model
+
+
+def _knob(default: float, param: str | None, rule: str | None = None):
+    """A group field with its default, the model parameter it sets (None
+    for none) and its range rule: "positive", "non-negative" or None."""
+    return field(default=default, metadata={"param": param, "rule": rule})
 
 
 @dataclass(frozen=True, slots=True)
 class PlantParams:
     """Physical plant: pond geometry, production, settling."""
 
-    total_capacity_m3: float = 18000.0
-    base_capacity_m3: float = 18000.0
-    ethanol_production_l_day: float = 8000.0
-    vinasse_per_ethanol: float = 12.5
-    pond_area_m2: float = 5000.0
-    evap_coefficient: float = 0.004
-    evap_temp_slope: float = 0.05
-    reference_temp_c: float = 16.0
-    sludge_yield_kg_m3: float = 1.0
-    sludge_density_kg_m3: float = 400.0
+    total_capacity_m3: float = _knob(18000.0, "TotalCapacity", "positive")
+    base_capacity_m3: float = _knob(18000.0, "BaseCapacity", "positive")
+    ethanol_production_l_day: float = _knob(8000.0, "EthanolProduction", "positive")
+    vinasse_per_ethanol: float = _knob(12.5, "VinassePerEthanol", "positive")
+    pond_area_m2: float = _knob(5000.0, "PondArea", "positive")
+    evap_coefficient: float = _knob(0.004, "KEvap", "positive")
+    evap_temp_slope: float = _knob(0.05, "Alpha")
+    reference_temp_c: float = _knob(16.0, "TRef")
+    sludge_yield_kg_m3: float = _knob(1.0, "Sigma", "positive")
+    sludge_density_kg_m3: float = _knob(400.0, "SludgeDensity", "positive")
 
 
 @dataclass(frozen=True, slots=True)
 class TemperatureProfile:
     """Sinusoidal annual temperature with optional daily noise."""
 
-    mean_c: float = 16.0
-    amplitude_c: float = 6.0
-    phase_days: float = 0.0
-    noise_std_c: float = 0.0
+    mean_c: float = _knob(16.0, "TMean")
+    amplitude_c: float = _knob(6.0, "TAmp", "non-negative")
+    phase_days: float = _knob(0.0, "TPhase")
+    noise_std_c: float = _knob(0.0, "NoiseStdDev", "non-negative")
 
 
 @dataclass(frozen=True, slots=True)
 class CoagulantResponse:
     """Settling enhancement from coagulant dosing, saturating in dose."""
 
-    dose_g_m3: float = 0.0
-    eta_max: float = 0.8
-    half_dose_g_m3: float = 20.0
+    dose_g_m3: float = _knob(0.0, "Dose", "non-negative")
+    eta_max: float = _knob(0.8, "EtaMax", "non-negative")
+    half_dose_g_m3: float = _knob(20.0, "KHalf", "positive")
 
 
 @dataclass(frozen=True, slots=True)
 class TransportPolicy:
     """Sludge pickup schedule and truck fleet."""
 
-    interval_days: float = 30.0
-    truck_capacity_kg: float = 3000.0
-    trucks_per_pickup: float = 1.0
+    interval_days: float = _knob(30.0, None, "positive")  # the pickup schedule
+    truck_capacity_kg: float = _knob(3000.0, "TruckCapacityKg", "positive")
+    trucks_per_pickup: float = _knob(1.0, "TrucksPerPickup", "positive")
     start_day: float | None = None  # defaults to the first interval
 
 
@@ -86,60 +96,19 @@ class TransportPolicy:
 class CostParams:
     """Cost rates and the budget threshold used for feasibility checks."""
 
-    trip_fixed: float = 50000.0
-    per_kg: float = 10.0
-    coagulant_unit: float = 5.0
-    op_per_m3_day: float = 2.0
-    capex_per_m3: float = 1000.0
-    amortization_days: float = 3650.0
-    cost_threshold: float = 20000000.0
+    trip_fixed: float = _knob(50000.0, "TripFixedCost", "non-negative")
+    per_kg: float = _knob(10.0, "PerKgCost", "non-negative")
+    coagulant_unit: float = _knob(5.0, "CoagulantUnitCost", "non-negative")
+    op_per_m3_day: float = _knob(2.0, "OpCostPerM3Day", "non-negative")
+    capex_per_m3: float = _knob(1000.0, "CapexPerM3", "non-negative")
+    amortization_days: float = _knob(3650.0, "AmortDays", "positive")
+    cost_threshold: float = _knob(20000000.0, "CostThreshold", "non-negative")
 
 
-def _check_parameters(plant: PlantParams, temperature: TemperatureProfile,
-                      coagulant: CoagulantResponse, transport: TransportPolicy,
-                      costs: CostParams, allow_unusual_ratio: bool) -> None:
-    positive = {
-        "total_capacity_m3": plant.total_capacity_m3,
-        "base_capacity_m3": plant.base_capacity_m3,
-        "ethanol_production_l_day": plant.ethanol_production_l_day,
-        "vinasse_per_ethanol": plant.vinasse_per_ethanol,
-        "pond_area_m2": plant.pond_area_m2,
-        "evap_coefficient": plant.evap_coefficient,
-        "sludge_yield_kg_m3": plant.sludge_yield_kg_m3,
-        "sludge_density_kg_m3": plant.sludge_density_kg_m3,
-        "half_dose_g_m3": coagulant.half_dose_g_m3,
-        "interval_days": transport.interval_days,
-        "truck_capacity_kg": transport.truck_capacity_kg,
-        "trucks_per_pickup": transport.trucks_per_pickup,
-        "amortization_days": costs.amortization_days,
-    }
-    for field_name, value in positive.items():
-        if not value > 0.0:
-            raise InvalidParameterError(field_name, f"must be positive, got {value:g}")
-    nonnegative = {
-        "amplitude_c": temperature.amplitude_c,
-        "noise_std_c": temperature.noise_std_c,
-        "dose_g_m3": coagulant.dose_g_m3,
-        "eta_max": coagulant.eta_max,
-        "trip_fixed": costs.trip_fixed,
-        "per_kg": costs.per_kg,
-        "coagulant_unit": costs.coagulant_unit,
-        "op_per_m3_day": costs.op_per_m3_day,
-        "capex_per_m3": costs.capex_per_m3,
-        "cost_threshold": costs.cost_threshold,
-    }
-    for field_name, value in nonnegative.items():
-        if not value >= 0.0:
-            raise InvalidParameterError(field_name, f"must not be negative, got {value:g}")
-    if transport.start_day is not None and not transport.start_day >= 0.0:
-        raise InvalidParameterError("start_day",
-                                    f"must not be negative, got {transport.start_day:g}")
-    if not allow_unusual_ratio and not 10.0 <= plant.vinasse_per_ethanol <= 15.0:
-        raise InvalidParameterError(
-            "vinasse_per_ethanol",
-            f"{plant.vinasse_per_ethanol:g} is outside the usual 10-15 L/L range; "
-            "pass allow_unusual_ratio=True to build anyway",
-        )
+def _settings(group) -> dict[str, float]:
+    """The model parameter values that `group`'s fields set, by name."""
+    return {f.metadata["param"]: getattr(group, f.name)
+            for f in fields(group) if f.metadata.get("param")}
 
 
 def build_baseline(
@@ -152,60 +121,58 @@ def build_baseline(
 ) -> ModelSpec:
     """The shipped treatment pond model with the given parameter groups.
 
-    Parses `fixtures/baseline.sfd` and sets each group value on its named
-    model parameter, so scenarios can override any of them without
+    Parses `fixtures/baseline.sfd` and sets each group field on the model
+    parameter it names, so scenarios can override any of them without
     rebuilding. The transport policy's interval and start day become the
     schedule of the `pickup` event; scenarios reschedule it by name.
-    Group values are range-checked up front; a vinasse yield outside the
-    usual 10-15 L per L of ethanol additionally requires
+    Each field is range-checked by its rule, in group order; a vinasse
+    yield outside the usual 10-15 L per L of ethanol additionally requires
     `allow_unusual_ratio=True`.
     """
-    _check_parameters(plant, temperature, coagulant, transport, costs,
-                      allow_unusual_ratio)
+    overrides: dict[str, float] = {}
+    for group in (plant, temperature, coagulant, transport, costs):
+        for f in fields(group):
+            value, rule = getattr(group, f.name), f.metadata.get("rule")
+            if rule == "positive" and not value > 0.0:
+                raise InvalidParameterError(f.name, f"must be positive, got {value:g}")
+            if rule == "non-negative" and not value >= 0.0:
+                raise InvalidParameterError(f.name, f"must not be negative, got {value:g}")
+        overrides |= _settings(group)
+    if transport.start_day is not None and not transport.start_day >= 0.0:
+        raise InvalidParameterError("start_day",
+                                    f"must not be negative, got {transport.start_day:g}")
+    if not allow_unusual_ratio and not 10.0 <= plant.vinasse_per_ethanol <= 15.0:
+        raise InvalidParameterError(
+            "vinasse_per_ethanol",
+            f"{plant.vinasse_per_ethanol:g} is outside the usual 10-15 L/L range; "
+            "pass allow_unusual_ratio=True to build anyway",
+        )
     text = (resources.files(__package__) / "fixtures" / "baseline.sfd").read_text()
     start = transport.start_day if transport.start_day is not None else transport.interval_days
-    return parse_model(text).with_params({
-        "TotalCapacity": plant.total_capacity_m3,
-        "BaseCapacity": plant.base_capacity_m3,
-        "EthanolProduction": plant.ethanol_production_l_day,
-        "VinassePerEthanol": plant.vinasse_per_ethanol,
-        "PondArea": plant.pond_area_m2,
-        "KEvap": plant.evap_coefficient,
-        "Alpha": plant.evap_temp_slope,
-        "TRef": plant.reference_temp_c,
-        "Sigma": plant.sludge_yield_kg_m3,
-        "SludgeDensity": plant.sludge_density_kg_m3,
-        "TMean": temperature.mean_c,
-        "TAmp": temperature.amplitude_c,
-        "TPhase": temperature.phase_days,
-        "NoiseStdDev": temperature.noise_std_c,
-        "Dose": coagulant.dose_g_m3,
-        "EtaMax": coagulant.eta_max,
-        "KHalf": coagulant.half_dose_g_m3,
-        "TruckCapacityKg": transport.truck_capacity_kg,
-        "TrucksPerPickup": transport.trucks_per_pickup,
-        "TripFixedCost": costs.trip_fixed,
-        "PerKgCost": costs.per_kg,
-        "CoagulantUnitCost": costs.coagulant_unit,
-        "OpCostPerM3Day": costs.op_per_m3_day,
-        "CapexPerM3": costs.capex_per_m3,
-        "AmortDays": costs.amortization_days,
-        "CostThreshold": costs.cost_threshold,
-    }).with_event_schedule("pickup", start=start, interval=transport.interval_days)
+    return parse_model(text).with_params(overrides).with_event_schedule(
+        "pickup", start=start, interval=transport.interval_days)
+
+
+@cache
+def _validated_baseline() -> ValidatedModel:
+    return validate_model(build_baseline())
 
 
 def temperature(t: float, profile: TemperatureProfile = TemperatureProfile(),
                 seed: int = 0) -> float:
-    """Ambient temperature at time `t` in days.
+    """Ambient temperature at time `t` in days: the built-in model's
+    `temperature` auxiliary, evaluated at `t` with the profile's values.
 
-    Mirrors the model's `temperature` auxiliary bit for bit: the same
-    sinusoid and the same per-day noise draw keyed by (seed, floor(t)), so
-    every evaluation within one day returns the same value.
+    The per-day noise draw is keyed by (seed, floor(t)) as in a run, so
+    every evaluation within one day returns the same value. Raises
+    ModelError for a non-finite profile value and NonFiniteError for a
+    non-finite `t` or result, as a run would.
     """
-    base = profile.mean_c + profile.amplitude_c * math.sin(
-        6.283185307179586 * (t - profile.phase_days) / 365
-    )
-    return base + profile.noise_std_c * daily_gauss(seed, math.floor(t))
+    vm = _validated_baseline().with_params(_settings(profile))
+    spec = vm.spec
+    g = daily_gauss(seed, math.floor(t)) if vm.draws_noise and math.isfinite(t) else 0.0
+    values = vm.evaluator(t, g, *(s.initial for s in spec.stocks))
+    return values[len(spec.flows) + [a.name for a in spec.auxiliaries].index("temperature")]
 
 
 def saturation_time(traj: Trajectory) -> float | None:

@@ -15,9 +15,10 @@ On top of plain scenario runs this module provides:
   observed series.
 * `run_sweep`: one-parameter sweeps, one run per value in input order.
 
-The policy search, calibration and sweeps validate the model once and run
-each grid point, evaluation or value as a variant of that validated model
-(`ValidatedModel.with_params`, `ValidatedModel.with_event_schedule`), so
+The scenario comparison, policy search, calibration and sweeps validate
+the model once and run each scenario, grid point, evaluation or value as
+a variant of that validated model (`ValidatedModel.with_params`,
+`ValidatedModel.with_initial`, `ValidatedModel.with_event_schedule`), so
 they share its evaluation order and generated code.
 
 Scenario files use a small text format sharing the expression-language
@@ -34,12 +35,16 @@ lexer; semicolons between directives are optional:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .engine import SimConfig, Trajectory, run_simulation
 from .errors import NoFeasiblePolicyError
 from .language import _Parser, tokenize
-from .model import ModelSpec, validate_model
+from .model import ModelSpec, ValidatedModel, validate_model
 from .plant import summarize
+
+
+AnyModel = TypeVar("AnyModel", ModelSpec, ValidatedModel)
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,9 @@ class Scenario:
     description: str = ""
 
 
-def apply_scenario(spec: ModelSpec, scenario: Scenario) -> ModelSpec:
-    """Model copy with one scenario's overrides applied."""
+def apply_scenario(spec: AnyModel, scenario: Scenario) -> AnyModel:
+    """Model copy with one scenario's overrides applied; a validated
+    model gives a validated variant, checked as `validate_model` would."""
     out = spec
     if scenario.params:
         out = out.with_params(scenario.params)
@@ -66,7 +72,8 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario) -> ModelSpec:
     return out
 
 
-def apply_scenarios(spec: ModelSpec, scenarios: list[Scenario] | tuple[Scenario, ...]) -> ModelSpec:
+def apply_scenarios(spec: AnyModel,
+                    scenarios: list[Scenario] | tuple[Scenario, ...]) -> AnyModel:
     """Apply scenarios left to right; later overrides win on conflict."""
     out = spec
     for sc in scenarios:
@@ -85,7 +92,7 @@ class ScenarioResult:
     deltas: dict[str, float] = field(default_factory=dict)
 
 
-def run_scenario(spec: ModelSpec, scenario: Scenario, config: SimConfig) -> ScenarioResult:
+def run_scenario(spec: AnyModel, scenario: Scenario, config: SimConfig) -> ScenarioResult:
     traj = run_simulation(apply_scenario(spec, scenario), config)
     return ScenarioResult(name=scenario.name, trajectory=traj, metrics=summarize(traj))
 
@@ -99,12 +106,14 @@ def compare_to_baseline(
 
     Returns the baseline result first, then one result per scenario in
     input order, each carrying metric deltas relative to the baseline.
+    The model is validated once; each scenario runs as a variant of it.
     """
-    base_traj = run_simulation(spec, config)
+    vm = validate_model(spec)
+    base_traj = run_simulation(vm, config)
     base = ScenarioResult("baseline", base_traj, summarize(base_traj))
     results = [base]
     for sc in scenarios:
-        res = run_scenario(spec, sc, config)
+        res = run_scenario(vm, sc, config)
         deltas = {
             key: res.metrics[key] - base.metrics[key]
             for key in res.metrics

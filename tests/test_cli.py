@@ -63,6 +63,21 @@ class TestSimulate:
         assert manifest["outputs"] == sorted([str(out), str(events)])
         assert manifest["model"]["parameters"]["Dose"] == 0.0
 
+    def test_events_out_without_out(self, tmp_path, capsys):
+        argv = ["simulate", "--t-end", "65"]
+        assert main([*argv, "--out", str(tmp_path / "run.csv"),
+                     "--events-out", str(tmp_path / "with_out.csv")]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        events = tmp_path / "alone.csv"
+        assert main([*argv, "--events-out", str(events)]) == 0
+        assert capsys.readouterr().out == plain
+        assert events.read_text() == (tmp_path / "with_out.csv").read_text()
+        assert events.read_text().count("\n") > 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "alone.csv", "run.csv", "run.manifest.json", "with_out.csv"]
+
     def test_scenario_flag_applies_overrides(self, tmp_path, fixtures_dir):
         out = tmp_path / "dosed.csv"
         rc = main([

@@ -408,8 +408,9 @@ EVENT_SEEDS = [seed for seed in VARIANT_SEEDS if variant_case(seed)[2] is not No
 
 
 class TestValidatedVariants:
-    """`ValidatedModel.with_params` and `with_event_schedule` rebind one
-    validated structure; each must equal `validate_model` of the copied spec."""
+    """`ValidatedModel.with_params`, `with_initial` and `with_event_schedule`
+    rebind one validated structure; each must equal `validate_model` of the
+    copied spec."""
 
     @pytest.mark.parametrize("seed", VARIANT_SEEDS)
     def test_with_params_equals_revalidation(self, seed):
@@ -432,6 +433,32 @@ class TestValidatedVariants:
         moved = bound.with_event_schedule(event, start=14.0, interval=14.0)
         assert moved.evaluator is evaluator
         assert moved.actions is bound.actions
+
+    @pytest.mark.parametrize("seed", VARIANT_SEEDS)
+    def test_with_initial_equals_revalidation(self, seed):
+        spec, _, _ = variant_case(seed)
+        overrides = {s.name: 123.5 + i for i, s in enumerate(spec.stocks[::2])}
+        vm = validate_model(spec)
+        variant = vm.with_initial(overrides)
+        expected = validate_model(spec.with_initial(overrides))
+        same_model(variant, expected)
+        assert variant.stocks == expected.stocks
+        assert list(variant.stocks) == list(expected.stocks)
+        assert variant.evaluator is vm.evaluator and variant.actions is vm.actions
+        same_model(vm, validate_model(spec))
+
+    @pytest.mark.parametrize("overrides", [
+        {"Missing": 1.0},
+        {"Tank": math.nan},
+        {"Tank": -math.inf},
+        {"Spill": math.inf, "Tank": math.nan},
+        {"Spill": math.nan, "Missing": 1.0},
+    ])
+    def test_bad_initials_raise_as_validation_does(self, overrides):
+        spec = tiny_model(stocks=(StockDef("Tank", 10.0, "m3"), StockDef("Spill", 0.0, "m3")))
+        expected = raised(lambda: validate_model(spec.with_initial(overrides)))
+        assert expected is not None
+        assert raised(lambda: validate_model(spec).with_initial(overrides)) == expected
 
     def test_noise_turns_on_and_off_with_its_scale(self, baseline_spec):
         vm = validate_model(baseline_spec)

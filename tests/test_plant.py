@@ -13,6 +13,8 @@ from sfdsim import (
     CoagulantResponse,
     CostParams,
     InvalidParameterError,
+    ModelError,
+    NonFiniteError,
     PlantParams,
     SimConfig,
     TemperatureProfile,
@@ -121,14 +123,36 @@ class TestTemperature:
         assert temperature(3.2, flat, seed=7) == temperature(3.9, flat, seed=7)
         assert temperature(3.9, flat, seed=7) != temperature(4.1, flat, seed=7)
 
-    def test_matches_model_auxiliary_bitwise(self):
-        profile = TemperatureProfile(noise_std_c=1.5)
-        spec = build_baseline(temperature=profile)
-        traj = run_simulation(spec, SimConfig(t_end=30.0, seed=7))
-        assert all(
-            value == temperature(t, profile, seed=7)
-            for t, value in zip(traj.times, traj.column("temperature"))
-        )
+    @pytest.mark.parametrize("profile, config", [
+        (TemperatureProfile(noise_std_c=1.5), SimConfig(t_end=30.0, seed=7)),
+        (TemperatureProfile(amplitude_c=-4.0, noise_std_c=0.5), SimConfig(t_end=30.0, seed=3)),
+        (TemperatureProfile(mean_c=0.0, amplitude_c=0.0), SimConfig(t_end=30.0, seed=7)),
+        (TemperatureProfile(phase_days=40.5, noise_std_c=1.5), SimConfig(t_end=30.0, seed=11)),
+        (TemperatureProfile(mean_c=20.0, noise_std_c=2.0),
+         SimConfig(t_end=30.0, dt=0.5, method="rk4", seed=5)),
+    ], ids=["noisy", "negative-amplitude", "zero-noise", "phase", "rk4-half-days"])
+    def test_matches_model_auxiliary_bitwise(self, profile, config):
+        # Built through with_params: a negative amplitude fails the group's range check.
+        spec = build_baseline().with_params({
+            GROUP_PARAMETERS[("temperature", f.name)]: getattr(profile, f.name)
+            for f in dataclasses.fields(profile)
+        })
+        traj = run_simulation(spec, config)
+        assert len(traj.row_times) == 1 + round(config.t_end / config.dt)
+        assert [float.hex(value) for value in traj.series("temperature")] == [
+            float.hex(temperature(t, profile, seed=config.seed)) for t in traj.row_times
+        ]
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("noise", [0.0, 1.5])
+    def test_non_finite_time_is_named(self, t, noise):
+        with pytest.raises(NonFiniteError) as err:
+            temperature(t, TemperatureProfile(noise_std_c=noise))
+        assert err.value.name == "temperature"
+
+    def test_non_finite_profile_value_is_rejected(self):
+        with pytest.raises(ModelError, match="TAmp"):
+            temperature(1.0, TemperatureProfile(amplitude_c=math.inf))
 
 
 class TestCosts:
@@ -324,6 +348,18 @@ class TestParameterValidation:
         with pytest.raises(InvalidParameterError) as err:
             build_baseline(plant=PlantParams(vinasse_per_ethanol=20.0))
         assert err.value.field == "vinasse_per_ethanol"
+
+    def test_field_without_parameter_is_range_checked(self):
+        with pytest.raises(InvalidParameterError) as err:
+            build_baseline(transport=TransportPolicy(interval_days=0.0))
+        assert err.value.field == "interval_days"
+        assert "positive" in str(err.value)
+
+    def test_first_invalid_field_in_group_order(self):
+        with pytest.raises(InvalidParameterError) as err:
+            build_baseline(temperature=TemperatureProfile(amplitude_c=-1.0),
+                           coagulant=CoagulantResponse(half_dose_g_m3=0.0))
+        assert err.value.field == "amplitude_c"
 
     def test_unusual_ratio_allowed_when_flagged(self):
         spec = build_baseline(

@@ -373,3 +373,20 @@ class TestValidateOnce:
         result = calibrate(baseline_spec, problem, year_config, max_passes=3)
         assert result.evaluations > 3
         assert validations == [baseline_spec]
+
+    def test_scenario_comparison(self, baseline_spec, year_config, fixtures_dir, validations):
+        scenarios = [parse_scenario(path.read_text())
+                     for path in sorted(fixtures_dir.glob("*.scn"))]
+        assert all(not sc.initials for sc in scenarios)
+        scenarios.append(parse_scenario("scenario Seeded { initial AccumulatedSludge = 500 }"))
+        results = compare_to_baseline(baseline_spec, scenarios, year_config)
+        assert validations == [baseline_spec]
+        assert results[-1].trajectory.at("AccumulatedSludge", 0.0) == 500.0
+
+        def bits(traj):
+            return ([float.hex(t) for t in traj.row_times],
+                    [[float.hex(v) for v in row] for row in traj.rows], traj.events)
+
+        for result, sc in zip(results, [Scenario("baseline"), *scenarios], strict=True):
+            alone = run_simulation(apply_scenario(baseline_spec, sc), year_config)
+            assert bits(result.trajectory) == bits(alone)
