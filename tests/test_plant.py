@@ -123,15 +123,23 @@ class TestTemperature:
         assert temperature(3.2, flat, seed=7) == temperature(3.9, flat, seed=7)
         assert temperature(3.9, flat, seed=7) != temperature(4.1, flat, seed=7)
 
+    def test_matches_model_auxiliary_bitwise(self):
+        profile = TemperatureProfile(noise_std_c=1.5)
+        spec = build_baseline(temperature=profile)
+        traj = run_simulation(spec, SimConfig(t_end=30.0, seed=7))
+        assert all(
+            value == temperature(t, profile, seed=7)
+            for t, value in zip(traj.times, traj.column("temperature"))
+        )
+
     @pytest.mark.parametrize("profile, config", [
-        (TemperatureProfile(noise_std_c=1.5), SimConfig(t_end=30.0, seed=7)),
         (TemperatureProfile(amplitude_c=-4.0, noise_std_c=0.5), SimConfig(t_end=30.0, seed=3)),
         (TemperatureProfile(mean_c=0.0, amplitude_c=0.0), SimConfig(t_end=30.0, seed=7)),
         (TemperatureProfile(phase_days=40.5, noise_std_c=1.5), SimConfig(t_end=30.0, seed=11)),
         (TemperatureProfile(mean_c=20.0, noise_std_c=2.0),
          SimConfig(t_end=30.0, dt=0.5, method="rk4", seed=5)),
-    ], ids=["noisy", "negative-amplitude", "zero-noise", "phase", "rk4-half-days"])
-    def test_matches_model_auxiliary_bitwise(self, profile, config):
+    ], ids=["negative-amplitude", "zero-noise", "phase", "rk4-half-days"])
+    def test_profiles_match_model_auxiliary_bitwise(self, profile, config):
         # Built through with_params: a negative amplitude fails the group's range check.
         spec = build_baseline().with_params({
             GROUP_PARAMETERS[("temperature", f.name)]: getattr(profile, f.name)
