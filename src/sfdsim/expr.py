@@ -262,31 +262,36 @@ CODEGEN_GLOBALS: dict[str, object] = {
 }
 
 
-def python_source(expr: Expr, local: Callable[[str], str]) -> str:
+def python_source(expr: Expr, local: Callable[[str], str],
+                  hoisted: dict[int, str] | None = None) -> str:
     """Python expression text equivalent to `expr`.
 
     Variables become the names `local(name)` returns; `t` and `g` stay free,
-    as do the builtins and `CODEGEN_GLOBALS`. The text mirrors
-    `eval_expression` operation for operation, so the two cannot drift
-    apart numerically.
+    as do the builtins and `CODEGEN_GLOBALS`. A subtree whose `id` is a key
+    of `hoisted` becomes that name instead: a value computed elsewhere from
+    the subtree's own text. The text mirrors `eval_expression` operation
+    for operation, so the two cannot drift apart numerically.
     """
+    if hoisted and id(expr) in hoisted:
+        return hoisted[id(expr)]
     if isinstance(expr, Num):
         return repr(expr.value)
     if isinstance(expr, Var):
         return "t" if expr.name == "t" else local(expr.name)
     if isinstance(expr, BinOp):
         if expr.op in COMPARISONS:
-            return f"(1.0 if {_condition(expr, local)} else 0.0)"
-        a = python_source(expr.left, local)
-        b = python_source(expr.right, local)
+            return f"(1.0 if {_condition(expr, local, hoisted)} else 0.0)"
+        a = python_source(expr.left, local, hoisted)
+        b = python_source(expr.right, local, hoisted)
         if expr.op == "^":
             return f"pow({a}, {b})"
         return f"({a} {expr.op} {b})"
     if isinstance(expr, Call):
         if expr.fn == "if":
-            return (f"({python_source(expr.args[1], local)} if {_condition(expr.args[0], local)}"
-                    f" else {python_source(expr.args[2], local)})")
-        args = [python_source(a, local) for a in expr.args]
+            return (f"({python_source(expr.args[1], local, hoisted)}"
+                    f" if {_condition(expr.args[0], local, hoisted)}"
+                    f" else {python_source(expr.args[2], local, hoisted)})")
+        args = [python_source(a, local, hoisted) for a in expr.args]
         fn = expr.fn
         if fn in ("min", "max"):
             return f"{fn}({args[0]}, {args[1]})"
@@ -304,15 +309,34 @@ def python_source(expr: Expr, local: Callable[[str], str]) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _condition(expr: Expr, local: Callable[[str], str]) -> str:
+def _condition(expr: Expr, local: Callable[[str], str], hoisted: dict[int, str] | None) -> str:
     """Python test that holds exactly when `expr` is non-zero, as `if()`
-    reads its condition. A comparison is tested directly: its 1.0/0.0
-    indicator is non-zero exactly when it holds."""
-    if isinstance(expr, BinOp) and expr.op in COMPARISONS:
-        a = python_source(expr.left, local)
-        b = python_source(expr.right, local)
+    reads its condition. A comparison is tested directly, unless it is
+    hoisted: its 1.0/0.0 indicator is non-zero exactly when it holds."""
+    if (isinstance(expr, BinOp) and expr.op in COMPARISONS
+            and not (hoisted and id(expr) in hoisted)):
+        a = python_source(expr.left, local, hoisted)
+        b = python_source(expr.right, local, hoisted)
         return f"{a} {expr.op} {b}"
-    return f"{python_source(expr, local)} != 0.0"
+    return f"{python_source(expr, local, hoisted)} != 0.0"
+
+
+def invariant(expr: Expr, fixed: set[str], out: dict[int, Expr]) -> bool:
+    """Whether `expr` reads only names in `fixed`, and neither `t` nor
+    `noise()`. If it does not, each maximal operator or call subtree of it
+    that does is added to `out`, keyed by its `id`."""
+    if isinstance(expr, Num):
+        return True
+    if isinstance(expr, Var):
+        return expr.name in fixed
+    children = (expr.left, expr.right) if isinstance(expr, BinOp) else expr.args
+    flags = [invariant(child, fixed, out) for child in children]
+    if all(flags) and not (isinstance(expr, Call) and expr.fn == "noise"):
+        return True
+    for child, flag in zip(children, flags):
+        if flag and isinstance(child, (BinOp, Call)):
+            out[id(child)] = child
+    return False
 
 
 _MASK64 = (1 << 64) - 1

@@ -179,6 +179,10 @@ class ValidatedModel:
       declaration order, for stock values in declaration order. It raises
       only NonFiniteError, naming the variable and `t`, for a value that is
       not finite or an arithmetic fault.
+    - `bind` computes the values that read only parameters once, and the
+      evaluator reads them. One that faults in `bind` stays unbound; the
+      evaluator raises for it only where it reads it, naming the variable
+      that reads it and `t`, as if it had computed the value itself.
     - Per event, `act(t, x, evaluate)` gives its action values for stock
       values `x`, with noise read as 0. It calls `evaluate(x, t)` only if
       one of its expressions reads a flow or auxiliary.
@@ -243,8 +247,20 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
     """Python source of `bind(*params) -> (evaluator, actions, noisy)`
     (see `ValidatedModel`). Every model name `x` is the local `_x`, except
     that an action reads stock i as `x[i]` and flow or auxiliary j as
-    `o[j]`. The module-level `NAMES` maps the line of each variable's
-    assignment to its name, so a fault names the variable at that line."""
+    `o[j]`.
+
+    `bind` first computes, in evaluation order, each variable that is an
+    operation or call on parameters and such variables only, and in every
+    other variable each maximal operation or call subtree that is; a bare
+    parameter or number is left in place. `evaluate` reads these values as
+    closure variables, a subtree as the local `_k` for k from the number
+    of model names up.
+    Each is assigned in its own `try`, so one that faults, or reads one
+    that did, stays unbound. `evaluate` keeps a line per variable in
+    `order`, just the finiteness check for a variable computed in `bind`,
+    and its `except` maps a fault or the NameError of an unbound read to
+    that line. The module-level `NAMES` maps the line to the variable's
+    name, so a fault names the variable at the time it is evaluated."""
     names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
                                   spec.flows) for d in group]
     local = {
@@ -257,17 +273,33 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
 
     stocks = [local[s.name] for s in spec.stocks]
     computed = [d.name for d in (*spec.flows, *spec.auxiliaries)]
-    lines = [f"def bind({', '.join(local[p.name] for p in spec.parameters)}):",
-             f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:"]
-    at_line: dict[int, str] = {}
+    lines = [f"def bind({', '.join(local[p.name] for p in spec.parameters)}):"]
+    body: list[str] = []
+    starts: list[int] = []
+    fixed = {p.name for p in spec.parameters}
+    hoisted: dict[int, str] = {}
     for name in order:
         var = local[name]
-        at_line[len(lines) + 1] = name
-        lines += [f"            {var} = {ex.python_source(expressions[name], local.__getitem__)}",
-                  f"            if {var} - {var} != 0.0:",
-                  f"                raise NonFiniteError({name!r}, t)"]
-    lines += [f"            return {tup(local[name] for name in computed)}",
-              "        except FAULTS as e:",
+        subtrees: dict[int, ex.Expr] = {}
+        whole = (isinstance(expressions[name], (ex.BinOp, ex.Call))
+                 and ex.invariant(expressions[name], fixed, subtrees))
+        if whole:
+            fixed.add(name)
+            subtrees = {id(expressions[name]): expressions[name]}
+        for key, node in subtrees.items():
+            hoisted[key] = var if whole else f"_{len(names) + len(hoisted)}"
+            lines += [f"    try: {hoisted[key]} = {ex.python_source(node, local.__getitem__)}",
+                      "    except FAULTS_OR_UNBOUND: pass"]
+        starts.append(len(body))
+        if not whole:
+            body.append(f"            {var} = "
+                        f"{ex.python_source(expressions[name], local.__getitem__, hoisted)}")
+        body += [f"            if {var} - {var} != 0.0:",
+                 f"                raise NonFiniteError({name!r}, t)"]
+    lines += [f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:"]
+    at_line = {len(lines) + start + 1: name for start, name in zip(starts, order)}
+    lines += [*body, f"            return {tup(local[name] for name in computed)}",
+              "        except FAULTS_OR_UNBOUND as e:",
               "            raise NonFiniteError(NAMES[e.__traceback__.tb_lineno], t) from None"]
     reads = {**local, **{s.name: f"x[{i}]" for i, s in enumerate(spec.stocks)},
              **{name: f"o[{j}]" for j, name in enumerate(computed)}}
@@ -301,6 +333,7 @@ def _compile_evaluator(source: str) -> Callable[..., tuple]:
     `bind` is popped from its globals, so no cycle holds it: once the cache
     drops it and no model holds what it returned, refcounting frees it."""
     namespace: dict[str, object] = {**ex.CODEGEN_GLOBALS, "FAULTS": ex.FAULTS,
+                                    "FAULTS_OR_UNBOUND": (*ex.FAULTS, NameError),
                                     "NonFiniteError": NonFiniteError}
     exec(compile(source, "<sfdsim evaluator>", "exec"), namespace)
     return namespace.pop("bind")  # type: ignore[return-value]

@@ -15,9 +15,10 @@ On top of plain scenario runs this module provides:
   observed series.
 * `run_sweep`: one-parameter sweeps, one run per value in input order.
 
-The scenario comparison, policy search, calibration and sweeps validate
-the model once and run each scenario, grid point, evaluation or value as
-a variant of that validated model (`ValidatedModel.with_params`,
+The scenario comparison, policy search, calibration and sweeps take a
+`ModelSpec` or a `ValidatedModel`. They validate a spec once, and run
+each scenario, grid point, evaluation or value as a variant of the
+validated model (`ValidatedModel.with_params`,
 `ValidatedModel.with_initial`, `ValidatedModel.with_event_schedule`), so
 they share its evaluation order and generated code.
 
@@ -45,6 +46,11 @@ from .plant import summarize
 
 
 AnyModel = TypeVar("AnyModel", ModelSpec, ValidatedModel)
+
+
+def _validated(model: ModelSpec | ValidatedModel) -> ValidatedModel:
+    """`model` if it is validated, else `validate_model(model)`."""
+    return model if isinstance(model, ValidatedModel) else validate_model(model)
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ def run_scenario(spec: AnyModel, scenario: Scenario, config: SimConfig) -> Scena
 
 
 def compare_to_baseline(
-    spec: ModelSpec,
+    spec: ModelSpec | ValidatedModel,
     scenarios: list[Scenario] | tuple[Scenario, ...],
     config: SimConfig,
 ) -> list[ScenarioResult]:
@@ -106,9 +112,10 @@ def compare_to_baseline(
 
     Returns the baseline result first, then one result per scenario in
     input order, each carrying metric deltas relative to the baseline.
-    The model is validated once; each scenario runs as a variant of it.
+    A spec is validated once; each scenario runs as a variant of the
+    validated model.
     """
-    vm = validate_model(spec)
+    vm = _validated(spec)
     base_traj = run_simulation(vm, config)
     base = ScenarioResult("baseline", base_traj, summarize(base_traj))
     results = [base]
@@ -167,7 +174,7 @@ class PolicySearchResult:
 
 
 def optimize_transport_policy(
-    spec: ModelSpec, grid: PolicyGrid, config: SimConfig
+    spec: ModelSpec | ValidatedModel, grid: PolicyGrid, config: SimConfig
 ) -> PolicySearchResult:
     """Exhaustively evaluate the policy grid and rank deterministically.
 
@@ -179,8 +186,8 @@ def optimize_transport_policy(
     for axis in ("intervals", "truck_capacities", "truck_counts"):
         if not getattr(grid, axis):
             raise ValueError(f"policy grid axis '{axis}' is empty")
-    threshold = spec.param("CostThreshold")
-    vm = validate_model(spec)
+    vm = _validated(spec)
+    threshold = vm.spec.param("CostThreshold")
     rows: list[PolicyRow] = []
     for interval in grid.intervals:
         for truck in grid.truck_capacities:
@@ -237,7 +244,7 @@ class CalibrationResult:
 
 
 def calibrate(
-    spec: ModelSpec,
+    spec: ModelSpec | ValidatedModel,
     problem: CalibrationProblem,
     config: SimConfig,
     tol: float = 1e-6,
@@ -259,7 +266,7 @@ def calibrate(
     if any(r <= 0 for r in ranges):
         raise ValueError("each bounds pair must satisfy lo < hi")
 
-    vm = validate_model(spec)
+    vm = _validated(spec)
     evaluations = 0
 
     def objective(point: list[float]) -> float:
@@ -338,13 +345,13 @@ class SweepResult:
 
 
 def run_sweep(
-    spec: ModelSpec,
+    spec: ModelSpec | ValidatedModel,
     param: str,
     values: list[float] | tuple[float, ...],
     config: SimConfig,
 ) -> SweepResult:
     """Simulate once per value of `param`; rows come back in input order."""
-    vm = validate_model(spec)
+    vm = _validated(spec)
     rows = []
     for value in values:
         metrics = summarize(run_simulation(vm.with_params({param: value}), config))

@@ -35,7 +35,7 @@ from sfdsim import (
     run_simulation,
     validate_model,
 )
-from sfdsim.expr import BinOp, Num, Var, eval_expression, variables
+from sfdsim.expr import BUILTINS, BinOp, Call, Num, Var, eval_expression, variables
 
 from modelgen import generate_model
 from reference_integrator import attachments
@@ -361,6 +361,150 @@ class TestGeneratedEvaluator:
     def test_draws_noise(self, text, draws):
         spec = tiny_model(auxiliaries=(AuxDef("wobble", parse_expression(text)),))
         assert validate_model(spec).draws_noise is draws
+
+
+def parameter_heavy_tree(rng, params, others, depth):
+    """A random expression mostly over `params`, that also reads `others`,
+    `t` and `noise()`: many of its subtrees read only parameters, and
+    divisions, powers and faulting builtins make some of those fault."""
+    if depth == 0 or rng.random() < 0.2:
+        pick = rng.random()
+        if pick < 0.55:
+            return Var(rng.choice(params))
+        if pick < 0.7:
+            return Num(rng.choice((0.0, 1.0, 2.5)))
+        return Var(rng.choice(others)) if pick < 0.9 else Var("t")
+
+    def sub():
+        return parameter_heavy_tree(rng, params, others, depth - 1)
+
+    if rng.random() < 0.55:
+        return BinOp(rng.choice(("+", "-", "*", "/", "/", "^", ">")), sub(), sub())
+    fn = rng.choice(("max", "min", "if", "ln", "exp", "sin", "ceil", "abs", "noise"))
+    return Call(fn, tuple(sub() for _ in range(BUILTINS[fn])))
+
+
+def hoisting_model(seed):
+    """`generate_model(seed)` with three more auxiliaries from
+    `parameter_heavy_tree`, each of which may read the earlier ones."""
+    spec = generate_model(seed)
+    rng = random.Random(f"hoist{seed}")
+    params = [p.name for p in spec.parameters]
+    others = [s.name for s in spec.stocks]
+    auxiliaries = list(spec.auxiliaries)
+    for k in range(3):
+        auxiliaries.append(AuxDef(f"h{k}", parameter_heavy_tree(rng, params, others, 4)))
+        others.append(f"h{k}")
+    return dataclasses.replace(spec, auxiliaries=tuple(auxiliaries))
+
+
+def hand_model(text):
+    """One stock `Tank` at 5, drained at `Rate`, and the auxiliary `a` =
+    `text` over the parameters Zero = 0 and Big = 1e308."""
+    return tiny_model(auxiliaries=(AuxDef("a", parse_expression(text)),),
+                      parameters=(ParamDef("Rate", 0.1), ParamDef("Zero", 0.0),
+                                  ParamDef("Big", 1e308)),
+                      stocks=(StockDef("Tank", 5.0, "m3"),))
+
+
+class TestHoistedValues:
+    """`bind` computes parameter-only values once; a fault among them must
+    surface where and when the interpreter meets it."""
+
+    def test_random_parameter_overrides_match_interpreter(self):
+        outcomes = set()
+        hoisted = 0
+        for seed in range(40):
+            spec = hoisting_model(seed)
+            vm = validate_model(spec)
+            hoisted += vm.source.partition("def evaluate")[0].count("    try: ")
+            rng = random.Random(seed)
+            params = list(vm.params)
+            for _ in range(8):
+                overrides = {}
+                for name in params:
+                    pick = rng.random()
+                    if pick < 0.4:
+                        overrides[name] = rng.choice((0.0, -0.0, 1e308, -1e308))
+                    elif pick < 0.55:  # zeroes a sum of two parameters
+                        overrides[name] = -vm.params[rng.choice(params)]
+                variant = vm.with_params(overrides)
+                for _ in range(6):
+                    stocks = [rng.choice((0.0, rng.uniform(-50.0, 200.0))) for _ in spec.stocks]
+                    t = rng.choice((0.0, 0.35, rng.uniform(-50.0, 500.0)))
+                    g = rng.gauss(0.0, 1.0)
+                    expected = interpreted(variant, stocks, t, g)
+                    outcomes.add(expected[0] if isinstance(expected, tuple) else list)
+                    if isinstance(expected, tuple):
+                        expected = NonFiniteError, expected[1]
+                    got = generated(variant, stocks, t, g)
+                    assert as_bits(got) == as_bits(expected), (seed, overrides, stocks, t)
+        assert hoisted >= 80
+        assert {list, ZeroDivisionError, OverflowError, ValueError, NonFiniteError} <= outcomes
+
+    @pytest.mark.parametrize("text, raises", [
+        ("max(Tank, 1 / Zero)", True),  # a fault under max() still raises
+        ("if(1 / Zero > Tank, 1, 2)", True),  # and in a condition
+        ("Tank + exp(Big)", True),  # overflow raises
+        ("Tank + Big * Big", True),  # overflow to inf
+        ("if(Tank > 1e9, 1 / Zero, Tank)", False),  # untaken branch
+        ("if(Zero > 0, ln(Zero), Tank)", False),  # untaken by a constant condition
+        ("max(0, 0 - Big * Big) + Tank", False),
+        ("max(0 * Tank, 0 - Big * Big)", False),  # -inf under max()
+    ])
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_hand_models(self, text, raises, method):
+        vm = validate_model(hand_model(text))
+        assert "    try: " in vm.source.partition("def evaluate")[0]
+        expected = interpreted(vm, [5.0], 2.0, 0.0)
+        assert isinstance(expected, tuple) is raises
+        config = SimConfig(t_start=2.0, t_end=6.0, method=method)
+        if raises:
+            with pytest.raises(NonFiniteError) as err:
+                run_simulation(vm, config)
+            assert (err.value.name, err.value.t) == ("a", 2.0)
+        else:
+            traj = run_simulation(vm, config)
+            for t, row in zip(traj.row_times, traj.rows):
+                assert as_bits(generated(vm, row[:1], t, 0.0)) == as_bits(
+                    interpreted(vm, row[:1], t, 0.0))
+
+    @pytest.mark.parametrize("first, second, name", [
+        ("1 / Tank", "1 / Zero + Tank", "first"),
+        ("1 / Zero + Tank", "1 / Tank", "first"),
+        ("Tank + 1", "1 / Zero + Tank", "second"),
+    ])
+    def test_first_fault_in_order_is_named(self, first, second, name):
+        spec = tiny_model(auxiliaries=(AuxDef("first", parse_expression(first)),
+                                       AuxDef("second", parse_expression(second))),
+                          parameters=(ParamDef("Rate", 0.1), ParamDef("Zero", 0.0)),
+                          stocks=(StockDef("Tank", 0.0, "m3"),))
+        vm = validate_model(spec)
+        assert interpreted(vm, [0.0], 3.0, 0.0) == (ZeroDivisionError, name)
+        with pytest.raises(NonFiniteError) as err:
+            run_simulation(vm, SimConfig(t_start=3.0, t_end=4.0, method="rk4"))
+        assert (err.value.name, err.value.t) == (name, 3.0)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_faulting_baseline_value_is_named_at_the_first_time(self, baseline_spec, method):
+        overrides = {"Dose": -baseline_spec.param("KHalf")}
+        config = SimConfig(t_start=0.35, t_end=5.35, method=method)
+        for model in (baseline_spec.with_params(overrides),
+                      validate_model(baseline_spec).with_params(overrides)):
+            with pytest.raises(NonFiniteError) as err:
+                run_simulation(model.with_event_schedule("pickup", start=30.35), config)
+            assert (err.value.name, err.value.t) == ("eta", 0.35)
+
+    def test_baseline_evaluator_reads_hoisted_values_only(self, baseline_spec):
+        vm = validate_model(baseline_spec.with_params({"Dose": 20.0}))
+        for t in (0.0, 400.0):
+            stocks = [1000.0, 200.0, 5000.0]
+            assert as_bits(generated(vm, stocks, t, 0.0)) == as_bits(interpreted(vm, stocks, t, 0.0))
+        free = set(vm.evaluator.__code__.co_freevars)
+        assert not free & {"_EthanolProduction", "_VinassePerEthanol", "_EtaMax", "_KHalf",
+                           "_Dose", "_KEvap", "_PondArea", "_CoagulantUnitCost",
+                           "_CapexPerM3", "_BaseCapacity"}
+        assert {"_vinasseSupply", "_eta", "_TotalCapacity", "_AmortDays"} <= free
 
 
 def raised(make):

@@ -24,6 +24,7 @@ from sfdsim import (
     parse_scenario,
     run_simulation,
     run_sweep,
+    validate_model,
 )
 
 import vinasse_oracle as oracle
@@ -390,3 +391,45 @@ class TestValidateOnce:
         for result, sc in zip(results, [Scenario("baseline"), *scenarios], strict=True):
             alone = run_simulation(apply_scenario(baseline_spec, sc), year_config)
             assert bits(result.trajectory) == bits(alone)
+
+    @staticmethod
+    def _hexed(value):
+        """`value` with every float as its hex text, through dataclasses,
+        trajectories and containers, so `==` compares bits."""
+        if isinstance(value, float):
+            return float.hex(value)
+        if isinstance(value, dict):
+            return {k: TestValidateOnce._hexed(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [TestValidateOnce._hexed(v) for v in value]
+        if hasattr(value, "rows") and hasattr(value, "row_times"):
+            return TestValidateOnce._hexed([value.row_times, value.rows, value.events])
+        if dataclasses.is_dataclass(value):
+            return TestValidateOnce._hexed(
+                {f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+        return value
+
+    @pytest.mark.parametrize("entry", ["compare", "policy", "sweep", "calibrate"])
+    def test_validated_model_input(self, entry, baseline_spec, validations):
+        config = SimConfig(t_end=120.0)
+        truth = run_simulation(baseline_spec.with_params({"KEvap": 0.004}), config)
+        times = (40.0, 80.0, 120.0)
+        problem = CalibrationProblem(
+            ("KEvap",), ((0.001, 0.01),), "AccumulatedVinasse", times,
+            tuple(truth.at("AccumulatedVinasse", t) for t in times),
+        )
+        grid = PolicyGrid(intervals=(15.0, 30.0), truck_capacities=(6000.0,),
+                          truck_counts=(1.0, 2.0))
+        run = {
+            "compare": lambda m: compare_to_baseline(
+                m, [Scenario("dosed", params={"Dose": 20.0})], config),
+            "policy": lambda m: optimize_transport_policy(m, grid, config),
+            "sweep": lambda m: run_sweep(m, "Dose", (0.0, 15.0), config),
+            "calibrate": lambda m: calibrate(m, problem, config, max_passes=3),
+        }[entry]
+        validations.clear()
+        vm = validate_model(baseline_spec)
+        from_model = self._hexed(run(vm))
+        assert validations == []
+        assert from_model == self._hexed(run(baseline_spec))
+        assert validations == [baseline_spec]
