@@ -333,6 +333,22 @@ class TestSweep:
         assert line.split(",")[3] == ""
 
 
+def hexed(value):
+    """`value` with every float as its hex text, through dataclasses,
+    trajectories and containers, so `==` compares bits."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    if hasattr(value, "rows") and hasattr(value, "row_times"):
+        return hexed([value.row_times, value.rows, value.events])
+    if dataclasses.is_dataclass(value):
+        return hexed({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+    return value
+
+
 class TestValidateOnce:
     """Grid points, sweep values and calibration evaluations are variants
     of one validated model."""
@@ -392,23 +408,6 @@ class TestValidateOnce:
             alone = run_simulation(apply_scenario(baseline_spec, sc), year_config)
             assert bits(result.trajectory) == bits(alone)
 
-    @staticmethod
-    def _hexed(value):
-        """`value` with every float as its hex text, through dataclasses,
-        trajectories and containers, so `==` compares bits."""
-        if isinstance(value, float):
-            return float.hex(value)
-        if isinstance(value, dict):
-            return {k: TestValidateOnce._hexed(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [TestValidateOnce._hexed(v) for v in value]
-        if hasattr(value, "rows") and hasattr(value, "row_times"):
-            return TestValidateOnce._hexed([value.row_times, value.rows, value.events])
-        if dataclasses.is_dataclass(value):
-            return TestValidateOnce._hexed(
-                {f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
-        return value
-
     @pytest.mark.parametrize("entry", ["compare", "policy", "sweep", "calibrate"])
     def test_validated_model_input(self, entry, baseline_spec, validations):
         config = SimConfig(t_end=120.0)
@@ -429,7 +428,7 @@ class TestValidateOnce:
         }[entry]
         validations.clear()
         vm = validate_model(baseline_spec)
-        from_model = self._hexed(run(vm))
+        from_model = hexed(run(vm))
         assert validations == []
-        assert from_model == self._hexed(run(baseline_spec))
+        assert from_model == hexed(run(baseline_spec))
         assert validations == [baseline_spec]
