@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Callable
 
 from . import expr as ex
 from .errors import ClampError, EventGridError, NonFiniteError
-from .model import ModelSpec, ValidatedModel, validate_model
+from .model import ModelSpec, ValidatedModel, as_validated
 
 if TYPE_CHECKING:
     import numpy as np
@@ -207,7 +207,7 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     NonFiniteError if any rate or stock leaves the finite range, and
     ClampError if the conserving clamp cannot settle a cycle of flows.
     """
-    vm = model if isinstance(model, ValidatedModel) else validate_model(model)
+    vm = as_validated(model)
     spec = vm.spec
     steps = config.step_count()
     t_start, dt = config.t_start, config.dt

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Container
 
 from .errors import UnknownSymbolError
 
@@ -154,28 +154,36 @@ def eval_expression(expr: Expr, env: dict[str, float], t: float = 0.0, g: float 
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def walk(expr: Expr) -> Iterator[Expr]:
-    """Every node of `expr`, the root first."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, BinOp):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Call):
-            stack.extend(node.args)
+def variables(expr: Expr, names: set[str] | None = None) -> set[str]:
+    """All names referenced by `expr`, including `t` if present, added to
+    `names` if it is given."""
+    if names is None:
+        names = set()
+    if isinstance(expr, Var):
+        names.add(expr.name)
+    elif isinstance(expr, BinOp):
+        variables(expr.left, names)
+        variables(expr.right, names)
+    elif isinstance(expr, Call):
+        for arg in expr.args:
+            variables(arg, names)
+    return names
 
 
-def variables(expr: Expr) -> set[str]:
-    """All names referenced by `expr`, including `t` if present."""
-    return {node.name for node in walk(expr) if isinstance(node, Var)}
-
-
-def noise_scales(expr: Expr) -> list[Expr]:
-    """The argument of every `noise()` call in `expr`."""
-    return [node.args[0] for node in walk(expr)
-            if isinstance(node, Call) and node.fn == "noise"]
+def noise_scales(expr: Expr, scales: list[Expr] | None = None) -> list[Expr]:
+    """The argument of every `noise()` call in `expr`, an outer call first,
+    appended to `scales` if it is given."""
+    if scales is None:
+        scales = []
+    if isinstance(expr, BinOp):
+        noise_scales(expr.left, scales)
+        noise_scales(expr.right, scales)
+    elif isinstance(expr, Call):
+        if expr.fn == "noise":
+            scales.append(expr.args[0])
+        for arg in expr.args:
+            noise_scales(arg, scales)
+    return scales
 
 
 def validate_expression(expr: Expr, known: set[str]) -> None:
@@ -262,81 +270,92 @@ CODEGEN_GLOBALS: dict[str, object] = {
 }
 
 
-def python_source(expr: Expr, local: Callable[[str], str],
-                  hoisted: dict[int, str] | None = None) -> str:
+def python_source(expr: Expr, local: Callable[[str], str]) -> str:
     """Python expression text equivalent to `expr`.
 
     Variables become the names `local(name)` returns; `t` and `g` stay free,
-    as do the builtins and `CODEGEN_GLOBALS`. A subtree whose `id` is a key
-    of `hoisted` becomes that name instead: a value computed elsewhere from
-    the subtree's own text. The text mirrors `eval_expression` operation
-    for operation, so the two cannot drift apart numerically.
+    as do the builtins and `CODEGEN_GLOBALS`. The text mirrors
+    `eval_expression` operation for operation, so the two cannot drift
+    apart numerically.
     """
-    if hoisted and id(expr) in hoisted:
-        return hoisted[id(expr)]
+    return hoisting_source(expr, local, (), None)[0]
+
+
+def hoisting_source(expr: Expr, local: Callable[[str], str], fixed: Container[str],
+                    hoist: Callable[[str], str] | None) -> tuple[str, bool]:
+    """`python_source(expr, local)`, and whether `expr` reads only names in
+    `fixed`, and neither `t` nor `noise()`.
+
+    If it does not, and `hoist` is given, each maximal operation or call
+    subtree that does is replaced by the name `hoist` returns for the
+    subtree's own text, its value computed elsewhere. A bare name or
+    number stays in place.
+    """
     if isinstance(expr, Num):
-        return repr(expr.value)
+        return repr(expr.value), True
     if isinstance(expr, Var):
-        return "t" if expr.name == "t" else local(expr.name)
+        if expr.name == "t":
+            return "t", False
+        return local(expr.name), expr.name in fixed
     if isinstance(expr, BinOp):
+        a, left = hoisting_source(expr.left, local, fixed, hoist)
+        b, right = hoisting_source(expr.right, local, fixed, hoist)
+        invariant = left and right
+        if hoist and not invariant:
+            if left and isinstance(expr.left, (BinOp, Call)):
+                a = hoist(a)
+            if right and isinstance(expr.right, (BinOp, Call)):
+                b = hoist(b)
         if expr.op in COMPARISONS:
-            return f"(1.0 if {_condition(expr, local, hoisted)} else 0.0)"
-        a = python_source(expr.left, local, hoisted)
-        b = python_source(expr.right, local, hoisted)
+            return f"(1.0 if {a} {expr.op} {b} else 0.0)", invariant
         if expr.op == "^":
-            return f"pow({a}, {b})"
-        return f"({a} {expr.op} {b})"
+            return f"pow({a}, {b})", invariant
+        return f"({a} {expr.op} {b})", invariant
     if isinstance(expr, Call):
-        if expr.fn == "if":
-            return (f"({python_source(expr.args[1], local, hoisted)}"
-                    f" if {_condition(expr.args[0], local, hoisted)}"
-                    f" else {python_source(expr.args[2], local, hoisted)})")
-        args = [python_source(a, local, hoisted) for a in expr.args]
+        texts, flags = [], []
+        for arg in expr.args:
+            text, flag = hoisting_source(arg, local, fixed, hoist)
+            texts.append(text)
+            flags.append(flag)
         fn = expr.fn
+        invariant = fn != "noise" and all(flags)
+        if hoist and not invariant and any(flags):
+            texts = _hoisted(expr.args, texts, flags, hoist)
+        if fn == "if":
+            return f"({texts[1]} if {_test(expr.args[0], texts[0])} else {texts[2]})", invariant
         if fn in ("min", "max"):
-            return f"{fn}({args[0]}, {args[1]})"
+            return f"{fn}({texts[0]}, {texts[1]})", invariant
         if fn in ("abs", "sin", "cos", "exp"):
-            return f"{fn}({args[0]})"
+            return f"{fn}({texts[0]})", invariant
         if fn == "clamp":
-            return f"min(max({args[0]}, {args[1]}), {args[2]})"
+            return f"min(max({texts[0]}, {texts[1]}), {texts[2]})", invariant
         if fn == "ln":
-            return f"log({args[0]})"
+            return f"log({texts[0]})", invariant
         if fn in ("ceil", "floor"):
-            return f"float({fn}({args[0]}))"
+            return f"float({fn}({texts[0]}))", invariant
         if fn == "noise":
-            return f"({args[0]} * g)"
+            return f"({texts[0]} * g)", False
         raise UnknownSymbolError(f"unknown function '{fn}'")
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _condition(expr: Expr, local: Callable[[str], str], hoisted: dict[int, str] | None) -> str:
-    """Python test that holds exactly when `expr` is non-zero, as `if()`
-    reads its condition. A comparison is tested directly, unless it is
-    hoisted: its 1.0/0.0 indicator is non-zero exactly when it holds."""
-    if (isinstance(expr, BinOp) and expr.op in COMPARISONS
-            and not (hoisted and id(expr) in hoisted)):
-        a = python_source(expr.left, local, hoisted)
-        b = python_source(expr.right, local, hoisted)
-        return f"{a} {expr.op} {b}"
-    return f"{python_source(expr, local, hoisted)} != 0.0"
+def _hoisted(children: tuple[Expr, ...], texts: list[str], flags: list[bool],
+             hoist: Callable[[str], str]) -> list[str]:
+    """`texts` of the operands `children` of a node that reads more than
+    the fixed names, with each operation or call that reads only them
+    replaced by its hoisted name."""
+    return [hoist(text) if flag and isinstance(child, (BinOp, Call)) else text
+            for child, text, flag in zip(children, texts, flags)]
 
 
-def invariant(expr: Expr, fixed: set[str], out: dict[int, Expr]) -> bool:
-    """Whether `expr` reads only names in `fixed`, and neither `t` nor
-    `noise()`. If it does not, each maximal operator or call subtree of it
-    that does is added to `out`, keyed by its `id`."""
-    if isinstance(expr, Num):
-        return True
-    if isinstance(expr, Var):
-        return expr.name in fixed
-    children = (expr.left, expr.right) if isinstance(expr, BinOp) else expr.args
-    flags = [invariant(child, fixed, out) for child in children]
-    if all(flags) and not (isinstance(expr, Call) and expr.fn == "noise"):
-        return True
-    for child, flag in zip(children, flags):
-        if flag and isinstance(child, (BinOp, Call)):
-            out[id(child)] = child
-    return False
+def _test(condition: Expr, text: str) -> str:
+    """Python test that holds exactly when `condition`, of text `text`, is
+    non-zero, as `if()` reads it. A comparison that is not hoisted has the
+    text `(1.0 if test else 0.0)`, and `test` is used directly."""
+    if (isinstance(condition, BinOp) and condition.op in COMPARISONS
+            and text.startswith("(1.0 if ")):
+        return text.removeprefix("(1.0 if ").removesuffix(" else 0.0)")
+    return f"{text} != 0.0"
 
 
 _MASK64 = (1 << 64) - 1

@@ -254,7 +254,7 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
     other variable each maximal operation or call subtree that is; a bare
     parameter or number is left in place. `evaluate` reads these values as
     closure variables, a subtree as the local `_k` for k from the number
-    of model names up.
+    of model names up, one per distinct subtree text.
     Each is assigned in its own `try`, so one that faults, or reads one
     that did, stays unbound. `evaluate` keeps a line per variable in
     `order`, just the finiteness check for a variable computed in `bind`,
@@ -277,23 +277,24 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
     body: list[str] = []
     starts: list[int] = []
     fixed = {p.name for p in spec.parameters}
-    hoisted: dict[int, str] = {}
+    hoisted: dict[str, str] = {}
+
+    def hoist(text: str) -> str:
+        if text not in hoisted:
+            hoisted[text] = f"_{len(names) + len(hoisted)}"
+            lines.extend((f"    try: {hoisted[text]} = {text}",
+                          "    except FAULTS_OR_UNBOUND: pass"))
+        return hoisted[text]
+
     for name in order:
-        var = local[name]
-        subtrees: dict[int, ex.Expr] = {}
-        whole = (isinstance(expressions[name], (ex.BinOp, ex.Call))
-                 and ex.invariant(expressions[name], fixed, subtrees))
-        if whole:
-            fixed.add(name)
-            subtrees = {id(expressions[name]): expressions[name]}
-        for key, node in subtrees.items():
-            hoisted[key] = var if whole else f"_{len(names) + len(hoisted)}"
-            lines += [f"    try: {hoisted[key]} = {ex.python_source(node, local.__getitem__)}",
-                      "    except FAULTS_OR_UNBOUND: pass"]
+        var, expression = local[name], expressions[name]
+        text, whole = ex.hoisting_source(expression, local.__getitem__, fixed, hoist)
         starts.append(len(body))
-        if not whole:
-            body.append(f"            {var} = "
-                        f"{ex.python_source(expressions[name], local.__getitem__, hoisted)}")
+        if whole and isinstance(expression, (ex.BinOp, ex.Call)):
+            fixed.add(name)
+            lines += [f"    try: {var} = {text}", "    except FAULTS_OR_UNBOUND: pass"]
+        else:
+            body.append(f"            {var} = {text}")
         body += [f"            if {var} - {var} != 0.0:",
                  f"                raise NonFiniteError({name!r}, t)"]
     lines += [f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:"]
@@ -305,7 +306,9 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
              **{name: f"o[{j}]" for j, name in enumerate(computed)}}
     for k, event in enumerate(spec.events):
         values = (ex.python_source(a.expression, reads.__getitem__) for a in event.actions)
-        lines += [f"    def act{k}(t, x, evaluate):", "        g = 0.0"]
+        lines.append(f"    def act{k}(t, x, evaluate):")
+        if any(ex.noise_scales(a.expression) for a in event.actions):
+            lines.append("        g = 0.0")
         if any(ex.variables(a.expression) & expressions.keys() for a in event.actions):
             lines.append("        o = evaluate(x, t)")
         lines.append(f"        return {tup(values)}")
@@ -316,11 +319,13 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
               for scale in ex.noise_scales(expression)]
     constant = [scale for scale in scales
                 if not ex.noise_scales(scale) and ex.variables(scale) <= params]
-    tests = ["True"] if len(constant) < len(scales) else [
-        f"{ex.python_source(scale, local.__getitem__)} != 0.0" for scale in constant]
-    lines += ["    try:", f"        noisy = {' or '.join(tests) or 'False'}",
-              "    except FAULTS:", "        noisy = True",
-              f"    return evaluate, {tup(f'act{k}' for k in range(len(spec.events)))}, noisy",
+    if constant and len(constant) == len(scales):
+        tests = " or ".join(f"{ex.python_source(scale, local.__getitem__)} != 0.0"
+                            for scale in constant)
+        lines += ["    try:", f"        noisy = {tests}", "    except FAULTS:", "        noisy = True"]
+    else:
+        lines.append(f"    noisy = {bool(scales)}")
+    lines += [f"    return evaluate, {tup(f'act{k}' for k in range(len(spec.events)))}, noisy",
               f"NAMES = {at_line!r}"]
     return "\n".join(lines) + "\n"
 
@@ -432,6 +437,11 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     evaluator, actions, noisy = _compile_evaluator(source)(*params.values())
     return ValidatedModel(spec, order, expressions, stocks, params, source, evaluator, actions,
                           noisy)
+
+
+def as_validated(model: ModelSpec | ValidatedModel) -> ValidatedModel:
+    """`model` if it is validated, else `validate_model(model)`."""
+    return model if isinstance(model, ValidatedModel) else validate_model(model)
 
 
 def _all_names(spec: ModelSpec):

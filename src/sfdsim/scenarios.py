@@ -41,16 +41,11 @@ from typing import TypeVar
 from .engine import SimConfig, Trajectory, run_simulation
 from .errors import NoFeasiblePolicyError
 from .language import _Parser, tokenize
-from .model import ModelSpec, ValidatedModel, validate_model
+from .model import ModelSpec, ValidatedModel, as_validated
 from .plant import summarize
 
 
 AnyModel = TypeVar("AnyModel", ModelSpec, ValidatedModel)
-
-
-def _validated(model: ModelSpec | ValidatedModel) -> ValidatedModel:
-    """`model` if it is validated, else `validate_model(model)`."""
-    return model if isinstance(model, ValidatedModel) else validate_model(model)
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,7 @@ def compare_to_baseline(
     A spec is validated once; each scenario runs as a variant of the
     validated model.
     """
-    vm = _validated(spec)
+    vm = as_validated(spec)
     base_traj = run_simulation(vm, config)
     base = ScenarioResult("baseline", base_traj, summarize(base_traj))
     results = [base]
@@ -186,7 +181,7 @@ def optimize_transport_policy(
     for axis in ("intervals", "truck_capacities", "truck_counts"):
         if not getattr(grid, axis):
             raise ValueError(f"policy grid axis '{axis}' is empty")
-    vm = _validated(spec)
+    vm = as_validated(spec)
     threshold = vm.spec.param("CostThreshold")
     rows: list[PolicyRow] = []
     for interval in grid.intervals:
@@ -266,7 +261,7 @@ def calibrate(
     if any(r <= 0 for r in ranges):
         raise ValueError("each bounds pair must satisfy lo < hi")
 
-    vm = _validated(spec)
+    vm = as_validated(spec)
     evaluations = 0
 
     def objective(point: list[float]) -> float:
@@ -351,7 +346,7 @@ def run_sweep(
     config: SimConfig,
 ) -> SweepResult:
     """Simulate once per value of `param`; rows come back in input order."""
-    vm = _validated(spec)
+    vm = as_validated(spec)
     rows = []
     for value in values:
         metrics = summarize(run_simulation(vm.with_params({param: value}), config))

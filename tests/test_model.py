@@ -451,6 +451,8 @@ class TestHoistedValues:
         ("if(Zero > 0, ln(Zero), Tank)", False),  # untaken by a constant condition
         ("max(0, 0 - Big * Big) + Tank", False),
         ("max(0 * Tank, 0 - Big * Big)", False),  # -inf under max()
+        ("if(Zero < Rate, 1 / Zero, Tank)", True),  # a hoisted comparison
+        ("if(Zero < Rate, Tank, 1 / Zero) + if(Zero > Rate, ln(Zero), Tank)", False),
     ])
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_hand_models(self, text, raises, method):
@@ -484,6 +486,37 @@ class TestHoistedValues:
         with pytest.raises(NonFiniteError) as err:
             run_simulation(vm, SimConfig(t_start=3.0, t_end=4.0, method="rk4"))
         assert (err.value.name, err.value.t) == (name, 3.0)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 1.0])
+    def test_nodes_shared_between_variables(self, zero):
+        # Expression nodes are values, so a spec built in Python may use one
+        # node in several variables; each variable must still read its own
+        # subtrees.
+        double, inverse = parse_expression("Rate * 2"), parse_expression("1 / Zero")
+
+        def tank_plus(node):
+            return BinOp("+", Var("Tank"), node)
+
+        spec = tiny_model(
+            auxiliaries=(
+                AuxDef("a", tank_plus(double)),
+                AuxDef("b", BinOp("*", tank_plus(double), parse_expression("Tank + Rate * 3"))),
+                AuxDef("c", double),
+                AuxDef("d", BinOp("*", tank_plus(double), parse_expression("Tank + Rate * 5"))),
+                AuxDef("e", BinOp("-", tank_plus(double), inverse)),
+                AuxDef("f", inverse),
+                AuxDef("h", BinOp("*", tank_plus(inverse), parse_expression("Tank + Rate * 7"))),
+            ),
+            parameters=(ParamDef("Rate", 0.1), ParamDef("Zero", zero)),
+            stocks=(StockDef("Tank", 5.0, "m3"),),
+        )
+        vm = validate_model(spec)
+        assert vm.order == ("a", "b", "c", "d", "e", "f", "h", "drain")
+        for stocks, t in (([5.0], 1.0), ([-0.2], 2.0), ([1e308], 3.0)):
+            expected = interpreted(vm, stocks, t, 0.0)
+            if isinstance(expected, tuple):
+                expected = NonFiniteError, expected[1]
+            assert as_bits(generated(vm, stocks, t, 0.0)) == as_bits(expected), stocks
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_faulting_baseline_value_is_named_at_the_first_time(self, baseline_spec, method):

@@ -355,10 +355,14 @@ class TestValidateOnce:
 
     @pytest.fixture
     def validations(self, monkeypatch):
+        # The engine and the scenario layer validate a spec through
+        # `model.as_validated` only, so counting the calls there sees all.
         import sfdsim.engine
         import sfdsim.model
         import sfdsim.scenarios
 
+        assert not hasattr(sfdsim.engine, "validate_model")
+        assert not hasattr(sfdsim.scenarios, "validate_model")
         calls = []
         original = sfdsim.model.validate_model
 
@@ -366,8 +370,7 @@ class TestValidateOnce:
             calls.append(spec)
             return original(spec)
 
-        for module in (sfdsim.model, sfdsim.engine, sfdsim.scenarios):
-            monkeypatch.setattr(module, "validate_model", counted)
+        monkeypatch.setattr(sfdsim.model, "validate_model", counted)
         return calls
 
     def test_policy_grid(self, baseline_spec, year_config, validations):
