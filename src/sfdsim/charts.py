@@ -22,10 +22,6 @@ _BOTTOM_PAD = 34
 _TITLE_H = 30
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _label(v: float) -> str:
     return f"{v:.6g}"
 
@@ -44,6 +40,7 @@ def render_chart(traj: Trajectory, columns: list[str] | tuple[str, ...],
     t1 = times[-1]
     span = t1 - t0 if t1 > t0 else 1.0
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    xs = [f"{_MARGIN_LEFT + (t - t0) / span * plot_w:.2f}" for t in times]
 
     panel_h = _PANEL_LABEL_H + _PANEL_PLOT_H + _PANEL_GAP
     title_h = _TITLE_H if title else 0
@@ -83,20 +80,18 @@ def render_chart(traj: Trajectory, columns: list[str] | tuple[str, ...],
             f'<rect class="panel" x="{_MARGIN_LEFT}" y="{plot_y}" '
             f'width="{plot_w}" height="{_PANEL_PLOT_H}"/>'
         )
-        mid_y = plot_y + _PANEL_PLOT_H / 2
+        mid_y = f"{plot_y + _PANEL_PLOT_H / 2:.2f}"
         out.append(
-            f'<line class="grid" x1="{_MARGIN_LEFT}" y1="{_fmt(mid_y)}" '
-            f'x2="{_MARGIN_LEFT + plot_w}" y2="{_fmt(mid_y)}"/>'
+            f'<line class="grid" x1="{_MARGIN_LEFT}" y1="{mid_y}" '
+            f'x2="{_MARGIN_LEFT + plot_w}" y2="{mid_y}"/>'
         )
 
-        points = []
-        for t, v in zip(times, series):
-            x = _MARGIN_LEFT + (t - t0) / span * plot_w
-            y = plot_y + _PANEL_PLOT_H - (v - lo) / (hi - lo) * _PANEL_PLOT_H
-            points.append(f"{_fmt(x)},{_fmt(y)}")
+        bottom, scale = plot_y + _PANEL_PLOT_H, hi - lo
+        points = " ".join([f"{x},{bottom - (v - lo) / scale * _PANEL_PLOT_H:.2f}"
+                           for x, v in zip(xs, series)])
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{" ".join(points)}"/>'
+            f'points="{points}"/>'
         )
 
         out.append(

@@ -17,8 +17,8 @@ the engine, which makes stochastic terms reproducible under a fixed seed.
 
 from __future__ import annotations
 
+import _random
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Container
 
@@ -360,6 +360,7 @@ def _test(condition: Expr, text: str) -> str:
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)  # as in `random`
 
 
 def daily_gauss(seed: int, day: int) -> float:
@@ -367,6 +368,13 @@ def daily_gauss(seed: int, day: int) -> float:
 
     Each day gets its own generator keyed by seed and day index, so changing
     the horizon or recording stride never shifts the noise sequence.
+    The value is `random.Random(key).normalvariate(0.0, 1.0)`, from the C
+    generator and an inlined copy of its Kinderman-Monahan loop.
     """
-    rng = random.Random(((seed & _MASK64) << 32) ^ (day & _MASK32))
-    return rng.normalvariate(0.0, 1.0)
+    rand = _random.Random(((seed & _MASK64) << 32) ^ (day & _MASK32)).random
+    while True:
+        u1 = rand()
+        u2 = 1.0 - rand()
+        z = _NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -math.log(u2):
+            return z

@@ -29,12 +29,19 @@ where a token starts, is a ParseError at its line and column.
 with `parse_model`. `lint_model` reports naming-convention violations:
 parameters and stocks are UpperCamelCase, flows, auxiliaries, and events
 lowerCamelCase.
+
+`parse_model` and `lint_model` share one parse per text: a small,
+bounded cache keyed by the text itself, so `lint`, `fmt` and `simulate`
+of one file in one process parse it once, and an edited file is parsed
+again. A ParseError is not cached. The cached ModelSpec and Tokens are
+immutable, so every caller may share them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import expr as ex
@@ -342,9 +349,16 @@ class _Parser:
         return EventDef(name=name, start=start, interval=interval, actions=tuple(actions))
 
 
+@lru_cache(maxsize=4)
+def _parsed(text: str) -> tuple[ModelSpec, tuple[tuple[str, Token], ...]]:
+    """The ModelSpec of `text` and its (keyword, name token) definitions."""
+    parser = _Parser(tokenize(text))
+    return parser.model(), tuple(parser.definitions)
+
+
 def parse_model(text: str) -> ModelSpec:
     """Parse model text into a ModelSpec. Raises ParseError with position."""
-    return _Parser(tokenize(text)).model()
+    return _parsed(text)[0]
 
 
 def parse_expression(text: str) -> ex.Expr:
@@ -424,10 +438,8 @@ def lint_model(text: str) -> list[LintIssue]:
     events are computed or scheduled behavior and start lowercase. The text
     must parse; structural problems raise ParseError instead.
     """
-    parser = _Parser(tokenize(text))
-    parser.model()
     issues: list[LintIssue] = []
-    for kind, tok in parser.definitions:
+    for kind, tok in _parsed(text)[1]:
         name = tok.text
         if kind in _UPPER_KINDS and not name[0].isupper():
             issues.append(LintIssue(

@@ -218,6 +218,23 @@ class TestLintFmt:
         assert main(["fmt", str(path), "--write"]) == 0
         assert path.read_text() == first
 
+    def test_commands_see_a_rewritten_file(self, tmp_path, capsys):
+        path = tmp_path / "tank.sfd"
+        path.write_text(MINI_MODEL)
+        assert main(["lint", str(path)]) == 0
+        assert main(["fmt", str(path)]) == 0
+        assert "param Rate = 2\n" in capsys.readouterr().out
+        path.write_text(MINI_MODEL.replace("Rate = 2", "Rate = 3").replace("drain", "Drain"))
+        assert main(["lint", str(path)]) == 2
+        assert "flow 'Drain' should start with a lowercase letter" in capsys.readouterr().out
+        assert main(["fmt", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "param Rate = 3\n" in out and "flow Drain : Level -> = Rate" in out
+        assert main(["simulate", "--model", str(path), "--t-end", "1"]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[:3] == ["t,Level,Drain", "0.000000,10.000000,3.000000",
+                             "1.000000,7.000000,3.000000"]
+
 
 class TestPlot:
     def test_stdout_svg(self, capsys):

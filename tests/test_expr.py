@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import struct
 
 import pytest
@@ -272,3 +273,11 @@ class TestDailyGauss:
 
     def test_negative_day_allowed(self):
         assert math.isfinite(daily_gauss(1, -5))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, -5, 2**40, 2**70])
+    def test_bit_equal_to_random_normalvariate(self, seed):
+        mask64, mask32 = (1 << 64) - 1, (1 << 32) - 1
+        for day in range(-3, 400):
+            key = ((seed & mask64) << 32) ^ (day & mask32)
+            expected = random.Random(key).normalvariate(0.0, 1.0)
+            assert daily_gauss(seed, day).hex() == expected.hex(), day

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfdsim import ParseError, format_model, lint_model, parse_expression, parse_model
+from sfdsim import language
 from sfdsim.language import Token, tokenize
 
 from modelgen import generate_model
@@ -271,6 +272,62 @@ class TestLinter:
     def test_unparseable_text_raises(self):
         with pytest.raises(ParseError):
             lint_model("model M {")
+
+
+class TestParseCache:
+    """`parse_model` and `lint_model` share one bounded parse per text."""
+
+    def test_same_text_gives_the_same_model(self):
+        first = parse_model(SAMPLE)
+        assert parse_model("".join(list(SAMPLE))) is first  # equal text, another string
+        language._parsed.cache_clear()
+        fresh = parse_model(SAMPLE)
+        assert fresh is not first
+        assert fresh == first
+
+    def test_text_differing_past_the_name_is_parsed_again(self):
+        edited = SAMPLE.replace("Capacity = 200", "Capacity = 250")
+        assert len(edited) == len(SAMPLE)
+        assert parse_model(SAMPLE).parameters[0].value == 200.0
+        assert parse_model(edited).parameters[0].value == 250.0
+
+    def test_lint_is_the_same_cold_and_warm(self, fixtures_dir):
+        text = (fixtures_dir / "lint" / "naming_violations.sfd").read_text()
+        language._parsed.cache_clear()
+        cold = lint_model(text)
+        warm = lint_model(text)
+        assert language._parsed.cache_info().hits == 1
+        language._parsed.cache_clear()
+        parse_model(text)
+        after_parse = lint_model(text)
+        assert len(cold) == 4
+        assert [(i.line, i.column, i.code, i.message) for i in warm] == [
+            (i.line, i.column, i.code, i.message) for i in cold]
+        assert after_parse == cold
+
+    @pytest.mark.parametrize("text", [
+        "model M {",
+        "model M {\n  param X = 1 [m3\n}\n",
+        "model M {\n  aux x = 1 $ 2\n}\n",
+    ])
+    def test_parse_error_is_raised_on_every_call(self, text):
+        language._parsed.cache_clear()
+        seen = []
+        for call in (parse_model, lint_model, parse_model, lint_model):
+            with pytest.raises(ParseError) as info:
+                call(text)
+            seen.append((info.value.message, info.value.line, info.value.column))
+        assert seen == [seen[0]] * 4
+        info = language._parsed.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+
+    def test_size_stays_bounded(self):
+        maxsize = language._parsed.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(3 * maxsize):
+            parse_model(f"model M{i} {{\n  param P = {i}\n}}\n")
+            assert language._parsed.cache_info().currsize <= maxsize
+        assert language._parsed.cache_info().currsize == maxsize
 
 
 @settings(max_examples=200, deadline=None)
