@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from sfdsim import SimConfig, Trajectory, render_chart, run_simulation
+from sfdsim import SimConfig, Trajectory, charts, render_chart, run_simulation
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,25 @@ class TestRenderChart:
         traj = run_simulation(baseline_spec, SimConfig(t_end=0.0))
         svg = render_chart(traj, ["AccumulatedVinasse"])
         assert "<polyline" in svg
+
+    def test_points_are_the_scaled_time_and_value(self, short_run):
+        columns = ["AccumulatedVinasse", "TotalCost", "temperature"]
+        svg = render_chart(short_run, columns, title="run")
+        times = short_run.row_times
+        plot_w = charts._WIDTH - charts._MARGIN_LEFT - charts._MARGIN_RIGHT
+        panel_h = charts._PANEL_LABEL_H + charts._PANEL_PLOT_H + charts._PANEL_GAP
+        got = re.findall(r'points="([^"]*)"', svg)
+        assert len(got) == len(columns)
+        for idx, (name, points) in enumerate(zip(columns, got)):
+            series = short_run.series(name)
+            lo, hi = min(series) + 0.0, max(series) + 0.0
+            plot_y = charts._TOP_PAD + charts._TITLE_H + idx * panel_h + charts._PANEL_LABEL_H
+            expected = []
+            for t, v in zip(times, series):
+                x = charts._MARGIN_LEFT + (t - times[0]) / (times[-1] - times[0]) * plot_w
+                y = plot_y + charts._PANEL_PLOT_H - (v - lo) / (hi - lo) * charts._PANEL_PLOT_H
+                expected.append(f"{x:.2f},{y:.2f}")
+            assert points == " ".join(expected), name
 
     def test_unknown_column_rejected(self, short_run):
         with pytest.raises(KeyError):

@@ -301,8 +301,7 @@ class TestParseCache:
         parse_model(text)
         after_parse = lint_model(text)
         assert len(cold) == 4
-        assert [(i.line, i.column, i.code, i.message) for i in warm] == [
-            (i.line, i.column, i.code, i.message) for i in cold]
+        assert warm == cold  # every field: line, column, code and message
         assert after_parse == cold
 
     @pytest.mark.parametrize("text", [
