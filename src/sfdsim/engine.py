@@ -33,13 +33,14 @@ non-zero; otherwise noise reads as zero.
 
 Negative stocks are prevented by a conserving clamp: when a step would push
 a non-negative stock below zero, all outflows draining that stock are scaled
-down by a common factor so the stock lands exactly on zero. The loop calls
-the clamp only on a step where some clamped stock's unscaled update falls
-below `-_CLAMP_TOL * max(1, |stock|)`, which is exactly when the clamp
-would scale a flow or raise. Scaling an outflow reduces the matching
-inflow of any downstream stock, so scale factors are settled upstream
-first: once each, in topological order, for stocks outside a cycle of
-flows, and iterated to a fixpoint for the rest. A fixpoint that does not
+down by a common factor so the stock lands exactly on zero. The clamp is
+straight-line code in the generated loop, and runs only on a step where
+some clamped stock's unscaled update falls below
+`-_CLAMP_TOL * max(1, |stock|)`, which is exactly when it would scale a
+flow or raise. Scaling an outflow reduces the matching inflow of any
+downstream stock, so scale factors are settled upstream first: once each,
+in topological order, for stocks outside a cycle of flows, and iterated to
+a fixpoint for the rest (`_clamp_order`). A fixpoint that does not
 converge raises ClampError; mass is conserved through flow chains.
 """
 
@@ -226,6 +227,7 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     times: list[float] = []
     rows: list[tuple[float, ...]] = []
 
+    fire = _event_firing(vm, draws[0], event_deltas, event_log)
     n = 0
     for stop in sorted({*event_steps, steps}):
         state = list(segment(n, stop, t_start, dt, config.record_every, times, rows,
@@ -234,7 +236,7 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
         fired = event_steps.get(stop)
         if fired:
             x = state[:n_stocks]
-            _fire_events(vm, fired, x, t_start + stop * dt, draws[0][stop], event_deltas, event_log)
+            fire(fired, x, stop, t_start + stop * dt)
             state[:n_stocks] = x
 
     x = state[:n_stocks]
@@ -294,9 +296,11 @@ def segment_source(method: str, floored: tuple[bool, ...],
     step n1. `draws` are the run's lists from `_noise_draws` (`g0`, or
     `g0, gm, ge` for RK4); a stage reads `g0[n]`, `gm[n]` or `ge[n]`.
     Stock i is the local `x{i}`, flow j's rate `r{j}` and its integral
-    `i{j}`; the global `clamp` is the topology's `_ConservingClamp`. Every
-    sum of rates is spelled out as `(0.0 + r1 + r2)`, the float additions
-    of CPython 3.11's `sum()`, and an empty one as the int 0.
+    `i{j}`, and a clamped stock's scale factor `k{i}`. Every sum of rates
+    is spelled out as `(0.0 + r1 + r2)`, the float additions of CPython
+    3.11's `sum()`, and an empty one as the int 0. The conserving clamp is
+    inlined as straight-line code (see `_clamp_order`); its globals are
+    `NonFiniteError` and `ClampError`.
     """
     ns, nf = len(floored), len(endpoints)
     ins = [[j for j, (_, dst) in enumerate(endpoints) if dst == i] for i in range(ns)]
@@ -317,8 +321,27 @@ def segment_source(method: str, floored: tuple[bool, ...],
         """Evaluate at time `tv`, draw `g` and stock locals `{stocks}{i}` into `o`."""
         return f"o = evaluate({', '.join([tv, g, *(f'{stocks}{i}' for i in range(ns))])})"
 
+    def settle(i: int, on_drop: list[str]) -> list[str]:
+        """Lower stock i's factor if its outflows, scaled by it, would
+        overdraw it; an inflow from a clamped stock counts as scaled by
+        that stock's factor. The lines `on_drop` run when the factor drops.
+        A stock settled once still has the factor 1.0, and `1.0 * q` is
+        `q`, so its factor is not read. The tolerance is negative, so
+        `v < 0.0` is tested first, to skip the call to `max`."""
+        inflow = [f"r{j} * k{endpoints[j][0]}" if endpoints[j][0] in clamped else f"r{j}"
+                  for j in ins[i]]
+        scaled, factor = (f"k{i} * q", f"k{i}") if on_drop else ("q", "1.0")
+        return [f"q = {total(outs[i], 'r')}",
+                "if q > 0.0:",
+                f"    p = ({' + '.join(['0.0', *inflow])})",
+                f"    v = x{i} + dt * (p - {scaled})",
+                f"    if v < 0.0 and v < {-_CLAMP_TOL!r} * max(1.0, abs(x{i})):",
+                f"        w = max(0.0, (x{i} + dt * p) / (dt * q))",
+                f"        if w < {factor} - 1e-15:",
+                f"            k{i} = w",
+                *("            " + line for line in on_drop)]
+
     xs = [f"x{i}" for i in range(ns)]
-    rs = [f"r{j}" for j in range(nf)]
     integrals = [f"i{j}" for j in range(nf)]
     body = ["t = t0 + n * dt", stage("t", "g0[n]", "x"),
             "if n % every == 0:",
@@ -339,12 +362,26 @@ def segment_source(method: str, floored: tuple[bool, ...],
     body += advance("y", "r", "dt")
     if clamped:
         # The clamp changes a rate only where a clamped stock's update
-        # undershoots its tolerance, so it is called only then.
+        # undershoots its tolerance, so it runs only then. A factor of 1.0
+        # leaves a rate's bits as they are.
         short = " or ".join(f"(y{i} < 0.0 and y{i} < {-_CLAMP_TOL!r} * max(1.0, abs(x{i})))"
                             for i in clamped)
-        body += [f"if {short}:",
-                 f"    {tup(rs)} = clamp(names, {tup(xs)}, {tup(rs)}, dt, t)",
-                 *("    " + line for line in advance("y", "r", "dt"))]
+        settled, cyclic = _clamp_order(clamped, endpoints)
+        block = [f"k{i} = 1.0" for i in clamped]
+        block += [line for i in settled for line in settle(i, [])]
+        if cyclic:
+            moved = [f"m{i}" for i in cyclic]
+            block += [f"for _ in range({4 * ns + 8}):",
+                      f"    {' = '.join(moved)} = False",
+                      *("    " + line for i in cyclic for line in settle(i, [f"m{i} = True"])),
+                      f"    if not ({' or '.join(moved)}):",
+                      "        break",
+                      "else:",
+                      f"    raise ClampError(tuple(names[i] for i, m in "
+                      f"{tup(f'({i}, m{i})' for i in cyclic)} if m), t)"]
+        block += [f"r{j} = r{j} * k{src}" for j, (src, _) in enumerate(endpoints)
+                  if src in clamped]
+        body += [f"if {short}:", *("    " + line for line in block + advance("y", "r", "dt"))]
     # A floored value is below the clamp tolerance once it has settled.
     body += [f"x{i} = 0.0 if y{i} < 0.0 else y{i}" if floored[i] else f"x{i} = y{i}"
              for i in range(ns)]
@@ -365,13 +402,43 @@ def segment_source(method: str, floored: tuple[bool, ...],
     return "\n".join(lines) + "\n"
 
 
+def _clamp_order(clamped: list[int],
+                 endpoints: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int]]:
+    """The order in which the conserving clamp settles the `clamped`
+    stocks, as `(settled, cyclic)`.
+
+    When a step would push a non-negative stock below zero, every flow
+    draining it is scaled by a common factor so that it lands on zero. A
+    clamped stock (non-negative, with outflows) whose factor drops also
+    shrinks the inflow it feeds downstream, so a stock's factor depends on
+    the factors of the clamped stocks that feed it. `settled` holds the
+    stocks outside a cycle of such flows, upstream first (Kahn's
+    algorithm); each is settled once. `cyclic` holds the rest, the cycles
+    and what they feed, in declaration order; they are settled in passes
+    until one changes nothing, and factors only ever decrease. A cycle
+    whose factors still move after 4n+8 passes, for n stocks, raises
+    ClampError. Flows from outside the boundary or from unclamped stocks
+    are never scaled.
+    """
+    feeds = {i: {src for src, dst in endpoints if dst == i and src in clamped} for i in clamped}
+    waiting = {i: len(up) for i, up in feeds.items()}
+    order = [i for i in clamped if not waiting[i]]
+    for i in order:  # grows while it is walked: Kahn's algorithm
+        for j in clamped:
+            if i in feeds[j]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    order.append(j)
+    return order, [i for i in clamped if waiting[i]]
+
+
 @lru_cache(maxsize=64)
 def _segment(method: str, floored: tuple[bool, ...],
              endpoints: tuple[tuple[int, int], ...]) -> Callable[..., tuple]:
     """The compiled `segment` of `segment_source`, shared by every model
-    with this topology, and bound to the topology's clamp. It is popped
-    from its globals, so refcounting frees it once the cache drops it."""
-    namespace = {"NonFiniteError": NonFiniteError, "clamp": _ConservingClamp(floored, endpoints)}
+    with this topology. It is popped from its globals, so refcounting
+    frees it once the cache drops it."""
+    namespace = {"NonFiniteError": NonFiniteError, "ClampError": ClampError}
     source = segment_source(method, floored, endpoints)
     exec(compile(source, "<sfdsim step loop>", "exec"), namespace)
     return namespace.pop("segment")  # type: ignore[return-value]
@@ -413,119 +480,46 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
     return schedule
 
 
-def _fire_events(vm, fired, x, t, g, event_deltas, event_log) -> None:
-    """Apply each fired event, by index, in declaration order.
+def _event_firing(vm, g0, event_deltas, event_log) -> Callable[..., None]:
+    """`fire(fired, x, n, t)` applies each event fired at step n and time
+    t, by index, in declaration order, to the stock values `x` in place.
 
     An event's generated action computes all its values against the state
     before that event changes anything; they are then applied sequentially.
     The action calls `evaluate` only if it reads a flow or auxiliary; the
-    model then sees `g`, the noise draw at `t`. Non-negative stocks are
-    floored at zero.
+    model then sees `g0[n]`, the noise draw at step n. Non-negative stocks
+    are floored at zero. The stock positions and `evaluate` are made once
+    per run.
     """
+    index = {name: i for i, name in enumerate(vm.stocks)}
+    evaluator = vm.evaluator
+    step = 0
 
     def evaluate(x, t):
-        return vm.evaluator(t, g, *x)
+        return evaluator(t, g0[step], *x)
 
-    index = {name: i for i, name in enumerate(vm.stocks)}
-    for k in fired:
-        event = vm.spec.events[k]
-        try:
-            planned = vm.actions[k](t, x, evaluate)
-        except ex.FAULTS:
-            raise NonFiniteError(f"event {event.name}", t) from None
-        if not all(map(math.isfinite, planned)):
-            raise NonFiniteError(f"event {event.name}", t)
-        for act, v in zip(event.actions, planned):
-            i = index[act.target]
-            old = x[i]
-            new = old + v if act.op == "add" else old - v if act.op == "subtract" else v
-            if vm.stocks[act.target].non_negative and new < 0.0:
-                new = 0.0
-            x[i] = new
-            event_deltas[act.target] += new - old
-            amount = old - new if act.op == "subtract" else (new if act.op == "set" else new - old)
-            event_log.append(EventRecord(t=t, event=event.name, target=act.target, amount=amount))
+    def fire(fired, x, n, t) -> None:
+        nonlocal step
+        step = n
+        for k in fired:
+            event = vm.spec.events[k]
+            try:
+                planned = vm.actions[k](t, x, evaluate)
+            except ex.FAULTS:
+                raise NonFiniteError(f"event {event.name}", t) from None
+            if not all(map(math.isfinite, planned)):
+                raise NonFiniteError(f"event {event.name}", t)
+            for act, v in zip(event.actions, planned):
+                i = index[act.target]
+                old = x[i]
+                new = old + v if act.op == "add" else old - v if act.op == "subtract" else v
+                if vm.stocks[act.target].non_negative and new < 0.0:
+                    new = 0.0
+                x[i] = new
+                event_deltas[act.target] += new - old
+                amount = (old - new if act.op == "subtract"
+                          else new if act.op == "set" else new - old)
+                event_log.append(EventRecord(t=t, event=event.name, target=act.target,
+                                             amount=amount))
 
-
-class _ConservingClamp:
-    """Scales outflows so no non-negative stock is driven below zero.
-
-    Each clamped stock (non-negative, with outflows) gets a scale factor
-    applied to every flow draining it. A reduced outflow also reduces the
-    inflow it feeds downstream, so a stock's factor depends on the factors
-    of the clamped stocks that feed it. Stocks outside a cycle of such
-    flows are settled once each, upstream first. The rest (cycles, and
-    what they feed) are iterated in declaration order until a pass changes
-    nothing; factors only ever decrease. A cycle whose factors still move
-    after 4n+8 passes, for n stocks, raises ClampError. Flows from outside
-    the boundary or from unclamped stocks are never scaled.
-    """
-
-    def __init__(self, floored: tuple[bool, ...], endpoints: tuple[tuple[int, int], ...]):
-        self.stocks = [i for i in range(len(floored))
-                       if floored[i] and any(src == i for src, _ in endpoints)]
-        clamped = set(self.stocks)
-        # Per clamped stock: its inflows as (flow, clamped source or -1),
-        # and its outflows.
-        self.terms = {
-            i: (tuple((j, src if src in clamped else -1)
-                      for j, (src, dst) in enumerate(endpoints) if dst == i),
-                tuple(j for j, (src, _) in enumerate(endpoints) if src == i))
-            for i in self.stocks
-        }
-        self.scaled = tuple((j, src) for j, (src, _) in enumerate(endpoints) if src in clamped)
-
-        feeds = {i: {src for _, src in self.terms[i][0] if src >= 0} for i in self.stocks}
-        waiting = {i: len(up) for i, up in feeds.items()}
-        order = [i for i in self.stocks if not waiting[i]]
-        for i in order:  # grows while it is walked: Kahn's algorithm
-            for j in self.stocks:
-                if i in feeds[j]:
-                    waiting[j] -= 1
-                    if not waiting[j]:
-                        order.append(j)
-        self.settled = tuple(order)
-        self.cyclic = tuple(i for i in self.stocks if waiting[i])
-        self.max_passes = 4 * len(floored) + 8
-
-    def __call__(self, names, x, raw, dt: float, t: float):
-        """Realized flow rates for state `x` and raw rates `raw`; `raw`
-        itself when nothing needs scaling. `names` are the stock names a
-        ClampError reports."""
-        scale = [1.0] * len(x)
-        settle = self._settle
-        scaled = [i for i in self.settled if settle(i, x, raw, dt, scale)]
-        if self.cyclic:
-            for _ in range(self.max_passes):
-                moved = [i for i in self.cyclic if settle(i, x, raw, dt, scale)]
-                if not moved:
-                    break
-                scaled += moved
-            else:
-                raise ClampError(tuple(names[i] for i in moved), t)
-        if not scaled:
-            return raw
-        realized = list(raw)
-        for j, src in self.scaled:
-            realized[j] = raw[j] * scale[src]
-        return realized
-
-    def _settle(self, i: int, x, raw, dt: float, scale: list[float]) -> bool:
-        """Lower stock i's factor if its outflows would overdraw it; True
-        if the factor changed."""
-        ins, outs = self.terms[i]
-        out_raw = 0.0  # added as the step loop adds it, whatever `sum()` does
-        for j in outs:
-            out_raw += raw[j]
-        if out_raw <= 0.0:
-            return False
-        inflow = 0.0
-        for j, src in ins:
-            inflow += raw[j] if src < 0 else raw[j] * scale[src]
-        candidate = x[i] + dt * (inflow - scale[i] * out_raw)
-        if candidate < -_CLAMP_TOL * max(1.0, abs(x[i])):
-            wanted = max(0.0, (x[i] + dt * inflow) / (dt * out_raw))
-            if wanted < scale[i] - 1e-15:
-                scale[i] = wanted
-                return True
-        return False
+    return fire

@@ -6,9 +6,12 @@ iteration per step, stage states and stock updates as list comprehensions
 over sums of the inflow and outflow rates, the conserving clamp called on
 every step, the floor, finiteness check and flow integrals rebuilt as
 lists, and event actions walked by the tree interpreter over a dict of
-every parameter, stock and computed value. It shares the clamp, the event
-schedule and the generated evaluator with the engine, so a differential
-test against it isolates the generated loop and the generated actions.
+every parameter, stock and computed value. Its conserving clamp is the
+engine's former clamp object, `_ConservingClamp`, kept here as it was
+before the engine emitted the clamp into the generated loop. It shares
+only the event schedule, the topology key and the generated evaluator
+with the engine, so a differential test against it isolates the
+generated loop, its inlined clamp and the generated actions.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from sfdsim.engine import (
     EventRecord,
     SimConfig,
     Trajectory,
-    _ConservingClamp,
     _event_schedule,
     _topology,
 )
-from sfdsim.errors import NonFiniteError
+from sfdsim.errors import ClampError, NonFiniteError
 from sfdsim.model import ModelSpec, ValidatedModel, validate_model
+
+_CLAMP_TOL = 1e-12
 
 
 def attachments(spec: ModelSpec) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
@@ -177,3 +181,87 @@ def fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
             event_deltas[act.target] += new - old
             amount = old - new if act.op == "subtract" else (new if act.op == "set" else new - old)
             event_log.append(EventRecord(t=t, event=event.name, target=act.target, amount=amount))
+
+
+class _ConservingClamp:
+    """Scales outflows so no non-negative stock is driven below zero.
+
+    Each clamped stock (non-negative, with outflows) gets a scale factor
+    applied to every flow draining it. A reduced outflow also reduces the
+    inflow it feeds downstream, so a stock's factor depends on the factors
+    of the clamped stocks that feed it. Stocks outside a cycle of such
+    flows are settled once each, upstream first. The rest (cycles, and
+    what they feed) are iterated in declaration order until a pass changes
+    nothing; factors only ever decrease. A cycle whose factors still move
+    after 4n+8 passes, for n stocks, raises ClampError. Flows from outside
+    the boundary or from unclamped stocks are never scaled.
+    """
+
+    def __init__(self, floored: tuple[bool, ...], endpoints: tuple[tuple[int, int], ...]):
+        self.stocks = [i for i in range(len(floored))
+                       if floored[i] and any(src == i for src, _ in endpoints)]
+        clamped = set(self.stocks)
+        # Per clamped stock: its inflows as (flow, clamped source or -1),
+        # and its outflows.
+        self.terms = {
+            i: (tuple((j, src if src in clamped else -1)
+                      for j, (src, dst) in enumerate(endpoints) if dst == i),
+                tuple(j for j, (src, _) in enumerate(endpoints) if src == i))
+            for i in self.stocks
+        }
+        self.scaled = tuple((j, src) for j, (src, _) in enumerate(endpoints) if src in clamped)
+
+        feeds = {i: {src for _, src in self.terms[i][0] if src >= 0} for i in self.stocks}
+        waiting = {i: len(up) for i, up in feeds.items()}
+        order = [i for i in self.stocks if not waiting[i]]
+        for i in order:  # grows while it is walked: Kahn's algorithm
+            for j in self.stocks:
+                if i in feeds[j]:
+                    waiting[j] -= 1
+                    if not waiting[j]:
+                        order.append(j)
+        self.settled = tuple(order)
+        self.cyclic = tuple(i for i in self.stocks if waiting[i])
+        self.max_passes = 4 * len(floored) + 8
+
+    def __call__(self, names, x, raw, dt: float, t: float):
+        """Realized flow rates for state `x` and raw rates `raw`; `raw`
+        itself when nothing needs scaling. `names` are the stock names a
+        ClampError reports."""
+        scale = [1.0] * len(x)
+        settle = self._settle
+        scaled = [i for i in self.settled if settle(i, x, raw, dt, scale)]
+        if self.cyclic:
+            for _ in range(self.max_passes):
+                moved = [i for i in self.cyclic if settle(i, x, raw, dt, scale)]
+                if not moved:
+                    break
+                scaled += moved
+            else:
+                raise ClampError(tuple(names[i] for i in moved), t)
+        if not scaled:
+            return raw
+        realized = list(raw)
+        for j, src in self.scaled:
+            realized[j] = raw[j] * scale[src]
+        return realized
+
+    def _settle(self, i: int, x, raw, dt: float, scale: list[float]) -> bool:
+        """Lower stock i's factor if its outflows would overdraw it; True
+        if the factor changed."""
+        ins, outs = self.terms[i]
+        out_raw = 0.0  # added as the step loop adds it, whatever `sum()` does
+        for j in outs:
+            out_raw += raw[j]
+        if out_raw <= 0.0:
+            return False
+        inflow = 0.0
+        for j, src in ins:
+            inflow += raw[j] if src < 0 else raw[j] * scale[src]
+        candidate = x[i] + dt * (inflow - scale[i] * out_raw)
+        if candidate < -_CLAMP_TOL * max(1.0, abs(x[i])):
+            wanted = max(0.0, (x[i] + dt * inflow) / (dt * out_raw))
+            if wanted < scale[i] - 1e-15:
+                scale[i] = wanted
+                return True
+        return False

@@ -236,6 +236,38 @@ class TestLintFmt:
                              "1.000000,7.000000,3.000000"]
 
 
+class TestValidateOnce:
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "optimize", "calibrate", "plot"])
+    def test_one_validation_per_command(self, command, fixtures_dir, tmp_path, monkeypatch,
+                                        capsys):
+        # Every validation goes through `model.validate_model`, so counting
+        # the calls there sees all of them.
+        import sfdsim.model
+
+        observed = tmp_path / "observed.csv"
+        observed.write_text("t,value\n10,100\n20,200\n")
+        args = {
+            "simulate": ["--out", str(tmp_path / "run.csv")],
+            "sweep": ["--param", "Dose", "--values", "0,10,20"],
+            "optimize": ["--intervals", "10,20", "--trucks", "6000", "--counts", "1,2"],
+            "calibrate": ["--param", "KEvap:0.001:0.01", "--column", "AccumulatedVinasse",
+                          "--observed", str(observed), "--max-passes", "2"],
+            "plot": [],
+        }[command]
+        calls = []
+        real = sfdsim.model.validate_model
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(sfdsim.model, "validate_model", counted)
+        assert main([command, "--model", str(fixtures_dir / "baseline.sfd"),
+                     "--scenario", str(fixtures_dir / "coagulant_addition.scn"),
+                     "--t-end", "20", *args]) == 0
+        assert len(calls) == 1
+
+
 class TestPlot:
     def test_stdout_svg(self, capsys):
         assert main(["plot", "--t-end", "20"]) == 0

@@ -4,8 +4,10 @@ the cache of compiled loops."""
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 import struct
+import sys
 import types
 import weakref
 
@@ -82,6 +84,15 @@ HAND_MODELS = {
     "unconverged_cycle": model(
         [StockDef("A", 0.0), StockDef("B", 0.0)],
         [("ab", "10", "A", "B"), ("ba", "9.9", "B", "A"), ("outA", "0.001", "A", None)]),
+    # With A = B = 0 the first step's factors fall by a constant ratio per
+    # pass: they settle on pass 16 = 4n + 8, the last one allowed, with a
+    # leak of 80, and would need a 17th with a leak of 70.
+    "cycle_settles_on_last_pass": model(
+        [StockDef("A", 0.0), StockDef("B", 0.0)],
+        [("ab", "10", "A", "B"), ("ba", "9", "B", "A"), ("outA", "80", "A", None)]),
+    "cycle_one_pass_short": model(
+        [StockDef("A", 0.0), StockDef("B", 0.0)],
+        [("ab", "10", "A", "B"), ("ba", "9", "B", "A"), ("outA", "70", "A", None)]),
     "stage_fault": model(
         [StockDef("S", 1.0)], [("out", "3 + 0 * ln(S + 0.5)", "S", None)]),
     "stock_overflow": model(
@@ -91,6 +102,17 @@ HAND_MODELS = {
         [StockDef("A", 3.0), StockDef("B", 0.0), StockDef("C", 1.0)],
         [("ab", "2 + sin(t)", "A", "B"), ("bc", "4", "B", "C"), ("cout", "C", "C", None),
          ("leak", "0.5", "A", None)]),
+    # A three-stock cycle drained faster than it is fed, feeding a floored
+    # stock D that drains too: D settles in the cycle's passes.
+    "cycle_feeds_downstream": model(
+        [StockDef("A", 1.0), StockDef("B", 0.5), StockDef("C", 0.0), StockDef("D", 0.2)],
+        [("feed", "0.5", None, "A"), ("ab", "3", "A", "B"), ("bc", "2 + sin(t)", "B", "C"),
+         ("ca", "2.5", "C", "A"), ("cd", "1", "C", "D"), ("dout", "2", "D", None)]),
+    # C is fed by two clamped stocks, each drained faster than it is fed.
+    "fan_in": model(
+        [StockDef("A", 2.0), StockDef("B", 1.0), StockDef("C", 0.0)],
+        [("ac", "3", "A", "C"), ("bc", "2 + cos(t)", "B", "C"), ("aout", "0.5", "A", None),
+         ("cout", "4", "C", None)]),
     "no_flows": ModelSpec(name="Empty", stocks=(StockDef("S", 2.0),)),
     # Actions read a flow, an auxiliary, t and noise(5), which reads as 0.
     "event_reads_computed": parse_model("""model Reads {
@@ -150,6 +172,49 @@ HAND_MODELS = {
 }
 
 
+def random_topology(seed: int) -> ModelSpec:
+    """2-5 stocks, most of them floored, joined by flows with random
+    endpoints, self-loops and cycles included, and constant or periodic
+    rates that often drain a stock faster than it is fed."""
+    rng = random.Random(seed)
+    names = [f"S{i}" for i in range(rng.randint(2, 5))]
+    stocks = [StockDef(name, round(rng.uniform(0.0, 4.0), 2), non_negative=rng.random() < 0.8)
+              for name in names]
+    flows = []
+    for j in range(rng.randint(len(names), 2 * len(names) + 1)):
+        src = rng.choice([None, *names])
+        dst = rng.choice([None, *names] if src else names)
+        rate = round(rng.uniform(0.2, 6.0), 3)
+        text = str(rate) if rng.random() < 0.6 else f"{rate} + {rate / 2} * sin(t)"
+        flows.append((f"f{j}", text, src, dst))
+    return model(stocks, flows)
+
+
+def clamp_activations(spec, config):
+    """The run of `spec`, and the time `t` of each step that entered the
+    clamp block of the generated loop, read by a line trace of that loop."""
+    source = engine.segment_source(*engine._topology(validate_model(spec), config.method))
+    starts = [n for n, line in enumerate(source.splitlines(), 1)
+              if re.fullmatch(r" +k\d+ = 1\.0", line)]
+    assert starts, "the topology has a clamp block"
+    calls = []
+
+    def step_loop_lines(frame, event, arg):
+        if frame.f_code.co_filename != "<sfdsim step loop>":
+            return None
+        if event == "line" and frame.f_lineno == starts[0]:
+            calls.append(frame.f_locals["t"])
+        return step_loop_lines
+
+    previous = sys.gettrace()
+    sys.settrace(step_loop_lines)
+    try:
+        traj = run_simulation(spec, config)
+    finally:
+        sys.settrace(previous)
+    return traj, calls
+
+
 class TestMatchesReference:
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("every", [1, 3])
@@ -176,6 +241,19 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("every", [1, 3])
+    def test_random_topologies(self, method, every):
+        errors = []
+        for seed in range(60):
+            spec = random_topology(seed)
+            config = SimConfig(t_end=12.0, method=method, record_every=every)
+            expected = outcome(reference_run, spec, config)
+            assert outcome(run_simulation, spec, config) == expected, seed
+            errors.append(expected[0])
+        assert ClampError in errors
+        assert errors.count(ClampError) < len(errors) // 2
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
     def test_noisy_plant_with_events(self, method, every):
         spec = build_baseline().with_params({"NoiseStdDev": 1.5})
         config = SimConfig(t_end=120.0, method=method, record_every=every, seed=11)
@@ -186,6 +264,11 @@ class TestMatchesReference:
         with pytest.raises(ClampError) as clamp_err:
             run_simulation(HAND_MODELS["unconverged_cycle"], SimConfig(t_end=5.0))
         assert (clamp_err.value.stocks, clamp_err.value.t) == (("A", "B"), 0.0)
+        with pytest.raises(ClampError) as clamp_err:
+            run_simulation(HAND_MODELS["cycle_one_pass_short"], SimConfig(t_end=5.0))
+        assert (clamp_err.value.stocks, clamp_err.value.t) == (("A",), 0.0)
+        settled = run_simulation(HAND_MODELS["cycle_settles_on_last_pass"], SimConfig(t_end=5.0))
+        assert settled.series("A") == settled.series("B") == [0.0] * 6
         with pytest.raises(NonFiniteError) as stage_err:
             run_simulation(HAND_MODELS["stage_fault"], SimConfig(t_end=3.0, method="rk4"))
         assert (stage_err.value.name, stage_err.value.t) == ("out", 0.5)
@@ -212,25 +295,15 @@ class TestMatchesReference:
         traj = run_simulation(HAND_MODELS["event_refills_empty"], SimConfig(t_end=2.0))
         assert (traj.series("S"), traj.series("inv")) == ([1.0, 5.0, 9.0], [1.0, 0.2, 1 / 9])
 
-    def test_clamp_called_only_when_an_update_undershoots(self, monkeypatch):
-        calls = []
-        real = engine._ConservingClamp.__call__
-
-        def counting(self, names, x, raw, dt, t):
-            calls.append(t)
-            return real(self, names, x, raw, dt, t)
-
-        monkeypatch.setattr(engine._ConservingClamp, "__call__", counting)
+    def test_clamp_called_only_when_an_update_undershoots(self):
         # S fills at 1/day and drains at 3/day from t = 6: it reaches 0 at
         # t = 9, and only the steps from there on would overdraw it.
         late_drain = model([StockDef("S", 0.0)],
                            [("feed", "1", None, "S"), ("out", "if(t > 5, 3, 0)", "S", None)])
-        traj = run_simulation(late_drain, SimConfig(t_end=12.0))
+        traj, calls = clamp_activations(late_drain, SimConfig(t_end=12.0))
         assert calls == [9.0, 10.0, 11.0]
         assert traj.column("S").tolist()[7:] == [4.0, 2.0, 0.0, 0.0, 0.0, 0.0]
-        calls.clear()
-        run_simulation(build_baseline(), SimConfig(t_end=365.0))
-        assert calls == []
+        assert clamp_activations(build_baseline(), SimConfig(t_end=365.0))[1] == []
 
 
 class TestLoopCache:
@@ -272,20 +345,17 @@ class TestLoopCache:
             engine._segment("euler", tuple(bool(code >> i & 1) for i in range(7)), chain)
         assert first() is None
 
-    def test_clamp_built_once_per_topology(self, monkeypatch):
-        built = []
-        real = engine._ConservingClamp.__init__
-
-        def counting(self, floored, endpoints):
-            built.append((floored, endpoints))
-            real(self, floored, endpoints)
-
-        monkeypatch.setattr(engine._ConservingClamp, "__init__", counting)
+    def test_clamp_built_once_per_topology(self):
         engine._segment.cache_clear()
         spec = HAND_MODELS["drained_chain"]
         run_simulation(spec, SimConfig(t_end=12.0))
         run_simulation(spec.with_initial({"A": 9.0}), SimConfig(t_end=12.0, seed=2))
-        assert built == [engine._topology(validate_model(spec), "euler")[1:]]
+        info = engine._segment.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        segment = engine._segment(*engine._topology(validate_model(spec), "euler"))
+        assert {name: value for name, value in segment.__globals__.items()
+                if name != "__builtins__"} == {"NonFiniteError": NonFiniteError,
+                                               "ClampError": ClampError}
 
     def test_source_names_no_model_variable(self):
         vm = validate_model(build_baseline())
@@ -293,6 +363,7 @@ class TestLoopCache:
         assert all(name not in source for name in (*vm.stocks, *vm.params, *vm.order))
         assert source.count("evaluate(") == 4
         assert "try" not in source  # the evaluator names its own faults
+        assert "clamp(" not in source and "k0 = 1.0" in source  # the clamp is inlined
 
 
 class TestNoiseDraws:
