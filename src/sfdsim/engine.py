@@ -213,7 +213,7 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     steps = config.step_count()
     t_start, dt = config.t_start, config.dt
 
-    stock_names = tuple(vm.stocks)
+    stock_names = tuple(s.name for s in spec.stocks)
     flow_names = [f.name for f in spec.flows]
     columns = (*stock_names, *flow_names, *(a.name for a in spec.auxiliaries))
     event_steps = _event_schedule(spec, config, steps)
@@ -278,7 +278,7 @@ def _topology(vm: ValidatedModel, method: str) -> tuple:
     """What the generated step loop depends on: the method, each stock's
     floor, and each flow's (source, target) stock positions, -1 for the
     model boundary. Expressions and parameters never enter it."""
-    position = {name: i for i, name in enumerate(vm.stocks)}
+    position = {s.name: i for i, s in enumerate(vm.spec.stocks)}
     return (
         method,
         tuple(s.non_negative for s in vm.spec.stocks),
@@ -488,10 +488,11 @@ def _event_firing(vm, g0, event_deltas, event_log) -> Callable[..., None]:
     before that event changes anything; they are then applied sequentially.
     The action calls `evaluate` only if it reads a flow or auxiliary; the
     model then sees `g0[n]`, the noise draw at step n. Non-negative stocks
-    are floored at zero. The stock positions and `evaluate` are made once
-    per run.
+    are floored at zero. The stock positions, the floors and `evaluate` are
+    made once per run.
     """
-    index = {name: i for i, name in enumerate(vm.stocks)}
+    index = {s.name: i for i, s in enumerate(vm.spec.stocks)}
+    floored = [s.non_negative for s in vm.spec.stocks]
     evaluator = vm.evaluator
     step = 0
 
@@ -513,7 +514,7 @@ def _event_firing(vm, g0, event_deltas, event_log) -> Callable[..., None]:
                 i = index[act.target]
                 old = x[i]
                 new = old + v if act.op == "add" else old - v if act.op == "subtract" else v
-                if vm.stocks[act.target].non_negative and new < 0.0:
+                if floored[i] and new < 0.0:
                     new = 0.0
                 x[i] = new
                 event_deltas[act.target] += new - old

@@ -1,14 +1,19 @@
 """Arithmetic expression trees for model equations.
 
 Expressions are built from numeric literals, variable references, binary
-operators, and a fixed set of builtin functions. `python_source` renders
-a tree as Python expression text, from which `model.validate_model`
-generates one evaluator and one action function per event for each model;
-the package evaluates expressions only through that code. `eval_expression`
-walks a tree, performing the same floating-point operations in the same
-order, so its results, and the exceptions it raises, are identical to the
-generated code's. It is kept as the tests' reference; `bench/tracer.py`
-also calls it.
+operators, and a fixed set of builtin functions. Four walks read a tree:
+
+- `validate_expression` checks it, and collects the names it reads and its
+  `noise()` scales, for the evaluation order and the noise decision;
+- `hoisting_source` (and `python_source`, its plain form) renders it as
+  Python expression text, from which `model.validate_model` generates one
+  evaluator and one action function per event for each model; the package
+  evaluates expressions only through that code;
+- `to_source` renders it as model-language text;
+- `eval_expression` interprets it, performing the same floating-point
+  operations in the same order as the generated code, so its results, and
+  the exceptions it raises, are identical. It is kept as the tests'
+  reference; `bench/tracer.py` also calls it.
 
 The symbol `t` always refers to current simulation time. `noise(scale)`
 multiplies its argument by the per-evaluation Gaussian draw `g` supplied by
@@ -154,64 +159,45 @@ def eval_expression(expr: Expr, env: dict[str, float], t: float = 0.0, g: float 
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def variables(expr: Expr, names: set[str] | None = None) -> set[str]:
-    """All names referenced by `expr`, including `t` if present, added to
-    `names` if it is given."""
+def validate_expression(expr: Expr, known: Container[str], names: set[str] | None = None,
+                        scales: list[Expr] | None = None) -> tuple[set[str], list[Expr]]:
+    """Check that all names resolve and builtin calls have correct arity.
+
+    Returns `(names, scales)`: every name `expr` reads, `t` included, added
+    to `names`, and the argument of every `noise()` call, an outer call
+    first, appended to `scales`. Each is a new container if not given. The
+    tree is checked in pre-order, left to right, so the first fault found
+    is the one raised.
+    """
     if names is None:
         names = set()
-    if isinstance(expr, Var):
-        names.add(expr.name)
-    elif isinstance(expr, BinOp):
-        variables(expr.left, names)
-        variables(expr.right, names)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            variables(arg, names)
-    return names
-
-
-def noise_scales(expr: Expr, scales: list[Expr] | None = None) -> list[Expr]:
-    """The argument of every `noise()` call in `expr`, an outer call first,
-    appended to `scales` if it is given."""
     if scales is None:
         scales = []
-    if isinstance(expr, BinOp):
-        noise_scales(expr.left, scales)
-        noise_scales(expr.right, scales)
-    elif isinstance(expr, Call):
-        if expr.fn == "noise":
-            scales.append(expr.args[0])
-        for arg in expr.args:
-            noise_scales(arg, scales)
-    return scales
-
-
-def validate_expression(expr: Expr, known: set[str]) -> None:
-    """Check that all names resolve and builtin calls have correct arity."""
     if isinstance(expr, Num):
         if not math.isfinite(expr.value):
             raise ValueError(f"non-finite literal {expr.value!r}")
-        return
-    if isinstance(expr, Var):
+    elif isinstance(expr, Var):
         if expr.name != "t" and expr.name not in known:
             raise UnknownSymbolError(f"undefined symbol '{expr.name}'")
-        return
-    if isinstance(expr, BinOp):
+        names.add(expr.name)
+    elif isinstance(expr, BinOp):
         if expr.op not in ARITHMETIC and expr.op not in COMPARISONS:
             raise ValueError(f"unknown operator '{expr.op}'")
-        validate_expression(expr.left, known)
-        validate_expression(expr.right, known)
-        return
-    if isinstance(expr, Call):
+        validate_expression(expr.left, known, names, scales)
+        validate_expression(expr.right, known, names, scales)
+    elif isinstance(expr, Call):
         arity = BUILTINS.get(expr.fn)
         if arity is None:
             raise UnknownSymbolError(f"unknown function '{expr.fn}'")
         if len(expr.args) != arity:
             raise ValueError(f"{expr.fn}() takes {arity} arguments, got {len(expr.args)}")
+        if expr.fn == "noise":
+            scales.append(expr.args[0])
         for a in expr.args:
-            validate_expression(a, known)
-        return
-    raise TypeError(f"not an expression node: {expr!r}")
+            validate_expression(a, known, names, scales)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    return names, scales
 
 
 # Operator precedence for parsing and printing. Comparisons bind loosest and
@@ -302,10 +288,7 @@ def hoisting_source(expr: Expr, local: Callable[[str], str], fixed: Container[st
         b, right = hoisting_source(expr.right, local, fixed, hoist)
         invariant = left and right
         if hoist and not invariant:
-            if left and isinstance(expr.left, (BinOp, Call)):
-                a = hoist(a)
-            if right and isinstance(expr.right, (BinOp, Call)):
-                b = hoist(b)
+            a, b = _hoisted((expr.left, expr.right), [a, b], [left, right], hoist)
         if expr.op in COMPARISONS:
             return f"(1.0 if {a} {expr.op} {b} else 0.0)", invariant
         if expr.op == "^":

@@ -197,7 +197,6 @@ class ValidatedModel:
     spec: ModelSpec
     order: tuple[str, ...]  # aux and flow names in evaluation order
     expressions: dict[str, ex.Expr] = field(repr=False)
-    stocks: dict[str, StockDef] = field(repr=False)
     params: dict[str, float] = field(repr=False)
     source: str = field(repr=False)
     evaluator: Callable[..., tuple[float, ...]] = field(repr=False, compare=False)
@@ -227,7 +226,7 @@ class ValidatedModel:
         spec = self.spec.with_initial(overrides)
         for s in spec.stocks:
             _check_initial(s)
-        return replace(self, spec=spec, stocks={s.name: s for s in spec.stocks})
+        return replace(self, spec=spec)
 
     def with_event_schedule(self, name: str, start: float | None = None,
                             interval: float | None = None) -> ValidatedModel:
@@ -242,12 +241,14 @@ class ValidatedModel:
         return replace(self, spec=spec)
 
 
-def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
-                      expressions: dict[str, ex.Expr]) -> str:
+def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict[str, ex.Expr],
+                      scales: list[ex.Expr], events: list[tuple[set[str], list[ex.Expr]]]) -> str:
     """Python source of `bind(*params) -> (evaluator, actions, noisy)`
     (see `ValidatedModel`). Every model name `x` is the local `_x`, except
     that an action reads stock i as `x[i]` and flow or auxiliary j as
-    `o[j]`.
+    `o[j]`. `scales` are the `noise()` scales of the flows and auxiliaries,
+    and `events` each event's names read and scales, as
+    `ex.validate_expression` collects them.
 
     `bind` first computes, in evaluation order, each variable that is an
     operation or call on parameters and such variables only, and in every
@@ -304,24 +305,21 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...],
               "            raise NonFiniteError(NAMES[e.__traceback__.tb_lineno], t) from None"]
     reads = {**local, **{s.name: f"x[{i}]" for i, s in enumerate(spec.stocks)},
              **{name: f"o[{j}]" for j, name in enumerate(computed)}}
-    for k, event in enumerate(spec.events):
+    for k, (event, (read, noise)) in enumerate(zip(spec.events, events)):
         values = (ex.python_source(a.expression, reads.__getitem__) for a in event.actions)
         lines.append(f"    def act{k}(t, x, evaluate):")
-        if any(ex.noise_scales(a.expression) for a in event.actions):
+        if noise:
             lines.append("        g = 0.0")
-        if any(ex.variables(a.expression) & expressions.keys() for a in event.actions):
+        if read & expressions.keys():
             lines.append("        o = evaluate(x, t)")
         lines.append(f"        return {tup(values)}")
     # Noise is drawn if a scale reads state, time or noise, or if one of
     # parameters and constants is non-zero or faults.
     params = {p.name for p in spec.parameters}
-    scales = [scale for expression in expressions.values()
-              for scale in ex.noise_scales(expression)]
-    constant = [scale for scale in scales
-                if not ex.noise_scales(scale) and ex.variables(scale) <= params]
-    if constant and len(constant) == len(scales):
+    walks = [ex.validate_expression(scale, local) for scale in scales]
+    if scales and all(not noise and read <= params for read, noise in walks):
         tests = " or ".join(f"{ex.python_source(scale, local.__getitem__)} != 0.0"
-                            for scale in constant)
+                            for scale in scales)
         lines += ["    try:", f"        noisy = {tests}", "    except FAULTS:", "        noisy = True"]
     else:
         lines.append(f"    noisy = {bool(scales)}")
@@ -393,9 +391,11 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     params = _checked_params(spec)
 
     known = seen | {"t"}
+    reads: dict[str, set[str]] = {}
+    scales: list[ex.Expr] = []
     for name, expression in expressions.items():
         try:
-            ex.validate_expression(expression, known)
+            reads[name], _ = ex.validate_expression(expression, known, scales=scales)
         except (UnknownSymbolError, ValueError) as err:
             raise type(err)(f"in '{name}': {err}") from None
 
@@ -416,10 +416,13 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
                     f"'{endpoint}' needs '{stock_unit}/day'"
                 )
 
+    events: list[tuple[set[str], list[ex.Expr]]] = []
     for e in spec.events:
         _check_schedule(e)
         if not e.actions:
             raise ModelError(f"event '{e.name}' has no actions")
+        read: set[str] = set()
+        noise: list[ex.Expr] = []
         for act in e.actions:
             if act.op not in EVENT_OPS:
                 raise ModelError(f"event '{e.name}': unknown action op '{act.op}'")
@@ -428,15 +431,15 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
                     f"event '{e.name}' targets unknown stock '{act.target}'"
                 )
             try:
-                ex.validate_expression(act.expression, known)
+                ex.validate_expression(act.expression, known, read, noise)
             except (UnknownSymbolError, ValueError) as err:
                 raise type(err)(f"in event '{e.name}': {err}") from None
+        events.append((read, noise))
 
-    order = _evaluation_order(spec, expressions)
-    source = _evaluator_source(spec, order, expressions)
+    order = _evaluation_order(spec, reads)
+    source = _evaluator_source(spec, order, expressions, scales, events)
     evaluator, actions, noisy = _compile_evaluator(source)(*params.values())
-    return ValidatedModel(spec, order, expressions, stocks, params, source, evaluator, actions,
-                          noisy)
+    return ValidatedModel(spec, order, expressions, params, source, evaluator, actions, noisy)
 
 
 def as_validated(model: ModelSpec | ValidatedModel) -> ValidatedModel:
@@ -455,18 +458,15 @@ def _all_names(spec: ModelSpec):
         yield p.name
 
 
-def _evaluation_order(spec: ModelSpec, expressions: dict[str, ex.Expr]) -> tuple[str, ...]:
+def _evaluation_order(spec: ModelSpec, reads: dict[str, set[str]]) -> tuple[str, ...]:
     """Dependency-sort auxiliaries and flows, preserving declaration order.
 
+    `reads` maps each auxiliary and flow to the names its expression reads.
     Only references between computed variables form edges; stocks and
     parameters are plain state. Depth-first postorder gives a deterministic
     order; a back edge is reported as CycleError with the cycle path.
     """
-    computed = set(expressions)
-    deps = {
-        name: [d for d in sorted(ex.variables(e)) if d in computed]
-        for name, e in expressions.items()
-    }
+    deps = {name: [d for d in sorted(names) if d in reads] for name, names in reads.items()}
 
     order: list[str] = []
     state: dict[str, int] = {}  # 0 absent, 1 visiting, 2 done

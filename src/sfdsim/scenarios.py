@@ -40,6 +40,7 @@ from typing import TypeVar
 
 from .engine import SimConfig, Trajectory, run_simulation
 from .errors import NoFeasiblePolicyError
+from .expr import format_number
 from .language import _Parser, tokenize
 from .model import ModelSpec, ValidatedModel, as_validated
 from .plant import summarize
@@ -417,8 +418,6 @@ def format_scenario(scenario: Scenario) -> str:
     double quotes or newlines, and an event reschedule that keeps the
     event's start (start None), since a bare `every N` starts at N.
     """
-    from .expr import format_number
-
     lines = [f"scenario {scenario.name} {{"]
     if scenario.description:
         if '"' in scenario.description or "\n" in scenario.description:

@@ -148,13 +148,16 @@ def fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
     The model is evaluated for the snapshot only when an action reads a
     flow or auxiliary. Non-negative stocks are floored at zero.
     """
-    index = {name: i for i, name in enumerate(vm.stocks)}
+    stocks = {s.name: s for s in vm.spec.stocks}
+    index = {name: i for i, name in enumerate(stocks)}
     computed = [d.name for d in (*vm.spec.flows, *vm.spec.auxiliaries)]
+    known = {*vm.params, *stocks, *computed}
     for k in fired:
         event = vm.spec.events[k]
         env = dict(vm.params)
-        env.update(zip(vm.stocks, x))
-        if any(ex.variables(act.expression) & set(computed) for act in event.actions):
+        env.update(zip(stocks, x))
+        if any(ex.validate_expression(act.expression, known)[0] & set(computed)
+               for act in event.actions):
             env.update(zip(computed, evaluate(x, t)))
         planned = []
         for act in event.actions:
@@ -175,7 +178,7 @@ def fire_events(vm, fired, x, t, evaluate, event_deltas, event_log) -> None:
                 new = old - v
             else:
                 new = v
-            if vm.stocks[act.target].non_negative and new < 0.0:
+            if stocks[act.target].non_negative and new < 0.0:
                 new = 0.0
             x[i] = new
             event_deltas[act.target] += new - old

@@ -32,7 +32,6 @@ from sfdsim.expr import (
     format_number,
     to_source,
     validate_expression,
-    variables,
 )
 
 ENV = {"x": 3.0, "y": -2.0, "z": 0.5}
@@ -119,9 +118,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_expression(Num(float("inf")), set())
 
-    def test_variables_collects_names(self):
-        names = variables(parse_expression("min(a, b) + c * t"))
-        assert names == {"a", "b", "c", "t"}
+    def test_returns_names_read_and_noise_scales(self):
+        expression = parse_expression("min(a, b) + c * t + noise(k * noise(2)) - noise(t)")
+        names, scales = validate_expression(expression, {"a", "b", "c", "k"})
+        assert names == {"a", "b", "c", "k", "t"}
+        assert scales == [parse_expression("k * noise(2)"), Num(2.0), Var("t")]
+        assert validate_expression(parse_expression("1 + 2"), set()) == (set(), [])
+
+    def test_adds_to_the_given_containers(self):
+        names, scales = {"z"}, [Num(9.0)]
+        got = validate_expression(parse_expression("x + noise(y)"), {"x", "y"}, names, scales)
+        assert got[0] is names and got[1] is scales
+        assert (names, scales) == ({"x", "y", "z"}, [Num(9.0), Var("y")])
+
+    @pytest.mark.parametrize("expression, error, message", [
+        (parse_expression("q + min(1)"), UnknownSymbolError, "undefined symbol 'q'"),
+        (parse_expression("min(1) + q"), ValueError, "min() takes 2 arguments, got 1"),
+        (parse_expression("tan(min(1))"), UnknownSymbolError, "unknown function 'tan'"),
+        (parse_expression("min(q, 1, 2)"), ValueError, "min() takes 2 arguments, got 3"),
+        (parse_expression("noise(q) + noise(1, 2)"), UnknownSymbolError,
+         "undefined symbol 'q'"),
+        (BinOp("%", Var("q"), Num(1.0)), ValueError, "unknown operator '%'"),
+        (BinOp("+", Num(math.inf), Var("q")), ValueError, "non-finite literal inf"),
+        (BinOp("+", Var("q"), Num(math.inf)), UnknownSymbolError, "undefined symbol 'q'"),
+    ])
+    def test_first_fault_in_pre_order_is_raised(self, expression, error, message):
+        with pytest.raises(error) as err:
+            validate_expression(expression, {"x"})
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestPrinting:

@@ -110,6 +110,38 @@ def test_scan_sees_an_unread_private_definition():
         "a.py:_UNUSED", "a.py:_recursive"]
 
 
+def unread_public_functions(trees: dict[str, ast.Module], module: str) -> list[str]:
+    """Each public module-level function of `module` that no other package
+    module reads, as a name or an attribute."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for name, tree in trees.items() if name != module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [node.name for node in trees[module].body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in read]
+
+
+def test_every_public_expr_function_is_read_by_another_module():
+    # `eval_expression` is the tests' reference interpreter, which no
+    # package module runs; it is to move next to the tests (ROADMAP item 4).
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_public_functions(trees, "expr.py") == ["eval_expression"]
+
+
+def test_scan_sees_an_unread_public_function():
+    module = ast.parse(
+        "def used(n):\n    return used(n - 1)\n"
+        "def attribute():\n    pass\n"
+        "def unread():\n    return unread()\n"
+        "def _private():\n    pass\n"
+    )
+    other = ast.parse("from .a import unread\nused(1)\na.attribute()\n")
+    assert unread_public_functions({"a.py": module, "b.py": other}, "a.py") == ["unread"]
+
+
 NO_NUMPY = """
 import sys
 import sfdsim

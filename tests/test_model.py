@@ -35,7 +35,7 @@ from sfdsim import (
     run_simulation,
     validate_model,
 )
-from sfdsim.expr import BUILTINS, BinOp, Call, Num, Var, eval_expression, variables
+from sfdsim.expr import BUILTINS, BinOp, Call, Num, Var, eval_expression, validate_expression
 
 from modelgen import generate_model
 from reference_integrator import attachments
@@ -82,6 +82,31 @@ class TestValidation:
             flows=(FlowDef("drain", parse_expression("Missing * Tank"), "Tank", None),)
         )
         with pytest.raises(UnknownSymbolError):
+            validate_model(spec)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("q + min(1)", UnknownSymbolError, "undefined symbol 'q'"),
+        ("min(1) + q", ValueError, "min() takes 2 arguments, got 1"),
+    ])
+    def test_first_expression_fault_is_raised_with_its_variable(self, text, error, message):
+        cases = {
+            "in 'a': ": tiny_model(auxiliaries=(AuxDef("a", parse_expression(text)),)),
+            "in 'drain': ": tiny_model(
+                flows=(FlowDef("drain", parse_expression(text), "Tank", None),)),
+            "in event 'e': ": tiny_model(events=(EventDef("e", 1.0, 1.0, (
+                EventAction("Tank", "add", parse_expression("Rate")),
+                EventAction("Tank", "add", parse_expression(text)),
+                EventAction("Tank", "add", parse_expression("tan(1)")))),)),
+        }
+        for prefix, spec in cases.items():
+            with pytest.raises(error) as err:
+                validate_model(spec)
+            assert type(err.value) is error and str(err.value) == prefix + message
+
+    def test_auxiliary_faults_precede_flow_faults(self):
+        spec = tiny_model(auxiliaries=(AuxDef("a", parse_expression("min(1)")),),
+                          flows=(FlowDef("drain", parse_expression("q"), "Tank", None),))
+        with pytest.raises(ValueError, match=r"^in 'a': min\(\) takes 2 arguments"):
             validate_model(spec)
 
     def test_unknown_stock_endpoint_rejected(self):
@@ -152,11 +177,16 @@ class TestValidation:
             validate_model(spec)
 
 
-def kahn_order(expressions: dict) -> list[str]:
+def known_names(vm) -> set[str]:
+    """Every name a model expression of `vm` may read, but `t`."""
+    return {*vm.params, *vm.expressions, *(s.name for s in vm.spec.stocks)}
+
+
+def kahn_order(expressions: dict, known: set[str]) -> list[str]:
     """Independent topological sort used to cross-check the engine's DFS."""
     computed = set(expressions)
     deps = {
-        name: {d for d in variables(e) if d in computed}
+        name: {d for d in validate_expression(e, known)[0] if d in computed}
         for name, e in expressions.items()
     }
     order: list[str] = []
@@ -189,10 +219,11 @@ class TestEvaluationOrder:
     def test_random_models_sort_consistently(self, seed):
         vm = validate_model(generate_model(seed))
         position = {name: i for i, name in enumerate(vm.order)}
-        reference = kahn_order(vm.expressions)
+        known = known_names(vm)
+        reference = kahn_order(vm.expressions, known)
         assert sorted(vm.order) == sorted(reference)
         for name in vm.order:
-            for dep in variables(vm.expressions[name]):
+            for dep in validate_expression(vm.expressions[name], known)[0]:
                 if dep in vm.expressions:
                     assert position[dep] < position[name]
 
@@ -237,7 +268,7 @@ def interpreted(vm, stocks, t, g):
     """Per-variable `eval_expression` walk over `vm.order`: the flow and
     auxiliary values, or the (exception type, variable) it stops at."""
     env = dict(vm.params)
-    env.update(zip(vm.stocks, stocks))
+    env.update(zip((s.name for s in vm.spec.stocks), stocks))
     for name in vm.order:
         try:
             v = eval_expression(vm.expressions[name], env, t, g)
@@ -619,8 +650,8 @@ class TestValidatedVariants:
         variant = vm.with_initial(overrides)
         expected = validate_model(spec.with_initial(overrides))
         same_model(variant, expected)
-        assert variant.stocks == expected.stocks
-        assert list(variant.stocks) == list(expected.stocks)
+        assert [s.initial for s in variant.spec.stocks] == [
+            overrides.get(s.name, s.initial) for s in spec.stocks]
         assert variant.evaluator is vm.evaluator and variant.actions is vm.actions
         same_model(vm, validate_model(spec))
 
@@ -650,11 +681,14 @@ class TestValidatedVariants:
         vm = validate_model(baseline_spec)
         vm.draws_noise
         walks = []
-        original = sfdsim.expr.noise_scales
-        monkeypatch.setattr(sfdsim.expr, "noise_scales",
-                            lambda e: walks.append(e) or original(e))
+        original = sfdsim.expr.validate_expression
+        monkeypatch.setattr(sfdsim.expr, "validate_expression",
+                            lambda e, *args, **kwargs:
+                            walks.append(e) or original(e, *args, **kwargs))
         assert vm.with_params({"NoiseStdDev": 2.0}).draws_noise
         assert walks == []
+        validate_model(baseline_spec)
+        assert walks  # the patch sees the walks that validation makes
 
     @pytest.mark.parametrize("overrides", [
         {"Missing": 1.0},

@@ -360,7 +360,8 @@ class TestLoopCache:
     def test_source_names_no_model_variable(self):
         vm = validate_model(build_baseline())
         source = engine.segment_source(*engine._topology(vm, "rk4"))
-        assert all(name not in source for name in (*vm.stocks, *vm.params, *vm.order))
+        stocks = (s.name for s in vm.spec.stocks)
+        assert all(name not in source for name in (*stocks, *vm.params, *vm.order))
         assert source.count("evaluate(") == 4
         assert "try" not in source  # the evaluator names its own faults
         assert "clamp(" not in source and "k0 = 1.0" in source  # the clamp is inlined
