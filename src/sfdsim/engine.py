@@ -19,10 +19,11 @@ flow integrals and the recorded rows are inlined. Every sum of rates is
 spelled out as the float additions CPython 3.11's `sum()` performs, so
 results match the former list-based loop bit for bit (and do not change
 with the compensated float `sum()` of later versions). Events run the
-model's generated actions (`ValidatedModel.actions`), which evaluate the
-model only when they read a flow or auxiliary, so the engine never
-interprets an expression tree. The evaluator raises only NonFiniteError,
-naming the variable behind a non-finite value or an arithmetic fault.
+model's generated actions (`ValidatedModel.actions`) on the run's state
+and the step's noise draw; an action evaluates the model itself, and only
+when it reads a flow or auxiliary, so the engine never interprets an
+expression tree. The evaluator raises only NonFiniteError, naming the
+variable behind a non-finite value or an arithmetic fault.
 
 Determinism is a hard requirement: identical inputs produce byte-identical
 CSV output, including under the stochastic `noise` builtin, whose draws are
@@ -227,17 +228,14 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     times: list[float] = []
     rows: list[tuple[float, ...]] = []
 
-    fire = _event_firing(vm, draws[0], event_deltas, event_log)
+    fire = _event_firing(vm, event_deltas, event_log)
     n = 0
     for stop in sorted({*event_steps, steps}):
         state = list(segment(n, stop, t_start, dt, config.record_every, times, rows,
                              vm.evaluator, stock_names, *draws, *state))
         n = stop
-        fired = event_steps.get(stop)
-        if fired:
-            x = state[:n_stocks]
-            fire(fired, x, stop, t_start + stop * dt)
-            state[:n_stocks] = x
+        if stop in event_steps:
+            fire(event_steps[stop], state, t_start + stop * dt, draws[0][stop])
 
     x = state[:n_stocks]
     t_end = t_start + steps * dt
@@ -480,32 +478,25 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
     return schedule
 
 
-def _event_firing(vm, g0, event_deltas, event_log) -> Callable[..., None]:
-    """`fire(fired, x, n, t)` applies each event fired at step n and time
-    t, by index, in declaration order, to the stock values `x` in place.
+def _event_firing(vm, event_deltas, event_log) -> Callable[..., None]:
+    """`fire(fired, x, t, draw)` applies each event fired at time t, by
+    index, in declaration order, to the run's state `x` in place; stock i
+    is `x[i]`.
 
     An event's generated action computes all its values against the state
     before that event changes anything; they are then applied sequentially.
-    The action calls `evaluate` only if it reads a flow or auxiliary; the
-    model then sees `g0[n]`, the noise draw at step n. Non-negative stocks
-    are floored at zero. The stock positions, the floors and `evaluate` are
-    made once per run.
+    An action that reads a flow or auxiliary evaluates the model with the
+    step's noise draw `draw`. Non-negative stocks are floored at zero. The
+    stock positions and the floors are made once per run.
     """
     index = {s.name: i for i, s in enumerate(vm.spec.stocks)}
     floored = [s.non_negative for s in vm.spec.stocks]
-    evaluator = vm.evaluator
-    step = 0
 
-    def evaluate(x, t):
-        return evaluator(t, g0[step], *x)
-
-    def fire(fired, x, n, t) -> None:
-        nonlocal step
-        step = n
+    def fire(fired, x, t, draw) -> None:
         for k in fired:
             event = vm.spec.events[k]
             try:
-                planned = vm.actions[k](t, x, evaluate)
+                planned = vm.actions[k](t, x, draw)
             except ex.FAULTS:
                 raise NonFiniteError(f"event {event.name}", t) from None
             if not all(map(math.isfinite, planned)):

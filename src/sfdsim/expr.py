@@ -242,8 +242,12 @@ def _render(expr: Expr, parent_prec: int) -> str:
 
 
 def format_number(value: float) -> str:
+    """Shortest text the parser reads back as `value`, sign of zero
+    included. ValueError for a non-finite value, which it cannot read."""
+    if not math.isfinite(value):
+        raise ValueError(f"no literal for non-finite {value!r}")
     if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
+        return str(int(value)) if value or math.copysign(1.0, value) > 0 else "-0"
     return repr(value)
 
 

@@ -126,27 +126,12 @@ class ModelSpec:
 
     def with_params(self, overrides: dict[str, float]) -> ModelSpec:
         """Copy of the model with the given parameter values replaced."""
-        known = {p.name for p in self.parameters}
-        missing = sorted(set(overrides) - known)
-        if missing:
-            raise UnknownSymbolError(f"no parameter named '{missing[0]}'")
-        params = tuple(
-            replace(p, value=float(overrides[p.name])) if p.name in overrides else p
-            for p in self.parameters
-        )
-        return replace(self, parameters=params)
+        parameters = _overridden(self.parameters, overrides, "parameter", "value")
+        return replace(self, parameters=parameters)
 
     def with_initial(self, overrides: dict[str, float]) -> ModelSpec:
         """Copy of the model with the given stock initial values replaced."""
-        known = {s.name for s in self.stocks}
-        missing = sorted(set(overrides) - known)
-        if missing:
-            raise UnknownSymbolError(f"no stock named '{missing[0]}'")
-        stocks = tuple(
-            replace(s, initial=float(overrides[s.name])) if s.name in overrides else s
-            for s in self.stocks
-        )
-        return replace(self, stocks=stocks)
+        return replace(self, stocks=_overridden(self.stocks, overrides, "stock", "initial"))
 
     def with_event_schedule(self, name: str, start: float | None = None,
                             interval: float | None = None) -> ModelSpec:
@@ -166,6 +151,17 @@ class ModelSpec:
         return replace(self, events=events)
 
 
+def _overridden(defs: tuple, overrides: dict[str, float], kind: str, attr: str) -> tuple:
+    """`defs` with the `attr` of each one named in `overrides` set to its
+    value as a float. UnknownSymbolError names the first unknown name, in
+    sorted order, as a `kind`."""
+    missing = sorted(set(overrides) - {d.name for d in defs})
+    if missing:
+        raise UnknownSymbolError(f"no {kind} named '{missing[0]}'")
+    return tuple(replace(d, **{attr: float(overrides[d.name])}) if d.name in overrides else d
+                 for d in defs)
+
+
 @dataclass(frozen=True)
 class ValidatedModel:
     """A model whose structure has been checked, with its generated code
@@ -183,9 +179,10 @@ class ValidatedModel:
       evaluator reads them. One that faults in `bind` stays unbound; the
       evaluator raises for it only where it reads it, naming the variable
       that reads it and `t`, as if it had computed the value itself.
-    - Per event, `act(t, x, evaluate)` gives its action values for stock
-      values `x`, with noise read as 0. It calls `evaluate(x, t)` only if
-      one of its expressions reads a flow or auxiliary.
+    - Per event, `act(t, x, draw)` gives its action values for the run's
+      state `x`, stock i being `x[i]`, with its own `noise()` read as 0.
+      Only if one of its expressions reads a flow or auxiliary does it
+      call the evaluator, at `t` with the noise draw `draw`.
     - `draws_noise` is whether some `noise()` scale can be non-zero; if
       not, the engine skips the daily draws and runs with g = 0.
 
@@ -196,7 +193,6 @@ class ValidatedModel:
 
     spec: ModelSpec
     order: tuple[str, ...]  # aux and flow names in evaluation order
-    expressions: dict[str, ex.Expr] = field(repr=False)
     params: dict[str, float] = field(repr=False)
     source: str = field(repr=False)
     evaluator: Callable[..., tuple[float, ...]] = field(repr=False, compare=False)
@@ -242,12 +238,12 @@ class ValidatedModel:
 
 
 def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict[str, ex.Expr],
-                      scales: list[ex.Expr], events: list[tuple[set[str], list[ex.Expr]]]) -> str:
+                      scales: list[ex.Expr], events: list[set[str]]) -> str:
     """Python source of `bind(*params) -> (evaluator, actions, noisy)`
     (see `ValidatedModel`). Every model name `x` is the local `_x`, except
     that an action reads stock i as `x[i]` and flow or auxiliary j as
     `o[j]`. `scales` are the `noise()` scales of the flows and auxiliaries,
-    and `events` each event's names read and scales, as
+    and `events` the names each event's actions read, as
     `ex.validate_expression` collects them.
 
     `bind` first computes, in evaluation order, each variable that is an
@@ -305,21 +301,19 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
               "            raise NonFiniteError(NAMES[e.__traceback__.tb_lineno], t) from None"]
     reads = {**local, **{s.name: f"x[{i}]" for i, s in enumerate(spec.stocks)},
              **{name: f"o[{j}]" for j, name in enumerate(computed)}}
-    for k, (event, (read, noise)) in enumerate(zip(spec.events, events)):
+    state = ", ".join(["t", "draw", *(f"x[{i}]" for i in range(len(stocks)))])
+    for k, (event, read) in enumerate(zip(spec.events, events)):
         values = (ex.python_source(a.expression, reads.__getitem__) for a in event.actions)
-        lines.append(f"    def act{k}(t, x, evaluate):")
-        if noise:
-            lines.append("        g = 0.0")
-        if read & expressions.keys():
-            lines.append("        o = evaluate(x, t)")
+        lines += [f"    def act{k}(t, x, draw):", "        g = 0.0"]
+        if not read.isdisjoint(computed):
+            lines.append(f"        o = evaluate({state})")
         lines.append(f"        return {tup(values)}")
     # Noise is drawn if a scale reads state, time or noise, or if one of
     # parameters and constants is non-zero or faults.
     params = {p.name for p in spec.parameters}
-    walks = [ex.validate_expression(scale, local) for scale in scales]
-    if scales and all(not noise and read <= params for read, noise in walks):
-        tests = " or ".join(f"{ex.python_source(scale, local.__getitem__)} != 0.0"
-                            for scale in scales)
+    walks = [ex.hoisting_source(scale, local.__getitem__, params, None) for scale in scales]
+    if scales and all(invariant for _, invariant in walks):
+        tests = " or ".join(f"{text} != 0.0" for text, _ in walks)
         lines += ["    try:", f"        noisy = {tests}", "    except FAULTS:", "        noisy = True"]
     else:
         lines.append(f"    noisy = {bool(scales)}")
@@ -416,13 +410,12 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
                     f"'{endpoint}' needs '{stock_unit}/day'"
                 )
 
-    events: list[tuple[set[str], list[ex.Expr]]] = []
+    events: list[set[str]] = []
     for e in spec.events:
         _check_schedule(e)
         if not e.actions:
             raise ModelError(f"event '{e.name}' has no actions")
         read: set[str] = set()
-        noise: list[ex.Expr] = []
         for act in e.actions:
             if act.op not in EVENT_OPS:
                 raise ModelError(f"event '{e.name}': unknown action op '{act.op}'")
@@ -431,15 +424,15 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
                     f"event '{e.name}' targets unknown stock '{act.target}'"
                 )
             try:
-                ex.validate_expression(act.expression, known, read, noise)
+                ex.validate_expression(act.expression, known, read)
             except (UnknownSymbolError, ValueError) as err:
                 raise type(err)(f"in event '{e.name}': {err}") from None
-        events.append((read, noise))
+        events.append(read)
 
     order = _evaluation_order(spec, reads)
     source = _evaluator_source(spec, order, expressions, scales, events)
     evaluator, actions, noisy = _compile_evaluator(source)(*params.values())
-    return ValidatedModel(spec, order, expressions, params, source, evaluator, actions, noisy)
+    return ValidatedModel(spec, order, params, source, evaluator, actions, noisy)
 
 
 def as_validated(model: ModelSpec | ValidatedModel) -> ValidatedModel:

@@ -414,9 +414,10 @@ def format_scenario(scenario: Scenario) -> str:
     """Render a Scenario as canonical text.
 
     `parse_scenario` reads the text back as an equal Scenario. Raises
-    ValueError for what the text format cannot say: a description with
-    double quotes or newlines, and an event reschedule that keeps the
-    event's start (start None), since a bare `every N` starts at N.
+    ValueError for what the text format cannot say: a non-finite value, a
+    description with double quotes or newlines, and an event reschedule
+    that keeps the event's start (start None), since a bare `every N`
+    starts at N.
     """
     lines = [f"scenario {scenario.name} {{"]
     if scenario.description:

@@ -218,6 +218,25 @@ class TestLintFmt:
         assert main(["fmt", str(path), "--write"]) == 0
         assert path.read_text() == first
 
+    def test_fmt_keeps_the_output_of_a_negative_zero(self, tmp_path, capsys):
+        path = tmp_path / "zero.sfd"
+        path.write_text("""model Zero {
+  param Off = -0
+  stock Empty = -0 allow_negative
+  aux a = -0
+  aux b = Off
+  flow drain : Empty -> = a
+}
+""")
+        assert main(["simulate", "--model", str(path), "--t-end", "1"]) == 0
+        before = capsys.readouterr().out
+        assert before.split("\n")[1] == "0.000000,-0.000000,-0.000000,-0.000000,-0.000000"
+        assert main(["fmt", str(path), "--write"]) == 0
+        capsys.readouterr()
+        assert "  param Off = -0\n" in path.read_text()
+        assert main(["simulate", "--model", str(path), "--t-end", "1"]) == 0
+        assert capsys.readouterr().out == before
+
     def test_commands_see_a_rewritten_file(self, tmp_path, capsys):
         path = tmp_path / "tank.sfd"
         path.write_text(MINI_MODEL)

@@ -180,6 +180,13 @@ class TestPrinting:
         assert format_number(-3.0) == "-3"
         assert format_number(0.1) == "0.1"
         assert format_number(1e20) == "1e+20"
+        assert format_number(0.0) == "0"
+        assert format_number(-0.0) == "-0"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_format_number_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_number(value)
 
 
 # Random expression trees over a fixed environment; used to pin the
@@ -233,14 +240,15 @@ def test_compiled_matches_interpreter(tree, g):
     env = {"x": 3.0, "y": -2.0, "z": 0.5}
     vm = validate_model(one_aux_model(tree))
 
-    # As an event action noise reads as 0, and a fault propagates.
+    # As an event action its own noise reads as 0 whatever the step's
+    # draw, and a fault propagates.
     try:
         expected = eval_expression(tree, env, 7.0, 0.0)
     except (ZeroDivisionError, OverflowError, ValueError) as err:
         with pytest.raises(type(err)):
-            vm.actions[0](7.0, [0.5], lambda x, t: (0.0,))
+            vm.actions[0](7.0, [0.5], g)
     else:
-        (actual,) = vm.actions[0](7.0, [0.5], lambda x, t: (0.0,))
+        (actual,) = vm.actions[0](7.0, [0.5], g)
         assert bits(actual) == bits(expected)
 
     # As an auxiliary, a fault or a non-finite value is named.
@@ -275,8 +283,8 @@ def test_compile_source_names_env():
     assert lines[3] == "            _e = (_x + t)"
     assert "fail" not in src
     assert src.partition("def act0")[0].count("try:") == 1  # one in the evaluator
-    assert "def act0(t, x, evaluate):" in src
-    assert "evaluate(x, t)" not in src  # the action reads no flow or auxiliary
+    assert "    def act0(t, x, draw):\n        g = 0.0\n" in src
+    assert "o = evaluate(" not in src  # the action reads no flow or auxiliary
     assert "return ((_x + t), )" in src
     assert "noisy = False" in src
     assert "return evaluate, (act0, ), noisy" in src

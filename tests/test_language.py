@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfdsim import ParseError, format_model, lint_model, parse_expression, parse_model
+from sfdsim import expr as ex
 from sfdsim import language
 from sfdsim.language import Token, tokenize
 
@@ -244,6 +247,46 @@ class TestFormatter:
     def test_generated_models_round_trip(self, seed):
         spec = generate_model(seed)
         assert parse_model(format_model(spec)) == spec
+
+
+def literals(e: ex.Expr):
+    if isinstance(e, ex.Num):
+        yield e.value
+    elif isinstance(e, ex.BinOp):
+        yield from literals(e.left)
+        yield from literals(e.right)
+    elif isinstance(e, ex.Call):
+        for arg in e.args:
+            yield from literals(arg)
+
+
+def number_bits(spec) -> list[bytes]:
+    """The bits of every number in `spec`, in a fixed order. Structural
+    equality cannot tell -0.0 from 0.0; this can."""
+    values = [*(p.value for p in spec.parameters), *(s.initial for s in spec.stocks)]
+    values += [v for d in (*spec.auxiliaries, *spec.flows) for v in literals(d.expression)]
+    for e in spec.events:
+        values += [e.start, e.interval, *(v for a in e.actions for v in literals(a.expression))]
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@example(value=-0.0)
+@example(value=5e-324)
+@example(value=-1.7976931348623157e308)
+@given(value=st.floats(allow_nan=False, allow_infinity=False))
+def test_format_keeps_every_number_bit_for_bit(value):
+    n = ex.format_number(value)
+    text = f"""model M {{
+      param P = {n}
+      stock S = {n} allow_negative
+      aux a = {n} - {n} * max({n}, P)
+      flow f : S -> = {n}
+      event e every {n} start {n} {{ S += {n} }}
+    }}"""
+    spec = parse_model(text)
+    assert number_bits(spec) == [struct.pack("<d", value)] * 9
+    assert number_bits(parse_model(format_model(spec))) == number_bits(spec)
 
 
 class TestLinter:

@@ -32,6 +32,7 @@ from sfdsim import (
     UnknownSymbolError,
     build_baseline,
     parse_expression,
+    parse_model,
     run_simulation,
     validate_model,
 )
@@ -177,9 +178,14 @@ class TestValidation:
             validate_model(spec)
 
 
+def computed_expressions(vm) -> dict:
+    """Each auxiliary's and flow's expression by name, auxiliaries first."""
+    return {d.name: d.expression for d in (*vm.spec.auxiliaries, *vm.spec.flows)}
+
+
 def known_names(vm) -> set[str]:
     """Every name a model expression of `vm` may read, but `t`."""
-    return {*vm.params, *vm.expressions, *(s.name for s in vm.spec.stocks)}
+    return {*vm.params, *computed_expressions(vm), *(s.name for s in vm.spec.stocks)}
 
 
 def kahn_order(expressions: dict, known: set[str]) -> list[str]:
@@ -220,11 +226,12 @@ class TestEvaluationOrder:
         vm = validate_model(generate_model(seed))
         position = {name: i for i, name in enumerate(vm.order)}
         known = known_names(vm)
-        reference = kahn_order(vm.expressions, known)
+        expressions = computed_expressions(vm)
+        reference = kahn_order(expressions, known)
         assert sorted(vm.order) == sorted(reference)
         for name in vm.order:
-            for dep in validate_expression(vm.expressions[name], known)[0]:
-                if dep in vm.expressions:
+            for dep in validate_expression(expressions[name], known)[0]:
+                if dep in expressions:
                     assert position[dep] < position[name]
 
     def test_sorting_leaves_no_reference_cycle(self, gc_off):
@@ -246,6 +253,17 @@ class TestOverrides:
     def test_with_initial(self):
         spec = tiny_model().with_initial({"Tank": 99.0})
         assert spec.stocks[0].initial == 99.0
+
+    def test_overrides_are_stored_as_floats(self):
+        spec = tiny_model().with_params({"Rate": 2}).with_initial({"Tank": 7})
+        assert type(spec.param("Rate")) is float and type(spec.stocks[0].initial) is float
+
+    def test_first_unknown_override_in_sorted_order_is_named(self):
+        spec = tiny_model()
+        with pytest.raises(UnknownSymbolError, match="^no parameter named 'Apple'$"):
+            spec.with_params({"Zebra": 1.0, "Rate": 1.0, "Apple": 1.0})
+        with pytest.raises(UnknownSymbolError, match="^no stock named 'Apple'$"):
+            spec.with_initial({"Zebra": 1.0, "Tank": 1.0, "Apple": 1.0})
 
     def test_with_event_schedule(self):
         spec = tiny_model(events=(
@@ -269,9 +287,10 @@ def interpreted(vm, stocks, t, g):
     auxiliary values, or the (exception type, variable) it stops at."""
     env = dict(vm.params)
     env.update(zip((s.name for s in vm.spec.stocks), stocks))
+    expressions = computed_expressions(vm)
     for name in vm.order:
         try:
-            v = eval_expression(vm.expressions[name], env, t, g)
+            v = eval_expression(expressions[name], env, t, g)
         except (ZeroDivisionError, OverflowError, ValueError) as err:
             return type(err), name
         if not math.isfinite(v):
@@ -369,7 +388,7 @@ class TestGeneratedEvaluator:
         )
         vm = validate_model(spec)
         assert vm.order[-1] == "last one"
-        assert "_0" in vm.source and "o = evaluate(x, t)" in vm.source
+        assert "_0" in vm.source and "o = evaluate(t, draw, x[0], x[1])" in vm.source
         traj = run_simulation(vm, SimConfig(t_end=3.0))
         assert traj.events
         with pytest.raises(NonFiniteError) as err:
@@ -589,29 +608,38 @@ def same_model(variant, expected):
     assert list(variant.params) == list(expected.params)
     assert variant.draws_noise is expected.draws_noise
     rng = random.Random(variant.spec.name)
-    computed = len(variant.spec.flows) + len(variant.spec.auxiliaries)
     for _ in range(5):
         stocks = [rng.uniform(0.0, 200.0) for _ in variant.spec.stocks]
         t, g = rng.uniform(0.0, 365.0), rng.gauss(0.0, 1.0)
         assert as_bits(generated(variant, stocks, t, g)) == as_bits(generated(expected, stocks, t, g))
-        o = tuple(rng.uniform(0.0, 50.0) for _ in range(computed))
         for act, want in zip(variant.actions, expected.actions, strict=True):
-            assert (as_bits(list(act(t, stocks, lambda x, t: o)))
-                    == as_bits(list(want(t, stocks, lambda x, t: o))))
+            assert as_bits(list(act(t, stocks, g))) == as_bits(list(want(t, stocks, g)))
+
+
+# An event whose action evaluates the model, noise included, and draws
+# noise of its own, which it reads as 0.
+WET = parse_model("""model Wet {
+    param Wetness = 0.5
+    param Top = 1
+    stock S = 10
+    aux wet = 1 + noise(Wetness)
+    flow out : S -> = 0.1 * S * wet
+    event top every 4 { S += Top * wet + noise(1) }
+  }""")
 
 
 def variant_case(seed):
     """A model to make variants of, parameter overrides, and its event: the
-    baseline plant for seed None, else a generated model."""
+    baseline plant for seed None, `WET` for "wet", else a generated model."""
     if seed is None:
-        from sfdsim import build_baseline
-
         return build_baseline(), {"Dose": 30.0, "KEvap": 0.004}, "pickup"
+    if seed == "wet":
+        return WET, {"Wetness": 0.25, "Top": 2.0}, "top"
     spec = generate_model(seed)
     return spec, {"Rate0": 2.5, "Level0": 17.0}, spec.events[0].name if spec.events else None
 
 
-VARIANT_SEEDS = [None, *range(12)]
+VARIANT_SEEDS = [None, "wet", *range(12)]
 EVENT_SEEDS = [seed for seed in VARIANT_SEEDS if variant_case(seed)[2] is not None]
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import struct
 
 import pytest
 
@@ -111,6 +113,24 @@ class TestScenarioText:
         sc = parse_scenario((fixtures_dir / "coagulant_addition.scn").read_text())
         assert sc.description != ""
         assert parse_scenario(format_scenario(sc)) == sc
+
+    def test_negative_zero_round_trips(self):
+        sc = Scenario("S", params={"Dose": -0.0}, initials={"TotalCost": -0.0})
+        text = format_scenario(sc)
+        assert "set Dose = -0\n" in text
+        back = parse_scenario(text)
+        assert struct.pack("<d", back.params["Dose"]) == struct.pack("<d", -0.0)
+        assert struct.pack("<d", back.initials["TotalCost"]) == struct.pack("<d", -0.0)
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario("S", params={"Dose": math.inf}),
+        Scenario("S", initials={"TotalCost": -math.inf}),
+        Scenario("S", params={"Dose": math.nan}),
+        Scenario("S", events={"pickup": (math.inf, 10.0)}),
+    ])
+    def test_non_finite_value_rejected(self, scenario):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_scenario(scenario)
 
     def test_unprintable_description_rejected(self):
         with pytest.raises(ValueError):

@@ -423,31 +423,38 @@ class TestNoiseDraws:
                    for c in code.co_consts if isinstance(c, types.CodeType))
 
 
-def counting_evaluator(vm, calls):
-    """`vm` with its evaluator wrapped to record the time of each call."""
-    real = vm.evaluator
+def evaluations(vm, config):
+    """The run of `vm`, and the time of each call of its generated
+    evaluator, from the step loop or from an event action, read by a
+    profile hook on the code named `evaluate` in `<sfdsim evaluator>`."""
+    calls = []
 
-    def counting(t, g, *stocks):
-        calls.append(t)
-        return real(t, g, *stocks)
+    def evaluator_calls(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "evaluate"
+                and code.co_filename == "<sfdsim evaluator>"):
+            calls.append(frame.f_locals["t"])
 
-    return dataclasses.replace(vm, evaluator=counting)
+    previous = sys.getprofile()
+    sys.setprofile(evaluator_calls)
+    try:
+        traj = run_simulation(vm, config)
+    finally:
+        sys.setprofile(previous)
+    return traj, calls
 
 
 class TestEventEvaluations:
     def test_pickups_do_not_evaluate_the_model(self):
         # The pickup's action reads only a stock and parameters, so a
         # year evaluates once per step and once for the final row.
-        calls = []
-        vm = counting_evaluator(validate_model(build_baseline()), calls)
-        traj = run_simulation(vm, SimConfig(t_end=365.0))
+        traj, calls = evaluations(validate_model(build_baseline()), SimConfig(t_end=365.0))
         assert {e.event for e in traj.events} == {"pickup"}
         assert calls == [float(n) for n in range(366)]
 
     def test_an_action_reading_an_auxiliary_evaluates(self):
-        calls = []
-        vm = counting_evaluator(validate_model(HAND_MODELS["event_reads_computed"]), calls)
-        traj = run_simulation(vm, SimConfig(t_end=12.0))
+        traj, calls = evaluations(validate_model(HAND_MODELS["event_reads_computed"]),
+                                  SimConfig(t_end=12.0))
         fired = sorted({e.t for e in traj.events})
         assert fired == [2.0, 5.0, 8.0, 11.0]
         assert sorted(calls) == sorted([*map(float, range(13)), *fired])
