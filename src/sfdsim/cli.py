@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: simulate, sweep, optimize, calibrate, lint, fmt, plot. Every
-data-producing command written to --out also writes `<out>.manifest.json`
-recording the exact invocation, resolved configuration, and output paths,
-with no timestamps, so reruns can be reproduced and diffed byte for byte.
+Subcommands: simulate, sweep, optimize, calibrate, lint, fmt, plot. Given
+--out, simulate, sweep, optimize and calibrate also write
+`<out>.manifest.json` recording the exact invocation, resolved
+configuration, and output paths, with no timestamps, so reruns can be
+reproduced and diffed byte for byte; plot writes none.
 
 Exit codes: 0 success; 1 file I/O failure; 2 parse, validation, or usage
 errors (lint violations included); 3 integration failures (non-finite

@@ -297,8 +297,9 @@ def segment_source(method: str, floored: tuple[bool, ...],
     `i{j}`, and a clamped stock's scale factor `k{i}`. Every sum of rates
     is spelled out as `(0.0 + r1 + r2)`, the float additions of CPython
     3.11's `sum()`, and an empty one as the int 0. The conserving clamp is
-    inlined as straight-line code (see `_clamp_order`); its globals are
-    `NonFiniteError` and `ClampError`.
+    inlined as straight-line code (see `_clamp_order`). One test per step
+    checks every stock; NonFiniteError names the first in `names` that is
+    not finite. The globals are `NonFiniteError` and `ClampError`.
     """
     ns, nf = len(floored), len(endpoints)
     ins = [[j for j, (_, dst) in enumerate(endpoints) if dst == i] for i in range(ns)]
@@ -383,9 +384,10 @@ def segment_source(method: str, floored: tuple[bool, ...],
     # A floored value is below the clamp tolerance once it has settled.
     body += [f"x{i} = 0.0 if y{i} < 0.0 else y{i}" if floored[i] else f"x{i} = y{i}"
              for i in range(ns)]
-    for i in range(ns):
-        body += [f"if x{i} - x{i} != 0.0:",
-                 f"    raise NonFiniteError(names[{i}], t0 + (n + 1) * dt)"]
+    if ns:
+        body += [f"if {' + '.join(f'({x} - {x})' for x in xs)} != 0.0:",
+                 f"    raise NonFiniteError(next(name for name, v in zip(names, {tup(xs)}) "
+                 "if v - v != 0.0), t0 + (n + 1) * dt)"]
     body += [f"i{j} = i{j} + dt * r{j}" for j in range(nf)]
 
     draws = ["g0"] if method == "euler" else ["g0", "gm", "ge"]

@@ -173,8 +173,8 @@ class ValidatedModel:
 
     - `evaluator(t, g, *stocks)` gives every flow, then every auxiliary, in
       declaration order, for stock values in declaration order. It raises
-      only NonFiniteError, naming the variable and `t`, for a value that is
-      not finite or an arithmetic fault.
+      only NonFiniteError, naming `t` and the first variable in `order`
+      that faults or is not finite.
     - `bind` computes the values that read only parameters once, and the
       evaluator reads them. One that faults in `bind` stays unbound; the
       evaluator raises for it only where it reads it, naming the variable
@@ -253,11 +253,11 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     closure variables, a subtree as the local `_k` for k from the number
     of model names up, one per distinct subtree text.
     Each is assigned in its own `try`, so one that faults, or reads one
-    that did, stays unbound. `evaluate` keeps a line per variable in
-    `order`, just the finiteness check for a variable computed in `bind`,
-    and its `except` maps a fault or the NameError of an unbound read to
-    that line. The module-level `NAMES` maps the line to the variable's
-    name, so a fault names the variable at the time it is evaluated."""
+    that did, stays unbound. `evaluate` computes the rest of `order`, then
+    tests once that all of `order` is finite. A fault, the NameError of an
+    unbound read, or a failed test names the first variable in `order`
+    that is unbound or not finite: `first_bad` scans the module-level
+    `ORDER`, (name, local) pairs, in `evaluate`'s own `locals()`."""
     names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
                                   spec.flows) for d in group]
     local = {
@@ -272,7 +272,6 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     computed = [d.name for d in (*spec.flows, *spec.auxiliaries)]
     lines = [f"def bind({', '.join(local[p.name] for p in spec.parameters)}):"]
     body: list[str] = []
-    starts: list[int] = []
     fixed = {p.name for p in spec.parameters}
     hoisted: dict[str, str] = {}
 
@@ -286,19 +285,18 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     for name in order:
         var, expression = local[name], expressions[name]
         text, whole = ex.hoisting_source(expression, local.__getitem__, fixed, hoist)
-        starts.append(len(body))
         if whole and isinstance(expression, (ex.BinOp, ex.Call)):
             fixed.add(name)
             lines += [f"    try: {var} = {text}", "    except FAULTS_OR_UNBOUND: pass"]
         else:
             body.append(f"            {var} = {text}")
-        body += [f"            if {var} - {var} != 0.0:",
-                 f"                raise NonFiniteError({name!r}, t)"]
-    lines += [f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:"]
-    at_line = {len(lines) + start + 1: name for start, name in zip(starts, order)}
-    lines += [*body, f"            return {tup(local[name] for name in computed)}",
-              "        except FAULTS_OR_UNBOUND as e:",
-              "            raise NonFiniteError(NAMES[e.__traceback__.tb_lineno], t) from None"]
+    finite = " + ".join(f"({local[name]} - {local[name]})" for name in order) or "0.0"
+    lines += [f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:", *body,
+              f"            if {finite} == 0.0:",
+              f"                return {tup(local[name] for name in computed)}",
+              "        except FAULTS_OR_UNBOUND:",
+              "            pass",
+              "        raise NonFiniteError(first_bad(ORDER, locals()), t)"]
     reads = {**local, **{s.name: f"x[{i}]" for i, s in enumerate(spec.stocks)},
              **{name: f"o[{j}]" for j, name in enumerate(computed)}}
     state = ", ".join(["t", "draw", *(f"x[{i}]" for i in range(len(stocks)))])
@@ -318,7 +316,7 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     else:
         lines.append(f"    noisy = {bool(scales)}")
     lines += [f"    return evaluate, {tup(f'act{k}' for k in range(len(spec.events)))}, noisy",
-              f"NAMES = {at_line!r}"]
+              f"ORDER = {tup((name, local[name]) for name in order)}"]
     return "\n".join(lines) + "\n"
 
 
@@ -331,9 +329,16 @@ def _compile_evaluator(source: str) -> Callable[..., tuple]:
     drops it and no model holds what it returned, refcounting frees it."""
     namespace: dict[str, object] = {**ex.CODEGEN_GLOBALS, "FAULTS": ex.FAULTS,
                                     "FAULTS_OR_UNBOUND": (*ex.FAULTS, NameError),
-                                    "NonFiniteError": NonFiniteError}
+                                    "NonFiniteError": NonFiniteError, "first_bad": _first_bad}
     exec(compile(source, "<sfdsim evaluator>", "exec"), namespace)
     return namespace.pop("bind")  # type: ignore[return-value]
+
+
+def _first_bad(order: tuple[tuple[str, str], ...], values: dict[str, object]) -> str:
+    """The first name in `order`, pairs of a variable's name and its local,
+    whose local is unbound in `values` or not finite."""
+    return next(name for name, var in order
+                if var not in values or values[var] - values[var] != 0.0)
 
 
 def _checked_params(spec: ModelSpec) -> dict[str, float]:
@@ -366,7 +371,8 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     it depends on the step size.
     """
     seen: set[str] = set()
-    for name in _all_names(spec):
+    for name in (d.name for group in (spec.stocks, spec.flows, spec.auxiliaries,
+                                      spec.parameters) for d in group):
         if name == "t":
             raise DuplicateNameError("'t' is reserved for simulation time")
         if name in seen:
@@ -374,11 +380,7 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         seen.add(name)
 
     stocks = {s.name: s for s in spec.stocks}
-    expressions: dict[str, ex.Expr] = {}
-    for a in spec.auxiliaries:
-        expressions[a.name] = a.expression
-    for f in spec.flows:
-        expressions[f.name] = f.expression
+    expressions = {d.name: d.expression for d in (*spec.auxiliaries, *spec.flows)}
 
     for s in spec.stocks:
         _check_initial(s)
@@ -438,17 +440,6 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
 def as_validated(model: ModelSpec | ValidatedModel) -> ValidatedModel:
     """`model` if it is validated, else `validate_model(model)`."""
     return model if isinstance(model, ValidatedModel) else validate_model(model)
-
-
-def _all_names(spec: ModelSpec):
-    for s in spec.stocks:
-        yield s.name
-    for f in spec.flows:
-        yield f.name
-    for a in spec.auxiliaries:
-        yield a.name
-    for p in spec.parameters:
-        yield p.name
 
 
 def _evaluation_order(spec: ModelSpec, reads: dict[str, set[str]]) -> tuple[str, ...]:

@@ -35,6 +35,7 @@ lexer; semicolons between directives are optional:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TypeVar
 
@@ -252,8 +253,12 @@ def calibrate(
     every coordinate, keeping the first strict improvement. When a whole
     pass improves nothing, all steps are halved. The search stops when
     every step is below tol times its coordinate's range, or after
-    `max_passes`.
+    `max_passes`. ValueError, before any run, for a mismatched problem or
+    an observation or bound that is not finite.
     """
+    if not all(map(math.isfinite, (*problem.observed_times, *problem.observed_values,
+                                   *(b for pair in problem.bounds for b in pair)))):
+        raise ValueError("observed times, observed values and bounds must be finite")
     if len(problem.param_names) != len(problem.bounds):
         raise ValueError("one bounds pair is required per parameter")
     if len(problem.observed_times) != len(problem.observed_values):

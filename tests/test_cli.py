@@ -191,6 +191,19 @@ class TestCalibrate:
         ])
         assert rc == 2
 
+    def test_non_finite_observation_exits_2(self, tmp_path, capsys):
+        observed = tmp_path / "obs.csv"
+        observed.write_text("t,value\n10,500\n20,nan\n30,1500\n")
+        out = tmp_path / "fit.json"
+        rc = main([
+            "calibrate", "--param", "KEvap:0.001:0.01", "--column", "AccumulatedVinasse",
+            "--observed", str(observed), "--t-end", "30", "--out", str(out),
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
+        assert not out.exists() and not (tmp_path / "fit.manifest.json").exists()
+
 
 class TestLintFmt:
     def test_lint_violations_exit_2(self, fixtures_dir, capsys):
@@ -305,6 +318,7 @@ class TestPlot:
         svg = out.read_text()
         assert "Pond temperature" in svg
         assert svg.count("<polyline") == 1
+        assert list(tmp_path.iterdir()) == [out]  # plot writes no manifest
 
 
 class TestExitCodes:

@@ -276,18 +276,36 @@ def test_compile_source_names_env():
     assert "def bind(_x, _y):" in src
     assert "def evaluate(t, g, _z):" in src
     assert "_e = (_x + t)" in src
-    assert "raise NonFiniteError('e', t)" in src
-    assert "raise NonFiniteError(NAMES[e.__traceback__.tb_lineno], t) from None" in src
+    # One finiteness test; its failure, or a fault, names the first bad
+    # variable in evaluation order.
+    assert "            if (_e - _e) == 0.0:\n                return (_e, )\n" in src
+    assert ("        except FAULTS_OR_UNBOUND:\n            pass\n"
+            "        raise NonFiniteError(first_bad(ORDER, locals()), t)\n") in src
+    assert src.count(" - _e)") == 1 and src.count("raise") == 1
     lines = src.splitlines()
-    assert lines[-1] == "NAMES = {4: 'e'}"
+    assert lines[-1] == "ORDER = (('e', '_e'), )"
     assert lines[3] == "            _e = (_x + t)"
-    assert "fail" not in src
+    for gone in ("NAMES", "tb_lineno", "raise NonFiniteError('e', t)", "fail"):
+        assert gone not in src
     assert src.partition("def act0")[0].count("try:") == 1  # one in the evaluator
     assert "    def act0(t, x, draw):\n        g = 0.0\n" in src
     assert "o = evaluate(" not in src  # the action reads no flow or auxiliary
     assert "return ((_x + t), )" in src
     assert "noisy = False" in src
     assert "return evaluate, (act0, ), noisy" in src
+
+
+def test_compiled_globals_are_the_codegen_names():
+    vm = validate_model(one_aux_model(parse_expression("x + t")))
+    names = {name: value for name, value in vm.evaluator.__globals__.items()
+             if name != "__builtins__"}
+    assert set(names) == {"ceil", "cos", "exp", "floor", "log", "pow", "sin", "FAULTS",
+                          "FAULTS_OR_UNBOUND", "NonFiniteError", "first_bad", "ORDER"}
+    assert names["ceil"] is math.ceil and names["pow"] is math.pow
+    assert names["FAULTS"] == (ZeroDivisionError, OverflowError, ValueError)
+    assert names["FAULTS_OR_UNBOUND"] == (*names["FAULTS"], NameError)
+    assert names["NonFiniteError"] is NonFiniteError
+    assert names["ORDER"] == (("e", "_e"),)
 
 
 class TestDailyGauss:

@@ -125,7 +125,7 @@ def unread_public_functions(trees: dict[str, ast.Module], module: str) -> list[s
 
 def test_every_public_expr_function_is_read_by_another_module():
     # `eval_expression` is the tests' reference interpreter, which no
-    # package module runs; it is to move next to the tests (ROADMAP item 4).
+    # package module runs; it is to move next to the tests (ROADMAP item 2).
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_public_functions(trees, "expr.py") == ["eval_expression"]

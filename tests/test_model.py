@@ -521,18 +521,25 @@ class TestHoistedValues:
                 assert as_bits(generated(vm, row[:1], t, 0.0)) == as_bits(
                     interpreted(vm, row[:1], t, 0.0))
 
-    @pytest.mark.parametrize("first, second, name", [
-        ("1 / Tank", "1 / Zero + Tank", "first"),
-        ("1 / Zero + Tank", "1 / Tank", "first"),
-        ("Tank + 1", "1 / Zero + Tank", "second"),
-    ])
-    def test_first_fault_in_order_is_named(self, first, second, name):
+    FAULT_ORDER = [
+        ("1 / Tank", "1 / Zero + Tank", "first", ZeroDivisionError),
+        ("1 / Zero + Tank", "1 / Tank", "first", ZeroDivisionError),
+        ("Tank + 1", "1 / Zero + Tank", "second", ZeroDivisionError),
+        # Values that overflow to inf raise nothing where they are computed.
+        ("Tank + 1e308 * 10", "1e308 * 10", "first", NonFiniteError),
+        ("Tank + 1e308 * 10", "1 / Zero + Tank", "first", NonFiniteError),
+        ("Tank + 1", "Tank - 1e308 * 10", "second", NonFiniteError),
+    ]
+
+    @pytest.mark.parametrize("first, second, name, fault", FAULT_ORDER,
+                             ids=["-".join(case[:3]) for case in FAULT_ORDER])
+    def test_first_fault_in_order_is_named(self, first, second, name, fault):
         spec = tiny_model(auxiliaries=(AuxDef("first", parse_expression(first)),
                                        AuxDef("second", parse_expression(second))),
                           parameters=(ParamDef("Rate", 0.1), ParamDef("Zero", 0.0)),
                           stocks=(StockDef("Tank", 0.0, "m3"),))
         vm = validate_model(spec)
-        assert interpreted(vm, [0.0], 3.0, 0.0) == (ZeroDivisionError, name)
+        assert interpreted(vm, [0.0], 3.0, 0.0) == (fault, name)
         with pytest.raises(NonFiniteError) as err:
             run_simulation(vm, SimConfig(t_start=3.0, t_end=4.0, method="rk4"))
         assert (err.value.name, err.value.t) == (name, 3.0)

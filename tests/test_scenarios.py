@@ -309,6 +309,25 @@ class TestCalibration:
                 year_config,
             )
 
+    @pytest.mark.parametrize("times, values, bounds", [
+        ((10.0, 20.0, 30.0), (500.0, math.nan, 1500.0), (0.001, 0.01)),
+        ((10.0, math.inf), (500.0, 900.0), (0.001, 0.01)),
+        ((10.0,), (-math.inf,), (0.001, 0.01)),
+        ((10.0,), (500.0,), (math.nan, 0.01)),
+        ((10.0,), (500.0,), (0.001, math.inf)),
+    ])
+    def test_non_finite_problem_rejected_before_any_run(self, baseline_spec, year_config,
+                                                        monkeypatch, times, values, bounds):
+        import sfdsim.scenarios
+
+        def no_run(*args):
+            raise AssertionError("calibrate ran a simulation")
+
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation", no_run)
+        problem = CalibrationProblem(("KEvap",), (bounds,), "AccumulatedVinasse", times, values)
+        with pytest.raises(ValueError, match="finite"):
+            calibrate(baseline_spec, problem, year_config)
+
 
 class TestSweep:
     VALUES = (0.0, 5.0, 10.0, 20.0, 40.0)

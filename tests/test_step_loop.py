@@ -365,6 +365,9 @@ class TestLoopCache:
         assert source.count("evaluate(") == 4
         assert "try" not in source  # the evaluator names its own faults
         assert "clamp(" not in source and "k0 = 1.0" in source  # the clamp is inlined
+        # One finiteness test per step, over every stock.
+        assert source.count("if (x0 - x0) + (x1 - x1) + (x2 - x2) != 0.0:") == 1
+        assert source.count("NonFiniteError(") == 1
 
 
 class TestNoiseDraws:
