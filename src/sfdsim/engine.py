@@ -38,11 +38,13 @@ down by a common factor so the stock lands exactly on zero. The clamp is
 straight-line code in the generated loop, and runs only on a step where
 some clamped stock's unscaled update falls below
 `-_CLAMP_TOL * max(1, |stock|)`, which is exactly when it would scale a
-flow or raise. Scaling an outflow reduces the matching inflow of any
-downstream stock, so scale factors are settled upstream first: once each,
-in topological order, for stocks outside a cycle of flows, and iterated to
-a fixpoint for the rest (`_clamp_order`). A fixpoint that does not
-converge raises ClampError; mass is conserved through flow chains.
+flow or raise. That bound and the clamp's factors are emitted as
+conditional expressions with the builtins' values: the loop calls no `max`.
+Scaling an outflow reduces the matching inflow of any downstream stock, so
+scale factors are settled upstream first: once each, in topological order,
+for stocks outside a cycle of flows, and iterated to a fixpoint for the
+rest (`_clamp_order`). A fixpoint that does not converge raises
+ClampError; mass is conserved through flow chains.
 """
 
 from __future__ import annotations
@@ -320,13 +322,16 @@ def segment_source(method: str, floored: tuple[bool, ...],
         """Evaluate at time `tv`, draw `g` and stock locals `{stocks}{i}` into `o`."""
         return f"o = evaluate({', '.join([tv, g, *(f'{stocks}{i}' for i in range(ns))])})"
 
+    # max(1.0, abs(x{i})), the scale of stock i's clamp tolerance, with no call.
+    scale = [f"(x{i} if x{i} > 1.0 else -x{i} if x{i} < -1.0 else 1.0)" for i in range(ns)]
+
     def settle(i: int, on_drop: list[str]) -> list[str]:
         """Lower stock i's factor if its outflows, scaled by it, would
         overdraw it; an inflow from a clamped stock counts as scaled by
         that stock's factor. The lines `on_drop` run when the factor drops.
         A stock settled once still has the factor 1.0, and `1.0 * q` is
         `q`, so its factor is not read. The tolerance is negative, so
-        `v < 0.0` is tested first, to skip the call to `max`."""
+        `v < 0.0` is tested first, to skip computing its scale."""
         inflow = [f"r{j} * k{endpoints[j][0]}" if endpoints[j][0] in clamped else f"r{j}"
                   for j in ins[i]]
         scaled, factor = (f"k{i} * q", f"k{i}") if on_drop else ("q", "1.0")
@@ -334,8 +339,9 @@ def segment_source(method: str, floored: tuple[bool, ...],
                 "if q > 0.0:",
                 f"    p = ({' + '.join(['0.0', *inflow])})",
                 f"    v = x{i} + dt * (p - {scaled})",
-                f"    if v < 0.0 and v < {-_CLAMP_TOL!r} * max(1.0, abs(x{i})):",
-                f"        w = max(0.0, (x{i} + dt * p) / (dt * q))",
+                f"    if v < 0.0 and v < {-_CLAMP_TOL!r} * {scale[i]}:",
+                f"        w = (x{i} + dt * p) / (dt * q)",
+                "        w = w if w > 0.0 else 0.0",
                 f"        if w < {factor} - 1e-15:",
                 f"            k{i} = w",
                 *("            " + line for line in on_drop)]
@@ -363,7 +369,7 @@ def segment_source(method: str, floored: tuple[bool, ...],
         # The clamp changes a rate only where a clamped stock's update
         # undershoots its tolerance, so it runs only then. A factor of 1.0
         # leaves a rate's bits as they are.
-        short = " or ".join(f"(y{i} < 0.0 and y{i} < {-_CLAMP_TOL!r} * max(1.0, abs(x{i})))"
+        short = " or ".join(f"(y{i} < 0.0 and y{i} < {-_CLAMP_TOL!r} * {scale[i]})"
                             for i in clamped)
         settled, cyclic = _clamp_order(clamped, endpoints)
         block = [f"k{i} = 1.0" for i in clamped]

@@ -252,8 +252,9 @@ def format_number(value: float) -> str:
 
 
 # Globals of generated code (see model.ValidatedModel): the math
-# functions that builtins are emitted as. No name here starts with "_", so
-# none can clash with a model variable's local, which always does.
+# functions that builtins are emitted as; `min`, `max` and `clamp` need
+# none (see `_pick`). No name here starts with "_", so none can clash with
+# a model variable's local, which always does.
 CODEGEN_GLOBALS: dict[str, object] = {
     "pow": math.pow, "sin": math.sin, "cos": math.cos, "exp": math.exp,
     "log": math.log, "ceil": math.ceil, "floor": math.floor,
@@ -280,6 +281,8 @@ def hoisting_source(expr: Expr, local: Callable[[str], str], fixed: Container[st
     subtree that does is replaced by the name `hoist` returns for the
     subtree's own text, its value computed elsewhere. A bare name or
     number stays in place.
+    `min`, `max` and `clamp` become conditional expressions that give the
+    builtins' bits, for `-0.0` and NaN too (see `_pick`).
     """
     if isinstance(expr, Num):
         return repr(expr.value), True
@@ -311,11 +314,11 @@ def hoisting_source(expr: Expr, local: Callable[[str], str], fixed: Container[st
         if fn == "if":
             return f"({texts[1]} if {_test(expr.args[0], texts[0])} else {texts[2]})", invariant
         if fn in ("min", "max"):
-            return f"{fn}({texts[0]}, {texts[1]})", invariant
+            return _pick(fn, texts[0], texts[1]), invariant
         if fn in ("abs", "sin", "cos", "exp"):
             return f"{fn}({texts[0]})", invariant
         if fn == "clamp":
-            return f"min(max({texts[0]}, {texts[1]}), {texts[2]})", invariant
+            return _pick("min", _pick("max", texts[0], texts[1]), texts[2]), invariant
         if fn == "ln":
             return f"log({texts[0]})", invariant
         if fn in ("ceil", "floor"):
@@ -324,6 +327,22 @@ def hoisting_source(expr: Expr, local: Callable[[str], str], fixed: Container[st
             return f"({texts[0]} * g)", False
         raise UnknownSymbolError(f"unknown function '{fn}'")
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _pick(fn: str, a: str, b: str) -> str:
+    """`fn(a, b)`, for "min" or "max", with the builtin's comparison:
+    `(b if a > b else a)` for min and `(b if a < b else a)` for max. Each
+    operand is evaluated once, `a` first; one that is not a name or a
+    number is held in the temporary `a{n}` or `b{n}`, n = len(a) + len(b).
+    A call nested in an operand has a shorter text, so it never reuses a
+    live temporary, and equal subtrees still give equal text. No other
+    name in `bind`, `evaluate` or an action has this form."""
+    n, held = len(a) + len(b), []
+    for name, text in ((f"a{n}", a), (f"b{n}", b)):
+        plain = text.isidentifier() or text.lstrip("-")[:1].isdigit()
+        held.append((text, text) if plain else (f"({name} := {text})", name))
+    (first, a), (second, b) = held
+    return f"({b} if {first} {'>' if fn == 'min' else '<'} {second} else {a})"
 
 
 def _hoisted(children: tuple[Expr, ...], texts: list[str], flags: list[bool],

@@ -250,8 +250,9 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     operation or call on parameters and such variables only, and in every
     other variable each maximal operation or call subtree that is; a bare
     parameter or number is left in place. `evaluate` reads these values as
-    closure variables, a subtree as the local `_k` for k from the number
-    of model names up, one per distinct subtree text.
+    closure variables, a subtree as a local `_k`, k at least the number
+    of model names. Each distinct text is computed once: a later variable
+    or subtree of the same text reads the local that holds it.
     Each is assigned in its own `try`, so one that faults, or reads one
     that did, stays unbound. `evaluate` computes the rest of `order`, then
     tests once that all of `order` is finite. A fault, the NameError of an
@@ -287,7 +288,9 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
         text, whole = ex.hoisting_source(expression, local.__getitem__, fixed, hoist)
         if whole and isinstance(expression, (ex.BinOp, ex.Call)):
             fixed.add(name)
-            lines += [f"    try: {var} = {text}", "    except FAULTS_OR_UNBOUND: pass"]
+            lines += [f"    try: {var} = {hoisted.get(text, text)}",
+                      "    except FAULTS_OR_UNBOUND: pass"]
+            hoisted.setdefault(text, var)
         else:
             body.append(f"            {var} = {text}")
     finite = " + ".join(f"({local[name]} - {local[name]})" for name in order) or "0.0"

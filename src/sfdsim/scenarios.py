@@ -177,12 +177,14 @@ def optimize_transport_policy(
 
     Rows are ordered feasible first, then by (total cost, interval, truck
     capacity, truck count); ties cannot reorder nondeterministically since
-    the key includes every axis. Raises ValueError, before any run, when an
-    axis is empty, and NoFeasiblePolicyError when no grid point is feasible.
+    the key includes every axis. ValueError, before any run, for an empty
+    axis or a non-finite limit; NoFeasiblePolicyError if no point is feasible.
     """
     for axis in ("intervals", "truck_capacities", "truck_counts"):
         if not getattr(grid, axis):
             raise ValueError(f"policy grid axis '{axis}' is empty")
+    if not math.isfinite(grid.sludge_limit_kg):
+        raise ValueError(f"sludge limit must be finite, got {grid.sludge_limit_kg:g}")
     vm = as_validated(spec)
     threshold = vm.spec.param("CostThreshold")
     rows: list[PolicyRow] = []

@@ -143,6 +143,15 @@ class TestOptimize:
         assert main(["optimize", flag, ",", "--t-end", "5"]) == 2
         assert "is empty" in capsys.readouterr().err
 
+    def test_non_finite_sludge_limit_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "policies.csv"
+        rc = main(["optimize", "--intervals", "30", "--trucks", "3000", "--counts", "1",
+                   "--sludge-limit", "nan", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "sludge limit must be finite" in captured.err and captured.out == ""
+        assert not out.exists() and not (tmp_path / "policies.manifest.json").exists()
+
     def test_infeasible_grid_exits_4(self, capsys):
         rc = main([
             "optimize", "--intervals", "30", "--trucks", "3000",

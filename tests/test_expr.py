@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -263,6 +265,131 @@ def test_compiled_matches_interpreter(tree, g):
         return
     (actual,) = vm.evaluator(7.0, g, 0.5)
     assert bits(actual) == bits(expected)
+
+
+INF = 1e308 * 10
+# Edge operands of min, max and clamp as model text, with their values.
+EDGES = {"0": 0.0, "-0": -0.0, "1": 1.0, "-1": -1.0, "1e308 * 10": INF, "-1e308 * 10": -INF,
+         "1e308 * 10 - 1e308 * 10": INF - INF}
+EDGE_CASES = [(fn, texts) for fn, arity in (("min", 2), ("max", 2), ("clamp", 3))
+              for texts in itertools.product(EDGES, repeat=arity)]
+
+
+def stock_model(aux: str, actions: tuple[str, ...] = (), stocks: int = 3) -> ModelSpec:
+    """Stocks s0, s1, ..., the auxiliary `e` = `aux`, and an event whose
+    actions add each of `actions` to s0."""
+    events = (EventDef("bump", 1.0, 0.0, tuple(EventAction("s0", "add", parse_expression(a))
+                                               for a in actions)),) if actions else ()
+    return ModelSpec(name="Stocks", stocks=tuple(StockDef(f"s{i}", 0.0) for i in range(stocks)),
+                     auxiliaries=(AuxDef("e", parse_expression(aux)),), events=events)
+
+
+def assert_evaluates_as_interpreted(vm, stocks, g=0.0):
+    """The evaluator gives the interpreter's bits for `e`, or names `e`
+    when the interpreter's value is not finite."""
+    env = {s.name: v for s, v in zip(vm.spec.stocks, stocks)}
+    expected = eval_expression(vm.spec.auxiliaries[0].expression, env, 7.0, g)
+    if math.isfinite(expected):
+        (actual,) = vm.evaluator(7.0, g, *stocks)
+        assert bits(actual) == bits(expected), (stocks, vm.source)
+    else:
+        with pytest.raises(NonFiniteError) as err:
+            vm.evaluator(7.0, g, *stocks)
+        assert (err.value.name, err.value.t) == ("e", 7.0), (stocks, vm.source)
+
+
+@pytest.mark.parametrize("context", ["bind", "auxiliary", "held", "noise"])
+def test_min_max_clamp_edge_values_match_interpreter(context):
+    # +-0, +-1, +-inf and NaN in each operand position: as a value computed
+    # in `bind`, in the evaluator on names and on operands held in
+    # temporaries, and as a noise() scale, whose noise decision is made in
+    # `bind`.
+    for fn, texts in EDGE_CASES:
+        stocks = [EDGES[text] for text in texts] + [0.0] * (3 - len(texts))
+        names = [f"s{i}" for i in range(len(texts))]
+        operands = {"bind": texts, "noise": texts, "auxiliary": names,
+                    "held": [f"{name} * 1" for name in names]}[context]
+        call = f"{fn}({', '.join(operands)})"
+        vm = validate_model(stock_model(f"noise({call})" if context == "noise" else call))
+        if context == "bind":
+            assert "    try: _e = " in vm.source.partition("def evaluate")[0]
+        if context == "noise":
+            scale = eval_expression(parse_expression(call), {})
+            assert vm.draws_noise is (scale != 0.0), call
+        assert_evaluates_as_interpreted(vm, stocks, 0.5)
+
+
+def test_min_max_clamp_edge_values_in_actions():
+    for fn, texts in EDGE_CASES:
+        stocks = [EDGES[text] for text in texts] + [0.0] * (3 - len(texts))
+        # An action reads stock i as x[i], which is held in a temporary.
+        on_stocks = f"{fn}({', '.join(f's{i}' for i in range(len(texts)))})"
+        vm = validate_model(stock_model("s0", (on_stocks, f"{fn}({', '.join(texts)})")))
+        env = dict(zip(("s0", "s1", "s2"), stocks))
+        expected = [eval_expression(a.expression, env, 7.0, 0.0)
+                    for a in vm.spec.events[0].actions]
+        actual = vm.actions[0](7.0, stocks, 0.5)
+        assert list(map(bits, actual)) == list(map(bits, expected)), (fn, texts)
+
+
+@pytest.mark.parametrize("text, value", [("max(0, s0)", 0.0), ("max(s0, 0)", None),
+                                         ("min(1, s0)", 1.0), ("clamp(s0, -1, 1)", None)])
+@pytest.mark.parametrize("wrap", ["{}", "{} * 1"])
+def test_nan_masked_only_where_the_builtin_masks_it(text, value, wrap):
+    vm = validate_model(stock_model(text.replace("s0", wrap.format("s0")), stocks=1))
+    if value is None:
+        with pytest.raises(NonFiniteError) as err:
+            vm.evaluator(7.0, 0.0, INF - INF)
+        assert err.value.name == "e"
+    else:
+        assert vm.evaluator(7.0, 0.0, INF - INF) == (value,)
+
+
+NESTED = [
+    "min(max(a, b), max(c, min(d, e)))",
+    "max(min(a, b), min(c, max(d, e)))",
+    "min(min(min(a, b), c), min(d, max(e, a)))",
+    "clamp(min(a, b), max(c, d), clamp(e, a, b))",
+    "max(a, clamp(b, min(c, d), max(e, a))) - min(clamp(a, b, c), d)",
+]
+
+
+@pytest.mark.parametrize("text", NESTED)
+@pytest.mark.parametrize("wrap", ["{}", "{} * 1"])
+def test_nested_min_max_clamp_match_interpreter(text, wrap):
+    # Each call holds its operands in temporaries that a nested call must
+    # not overwrite while they are live; distinct values show a clash.
+    text = re.sub(r"\b[a-e]\b", lambda m: wrap.format(f"s{ord(m.group()) - ord('a')}"), text)
+    vm = validate_model(stock_model(text, (text,), stocks=5))
+    rng = random.Random(text)
+    pool = [0.0, -0.0, 1.0, -1.0, INF, -INF, INF - INF]
+    for _ in range(200):
+        stocks = [rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-9.0, 9.0)
+                  for _ in range(5)]
+        assert_evaluates_as_interpreted(vm, stocks)
+        env = {f"s{i}": v for i, v in enumerate(stocks)}
+        expected = eval_expression(vm.spec.events[0].actions[0].expression, env, 7.0, 0.0)
+        (actual,) = vm.actions[0](7.0, stocks, 0.0)
+        assert bits(actual) == bits(expected), stocks
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.5, 1.0, 2.0, -3.0, INF - INF])
+def test_if_on_min_is_not_read_as_a_comparison(x):
+    # min(s0, 1) is emitted with the "(1.0 if " prefix of a comparison's
+    # text; if() must still test it against zero.
+    vm = validate_model(stock_model("if(min(s0, 1), 10, 20)", ("if(min(s0, 1), 10, 20)",)))
+    assert "(1.0 if _s0 > 1.0 else _s0)" in vm.source
+    assert_evaluates_as_interpreted(vm, [x, 0.0, 0.0])
+    expected = eval_expression(parse_expression("if(min(s0, 1), 10, 20)"), {"s0": x})
+    assert vm.actions[0](7.0, [x, 0.0, 0.0], 0.0) == (expected,)
+
+
+@pytest.mark.parametrize("text", ["clamp(s0, 3, 1)", "clamp(s0 * 1, s1 + 3, s1 + 1)"])
+@pytest.mark.parametrize("x", [-5.0, 0.0, 2.0, 5.0])
+def test_clamp_with_crossed_bounds_gives_the_upper(text, x):
+    vm = validate_model(stock_model(text))
+    assert vm.evaluator(7.0, 0.0, x, 0.0, 0.0) == (1.0,)
+    assert_evaluates_as_interpreted(vm, [x, 0.0, 0.0])
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,9 @@ and numpy stays off the paths that do not need arrays."""
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,9 @@ from pathlib import Path
 import pytest
 
 import sfdsim
+from sfdsim import build_baseline, engine, parse_model, validate_model
+
+from modelgen import generate_model
 
 PACKAGE = Path(sfdsim.__file__).parent
 
@@ -168,3 +173,30 @@ def test_numpy_is_not_loaded_without_arrays(fixtures_dir, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
     assert (tmp_path / "run.csv").read_text().count("\n") == 32
+
+
+# A call of the builtin min or max; a model variable's local starts with "_".
+MIN_MAX_CALL = re.compile(r"\b(?:min|max)\(")
+
+
+def test_generated_code_calls_no_min_or_max():
+    # min, max and clamp are emitted as conditional expressions, in the
+    # evaluator, `bind`, the actions and the step loop alike. Models: the
+    # baseline, the first 50 seed-21 `model_corpus` models and 60 random
+    # models; loops: each model's topology under both methods, and a cycle.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    corpus = [workloads.corpus_model(workloads._rng(21, i), i)[0] for i in range(50)]
+    assert all("max(0, drive)" in text for text in corpus)
+    models = [build_baseline(), *map(parse_model, corpus), *map(generate_model, range(60))]
+    topologies = {("euler", (True, True), ((0, 1), (1, 0), (0, -1)))}
+    for spec in models:
+        vm = validate_model(spec)
+        assert not MIN_MAX_CALL.search(vm.source), spec.name
+        topologies |= {engine._topology(vm, method) for method in engine.METHODS}
+    sources = [engine.segment_source(*topology) for topology in topologies]
+    assert all(not MIN_MAX_CALL.search(source) for source in sources)
+    assert sum(bool(re.search(r"k\d+ = 1\.0\n", source)) for source in sources) >= 10
+    assert any("for _ in range(" in source for source in sources)  # a cyclic clamp

@@ -544,6 +544,29 @@ class TestHoistedValues:
             run_simulation(vm, SimConfig(t_start=3.0, t_end=4.0, method="rk4"))
         assert (err.value.name, err.value.t) == (name, 3.0)
 
+    @pytest.mark.parametrize("constant, text, faults", [("1e308 * 10", "(1e+308 * 10.0)", True),
+                                                        ("1 / Zero", "(1.0 / _Zero)", True),
+                                                        ("Rate * 10", "(_Rate * 10.0)", False)])
+    @pytest.mark.parametrize("whole_first", [False, True])
+    def test_text_shared_by_a_variable_and_a_subtree_computed_once(self, constant, text, faults,
+                                                                  whole_first):
+        # `second` is computed whole in `bind`, and `first` reads a subtree
+        # of the same text: one computation serves both, whichever is first
+        # in evaluation order, and a fault names the first of them in it.
+        auxiliaries = [AuxDef("first", parse_expression(f"Tank + {constant}")),
+                       AuxDef("second", parse_expression(constant))]
+        spec = tiny_model(auxiliaries=tuple(auxiliaries[::-1] if whole_first else auxiliaries),
+                          parameters=(ParamDef("Rate", 0.1), ParamDef("Zero", 0.0)),
+                          stocks=(StockDef("Tank", 0.0, "m3"),))
+        vm = validate_model(spec)
+        assert vm.source.count(text) == 1
+        for stocks in ([0.0], [2.5]):
+            expected = interpreted(vm, stocks, 3.0, 0.0)
+            if faults:
+                assert expected[1] == ("second" if whole_first else "first")
+                expected = NonFiniteError, expected[1]
+            assert as_bits(generated(vm, stocks, 3.0, 0.0)) == as_bits(expected)
+
     @pytest.mark.parametrize("zero", [0.0, -0.0, 1.0])
     def test_nodes_shared_between_variables(self, zero):
         # Expression nodes are values, so a spec built in Python may use one

@@ -217,6 +217,20 @@ class TestPolicySearch:
             optimize_transport_policy(baseline_spec, grid, year_config)
 
 
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sludge_limit_rejected_before_any_run(self, baseline_spec, year_config,
+                                                             monkeypatch, limit):
+        import sfdsim.scenarios
+
+        def no_run(*args):
+            raise AssertionError("simulated a grid with a non-finite limit")
+
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation", no_run)
+        grid = dataclasses.replace(self.GRID, sludge_limit_kg=limit)
+        with pytest.raises(ValueError, match="sludge limit must be finite"):
+            optimize_transport_policy(baseline_spec, grid, year_config)
+
+
 class TestCalibration:
     def test_recovers_evaporation_coefficient(self, baseline_spec, year_config):
         true_value = 0.004
