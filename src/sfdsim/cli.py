@@ -90,8 +90,13 @@ def _config(args) -> SimConfig:
     )
 
 
-def _write_manifest(args, command: str, spec: ModelSpec, source: str,
-                    scenarios: list[Scenario], outputs: list[str]) -> str:
+def _write_out(args, command: str, spec: ModelSpec, source: str, scenarios: list[Scenario],
+               text: str, written: tuple[str | None, ...] = ()) -> None:
+    """Write `text` to --out, then `<out>.manifest.json`, which lists it and
+    the paths in `written` that are set, and print `wrote <path>` for each
+    of these in turn, the manifest last."""
+    Path(args.out).write_text(text)
+    outputs = [path for path in (args.out, *written) if path]
     manifest = {
         "argv": args._argv,
         "command": command,
@@ -105,9 +110,10 @@ def _write_manifest(args, command: str, spec: ModelSpec, source: str,
         "outputs": sorted(outputs),
         "version": __version__,
     }
-    path = str(Path(args.out).with_suffix("")) + ".manifest.json"
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    manifest_path = str(Path(args.out).with_suffix("")) + ".manifest.json"
+    Path(manifest_path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for path in (*outputs, manifest_path):
+        print(f"wrote {path}")
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -133,11 +139,7 @@ def cmd_simulate(args) -> int:
     if not args.out:
         sys.stdout.write(csv_text)
         return 0
-    Path(args.out).write_text(csv_text)
-    outputs = [path for path in (args.out, args.events_out) if path]
-    manifest = _write_manifest(args, "simulate", spec, source, scenarios, outputs)
-    for path in outputs + [manifest]:
-        print(f"wrote {path}")
+    _write_out(args, "simulate", spec, source, scenarios, csv_text, (args.events_out,))
     return 0
 
 
@@ -150,10 +152,7 @@ def cmd_sweep(args) -> int:
     if not args.out:
         sys.stdout.write(csv_text)
         return 0
-    Path(args.out).write_text(csv_text)
-    manifest = _write_manifest(args, "sweep", effective, source, scenarios, [args.out])
-    print(f"wrote {args.out}")
-    print(f"wrote {manifest}")
+    _write_out(args, "sweep", effective, source, scenarios, csv_text)
     return 0
 
 
@@ -173,10 +172,7 @@ def cmd_optimize(args) -> int:
         f"peakSludge={best.peak_sludge:.6f}"
     )
     if args.out:
-        Path(args.out).write_text(result.to_csv())
-        manifest = _write_manifest(args, "optimize", effective, source, scenarios, [args.out])
-        print(f"wrote {args.out}")
-        print(f"wrote {manifest}")
+        _write_out(args, "optimize", effective, source, scenarios, result.to_csv())
     return 0
 
 
@@ -232,10 +228,7 @@ def cmd_calibrate(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
-        manifest = _write_manifest(args, "calibrate", effective, source, scenarios, [args.out])
-        print(f"wrote {args.out}")
-        print(f"wrote {manifest}")
+        _write_out(args, "calibrate", effective, source, scenarios, text)
     return 0
 
 

@@ -75,7 +75,7 @@ class SimConfig:
 
     `t_end == t_start` is allowed and yields a single recorded row of the
     initial state. `record_every` keeps one row per that many steps; the
-    final time is always recorded.
+    final time is always recorded. It and `seed` must be ints.
     """
 
     t_start: float = 0.0
@@ -94,6 +94,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if not (isinstance(self.seed, int) and isinstance(self.record_every, int)):
+            raise ValueError("seed and record_every must be integers")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -505,7 +507,7 @@ def _event_firing(vm, event_deltas, event_log) -> Callable[..., None]:
             event = vm.spec.events[k]
             try:
                 planned = vm.actions[k](t, x, draw)
-            except ex.FAULTS:
+            except ex.FAULTS_OR_UNBOUND:
                 raise NonFiniteError(f"event {event.name}", t) from None
             if not all(map(math.isfinite, planned)):
                 raise NonFiniteError(f"event {event.name}", t)

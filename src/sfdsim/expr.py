@@ -5,10 +5,11 @@ operators, and a fixed set of builtin functions. Four walks read a tree:
 
 - `validate_expression` checks it, and collects the names it reads and its
   `noise()` scales, for the evaluation order and the noise decision;
-- `hoisting_source` (and `python_source`, its plain form) renders it as
-  Python expression text, from which `model.validate_model` generates one
-  evaluator and one action function per event for each model; the package
-  evaluates expressions only through that code;
+- `hoisting_source` renders it as Python expression text. It is the one
+  emitter: from its texts `model.validate_model` generates one evaluator
+  and one action function per event for each model, with the values that
+  read only parameters computed once, in `bind`. The package evaluates
+  expressions only through that code;
 - `to_source` renders it as model-language text;
 - `eval_expression` interprets it, performing the same floating-point
   operations in the same order as the generated code, so its results, and
@@ -52,6 +53,9 @@ ARITHMETIC = ("+", "-", "*", "/", "^")
 # The exceptions an evaluation raises on an arithmetic fault (division by
 # zero, overflow of pow/exp, a math domain error).
 FAULTS = (ZeroDivisionError, OverflowError, ValueError)
+# What generated code raises on a fault: also the NameError of reading a
+# value left unbound because it faulted in `bind`.
+FAULTS_OR_UNBOUND = (*FAULTS, NameError)
 
 
 class Expr:
@@ -261,28 +265,20 @@ CODEGEN_GLOBALS: dict[str, object] = {
 }
 
 
-def python_source(expr: Expr, local: Callable[[str], str]) -> str:
-    """Python expression text equivalent to `expr`.
-
-    Variables become the names `local(name)` returns; `t` and `g` stay free,
-    as do the builtins and `CODEGEN_GLOBALS`. The text mirrors
-    `eval_expression` operation for operation, so the two cannot drift
-    apart numerically.
-    """
-    return hoisting_source(expr, local, (), None)[0]
-
-
 def hoisting_source(expr: Expr, local: Callable[[str], str], fixed: Container[str],
                     hoist: Callable[[str], str] | None) -> tuple[str, bool]:
-    """`python_source(expr, local)`, and whether `expr` reads only names in
-    `fixed`, and neither `t` nor `noise()`.
+    """Python expression text equivalent to `expr`, and whether `expr`
+    reads only names in `fixed`, and neither `t` nor `noise()`.
 
-    If it does not, and `hoist` is given, each maximal operation or call
-    subtree that does is replaced by the name `hoist` returns for the
-    subtree's own text, its value computed elsewhere. A bare name or
-    number stays in place.
-    `min`, `max` and `clamp` become conditional expressions that give the
-    builtins' bits, for `-0.0` and NaN too (see `_pick`).
+    Variables become the names `local(name)` returns; `t` and `g` stay
+    free, as do the builtins and `CODEGEN_GLOBALS`. The text mirrors
+    `eval_expression` operation for operation, so the two cannot drift
+    apart numerically. `min`, `max` and `clamp` become conditional
+    expressions that give the builtins' bits, for `-0.0` and NaN too (see
+    `_pick`). If `expr` does not read only `fixed` names, and `hoist` is
+    given, each maximal operation or call subtree that does is replaced by
+    the name `hoist` returns for the subtree's own text, its value computed
+    elsewhere. A bare name or number stays in place.
     """
     if isinstance(expr, Num):
         return repr(expr.value), True

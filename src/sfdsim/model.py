@@ -182,7 +182,8 @@ class ValidatedModel:
     - Per event, `act(t, x, draw)` gives its action values for the run's
       state `x`, stock i being `x[i]`, with its own `noise()` read as 0.
       Only if one of its expressions reads a flow or auxiliary does it
-      call the evaluator, at `t` with the noise draw `draw`.
+      call the evaluator, at `t` with the noise draw `draw`. It raises one of
+      `ex.FAULTS_OR_UNBOUND`, NameError for a value that faulted in `bind`.
     - `draws_noise` is whether some `noise()` scale can be non-zero; if
       not, the engine skips the daily draws and runs with g = 0.
 
@@ -258,7 +259,9 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     tests once that all of `order` is finite. A fault, the NameError of an
     unbound read, or a failed test names the first variable in `order`
     that is unbound or not finite: `first_bad` scans the module-level
-    `ORDER`, (name, local) pairs, in `evaluate`'s own `locals()`."""
+    `ORDER`, (name, local) pairs, in `evaluate`'s own `locals()`. An action
+    hoists its subtrees on parameters alone the same way, by the same texts,
+    but reads each flow and auxiliary as `o[j]`, computed whole or not."""
     names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
                                   spec.flows) for d in group]
     local = {
@@ -273,7 +276,8 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     computed = [d.name for d in (*spec.flows, *spec.auxiliaries)]
     lines = [f"def bind({', '.join(local[p.name] for p in spec.parameters)}):"]
     body: list[str] = []
-    fixed = {p.name for p in spec.parameters}
+    params = {p.name for p in spec.parameters}
+    fixed = set(params)
     hoisted: dict[str, str] = {}
 
     def hoist(text: str) -> str:
@@ -304,14 +308,14 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
              **{name: f"o[{j}]" for j, name in enumerate(computed)}}
     state = ", ".join(["t", "draw", *(f"x[{i}]" for i in range(len(stocks)))])
     for k, (event, read) in enumerate(zip(spec.events, events)):
-        values = (ex.python_source(a.expression, reads.__getitem__) for a in event.actions)
+        values = [ex.hoisting_source(a.expression, reads.__getitem__, params, hoist)[0]
+                  for a in event.actions]
         lines += [f"    def act{k}(t, x, draw):", "        g = 0.0"]
         if not read.isdisjoint(computed):
             lines.append(f"        o = evaluate({state})")
         lines.append(f"        return {tup(values)}")
     # Noise is drawn if a scale reads state, time or noise, or if one of
     # parameters and constants is non-zero or faults.
-    params = {p.name for p in spec.parameters}
     walks = [ex.hoisting_source(scale, local.__getitem__, params, None) for scale in scales]
     if scales and all(invariant for _, invariant in walks):
         tests = " or ".join(f"{text} != 0.0" for text, _ in walks)
@@ -331,7 +335,7 @@ def _compile_evaluator(source: str) -> Callable[..., tuple]:
     `bind` is popped from its globals, so no cycle holds it: once the cache
     drops it and no model holds what it returned, refcounting frees it."""
     namespace: dict[str, object] = {**ex.CODEGEN_GLOBALS, "FAULTS": ex.FAULTS,
-                                    "FAULTS_OR_UNBOUND": (*ex.FAULTS, NameError),
+                                    "FAULTS_OR_UNBOUND": ex.FAULTS_OR_UNBOUND,
                                     "NonFiniteError": NonFiniteError, "first_bad": _first_bad}
     exec(compile(source, "<sfdsim evaluator>", "exec"), namespace)
     return namespace.pop("bind")  # type: ignore[return-value]

@@ -277,6 +277,34 @@ class TestLintFmt:
                              "1.000000,7.000000,3.000000"]
 
 
+class TestOutputTail:
+    """With --out, each command writes its output and then the manifest,
+    and prints `wrote <path>` for each of them, the manifest last, after
+    what it prints without --out (a CSV on stdout is not printed)."""
+
+    @pytest.mark.parametrize("command, args, extra, keeps_stdout", [
+        ("simulate", ["--t-end", "20"], [], False),
+        ("simulate", ["--t-end", "65"], ["--events-out", "ev.csv"], False),
+        ("sweep", ["--param", "Dose", "--values", "0,10", "--t-end", "20"], [], False),
+        ("optimize", ["--intervals", "10,20", "--trucks", "6000", "--counts", "1",
+                      "--t-end", "20"], [], True),
+        ("calibrate", ["--param", "KEvap:0.001:0.01", "--column", "AccumulatedVinasse",
+                       "--observed", "obs.csv", "--max-passes", "1", "--t-end", "20"], [], True),
+    ])
+    def test_printed_lines(self, command, args, extra, keeps_stdout, tmp_path, monkeypatch,
+                           capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("obs.csv").write_text("t,value\n10,100\n20,200\n")
+        assert main([command, *args]) == 0
+        plain = capsys.readouterr().out
+        assert main([command, *args, *extra, "--out", "result.out"]) == 0
+        wrote = "".join(f"wrote {path}\n" for path in ("result.out", *extra[1:],
+                                                       "result.manifest.json"))
+        assert capsys.readouterr().out == (plain if keeps_stdout else "") + wrote
+        manifest = json.loads(Path("result.manifest.json").read_text())
+        assert manifest["outputs"] == sorted(["result.out", *extra[1:]])
+
+
 class TestValidateOnce:
     @pytest.mark.parametrize("command", ["simulate", "sweep", "optimize", "calibrate", "plot"])
     def test_one_validation_per_command(self, command, fixtures_dir, tmp_path, monkeypatch,

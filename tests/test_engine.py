@@ -364,6 +364,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(record_every=0)
 
+    @pytest.mark.parametrize("field, value", [("record_every", 2.5), ("record_every", 2.0),
+                                              ("seed", 1.5), ("seed", 1.0), ("seed", "1")])
+    def test_non_integer_counts_rejected(self, field, value):
+        # A fractional stride would record off its own grid, and a float seed
+        # would fail only once a noisy run draws, as a TypeError.
+        with pytest.raises(ValueError, match="must be integers"):
+            SimConfig(t_end=10.0, **{field: value})
+
     def test_record_every_keeps_final_row(self):
         spec = make_model(
             stocks=[StockDef("S", 0.0)],

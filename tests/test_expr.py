@@ -19,12 +19,15 @@ from sfdsim import (
     ModelSpec,
     NonFiniteError,
     ParamDef,
+    SimConfig,
     StockDef,
     UnknownSymbolError,
     parse_expression,
+    run_simulation,
     validate_model,
 )
 from sfdsim.expr import (
+    FAULTS_OR_UNBOUND,
     BinOp,
     Call,
     Num,
@@ -243,12 +246,23 @@ def test_compiled_matches_interpreter(tree, g):
     vm = validate_model(one_aux_model(tree))
 
     # As an event action its own noise reads as 0 whatever the step's
-    # draw, and a fault propagates.
+    # draw. A fault propagates, or is a NameError where the faulting
+    # subtree reads only parameters and so stays unbound in `bind`; a run
+    # names the event for either.
     try:
         expected = eval_expression(tree, env, 7.0, 0.0)
     except (ZeroDivisionError, OverflowError, ValueError) as err:
-        with pytest.raises(type(err)):
+        with pytest.raises((type(err), NameError)) as raised:
             vm.actions[0](7.0, [0.5], g)
+        assert isinstance(raised.value, FAULTS_OR_UNBOUND)
+        if raised.type is NameError:
+            run_alone = ModelSpec(
+                name="Alone", stocks=(StockDef("z", 0.5),),
+                parameters=(ParamDef("x", 3.0), ParamDef("y", -2.0)),
+                events=(EventDef("bump", 7.0, 0.0, (EventAction("z", "add", tree),)),))
+            with pytest.raises(NonFiniteError) as failed:
+                run_simulation(run_alone, SimConfig(t_end=7.0))
+            assert (failed.value.name, failed.value.t) == ("event bump", 7.0)
     else:
         (actual,) = vm.actions[0](7.0, [0.5], g)
         assert bits(actual) == bits(expected)

@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import math
 import random
+import re
 import struct
 import weakref
 
@@ -618,6 +619,43 @@ class TestHoistedValues:
                            "_Dose", "_KEvap", "_PondArea", "_CoagulantUnitCost",
                            "_CapexPerM3", "_BaseCapacity"}
         assert {"_vinasseSupply", "_eta", "_TotalCapacity", "_AmortDays"} <= free
+
+    def test_baseline_pickup_load_is_computed_once_in_bind(self, baseline_spec):
+        vm = validate_model(baseline_spec)
+        text = "(_TruckCapacityKg * _TrucksPerPickup)"
+        assert vm.source.count(text) == 1
+        before, _, action = vm.source.partition("    def act0(t, x, draw):")
+        (var,) = re.findall(rf"^    try: (_\d+) = {re.escape(text)}$", before, re.M)
+        assert action.partition("\n    try:")[0].count(var) == 6  # min(x[1], load), three times
+        env = dict(vm.params)
+        for stocks in ([1000.0, 200.0, 5000.0], [1000.0, 1e5, 5000.0]):
+            env.update(zip((s.name for s in vm.spec.stocks), stocks))
+            expected = [eval_expression(a.expression, env) for a in vm.spec.events[0].actions]
+            assert as_bits(list(vm.actions[0](30.0, stocks, 0.0))) == as_bits(expected)
+
+    @pytest.mark.parametrize("aux", ["Tank + Rate * 3", "Rate * 3"])
+    def test_action_shares_a_text_the_evaluator_hoists(self, aux):
+        spec = tiny_model(auxiliaries=(AuxDef("a", parse_expression(aux)),),
+                          events=(EventDef("top", 1.0, 1.0, (EventAction(
+                              "Tank", "add", parse_expression("max(Tank, Rate * 3)")),)),))
+        vm = validate_model(spec)
+        assert vm.source.count("(_Rate * 3.0)") == 1
+        assert "_Rate" not in vm.source.partition("def act0")[2]
+        for tank in (0.1, 5.0):
+            assert vm.actions[0](1.0, [tank], 0.0) == (max(tank, 0.1 * 3),)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_faulting_action_subtree_names_the_event(self, method):
+        spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Zero", 0.0)),
+                          events=(EventDef("empty", 2.0, 2.0, (EventAction(
+                              "Tank", "subtract", parse_expression("min(Tank, 1 / Zero)")),)),))
+        vm = validate_model(spec)
+        assert "try: _4 = (1.0 / _Zero)" in vm.source.partition("def act0")[0]
+        with pytest.raises(NameError):
+            vm.actions[0](2.0, [5.0], 0.0)
+        with pytest.raises(NonFiniteError) as err:
+            run_simulation(vm, SimConfig(t_end=6.0, method=method))
+        assert (err.value.name, err.value.t) == ("event empty", 2.0)
 
 
 def raised(make):
