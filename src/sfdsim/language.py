@@ -25,6 +25,10 @@ and `a²` are names. Numbers use decimal digits (`str.isdecimal`), in any
 script: `٣` reads as 3. Any other character, such as `²`, `①` or `½`
 where a token starts, is a ParseError at its line and column.
 
+A token records the offset of its first character. The line and column of
+a ParseError or a LintIssue are computed from that offset only when one is
+reported, one column per character: a tab or a CR counts as one.
+
 `format_model` renders a ModelSpec back to canonical text and round-trips
 with `parse_model`. `lint_model` reports naming-convention violations:
 parameters and stocks are UpperCamelCase, flows, auxiliaries, and events
@@ -84,53 +88,51 @@ _PLAIN = frozenset(("ident", "number", "punct"))
 class Token(NamedTuple):
     kind: str  # "ident", "number", "punct", "unit", "string", "eof"
     text: str
-    line: int
-    column: int
+    offset: int  # index in the text of the token's first character
 
 
 def tokenize(text: str) -> list[Token]:
+    # Some group matches at every position (`error` takes any character and
+    # `eof` the end), so each match starts where the last one ended.
     tokens: list[Token] = []
-    match = _TOKEN.match
-    pos, line, line_start = 0, 1, 0
-    while True:
-        m = match(text, pos)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        start = m.start(kind)
-        skipped = text.count("\n", pos, start)
-        if skipped:
-            line += skipped
-            line_start = text.rindex("\n", pos, start) + 1
-        column = start - line_start + 1
-        pos = m.end()
+        start, end = m.span(kind)
         if kind in _PLAIN:
-            tokens.append(Token(kind, text[start:pos], line, column))
+            tokens.append(Token(kind, text[start:end], start))
         elif kind == "unit":
-            tokens.append(Token(kind, text[start + 1:pos - 1].strip(), line, column))
+            tokens.append(Token(kind, text[start + 1:end - 1].strip(), start))
         elif kind == "string":
-            tokens.append(Token(kind, text[start + 1:pos - 1], line, column))
+            tokens.append(Token(kind, text[start + 1:end - 1], start))
         elif kind == "word" and text[start].isalpha():
-            tokens.append(Token("ident", text[start:pos], line, column))
+            tokens.append(Token("ident", text[start:end], start))
         elif kind == "eof":
-            tokens.append(Token(kind, "", line, column))
+            tokens.append(Token(kind, "", start))
             return tokens
         else:
-            raise _lex_error(text, start, line, column)
+            raise _lex_error(text, start)
 
 
-def _lex_error(text: str, start: int, line: int, column: int) -> ParseError:
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset`, one column per character."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _lex_error(text: str, start: int) -> ParseError:
     """The error for the token that cannot start at `start`."""
     ch = text[start]
+    message = f"unexpected character {ch!r}"
     if ch in "[\"":
         what = "unit bracket" if ch == "[" else "string"
         close = text.find("]" if ch == "[" else '"', start + 1)
         message = f"unterminated {what}" if close < 0 else f"{what} spans lines"
-        return ParseError(message, line, column)
-    return ParseError(f"unexpected character {ch!r}", line, column)
+    return ParseError(message, *_line_column(text, start))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.definitions: list[tuple[str, Token]] = []  # (keyword, name token)
 
@@ -147,7 +149,7 @@ class _Parser:
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
         got = tok.text or "end of input"
-        return ParseError(f"{message}, got {got!r}", tok.line, tok.column)
+        return ParseError(f"{message}, got {got!r}", *_line_column(self.text, tok.offset))
 
     def at_punct(self, *texts: str) -> bool:
         tok = self.tokens[self.pos]
@@ -165,8 +167,7 @@ class _Parser:
         return False
 
     def expect_ident(self, what: str = "name") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
+        if self.peek().kind != "ident":
             raise self.fail(f"expected {what}")
         return self.advance()
 
@@ -192,11 +193,9 @@ class _Parser:
         sign = 1.0
         if self.take_punct("-"):
             sign = -1.0
-        tok = self.peek()
-        if tok.kind != "number":
+        if self.peek().kind != "number":
             raise self.fail("expected a number")
-        self.advance()
-        return sign * float(tok.text)
+        return sign * float(self.advance().text)
 
     def unit(self) -> str:
         if self.peek().kind == "unit":
@@ -204,8 +203,7 @@ class _Parser:
         return ""
 
     def string(self, what: str = "string") -> str:
-        tok = self.peek()
-        if tok.kind != "string":
+        if self.peek().kind != "string":
             raise self.fail(f"expected a quoted {what}")
         return self.advance().text
 
@@ -352,7 +350,7 @@ class _Parser:
 @lru_cache(maxsize=4)
 def _parsed(text: str) -> tuple[ModelSpec, tuple[tuple[str, Token], ...]]:
     """The ModelSpec of `text` and its (keyword, name token) definitions."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     return parser.model(), tuple(parser.definitions)
 
 
@@ -363,7 +361,7 @@ def parse_model(text: str) -> ModelSpec:
 
 def parse_expression(text: str) -> ex.Expr:
     """Parse a standalone expression in the model language."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     node = parser.expression()
     if parser.peek().kind != "eof":
         raise parser.fail("unexpected trailing input")
@@ -442,13 +440,10 @@ def lint_model(text: str) -> list[LintIssue]:
     for kind, tok in _parsed(text)[1]:
         name = tok.text
         if kind in _UPPER_KINDS and not name[0].isupper():
-            issues.append(LintIssue(
-                tok.line, tok.column, "naming",
-                f"{_UPPER_KINDS[kind]} '{name}' should start with an uppercase letter",
-            ))
+            message = f"{_UPPER_KINDS[kind]} '{name}' should start with an uppercase letter"
         elif kind in _LOWER_KINDS and not name[0].islower():
-            issues.append(LintIssue(
-                tok.line, tok.column, "naming",
-                f"{_LOWER_KINDS[kind]} '{name}' should start with a lowercase letter",
-            ))
+            message = f"{_LOWER_KINDS[kind]} '{name}' should start with a lowercase letter"
+        else:
+            continue
+        issues.append(LintIssue(*_line_column(text, tok.offset), "naming", message))
     return issues

@@ -261,7 +261,8 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     that is unbound or not finite: `first_bad` scans the module-level
     `ORDER`, (name, local) pairs, in `evaluate`'s own `locals()`. An action
     hoists its subtrees on parameters alone the same way, by the same texts,
-    but reads each flow and auxiliary as `o[j]`, computed whole or not."""
+    but reads each flow and auxiliary as `o[j]`, computed whole or not, and
+    a whole value on parameters alone reads the local of its text if any."""
     names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
                                   spec.flows) for d in group]
     local = {
@@ -308,8 +309,10 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
              **{name: f"o[{j}]" for j, name in enumerate(computed)}}
     state = ", ".join(["t", "draw", *(f"x[{i}]" for i in range(len(stocks)))])
     for k, (event, read) in enumerate(zip(spec.events, events)):
-        values = [ex.hoisting_source(a.expression, reads.__getitem__, params, hoist)[0]
+        # Walk every action first: a later one may hoist a whole value's text.
+        values = [ex.hoisting_source(a.expression, reads.__getitem__, params, hoist)
                   for a in event.actions]
+        values = [hoisted.get(text, text) if whole else text for text, whole in values]
         lines += [f"    def act{k}(t, x, draw):", "        g = 0.0"]
         if not read.isdisjoint(computed):
             lines.append(f"        o = evaluate({state})")

@@ -42,7 +42,7 @@ from typing import TypeVar
 from .engine import SimConfig, Trajectory, run_simulation
 from .errors import NoFeasiblePolicyError
 from .expr import format_number
-from .language import _Parser, tokenize
+from .language import _Parser
 from .model import ModelSpec, ValidatedModel, as_validated
 from .plant import summarize
 
@@ -374,7 +374,7 @@ def run_sweep(
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; see the module docstring for the format."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     if not parser.take_keyword("scenario"):
         raise parser.fail("expected 'scenario'")
     name = parser.expect_ident("scenario name").text

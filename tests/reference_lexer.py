@@ -7,13 +7,26 @@ compiled-pattern match per token. It is the oracle of the lexer's
 differential test. It differs from the package in one known way: it starts
 a number at any character for which `str.isdigit` holds, so `²` or `①`
 become a number token that `float` cannot read, where the package accepts
-decimal digits only and raises ParseError.
+decimal digits only and raises ParseError. Its tokens are its own type
+and carry their line and column, so the oracle shares nothing with the
+lexer it checks but ParseError.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from sfdsim.errors import ParseError
-from sfdsim.language import Token
+
+
+class Token(NamedTuple):
+    """A reference token at its 1-based line and column."""
+
+    kind: str
+    text: str
+    line: int
+    column: int
+
 
 PUNCT = (
     "->", "+=", "-=", "<=", ">=", "==", "!=",

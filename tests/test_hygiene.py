@@ -147,6 +147,32 @@ def test_scan_sees_an_unread_public_function():
     assert unread_public_functions({"a.py": module, "b.py": other}, "a.py") == ["unread"]
 
 
+def package_imports(tree) -> list[str]:
+    """Each name an import anywhere in the module takes from `sfdsim`, or the
+    module itself for a plain `import sfdsim...`."""
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken += [a.name for a in node.names if a.name.partition(".")[0] == "sfdsim"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "sfdsim":
+            taken += [a.name for a in node.names]
+    return taken
+
+
+def test_reference_lexer_takes_only_parse_error_from_the_package():
+    # The lexer's oracle shares no token type, and no code, with the lexer.
+    path = Path(__file__).parent / "reference_lexer.py"
+    assert package_imports(ast.parse(path.read_text(), filename=str(path))) == ["ParseError"]
+
+
+def test_scan_sees_a_package_import():
+    tree = ast.parse(
+        "from sfdsim.errors import ParseError\nfrom os import path\n"
+        "def f():\n    from sfdsim.language import Token\n    import sfdsim.expr\n"
+    )
+    assert package_imports(tree) == ["ParseError", "Token", "sfdsim.expr"]
+
+
 NO_NUMPY = """
 import sys
 import sfdsim

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfdsim import ParseError, format_model, lint_model, parse_expression, parse_model
+from sfdsim import (
+    ParseError,
+    format_model,
+    lint_model,
+    parse_expression,
+    parse_model,
+    parse_scenario,
+)
 from sfdsim import expr as ex
 from sfdsim import language
 from sfdsim.language import Token, tokenize
@@ -38,14 +45,15 @@ model Butt {
 
 class TestTokenizer:
     def test_kinds_and_positions(self):
-        tokens = tokenize("aux x = 1.5e-2 [m3]  # trailing\n+")
+        text = "aux x = 1.5e-2 [m3]  # trailing\n+"
+        tokens = tokenize(text)
         kinds = [(t.kind, t.text) for t in tokens]
         assert kinds == [
             ("ident", "aux"), ("ident", "x"), ("punct", "="),
             ("number", "1.5e-2"), ("unit", "m3"), ("punct", "+"), ("eof", ""),
         ]
-        assert tokens[0].line == 1 and tokens[0].column == 1
-        assert tokens[-2].line == 2 and tokens[-2].column == 1
+        assert language._line_column(text, tokens[0].offset) == (1, 1)
+        assert language._line_column(text, tokens[-2].offset) == (2, 1)
 
     def test_two_char_operators(self):
         texts = [t.text for t in tokenize("-> += -= <= >= == != < > -")[:-1]]
@@ -60,12 +68,14 @@ class TestTokenizer:
             tokenize("param X = 1 [m\n3]")
 
     def test_comment_on_last_line_puts_eof_at_the_hash(self):
-        assert tokenize("a # end")[-1] == Token("eof", "", 1, 3)
-        assert tokenize("a\n  # end\n")[-1] == Token("eof", "", 3, 1)
+        assert tokenize("a # end")[-1] == Token("eof", "", 2)
+        text = "a\n  # end\n"
+        assert tokenize(text)[-1] == Token("eof", "", len(text))
+        assert language._line_column(text, len(text)) == (3, 1)
 
     def test_whitespace_counts_one_column_per_character(self):
-        tokens = tokenize("\ta\r b\n\t\tc")
-        assert [(t.text, t.line, t.column) for t in tokens] == [
+        text = "\ta\r b\n\t\tc"
+        assert [(t.text, *language._line_column(text, t.offset)) for t in tokenize(text)] == [
             ("a", 1, 2), ("b", 1, 5), ("c", 2, 3), ("", 2, 4)]
 
     def test_unexpected_character(self):
@@ -115,6 +125,11 @@ def _offset(text: str, line: int, column: int) -> int:
     return start + column - 1
 
 
+def _positioned(text: str) -> list[tuple]:
+    """The lexer's tokens as (kind, text, line, column), as the reference gives them."""
+    return [(t.kind, t.text, *language._line_column(text, t.offset)) for t in tokenize(text)]
+
+
 def _outcome(lex, text: str):
     try:
         return lex(text)
@@ -159,13 +174,38 @@ def test_tokenize_matches_reference_lexer(text):
     bad = next((t for t in _reference_tokens(text)
                 if t.kind == "number" and not _readable(t.text)), None)
     if bad is None:
-        assert _outcome(tokenize, text) == _outcome(reference_tokenize, text)
+        assert _outcome(_positioned, text) == _outcome(reference_tokenize, text)
         return
     prefix = text[:_offset(text, bad.line, bad.column)]
-    assert _outcome(tokenize, prefix) == _outcome(reference_tokenize, prefix)
+    assert _outcome(_positioned, prefix) == _outcome(reference_tokenize, prefix)
     outcome = _outcome(tokenize, text)
     if isinstance(outcome, list):
         assert all(_readable(t.text) for t in outcome if t.kind == "number")
+
+
+def _reported(call, text: str):
+    """(message, line, column) of the ParseError `call(text)` raises, or
+    the list of them for the LintIssues it returns."""
+    try:
+        return [(i.message, i.line, i.column) for i in call(text)]
+    except ParseError as err:
+        return err.message, err.line, err.column
+
+
+@pytest.mark.parametrize("call, text, expected", [
+    (parse_scenario, 'scenario S {\r\n\t# note\n  description "open\n}',
+     ("unterminated string", 3, 15)),
+    (parse_scenario, "scenario S {\n\tset Dose = 3 $\n}", ("unexpected character '$'", 2, 15)),
+    (parse_scenario, "scenario S {\n  set = 3\n}", ("expected parameter name, got '='", 2, 7)),
+    (parse_expression, "a +\n\t* b", ("expected an expression, got '*'", 2, 2)),
+    (parse_model, "model M {\r\n\tstok S = 0\r\n}",
+     ("expected 'param', 'stock', 'flow', 'aux', or 'event', got 'stok'", 2, 2)),
+    (lint_model, "model M {\r\n  param x = 1\r\n}",
+     [("parameter 'x' should start with an uppercase letter", 2, 9)]),
+], ids=["scenario-lex", "scenario-char", "scenario-parse", "expression", "model", "lint"])
+def test_reported_position_past_tabs_crs_and_comments(call, text, expected):
+    # Each position is on line 2 or later, behind a tab, a CR or a comment.
+    assert _reported(call, text) == expected
 
 
 class TestParser:

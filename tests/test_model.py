@@ -657,6 +657,30 @@ class TestHoistedValues:
             run_simulation(vm, SimConfig(t_end=6.0, method=method))
         assert (err.value.name, err.value.t) == ("event empty", 2.0)
 
+    def test_whole_parameter_value_reads_the_text_a_later_action_hoists(self):
+        spec = tiny_model(events=(EventDef("top", 1.0, 1.0, (
+            EventAction("Tank", "add", parse_expression("Rate * 3")),
+            EventAction("Tank", "add", parse_expression("Tank + Rate * 3")))),))
+        vm = validate_model(spec)
+        assert vm.source.count("(_Rate * 3.0)") == 1
+        assert "return (_3, (x[0] + _3), )" in vm.source.partition("def act0")[2]
+        for tank in (0.1, 5.0, -7.25):
+            expected = [eval_expression(a.expression, {"Rate": 0.1, "Tank": tank})
+                        for a in spec.events[0].actions]
+            assert as_bits(list(vm.actions[0](1.0, [tank], 0.0))) == as_bits(expected)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_faulting_whole_parameter_value_names_the_event(self, method):
+        spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Zero", 0.0)),
+                          events=(EventDef("bump", 2.0, 2.0, (
+                              EventAction("Tank", "add", parse_expression("1 / Zero")),
+                              EventAction("Tank", "add", parse_expression("Tank + 1 / Zero")))),))
+        vm = validate_model(spec)
+        assert vm.source.count("(1.0 / _Zero)") == 1
+        with pytest.raises(NonFiniteError) as err:
+            run_simulation(vm, SimConfig(t_end=6.0, method=method))
+        assert (err.value.name, err.value.t) == ("event bump", 2.0)
+
 
 def raised(make):
     """`(type, message)` of the error `make()` raises, or None."""
