@@ -179,17 +179,19 @@ def cmd_optimize(args) -> int:
 def _read_observed(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     times: list[float] = []
     values: list[float] = []
+    first = True
     for i, line in enumerate(Path(path).read_text().splitlines()):
         line = line.strip()
         if not line:
             continue
+        header, first = first, False  # only the first non-blank row
         parts = line.split(",")
         if len(parts) < 2:
             raise ParseError("expected 't,value' rows", i + 1, 1)
         try:
             t, v = float(parts[0]), float(parts[1])
         except ValueError:
-            if i == 0:
+            if header:
                 continue  # header row
             raise ParseError("expected numeric 't,value' rows", i + 1, 1) from None
         times.append(t)

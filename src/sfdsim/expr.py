@@ -48,7 +48,16 @@ BUILTINS: dict[str, int] = {
 }
 
 COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
-ARITHMETIC = ("+", "-", "*", "/", "^")
+
+# Binary operator -> precedence, for parsing, validation, printing and
+# emitting. Comparisons bind loosest and do not chain; `^` binds tightest and
+# associates to the right, the others to the left.
+PRECEDENCE = {
+    "<": 1, "<=": 1, ">": 1, ">=": 1, "==": 1, "!=": 1,
+    "+": 2, "-": 2,
+    "*": 3, "/": 3,
+    "^": 4,
+}
 
 # The exceptions an evaluation raises on an arithmetic fault (division by
 # zero, overflow of pow/exp, a math domain error).
@@ -185,7 +194,7 @@ def validate_expression(expr: Expr, known: Container[str], names: set[str] | Non
             raise UnknownSymbolError(f"undefined symbol '{expr.name}'")
         names.add(expr.name)
     elif isinstance(expr, BinOp):
-        if expr.op not in ARITHMETIC and expr.op not in COMPARISONS:
+        if expr.op not in PRECEDENCE:
             raise ValueError(f"unknown operator '{expr.op}'")
         validate_expression(expr.left, known, names, scales)
         validate_expression(expr.right, known, names, scales)
@@ -204,16 +213,6 @@ def validate_expression(expr: Expr, known: Container[str], names: set[str] | Non
     return names, scales
 
 
-# Operator precedence for parsing and printing. Comparisons bind loosest and
-# do not chain; `^` binds tightest and associates to the right.
-_PREC = {
-    "<": 1, "<=": 1, ">": 1, ">=": 1, "==": 1, "!=": 1,
-    "+": 2, "-": 2,
-    "*": 3, "/": 3,
-    "^": 4,
-}
-
-
 def to_source(expr: Expr) -> str:
     """Render `expr` as model-language text with minimal parentheses.
 
@@ -230,18 +229,12 @@ def _render(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, Call):
         return expr.fn + "(" + ", ".join(_render(a, 0) for a in expr.args) + ")"
     if isinstance(expr, BinOp):
-        prec = _PREC[expr.op]
-        if expr.op == "^":
-            # Right-associative: parenthesize an equal-precedence left child.
-            text = _render(expr.left, prec + 1) + " ^ " + _render(expr.right, prec)
-        elif expr.op in COMPARISONS:
-            # Non-associative: force parens around nested comparisons.
-            text = _render(expr.left, prec + 1) + f" {expr.op} " + _render(expr.right, prec + 1)
-        else:
-            text = _render(expr.left, prec) + f" {expr.op} " + _render(expr.right, prec + 1)
-        if prec < parent_prec:
-            return "(" + text + ")"
-        return text
+        prec = PRECEDENCE[expr.op]
+        # `^` groups to the right, a comparison not at all, the rest to the left.
+        left = prec + 1 if expr.op == "^" or prec == 1 else prec
+        right = prec if expr.op == "^" else prec + 1
+        text = _render(expr.left, left) + f" {expr.op} " + _render(expr.right, right)
+        return "(" + text + ")" if prec < parent_prec else text
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -275,9 +268,13 @@ def hoisting_source(expr: Expr, local: Callable[[str], str], fixed: Container[st
     `eval_expression` operation for operation, so the two cannot drift
     apart numerically. `min`, `max` and `clamp` become conditional
     expressions that give the builtins' bits, for `-0.0` and NaN too (see
-    `_pick`). If `expr` does not read only `fixed` names, and `hoist` is
-    given, each maximal operation or call subtree that does is replaced by
-    the name `hoist` returns for the subtree's own text, its value computed
+    `_pick`). An operation is parenthesized whole, but the left operand of
+    a `+ - * /` operation at its own `PRECEDENCE` level loses its outer
+    parentheses, as Python groups it the same way: a long sum nests none.
+    A right operand keeps them, so each text still comes from one tree.
+    If `expr` does not read only `fixed` names, and `hoist` is given, each
+    maximal operation or call subtree that does is replaced by the name
+    `hoist` returns for the subtree's own text, its value computed
     elsewhere. A bare name or number stays in place.
     """
     if isinstance(expr, Num):
@@ -296,6 +293,9 @@ def hoisting_source(expr: Expr, local: Callable[[str], str], fixed: Container[st
             return f"(1.0 if {a} {expr.op} {b} else 0.0)", invariant
         if expr.op == "^":
             return f"pow({a}, {b})", invariant
+        if (isinstance(expr.left, BinOp) and a[0] == "("  # not hoisted
+                and PRECEDENCE[expr.left.op] == PRECEDENCE[expr.op]):
+            a = a[1:-1]  # Python groups `a - b + c` to the left too
         return f"({a} {expr.op} {b})", invariant
     if isinstance(expr, Call):
         texts, flags = [], []

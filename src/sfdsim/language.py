@@ -17,7 +17,8 @@ model file looks like:
 Flows read `source -> target`; either side may be blank for a boundary
 flow. Units in square brackets are optional everywhere. A stock may be
 marked `allow_negative` after its unit. `#` starts a comment. Keywords are
-contextual, so they remain usable as variable names.
+contextual, so they remain usable as variable names. Operators bind as
+`expr.PRECEDENCE` says: comparisons loosest and unchained, `^` tightest.
 
 Identifiers start with a letter (`str.isalpha`) or `_` and go on with
 letters, digits, other numeric characters (`str.isalnum`) or `_`, so `é1`
@@ -83,6 +84,7 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 _PLAIN = frozenset(("ident", "number", "punct"))
+_ACTION_OPS = {"+=": "add", "-=": "subtract", "=": "set"}  # spelling -> EventAction.op
 
 
 class Token(NamedTuple):
@@ -209,32 +211,20 @@ class _Parser:
 
     # --- expressions ----------------------------------------------------
 
-    def expression(self) -> ex.Expr:
-        left = self.sum_()
-        if self.at_punct(*ex.COMPARISONS):
-            op = self.advance().text
-            return ex.BinOp(op, left, self.sum_())
-        return left
-
-    def sum_(self) -> ex.Expr:
-        node = self.product()
-        while self.at_punct("+", "-"):
-            op = self.advance().text
-            node = ex.BinOp(op, node, self.product())
-        return node
-
-    def product(self) -> ex.Expr:
-        node = self.power()
-        while self.at_punct("*", "/"):
-            op = self.advance().text
-            node = ex.BinOp(op, node, self.power())
-        return node
-
-    def power(self) -> ex.Expr:
-        base = self.atom()
-        if self.take_punct("^"):
-            return ex.BinOp("^", base, self.power())
-        return base
+    def expression(self, floor: int = 1) -> ex.Expr:
+        """Climb `ex.PRECEDENCE` from an atom, over operators at `floor` or
+        above. A comparison ends the expression: comparisons do not chain."""
+        node = self.atom()
+        while True:
+            tok = self.tokens[self.pos]
+            level = ex.PRECEDENCE.get(tok.text, 0) if tok.kind == "punct" else 0
+            if level < floor:
+                return node
+            self.pos += 1
+            op = tok.text
+            node = ex.BinOp(op, node, self.expression(level if op == "^" else level + 1))
+            if level == 1:
+                return node
 
     def atom(self) -> ex.Expr:
         if self.take_punct("("):
@@ -338,8 +328,8 @@ class _Parser:
         actions: list[EventAction] = []
         while not self.at_punct("}"):
             target = self.expect_ident("stock name").text
-            if self.at_punct("+=", "-=", "="):
-                op = {"+=": "add", "-=": "subtract", "=": "set"}[self.advance().text]
+            if self.at_punct(*_ACTION_OPS):
+                op = _ACTION_OPS[self.advance().text]
             else:
                 raise self.fail("expected '+=', '-=', or '='")
             actions.append(EventAction(target, op, self.expression()))
@@ -377,6 +367,7 @@ def format_model(spec: ModelSpec) -> str:
     def unit_suffix(unit: str) -> str:
         return f" [{unit}]" if unit else ""
 
+    spelling = {op: text for text, op in _ACTION_OPS.items()}
     lines = [f"model {spec.name} {{"]
     for p in spec.parameters:
         lines.append(f"  param {p.name} = {ex.format_number(p.value)}{unit_suffix(p.unit)}")
@@ -403,11 +394,8 @@ def format_model(spec: ModelSpec) -> str:
         if e.start != e.interval:
             header += f" start {ex.format_number(e.start)}"
         lines.append(header + " {")
-        symbol = {"add": "+=", "subtract": "-=", "set": "="}
         for act in e.actions:
-            lines.append(
-                f"    {act.target} {symbol[act.op]} {ex.to_source(act.expression)}"
-            )
+            lines.append(f"    {act.target} {spelling[act.op]} {ex.to_source(act.expression)}")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

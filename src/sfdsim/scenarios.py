@@ -255,14 +255,17 @@ def calibrate(
     every coordinate, keeping the first strict improvement. When a whole
     pass improves nothing, all steps are halved. The search stops when
     every step is below tol times its coordinate's range, or after
-    `max_passes`. ValueError, before any run, for a mismatched problem or
-    an observation or bound that is not finite.
+    `max_passes`. ValueError, before any run, for a mismatched problem, a
+    parameter named twice, or an observation or bound that is not finite.
     """
     if not all(map(math.isfinite, (*problem.observed_times, *problem.observed_values,
                                    *(b for pair in problem.bounds for b in pair)))):
         raise ValueError("observed times, observed values and bounds must be finite")
     if len(problem.param_names) != len(problem.bounds):
         raise ValueError("one bounds pair is required per parameter")
+    for k, name in enumerate(problem.param_names):
+        if name in problem.param_names[:k]:
+            raise ValueError(f"parameter '{name}' is named twice")
     if len(problem.observed_times) != len(problem.observed_values):
         raise ValueError("observed times and values must pair up")
     ranges = [hi - lo for lo, hi in problem.bounds]

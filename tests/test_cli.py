@@ -98,6 +98,19 @@ class TestSimulate:
         assert lines[0] == "t,Level,drain"
         assert lines[-1].startswith("5.000000,0.000000,")
 
+    def test_long_sums(self, tmp_path, capsys):
+        # 250 terms each, past the 200 nested parentheses that Python
+        # compiles: the generated code nests none for a chain of sums.
+        # `pour` reads only constants, so `bind` computes it.
+        model = tmp_path / "long.sfd"
+        model.write_text("model Long {\n  stock Level = 0\n  stock Tank = 0\n"
+                         "  flow fill : -> Level = t" + " + 1" * 249 + "\n"
+                         "  flow pour : -> Tank = 0.5" + " + 0.5" * 249 + "\n}\n")
+        assert main(["simulate", "--model", str(model), "--t-end", "4"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "t,Level,Tank,fill,pour"
+        assert lines[-1] == "4.000000,1002.000000,500.000000,253.000000,125.000000"
+
 
 class TestSweep:
     def test_stdout(self, capsys):
@@ -212,6 +225,45 @@ class TestCalibrate:
         captured = capsys.readouterr()
         assert "finite" in captured.err and captured.out == ""
         assert not out.exists() and not (tmp_path / "fit.manifest.json").exists()
+
+    def test_repeated_param_exits_2(self, tmp_path, capsys):
+        observed = tmp_path / "obs.csv"
+        observed.write_text("t,value\n10,500\n")
+        rc = main([
+            "calibrate", "--param", "KEvap:0.001:0.01", "--param", "KEvap:0.002:0.02",
+            "--column", "AccumulatedVinasse", "--observed", str(observed), "--t-end", "10",
+        ])
+        assert rc == 2
+        assert "parameter 'KEvap' is named twice" in capsys.readouterr().err
+
+    def test_header_after_blank_lines(self, tmp_path, capsys):
+        observed = tmp_path / "obs.csv"
+        observed.write_text("\nt,value\n1,2\n")
+        rc = main([
+            "calibrate", "--param", "KEvap:0.001:0.01", "--column", "AccumulatedVinasse",
+            "--observed", str(observed), "--t-end", "2", "--max-passes", "1",
+        ])
+        assert rc == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["t,value\n1,2\n3,4\n", "\n \n\tt,value\n\n1,2\n3,4\n",
+                                      "1,2\n3,4\n", "\n1,2\n3,4\n"])
+    def test_first_non_blank_row_may_be_a_header(self, tmp_path, text):
+        observed = tmp_path / "obs.csv"
+        observed.write_text(text)
+        assert cli._read_observed(str(observed)) == ((1.0, 3.0), (2.0, 4.0))
+
+    @pytest.mark.parametrize("text, line", [
+        ("\nt,value\n1,2\nx,3\n", 4),  # after data
+        ("1,2\nt,value\n", 2),  # a header after data
+        ("\nt,value\n\ntime,value\n1,2\n", 4),  # a second header
+    ])
+    def test_non_numeric_row_fails_at_its_own_line(self, tmp_path, text, line):
+        observed = tmp_path / "obs.csv"
+        observed.write_text(text)
+        with pytest.raises(sfdsim.ParseError) as err:
+            cli._read_observed(str(observed))
+        assert (err.value.message, err.value.line, err.value.column) == (
+            "expected numeric 't,value' rows", line, 1)
 
 
 class TestLintFmt:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -151,6 +152,12 @@ class TestValidation:
         with pytest.raises(error) as err:
             validate_expression(expression, {"x"})
         assert type(err.value) is error and str(err.value) == message
+
+
+    @pytest.mark.parametrize("op", ["%", "**", "=", "+=", "<>", "and"])
+    def test_rejects_an_operator_outside_the_table(self, op):
+        with pytest.raises(ValueError, match=re.escape(f"unknown operator '{op}'")):
+            validate_expression(BinOp(op, Num(1.0), Num(2.0)), set())
 
 
 class TestPrinting:
@@ -404,6 +411,32 @@ def test_clamp_with_crossed_bounds_gives_the_upper(text, x):
     vm = validate_model(stock_model(text))
     assert vm.evaluator(7.0, 0.0, x, 0.0, 0.0) == (1.0,)
     assert_evaluates_as_interpreted(vm, [x, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("text, emitted", [
+    ("s0 - s1 + s2", "(_s0 - _s1 + _s2)"),
+    ("s0 / s1 * s2", "(_s0 / _s1 * _s2)"),
+    ("s0 - (s1 - s2)", "(_s0 - (_s1 - _s2))"),
+    ("s0 / (s1 * s2) / s0", "(_s0 / (_s1 * _s2) / _s0)"),
+    ("s0 * s1 - s2 / s0 + abs(s1) ^ s2", "((_s0 * _s1) - (_s2 / _s0) + pow(abs(_s1), _s2))"),
+    ("s0 + P * Q - s1 + (P - Q) + s2", "(_s0 + _6 - _s1 + _7 + _s2)"),
+    ("P - Q - s0 + s1", "(_6 - _s0 + _s1)"),
+    ("P * Q / s0 * Q", "(_6 / _s0 * _Q)"),
+])
+def test_left_operand_of_its_own_level_is_emitted_bare(text, emitted):
+    # Python groups `a - b + c` as the tree does, so the same operations run
+    # in the same order; a right operand keeps its parentheses. `_6` and
+    # `_7` are subtrees on parameters alone, hoisted into `bind`.
+    spec = dataclasses.replace(stock_model(text),
+                               parameters=(ParamDef("P", 3.7), ParamDef("Q", -0.3)))
+    vm = validate_model(spec)
+    assert f"_e = {emitted}\n" in vm.source
+    rng = random.Random(text)
+    for _ in range(200):
+        stocks = [rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 9.0) for _ in range(3)]
+        env = {"P": 3.7, "Q": -0.3, **{f"s{i}": v for i, v in enumerate(stocks)}}
+        expected = eval_expression(spec.auxiliaries[0].expression, env, 7.0, 0.0)
+        assert list(map(bits, vm.evaluator(7.0, 0.0, *stocks))) == [bits(expected)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -165,6 +165,13 @@ def test_reference_lexer_takes_only_parse_error_from_the_package():
     assert package_imports(ast.parse(path.read_text(), filename=str(path))) == ["ParseError"]
 
 
+def test_reference_parser_takes_only_parse_error_from_the_package():
+    # The grammar's oracle reads the reference lexer's tokens, spells its
+    # own operators and builds plain tuples.
+    path = Path(__file__).parent / "reference_parser.py"
+    assert package_imports(ast.parse(path.read_text(), filename=str(path))) == ["ParseError"]
+
+
 def test_scan_sees_a_package_import():
     tree = ast.parse(
         "from sfdsim.errors import ParseError\nfrom os import path\n"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import re
 import struct
 
 import pytest
@@ -22,6 +24,7 @@ from sfdsim.language import Token, tokenize
 
 from modelgen import generate_model
 from reference_lexer import reference_tokenize
+from reference_parser import reference_parse_expression
 
 SAMPLE = """
 # Water butt with an overflow and a weekly top-up.
@@ -429,3 +432,93 @@ def test_expression_parser_total(text):
         parse_expression(text)
     except ParseError:
         pass
+
+
+def _as_tuples(node: ex.Expr) -> tuple:
+    """`node` as the reference parser's plain tuples."""
+    if isinstance(node, ex.Num):
+        return ("num", node.value)
+    if isinstance(node, ex.Var):
+        return ("var", node.name)
+    if isinstance(node, ex.BinOp):
+        return ("bin", node.op, _as_tuples(node.left), _as_tuples(node.right))
+    return ("call", node.fn, tuple(map(_as_tuples, node.args)))
+
+
+# Grammar oracle vocabulary, spelled out rather than read from the package.
+_OPERATORS = ("<", "<=", ">", ">=", "==", "!=", "+", "-", "*", "/", "^")
+_LEAVES = ("0", "1", "2.5", "3e2", "- 4", "-0", "a", "b", "t", "x1")
+_VOCABULARY = (*_OPERATORS, *_LEAVES, "(", ")", "(", ")", ",", "min", "f", "=", ";")
+_JOINERS = (" ", " ", " ", "", "\n", "\t")
+
+
+def _well_formed(rng: random.Random, depth: int) -> list[str]:
+    """Tokens of a random expression; chained comparisons are left in."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return [rng.choice(_LEAVES)]
+    if roll < 0.7:
+        return [*_well_formed(rng, depth - 1), rng.choice(_OPERATORS),
+                *_well_formed(rng, depth - 1)]
+    if roll < 0.85:
+        return ["(", *_well_formed(rng, depth - 1), ")"]
+    tokens = [rng.choice(("min", "f")), "("]
+    for k in range(rng.randint(1, 3)):
+        tokens += [","] * (k > 0) + _well_formed(rng, depth - 1)
+    return tokens + [")"]
+
+
+def _token_string(rng: random.Random) -> str:
+    """Random tokens, or a random expression with up to two tokens
+    inserted, deleted or replaced, joined by random white space."""
+    if rng.random() < 0.3:
+        tokens = [rng.choice(_VOCABULARY) for _ in range(rng.randint(0, 12))]
+    else:
+        tokens = _well_formed(rng, rng.randint(1, 4))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i = rng.randrange(len(tokens) + 1)
+            edit = rng.choice(("insert", "delete", "replace"))
+            if edit == "insert":
+                tokens.insert(i, rng.choice(_VOCABULARY))
+            elif i < len(tokens):
+                tokens[i:i + 1] = [rng.choice(_VOCABULARY)] if edit == "replace" else []
+    return "".join(tok + rng.choice(_JOINERS) for tok in tokens)
+
+
+def test_expression_parser_matches_reference_grammar():
+    # The same tree, signs of zero included, or the same ParseError, for
+    # each of 4000 token strings over operators of every level, parentheses,
+    # signs, numbers, names, calls and stray commas.
+    rng = random.Random(20)
+    trees, errors, operators = 0, 0, set()
+    for _ in range(4000):
+        text = _token_string(rng)
+        try:
+            want = reference_parse_expression(text)
+        except ParseError as err:
+            want = (err.message, err.line, err.column)
+            errors += 1
+        else:
+            trees += 1
+            operators |= set(re.findall(r"\('bin', '([^']+)'", repr(want)))
+        try:
+            got = _as_tuples(parse_expression(text))
+        except ParseError as err:
+            got = (err.message, err.line, err.column)
+        assert repr(got) == repr(want), text
+    assert trees > 1000 and errors > 1000
+    assert operators == set(_OPERATORS)
+
+
+def test_deep_parentheses_parse():
+    # One level of parentheses costs the parser two stack frames.
+    assert parse_expression("(" * 300 + "a" + ")" * 300) == ex.Var("a")
+
+
+class TestOperatorTable:
+    def test_every_operator_is_a_token(self):
+        assert set(ex.PRECEDENCE) <= set(language._PUNCT)
+
+    def test_comparisons_are_the_loosest_level(self):
+        assert {op for op, level in ex.PRECEDENCE.items() if level == 1} == set(ex.COMPARISONS)
+        assert min(ex.PRECEDENCE.values()) == 1

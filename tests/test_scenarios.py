@@ -342,6 +342,21 @@ class TestCalibration:
         with pytest.raises(ValueError, match="finite"):
             calibrate(baseline_spec, problem, year_config)
 
+    def test_repeated_parameter_rejected_before_any_run(self, baseline_spec, year_config,
+                                                         monkeypatch):
+        # Otherwise the first KEvap and its bounds are silently ignored.
+        import sfdsim.scenarios
+
+        def no_run(*args):
+            raise AssertionError("calibrate ran a simulation")
+
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation", no_run)
+        problem = CalibrationProblem(("KEvap", "Alpha", "KEvap"),
+                                     ((0.001, 0.01), (0.5, 1.5), (0.002, 0.02)),
+                                     "AccumulatedVinasse", (10.0,), (500.0,))
+        with pytest.raises(ValueError, match="parameter 'KEvap' is named twice"):
+            calibrate(baseline_spec, problem, year_config)
+
 
 class TestSweep:
     VALUES = (0.0, 5.0, 10.0, 20.0, 40.0)
