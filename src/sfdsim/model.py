@@ -11,7 +11,10 @@ Parameter, initial value and schedule variants of a validated model
 (`ValidatedModel.with_params`, `ValidatedModel.with_initial`,
 `ValidatedModel.with_event_schedule`) share its structure and source, and
 check only the fields they change; a parameter variant binds the cached
-compiled code to its own values.
+compiled code to its own values. `validate_model` remembers the last
+structure it validated: a spec that shares its stock, flow, auxiliary and
+event tuples and its parameter names, as `ModelSpec.with_params` and
+`dataclasses.replace` copies do, is validated as such a parameter variant.
 """
 
 from __future__ import annotations
@@ -207,7 +210,11 @@ class ValidatedModel:
         Raises what `validate_model` would for the copied spec: an unknown
         name is an UnknownSymbolError, a non-finite value a ModelError.
         """
-        spec = self.spec.with_params(overrides)
+        return self._rebound(self.spec.with_params(overrides))
+
+    def _rebound(self, spec: ModelSpec) -> ValidatedModel:
+        """This model for `spec`, which has its structure and parameter
+        names: the parameters checked, and the code bound to them."""
         params = _checked_params(spec)
         evaluator, actions, noisy = _compile_evaluator(self.source)(*params.values())
         return replace(self, spec=spec, params=params, evaluator=evaluator, actions=actions,
@@ -372,6 +379,10 @@ def _check_schedule(event: EventDef) -> None:
         raise ModelError(f"event '{event.name}' has a negative schedule")
 
 
+# The last model `validate_model` built, and its parameter names.
+_last: tuple[tuple[str, ...], ValidatedModel] | None = None
+
+
 def validate_model(spec: ModelSpec) -> ValidatedModel:
     """Check `spec`, derive its evaluation order, and generate its code and
     bind it to the parameters.
@@ -379,7 +390,23 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     Raises DuplicateNameError, UnknownSymbolError, CycleError, UnitError, or
     ModelError. Event grid alignment is checked at simulation time because
     it depends on the step size.
+
+    The last model built is remembered. A spec whose `stocks`, `flows`,
+    `auxiliaries` and `events` are the very tuples of that model's spec,
+    with the same parameter names, has its structure: only its parameters
+    are checked, and that model's code is bound to them, as
+    `ValidatedModel.with_params` does. The tuples are compared by
+    identity, not equality: `Num(0.0) == Num(-0.0)`, but their code differs.
     """
+    global _last
+    names = tuple(p.name for p in spec.parameters)
+    last = _last
+    if last is not None and last[0] == names:
+        known = last[1].spec
+        if (spec.stocks is known.stocks and spec.flows is known.flows
+                and spec.auxiliaries is known.auxiliaries and spec.events is known.events):
+            return last[1]._rebound(spec)
+
     seen: set[str] = set()
     for name in (d.name for group in (spec.stocks, spec.flows, spec.auxiliaries,
                                       spec.parameters) for d in group):
@@ -444,7 +471,12 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     order = _evaluation_order(spec, reads)
     source = _evaluator_source(spec, order, expressions, scales, events)
     evaluator, actions, noisy = _compile_evaluator(source)(*params.values())
-    return ValidatedModel(spec, order, params, source, evaluator, actions, noisy)
+    model = ValidatedModel(spec, order, params, source, evaluator, actions, noisy)
+    # A list could change under the same identity; a tuple cannot.
+    if all(type(group) is tuple for group in (spec.stocks, spec.flows, spec.auxiliaries,
+                                              spec.events)):
+        _last = (names, model)
+    return model
 
 
 def as_validated(model: ModelSpec | ValidatedModel) -> ValidatedModel:
@@ -458,30 +490,32 @@ def _evaluation_order(spec: ModelSpec, reads: dict[str, set[str]]) -> tuple[str,
     `reads` maps each auxiliary and flow to the names its expression reads.
     Only references between computed variables form edges; stocks and
     parameters are plain state. Depth-first postorder gives a deterministic
-    order; a back edge is reported as CycleError with the cycle path.
+    order; a back edge is reported as CycleError with the cycle path. The
+    search keeps its own stacks, so a long chain does not recurse.
     """
     deps = {name: [d for d in sorted(names) if d in reads] for name, names in reads.items()}
 
     order: list[str] = []
     state: dict[str, int] = {}  # 0 absent, 1 visiting, 2 done
-    for name in [a.name for a in spec.auxiliaries] + [f.name for f in spec.flows]:
-        _visit(name, [], deps, state, order)
+    for root in [a.name for a in spec.auxiliaries] + [f.name for f in spec.flows]:
+        if state.get(root):
+            continue
+        # `path` holds the names being visited, `pending` their unvisited deps.
+        state[root] = 1
+        path, pending = [root], [iter(deps[root])]
+        while pending:
+            for dep in pending[-1]:
+                mark = state.get(dep, 0)
+                if mark == 1:
+                    raise CycleError(path[path.index(dep):] + [dep])
+                if mark == 0:
+                    state[dep] = 1
+                    path.append(dep)
+                    pending.append(iter(deps[dep]))
+                    break
+            else:
+                pending.pop()
+                name = path.pop()
+                state[name] = 2
+                order.append(name)
     return tuple(order)
-
-
-def _visit(name: str, path: list[str], deps: dict[str, list[str]], state: dict[str, int],
-           order: list[str]) -> None:
-    """Append `name` to `order` after its dependencies. Not a closure: a
-    recursive one is a reference cycle, left to the cyclic collector."""
-    mark = state.get(name, 0)
-    if mark == 2:
-        return
-    if mark == 1:
-        raise CycleError(path[path.index(name):] + [name])
-    state[name] = 1
-    path.append(name)
-    for dep in deps[name]:
-        _visit(dep, path, deps, state, order)
-    path.pop()
-    state[name] = 2
-    order.append(name)

@@ -20,7 +20,8 @@ The scenario comparison, policy search, calibration and sweeps take a
 each scenario, grid point, evaluation or value as a variant of the
 validated model (`ValidatedModel.with_params`,
 `ValidatedModel.with_initial`, `ValidatedModel.with_event_schedule`), so
-they share its evaluation order and generated code.
+they share its evaluation order and generated code. Calibration runs each
+distinct point once.
 
 Scenario files use a small text format sharing the expression-language
 lexer; semicolons between directives are optional:
@@ -257,6 +258,9 @@ def calibrate(
     every step is below tol times its coordinate's range, or after
     `max_passes`. ValueError, before any run, for a mismatched problem, a
     parameter named twice, or an observation or bound that is not finite.
+
+    `evaluations` counts the points tried. A step often returns to a point
+    tried before; its SSE is looked up, not run again.
     """
     if not all(map(math.isfinite, (*problem.observed_times, *problem.observed_values,
                                    *(b for pair in problem.bounds for b in pair)))):
@@ -274,17 +278,22 @@ def calibrate(
 
     vm = as_validated(spec)
     evaluations = 0
+    # SSE by point, as the float.hex of each coordinate: -0.0 is not 0.0.
+    seen: dict[tuple[str, ...], float] = {}
 
     def objective(point: list[float]) -> float:
         nonlocal evaluations
         evaluations += 1
-        overrides = dict(zip(problem.param_names, point))
-        traj = run_simulation(vm.with_params(overrides), config)
-        sse = 0.0
-        for t_obs, v_obs in zip(problem.observed_times, problem.observed_values):
-            err = traj.at(problem.column, t_obs) - v_obs
-            sse += err * err
-        return sse
+        key = tuple(float(v).hex() for v in point)
+        if key not in seen:
+            overrides = dict(zip(problem.param_names, point))
+            traj = run_simulation(vm.with_params(overrides), config)
+            sse = 0.0
+            for t_obs, v_obs in zip(problem.observed_times, problem.observed_values):
+                err = traj.at(problem.column, t_obs) - v_obs
+                sse += err * err
+            seen[key] = sse
+        return seen[key]
 
     point = [(lo + hi) / 2 for lo, hi in problem.bounds]
     steps = [0.25 * r for r in ranges]

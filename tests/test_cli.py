@@ -111,6 +111,18 @@ class TestSimulate:
         assert lines[0] == "t,Level,Tank,fill,pour"
         assert lines[-1] == "4.000000,1002.000000,500.000000,253.000000,125.000000"
 
+    def test_long_auxiliary_chain(self, tmp_path, capsys):
+        # a0 reads a1, ..., a1199 reads S: the evaluation order is 1200 deep,
+        # past the interpreter's recursion limit.
+        model = tmp_path / "chain.sfd"
+        chain = "".join(f"  aux a{i} = a{i + 1}\n" for i in range(1199))
+        model.write_text("model Chain {\n  stock S = 8\n" + chain
+                         + "  aux a1199 = S\n  flow out : S -> = 0.5 * a0\n}\n")
+        assert main(["simulate", "--model", str(model), "--t-end", "2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0].split(",")[:3] == ["t", "S", "out"]
+        assert lines[-1].startswith("2.000000,2.000000,1.000000,")
+
 
 class TestSweep:
     def test_stdout(self, capsys):

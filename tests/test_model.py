@@ -241,6 +241,79 @@ class TestEvaluationOrder:
         validate_model(build_baseline())
         assert gc.collect() == 0
 
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_matches_the_recursive_sort_on_random_graphs(self, acyclic):
+        cycles = 0
+        for seed in range(300):
+            spec, reads = random_graph(random.Random(seed), acyclic)
+            got = sort_outcome(sfdsim.model._evaluation_order, spec, reads)
+            assert got == sort_outcome(recursive_order, spec, reads), seed
+            cycles += got[0] is CycleError
+        assert cycles == 0 if acyclic else cycles > 100
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        n = 5000
+        spec = ModelSpec("Chain", auxiliaries=tuple(AuxDef(f"a{i}", Num(0.0)) for i in range(n)))
+        reads = {f"a{i}": {f"a{i + 1}"} for i in range(n - 1)} | {f"a{n - 1}": {"S"}}
+        assert sfdsim.model._evaluation_order(spec, reads) == tuple(
+            f"a{i}" for i in reversed(range(n)))
+        reads[f"a{n - 1}"] = {"a0"}
+        with pytest.raises(CycleError) as err:
+            sfdsim.model._evaluation_order(spec, reads)
+        assert err.value.cycle == [f"a{i}" for i in range(n)] + ["a0"]
+
+
+def recursive_order(spec, reads):
+    """The evaluation order by a recursive depth-first sort, as the model
+    computed it before its sort kept its own stacks: the reference for
+    `model._evaluation_order`."""
+    deps = {name: [d for d in sorted(names) if d in reads] for name, names in reads.items()}
+    order, state = [], {}
+
+    def visit(name, path):
+        mark = state.get(name, 0)
+        if mark == 2:
+            return
+        if mark == 1:
+            raise CycleError(path[path.index(name):] + [name])
+        state[name] = 1
+        path.append(name)
+        for dep in deps[name]:
+            visit(dep, path)
+        path.pop()
+        state[name] = 2
+        order.append(name)
+
+    for name in [a.name for a in spec.auxiliaries] + [f.name for f in spec.flows]:
+        visit(name, [])
+    return tuple(order)
+
+
+def random_graph(rng, acyclic):
+    """A spec of 1-14 auxiliaries and flows in random declaration order,
+    and the names each reads: 0-3 of the others (only those ranked below
+    it when `acyclic`), plus a stock and a parameter, which form no edge."""
+    names = [f"v{i}" for i in range(rng.randint(1, 14))]
+    ranked = rng.sample(names, len(names))
+    reads = {}
+    for i, name in enumerate(ranked):
+        pool = ranked[:i] if acyclic else names
+        reads[name] = {*rng.sample(pool, min(len(pool), rng.randint(0, 3))), "S", "Rate"}
+    declared = rng.sample(names, len(names))
+    split = rng.randint(0, len(names))
+    spec = ModelSpec("Graph",
+                     auxiliaries=tuple(AuxDef(name, Num(0.0)) for name in declared[:split]),
+                     flows=tuple(FlowDef(name, Num(0.0), "S") for name in declared[split:]))
+    return spec, reads
+
+
+def sort_outcome(sort, spec, reads):
+    """The order `sort` gives, or CycleError and the cycle it names."""
+    try:
+        return sort(spec, reads)
+    except CycleError as err:
+        return CycleError, err.cycle
+
 
 class TestOverrides:
     def test_with_params_replaces_value(self):
@@ -807,7 +880,8 @@ class TestValidatedVariants:
                             walks.append(e) or original(e, *args, **kwargs))
         assert vm.with_params({"NoiseStdDev": 2.0}).draws_noise
         assert walks == []
-        validate_model(baseline_spec)
+        # Fresh flows: a structure not seen before, so validation walks it.
+        validate_model(dataclasses.replace(baseline_spec, flows=tuple(list(baseline_spec.flows))))
         assert walks  # the patch sees the walks that validation makes
 
     @pytest.mark.parametrize("overrides", [
@@ -845,3 +919,113 @@ class TestValidatedVariants:
         assert expected is not None
         got = raised(lambda: validate_model(spec).with_event_schedule(name, start, interval))
         assert got == expected
+
+
+def hex_outcome(fn, *args):
+    """`fn(*args)` as the float.hex of each value, or the error it raises."""
+    try:
+        return [float(v).hex() for v in fn(*args)]
+    except Exception as err:  # noqa: BLE001 - the comparison is the point
+        return type(err), str(err)
+
+
+def bit_equal(got, expected):
+    """`got` and `expected` agree in spec, order, source, parameter bits and
+    noise, and their evaluator and actions give bit-equal outcomes."""
+    assert got.spec is expected.spec
+    assert got.order == expected.order
+    assert got.source == expected.source
+    assert ([(k, v.hex()) for k, v in got.params.items()]
+            == [(k, v.hex()) for k, v in expected.params.items()])
+    assert got.draws_noise is expected.draws_noise
+    rng = random.Random(got.spec.name)
+    for _ in range(5):
+        stocks = [rng.uniform(0.0, 200.0) for _ in got.spec.stocks]
+        t, g = rng.uniform(0.0, 365.0), rng.gauss(0.0, 1.0)
+        assert hex_outcome(got.evaluator, t, g, *stocks) == hex_outcome(
+            expected.evaluator, t, g, *stocks)
+        for act, want in zip(got.actions, expected.actions, strict=True):
+            assert hex_outcome(act, t, stocks, g) == hex_outcome(want, t, stocks, g)
+
+
+def cold(spec):
+    """`validate_model(spec)` with no structure remembered."""
+    sfdsim.model._last = None
+    return validate_model(spec)
+
+
+class TestLastStructure:
+    """`validate_model` remembers the last structure it validated. A spec
+    that shares its tuples is bound to the remembered code; the result
+    must be what validating it from scratch gives, bit for bit."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The expressions validation walks, in the order it walks them."""
+        seen = []
+        original = sfdsim.expr.validate_expression
+        monkeypatch.setattr(sfdsim.expr, "validate_expression",
+                            lambda e, *args, **kwargs: seen.append(e) or original(e, *args, **kwargs))
+        return seen
+
+    @pytest.mark.parametrize("seed", VARIANT_SEEDS)
+    def test_a_hit_equals_a_cold_validation(self, seed, walks):
+        spec, overrides, _ = variant_case(seed)
+        cold(spec)
+        for value in (0.0, -0.0, 1e308, -1e308, 0.0):
+            variant = spec.with_params(dict.fromkeys(overrides, value))
+            walks.clear()
+            hit = validate_model(variant)
+            assert walks == []
+            bit_equal(hit, cold(variant))
+
+    def test_a_nan_parameter_on_a_hit_raises_as_cold(self, baseline_spec, walks):
+        variant = baseline_spec.with_params({"KEvap": math.nan})
+        expected = raised(lambda: cold(variant))
+        assert expected == (ModelError, "parameter 'KEvap' has non-finite value")
+        validate_model(baseline_spec)
+        walks.clear()
+        assert raised(lambda: validate_model(variant)) == expected
+        assert walks == []
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (1, 1.0)])
+    def test_equal_specs_that_emit_other_text_get_their_own_source(self, first, second):
+        def flows(value):
+            return (FlowDef("drain", BinOp("*", Num(value), Var("Tank")), "Tank", None, "m3/day"),)
+
+        a = tiny_model(flows=flows(first))
+        b = dataclasses.replace(a, flows=flows(second))
+        assert a == b  # equal, yet their code differs
+        got_a, got_b = validate_model(a), validate_model(b)
+        assert got_a.source != got_b.source
+        bit_equal(validate_model(b), cold(b))
+        bit_equal(validate_model(a), cold(a))
+        assert hex_outcome(got_a.evaluator, 0.0, 0.0, 10.0) == [(first * 10.0).hex()]
+        assert hex_outcome(got_b.evaluator, 0.0, 0.0, 10.0) == [(second * 10.0).hex()]
+
+    @pytest.mark.parametrize("group", ["stocks", "flows", "auxiliaries", "events"])
+    def test_fresh_tuples_are_a_miss(self, baseline_spec, group, walks):
+        validate_model(baseline_spec)
+        walks.clear()
+        validate_model(baseline_spec.with_params({"Dose": 5.0}))
+        assert walks == []
+        fresh = dataclasses.replace(baseline_spec,
+                                    **{group: tuple(list(getattr(baseline_spec, group)))})
+        assert fresh == baseline_spec
+        validate_model(fresh)
+        assert walks
+
+    def test_other_parameter_names_are_a_miss(self, walks):
+        spec = tiny_model()
+        validate_model(spec)
+        walks.clear()
+        more = dataclasses.replace(spec, parameters=(*spec.parameters, ParamDef("Extra", 1.0)))
+        assert "_Extra" in validate_model(more).source
+        assert walks
+
+    def test_groups_held_in_lists_are_not_remembered(self):
+        flows = list(tiny_model().flows)
+        spec = tiny_model(flows=flows)
+        assert validate_model(spec).evaluator(0.0, 0.0, 10.0) == (1.0,)
+        flows[0] = FlowDef("drain", parse_expression("2 * Rate * Tank"), "Tank", None, "m3/day")
+        assert validate_model(spec).evaluator(0.0, 0.0, 10.0) == (2.0,)

@@ -23,6 +23,7 @@ from sfdsim import (
     compare_to_baseline,
     format_scenario,
     optimize_transport_policy,
+    parse_model,
     parse_scenario,
     run_simulation,
     run_sweep,
@@ -356,6 +357,121 @@ class TestCalibration:
                                      "AccumulatedVinasse", (10.0,), (500.0,))
         with pytest.raises(ValueError, match="parameter 'KEvap' is named twice"):
             calibrate(baseline_spec, problem, year_config)
+
+
+def reference_calibrate(spec, problem, config, tol=1e-6, max_passes=200):
+    """The coordinate pattern search as `calibrate` ran it before it kept
+    the SSE of the points it had tried: every point tried is run. Returns
+    the `CalibrationResult` fields as a tuple, and the points run."""
+    vm = validate_model(spec)
+    points = []
+
+    def objective(point):
+        points.append(tuple(point))
+        traj = run_simulation(vm.with_params(dict(zip(problem.param_names, point))), config)
+        sse = 0.0
+        for t_obs, v_obs in zip(problem.observed_times, problem.observed_values):
+            err = traj.at(problem.column, t_obs) - v_obs
+            sse += err * err
+        return sse
+
+    ranges = [hi - lo for lo, hi in problem.bounds]
+    point = [(lo + hi) / 2 for lo, hi in problem.bounds]
+    steps = [0.25 * r for r in ranges]
+    best = objective(point)
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        improved = False
+        for i in range(len(point)):
+            lo, hi = problem.bounds[i]
+            for direction in (+1.0, -1.0):
+                trial = min(hi, max(lo, point[i] + direction * steps[i]))
+                if trial == point[i]:
+                    continue
+                candidate = list(point)
+                candidate[i] = trial
+                value = objective(candidate)
+                if value < best:
+                    best = value
+                    point = candidate
+                    improved = True
+                    break
+        if not improved:
+            steps = [s / 2 for s in steps]
+            if all(s <= tol * r for s, r in zip(steps, ranges)):
+                break
+    result = (dict(zip(problem.param_names, point)), best, passes, len(points))
+    return result, points
+
+
+FIT = parse_model("""model Fit {
+    param Rate = 0.3
+    param Gain = 1.5
+    stock Tank = 10
+    flow fill : -> Tank = Gain * (1 + Rate * Rate)
+    flow drain : Tank -> = 0.1 * Tank
+  }""")
+FIT_CONFIG = SimConfig(t_end=20.0, method="euler")
+
+
+def calibration_case(case):
+    """A spec, a problem on it and a config: AC6 for "ac6", two parameters
+    of `FIT` for "two", else `FIT`'s Rate within the bounds `case`, fitted
+    to a run at Rate 0."""
+    if case == "ac6":
+        spec, config, truth = build_baseline(), SimConfig(t_end=365.0), {}
+        names, bounds, column = ("KEvap",), ((0.001, 0.01),), "AccumulatedVinasse"
+        times = tuple(float(t) for t in range(180, 361, 20))
+    else:
+        spec, config, column, times = FIT, FIT_CONFIG, "Tank", (5.0, 10.0, 15.0, 20.0)
+        if case == "two":
+            names, bounds, truth = ("Rate", "Gain"), ((-1.0, 1.0), (0, 4)), {"Gain": 2.5}
+        else:
+            names, bounds, truth = ("Rate",), (case,), {"Rate": 0.0}
+    run = run_simulation(spec.with_params(truth), config)
+    observed = tuple(run.at(column, t) for t in times)
+    return spec, CalibrationProblem(names, bounds, column, times, observed), config
+
+
+class TestCalibrationRunsDistinctPoints:
+    """`calibrate` runs each distinct point once, as the float.hex of its
+    coordinates, and returns what the search that runs every point does."""
+
+    @pytest.mark.parametrize("case", ["ac6", "two", (-1.0, 1.0), (-0.0, 1.0), (0.0, 1.0),
+                                      (-1.0, -0.0), (-1.0, 0.0)])
+    @pytest.mark.parametrize("max_passes", [2, 200])
+    def test_one_run_per_distinct_point(self, case, max_passes, monkeypatch):
+        import sfdsim.scenarios
+
+        spec, problem, config = calibration_case(case)
+        runs = []
+        original = sfdsim.scenarios.run_simulation
+
+        def counted(model, cfg):
+            runs.append(tuple(model.params[name].hex() for name in problem.param_names))
+            return original(model, cfg)
+
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation", counted)
+        result = calibrate(spec, problem, config, max_passes=max_passes)
+        expected, points = reference_calibrate(spec, problem, config, max_passes=max_passes)
+        got = (result.params, result.sse, result.passes, result.evaluations)
+        assert hexed(got) == hexed(expected)
+        assert [type(v) for v in result.params.values()] == [type(v) for v in expected[0].values()]
+        keys = [tuple(float(v).hex() for v in point) for point in points]
+        assert len(runs) == len(set(runs))
+        assert set(runs) == set(keys)
+        if case in ("ac6", "two"):
+            assert len(runs) < len(points)  # the search stepped back to a point
+
+    def test_zeros_take_the_sign_of_their_bound(self):
+        # The clamp gives a zero the sign its bounds fix, so a search never
+        # meets both zeros of one coordinate; each case runs one of them.
+        for bounds, zero in (((-0.0, 1.0), "-0x0.0p+0"), ((-1.0, -0.0), "-0x0.0p+0"),
+                             ((-1.0, 1.0), "0x0.0p+0"), ((0.0, 1.0), "0x0.0p+0")):
+            spec, problem, config = calibration_case(bounds)
+            _, points = reference_calibrate(spec, problem, config)
+            assert {point[0].hex() for point in points if point[0] == 0} == {zero}
 
 
 class TestSweep:
