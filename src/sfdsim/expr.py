@@ -95,6 +95,9 @@ class Call(Expr):
     fn: str
     args: tuple[Expr, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "args", tuple(self.args))
+
 
 def eval_expression(expr: Expr, env: dict[str, float], t: float = 0.0, g: float = 0.0) -> float:
     """Evaluate `expr` against `env`, with time `t` and noise draw `g`.

@@ -7,14 +7,11 @@ undefined references, dependency cycles, and unit mismatches, and returns a
 generated code the engine runs, bound to the parameters: the evaluator,
 the event actions and whether noise is drawn. The generated code names
 its own faults, so nothing walks an expression tree after validation.
-Parameter, initial value and schedule variants of a validated model
-(`ValidatedModel.with_params`, `ValidatedModel.with_initial`,
-`ValidatedModel.with_event_schedule`) share its structure and source, and
-check only the fields they change; a parameter variant binds the cached
-compiled code to its own values. `validate_model` remembers the last
-structure it validated: a spec that shares its stock, flow, auxiliary and
-event tuples and its parameter names, as `ModelSpec.with_params` and
-`dataclasses.replace` copies do, is validated as such a parameter variant.
+`validate_model` remembers the last structure it validated. A variant of
+that spec in parameter values, initial values or schedules, as
+`ModelSpec.with_params`, `ModelSpec.with_initial`,
+`ModelSpec.with_event_schedule` and `dataclasses.replace` make, has only
+those values checked, and the remembered code is bound to its parameters.
 """
 
 from __future__ import annotations
@@ -109,10 +106,18 @@ class EventDef:
     interval: float
     actions: tuple[EventAction, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "actions", tuple(self.actions))
+
 
 @dataclass(frozen=True, slots=True)
 class ModelSpec:
-    """A complete model as authored, before validation."""
+    """A complete model as authored, before validation.
+
+    Its groups are held as tuples, as are each event's actions and each
+    call's arguments, so a spec cannot change once built. A list given is
+    copied; a tuple is kept, so a copy shares the groups it does not
+    replace."""
 
     name: str
     stocks: tuple[StockDef, ...] = ()
@@ -120,6 +125,10 @@ class ModelSpec:
     auxiliaries: tuple[AuxDef, ...] = ()
     parameters: tuple[ParamDef, ...] = ()
     events: tuple[EventDef, ...] = ()
+
+    def __post_init__(self) -> None:
+        for group in ("stocks", "flows", "auxiliaries", "parameters", "events"):
+            object.__setattr__(self, group, tuple(getattr(self, group)))
 
     def param(self, name: str) -> float:
         for p in self.parameters:
@@ -190,9 +199,9 @@ class ValidatedModel:
     - `draws_noise` is whether some `noise()` scale can be non-zero; if
       not, the engine skips the daily draws and runs with g = 0.
 
-    `with_params`, `with_initial` and `with_event_schedule` make variants
-    that share this model's structure and source; only the changed fields
-    are checked again.
+    For other values, pass a variant of `spec` to `validate_model`: if
+    this is the last model it built, the variant reuses its order, source
+    and compiled code.
     """
 
     spec: ModelSpec
@@ -203,46 +212,12 @@ class ValidatedModel:
     actions: tuple[Callable[..., tuple], ...] = field(repr=False, compare=False)
     draws_noise: bool
 
-    def with_params(self, overrides: dict[str, float]) -> ValidatedModel:
-        """Variant with the given parameter values replaced, its code bound
-        to them.
-
-        Raises what `validate_model` would for the copied spec: an unknown
-        name is an UnknownSymbolError, a non-finite value a ModelError.
-        """
-        return self._rebound(self.spec.with_params(overrides))
-
-    def _rebound(self, spec: ModelSpec) -> ValidatedModel:
-        """This model for `spec`, which has its structure and parameter
-        names: the parameters checked, and the code bound to them."""
-        params = _checked_params(spec)
+    def _rebound(self, spec: ModelSpec, params: dict[str, float]) -> ValidatedModel:
+        """This model for `spec`, a variant of its structure, with the code
+        bound to `params`, the checked parameter values of `spec`."""
         evaluator, actions, noisy = _compile_evaluator(self.source)(*params.values())
         return replace(self, spec=spec, params=params, evaluator=evaluator, actions=actions,
                        draws_noise=noisy)
-
-    def with_initial(self, overrides: dict[str, float]) -> ValidatedModel:
-        """Variant with the given stock initial values replaced.
-
-        Raises what `validate_model` would for the copied spec: an unknown
-        name is an UnknownSymbolError, a non-finite value a ModelError. The
-        generated code never reads initial values, so the variant keeps it.
-        """
-        spec = self.spec.with_initial(overrides)
-        for s in spec.stocks:
-            _check_initial(s)
-        return replace(self, spec=spec)
-
-    def with_event_schedule(self, name: str, start: float | None = None,
-                            interval: float | None = None) -> ValidatedModel:
-        """Variant with one event's schedule changed.
-
-        Raises UnknownSymbolError for an unknown event and ModelError for a
-        negative or non-finite schedule, as `validate_model` would. The
-        parameters are unchanged, so the variant keeps the bound code.
-        """
-        spec = self.spec.with_event_schedule(name, start, interval)
-        _check_schedule(next(e for e in spec.events if e.name == name))
-        return replace(self, spec=spec)
 
 
 def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict[str, ex.Expr],
@@ -379,8 +354,15 @@ def _check_schedule(event: EventDef) -> None:
         raise ModelError(f"event '{event.name}' has a negative schedule")
 
 
-# The last model `validate_model` built, and its parameter names.
-_last: tuple[tuple[str, ...], ValidatedModel] | None = None
+# The last model `validate_model` built, and its key (see `_key`).
+_last: tuple[tuple, ValidatedModel] | None = None
+
+
+def _key(spec: ModelSpec) -> tuple:
+    """What the generated code and the structural checks read of `spec`
+    besides its expressions: the parameter names, and each stock's name
+    and unit, in order."""
+    return [p.name for p in spec.parameters], [(s.name, s.unit) for s in spec.stocks]
 
 
 def validate_model(spec: ModelSpec) -> ValidatedModel:
@@ -391,21 +373,29 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     ModelError. Event grid alignment is checked at simulation time because
     it depends on the step size.
 
-    The last model built is remembered. A spec whose `stocks`, `flows`,
-    `auxiliaries` and `events` are the very tuples of that model's spec,
-    with the same parameter names, has its structure: only its parameters
-    are checked, and that model's code is bound to them, as
-    `ValidatedModel.with_params` does. The tuples are compared by
-    identity, not equality: `Num(0.0) == Num(-0.0)`, but their code differs.
+    The last model built is remembered. A spec with the same `_key`, whose
+    `flows` and `auxiliaries` tuples and each event's `actions` tuple are
+    the very tuples of that model's spec, is a variant of its structure:
+    its initial values, parameters and schedules are checked, in that
+    order, with the errors given here, and that model's code is bound to
+    its parameters. Values, schedules and `non_negative` never enter the
+    code. The tuples are compared by identity, not equality:
+    `Num(0.0) == Num(-0.0)`, but their code differs.
     """
     global _last
-    names = tuple(p.name for p in spec.parameters)
+    key = _key(spec)
     last = _last
-    if last is not None and last[0] == names:
+    if last is not None and last[0] == key:
         known = last[1].spec
-        if (spec.stocks is known.stocks and spec.flows is known.flows
-                and spec.auxiliaries is known.auxiliaries and spec.events is known.events):
-            return last[1]._rebound(spec)
+        if (spec.flows is known.flows and spec.auxiliaries is known.auxiliaries
+                and len(spec.events) == len(known.events)
+                and all(e.actions is k.actions for e, k in zip(spec.events, known.events))):
+            for s in spec.stocks:
+                _check_initial(s)
+            params = _checked_params(spec)
+            for e in spec.events:
+                _check_schedule(e)
+            return last[1]._rebound(spec, params)
 
     seen: set[str] = set()
     for name in (d.name for group in (spec.stocks, spec.flows, spec.auxiliaries,
@@ -472,10 +462,7 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     source = _evaluator_source(spec, order, expressions, scales, events)
     evaluator, actions, noisy = _compile_evaluator(source)(*params.values())
     model = ValidatedModel(spec, order, params, source, evaluator, actions, noisy)
-    # A list could change under the same identity; a tuple cannot.
-    if all(type(group) is tuple for group in (spec.stocks, spec.flows, spec.auxiliaries,
-                                              spec.events)):
-        _last = (names, model)
+    _last = (key, model)
     return model
 
 

@@ -22,7 +22,9 @@ The model itself is the shipped model file `fixtures/baseline.sfd`;
 `build_baseline` parses it and sets its parameters from the groups below.
 Each group field declares, once, its default value, the model parameter
 it sets and its range rule. `temperature` evaluates the model's own
-`temperature` auxiliary rather than a copy of its formula. All magnitudes
+`temperature` auxiliary rather than a copy of its formula: it validates
+the baseline with the profile's values, a parameter variant that reuses
+the baseline's validation when that is the last one made. All magnitudes
 are plain floats in day units, so any of them can be overridden per
 scenario.
 """
@@ -31,14 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cache
 from importlib import resources
 
 from .engine import Trajectory
 from .errors import InvalidParameterError
 from .expr import daily_gauss
 from .language import parse_model
-from .model import ModelSpec, ValidatedModel, validate_model
+from .model import ModelSpec, validate_model
 
 
 def _knob(default: float, param: str | None, rule: str | None = None):
@@ -153,11 +154,6 @@ def build_baseline(
         "pickup", start=start, interval=transport.interval_days)
 
 
-@cache
-def _validated_baseline() -> ValidatedModel:
-    return validate_model(build_baseline())
-
-
 def temperature(t: float, profile: TemperatureProfile = TemperatureProfile(),
                 seed: int = 0) -> float:
     """Ambient temperature at time `t` in days: the built-in model's
@@ -168,7 +164,7 @@ def temperature(t: float, profile: TemperatureProfile = TemperatureProfile(),
     ModelError for a non-finite profile value and NonFiniteError for a
     non-finite `t` or result, as a run would.
     """
-    vm = _validated_baseline().with_params(_settings(profile))
+    vm = validate_model(build_baseline().with_params(_settings(profile)))
     spec = vm.spec
     g = daily_gauss(seed, math.floor(t)) if vm.draws_noise and math.isfinite(t) else 0.0
     values = vm.evaluator(t, g, *(s.initial for s in spec.stocks))

@@ -15,13 +15,14 @@ On top of plain scenario runs this module provides:
   observed series.
 * `run_sweep`: one-parameter sweeps, one run per value in input order.
 
-The scenario comparison, policy search, calibration and sweeps take a
-`ModelSpec` or a `ValidatedModel`. They validate a spec once, and run
-each scenario, grid point, evaluation or value as a variant of the
-validated model (`ValidatedModel.with_params`,
-`ValidatedModel.with_initial`, `ValidatedModel.with_event_schedule`), so
-they share its evaluation order and generated code. Calibration runs each
-distinct point once.
+Scenarios apply to a `ModelSpec`. The scenario comparison, policy
+search, calibration and sweeps take a `ModelSpec` or a `ValidatedModel`,
+whose spec they use. Each scenario, grid point, evaluation or value is
+run as a variant of that spec (`ModelSpec.with_params`,
+`ModelSpec.with_initial`, `ModelSpec.with_event_schedule`).
+`validate_model` remembers the last structure it validated, so the
+variants share one validation: their evaluation order and generated
+code. Calibration runs each distinct point once.
 
 Scenario files use a small text format sharing the expression-language
 lexer; semicolons between directives are optional:
@@ -38,17 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 from .engine import SimConfig, Trajectory, run_simulation
 from .errors import NoFeasiblePolicyError
 from .expr import format_number
 from .language import _Parser
-from .model import ModelSpec, ValidatedModel, as_validated
+from .model import ModelSpec, ValidatedModel
 from .plant import summarize
-
-
-AnyModel = TypeVar("AnyModel", ModelSpec, ValidatedModel)
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,8 @@ class Scenario:
     description: str = ""
 
 
-def apply_scenario(spec: AnyModel, scenario: Scenario) -> AnyModel:
-    """Model copy with one scenario's overrides applied; a validated
-    model gives a validated variant, checked as `validate_model` would."""
+def apply_scenario(spec: ModelSpec, scenario: Scenario) -> ModelSpec:
+    """Model copy with one scenario's overrides applied."""
     out = spec
     if scenario.params:
         out = out.with_params(scenario.params)
@@ -76,13 +72,18 @@ def apply_scenario(spec: AnyModel, scenario: Scenario) -> AnyModel:
     return out
 
 
-def apply_scenarios(spec: AnyModel,
-                    scenarios: list[Scenario] | tuple[Scenario, ...]) -> AnyModel:
+def apply_scenarios(spec: ModelSpec,
+                    scenarios: list[Scenario] | tuple[Scenario, ...]) -> ModelSpec:
     """Apply scenarios left to right; later overrides win on conflict."""
     out = spec
     for sc in scenarios:
         out = apply_scenario(out, sc)
     return out
+
+
+def _spec(model: ModelSpec | ValidatedModel) -> ModelSpec:
+    """The spec of `model`, which the studies make their variants of."""
+    return model.spec if isinstance(model, ValidatedModel) else model
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class ScenarioResult:
     deltas: dict[str, float] = field(default_factory=dict)
 
 
-def run_scenario(spec: AnyModel, scenario: Scenario, config: SimConfig) -> ScenarioResult:
+def run_scenario(spec: ModelSpec, scenario: Scenario, config: SimConfig) -> ScenarioResult:
     traj = run_simulation(apply_scenario(spec, scenario), config)
     return ScenarioResult(name=scenario.name, trajectory=traj, metrics=summarize(traj))
 
@@ -110,15 +111,13 @@ def compare_to_baseline(
 
     Returns the baseline result first, then one result per scenario in
     input order, each carrying metric deltas relative to the baseline.
-    A spec is validated once; each scenario runs as a variant of the
-    validated model.
     """
-    vm = as_validated(spec)
-    base_traj = run_simulation(vm, config)
+    base_traj = run_simulation(spec, config)
     base = ScenarioResult("baseline", base_traj, summarize(base_traj))
+    spec = _spec(spec)
     results = [base]
     for sc in scenarios:
-        res = run_scenario(vm, sc, config)
+        res = run_scenario(spec, sc, config)
         deltas = {
             key: res.metrics[key] - base.metrics[key]
             for key in res.metrics
@@ -186,13 +185,13 @@ def optimize_transport_policy(
             raise ValueError(f"policy grid axis '{axis}' is empty")
     if not math.isfinite(grid.sludge_limit_kg):
         raise ValueError(f"sludge limit must be finite, got {grid.sludge_limit_kg:g}")
-    vm = as_validated(spec)
-    threshold = vm.spec.param("CostThreshold")
+    spec = _spec(spec)
+    threshold = spec.param("CostThreshold")
     rows: list[PolicyRow] = []
     for interval in grid.intervals:
         for truck in grid.truck_capacities:
             for count in grid.truck_counts:
-                candidate = vm.with_params(
+                candidate = spec.with_params(
                     {"TruckCapacityKg": truck, "TrucksPerPickup": count}
                 ).with_event_schedule("pickup", start=interval, interval=interval)
                 traj = run_simulation(candidate, config)
@@ -276,7 +275,7 @@ def calibrate(
     if any(r <= 0 for r in ranges):
         raise ValueError("each bounds pair must satisfy lo < hi")
 
-    vm = as_validated(spec)
+    spec = _spec(spec)
     evaluations = 0
     # SSE by point, as the float.hex of each coordinate: -0.0 is not 0.0.
     seen: dict[tuple[str, ...], float] = {}
@@ -287,7 +286,7 @@ def calibrate(
         key = tuple(float(v).hex() for v in point)
         if key not in seen:
             overrides = dict(zip(problem.param_names, point))
-            traj = run_simulation(vm.with_params(overrides), config)
+            traj = run_simulation(spec.with_params(overrides), config)
             sse = 0.0
             for t_obs, v_obs in zip(problem.observed_times, problem.observed_values):
                 err = traj.at(problem.column, t_obs) - v_obs
@@ -366,10 +365,10 @@ def run_sweep(
     config: SimConfig,
 ) -> SweepResult:
     """Simulate once per value of `param`; rows come back in input order."""
-    vm = as_validated(spec)
+    spec = _spec(spec)
     rows = []
     for value in values:
-        metrics = summarize(run_simulation(vm.with_params({param: value}), config))
+        metrics = summarize(run_simulation(spec.with_params({param: value}), config))
         rows.append(SweepRow(
             value=float(value),
             total_cost=metrics["total_cost"],

@@ -11,7 +11,28 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import sfdsim.expr  # noqa: E402
+import sfdsim.model  # noqa: E402
 from sfdsim import SimConfig, build_baseline  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def no_remembered_structure():
+    """Each test starts with no structure remembered by `validate_model`,
+    so what it validates, and walks, does not depend on an earlier test."""
+    sfdsim.model._last = None
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The expressions validation walks, in the order it walks them.
+    `validate_model` checks every expression through
+    `expr.validate_expression`, so its calls are counted."""
+    seen = []
+    original = sfdsim.expr.validate_expression
+    monkeypatch.setattr(sfdsim.expr, "validate_expression",
+                        lambda e, *args, **kwargs: seen.append(e) or original(e, *args, **kwargs))
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import sfdsim
-from sfdsim import cli
+import sfdsim.model
+from sfdsim import cli, parse_model, validate_model
 from sfdsim.cli import main
 
 MINI_MODEL = """
@@ -371,12 +372,15 @@ class TestOutputTail:
 
 class TestValidateOnce:
     @pytest.mark.parametrize("command", ["simulate", "sweep", "optimize", "calibrate", "plot"])
-    def test_one_validation_per_command(self, command, fixtures_dir, tmp_path, monkeypatch,
-                                        capsys):
-        # Every validation goes through `model.validate_model`, so counting
-        # the calls there sees all of them.
-        import sfdsim.model
-
+    def test_one_validation_per_command(self, command, fixtures_dir, tmp_path, walks, capsys):
+        # Each run validates its variant of the model; the variants share
+        # one structure, so a command walks its expressions once.
+        model = fixtures_dir / "baseline.sfd"
+        validate_model(parse_model(model.read_text()))
+        once = list(walks)
+        assert once
+        walks.clear()
+        sfdsim.model._last = None
         observed = tmp_path / "observed.csv"
         observed.write_text("t,value\n10,100\n20,200\n")
         args = {
@@ -387,18 +391,10 @@ class TestValidateOnce:
                           "--observed", str(observed), "--max-passes", "2"],
             "plot": [],
         }[command]
-        calls = []
-        real = sfdsim.model.validate_model
-
-        def counted(spec):
-            calls.append(spec)
-            return real(spec)
-
-        monkeypatch.setattr(sfdsim.model, "validate_model", counted)
-        assert main([command, "--model", str(fixtures_dir / "baseline.sfd"),
+        assert main([command, "--model", str(model),
                      "--scenario", str(fixtures_dir / "coagulant_addition.scn"),
                      "--t-end", "20", *args]) == 0
-        assert len(calls) == 1
+        assert walks == once
 
 
 class TestPlot:

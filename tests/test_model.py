@@ -552,7 +552,7 @@ class TestHoistedValues:
                         overrides[name] = rng.choice((0.0, -0.0, 1e308, -1e308))
                     elif pick < 0.55:  # zeroes a sum of two parameters
                         overrides[name] = -vm.params[rng.choice(params)]
-                variant = vm.with_params(overrides)
+                variant = validate_model(spec.with_params(overrides))
                 for _ in range(6):
                     stocks = [rng.choice((0.0, rng.uniform(-50.0, 200.0))) for _ in spec.stocks]
                     t = rng.choice((0.0, 0.35, rng.uniform(-50.0, 500.0)))
@@ -674,12 +674,15 @@ class TestHoistedValues:
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_faulting_baseline_value_is_named_at_the_first_time(self, baseline_spec, method):
-        overrides = {"Dose": -baseline_spec.param("KHalf")}
+        variant = baseline_spec.with_params({"Dose": -baseline_spec.param("KHalf")})
+        variant = variant.with_event_schedule("pickup", start=30.35)
         config = SimConfig(t_start=0.35, t_end=5.35, method=method)
-        for model in (baseline_spec.with_params(overrides),
-                      validate_model(baseline_spec).with_params(overrides)):
+        for remembered in (None, baseline_spec):  # validated cold, then as a variant
+            sfdsim.model._last = None
+            if remembered is not None:
+                validate_model(remembered)
             with pytest.raises(NonFiniteError) as err:
-                run_simulation(model.with_event_schedule("pickup", start=30.35), config)
+                run_simulation(variant, config)
             assert (err.value.name, err.value.t) == ("eta", 0.35)
 
     def test_baseline_evaluator_reads_hoisted_values_only(self, baseline_spec):
@@ -764,163 +767,6 @@ def raised(make):
     return None
 
 
-def same_model(variant, expected):
-    """`variant` equals `expected` field by field, and its generated
-    evaluator and actions give bit-equal results on a few states."""
-    assert variant.spec == expected.spec
-    assert variant.order == expected.order
-    assert variant.params == expected.params
-    assert list(variant.params) == list(expected.params)
-    assert variant.draws_noise is expected.draws_noise
-    rng = random.Random(variant.spec.name)
-    for _ in range(5):
-        stocks = [rng.uniform(0.0, 200.0) for _ in variant.spec.stocks]
-        t, g = rng.uniform(0.0, 365.0), rng.gauss(0.0, 1.0)
-        assert as_bits(generated(variant, stocks, t, g)) == as_bits(generated(expected, stocks, t, g))
-        for act, want in zip(variant.actions, expected.actions, strict=True):
-            assert as_bits(list(act(t, stocks, g))) == as_bits(list(want(t, stocks, g)))
-
-
-# An event whose action evaluates the model, noise included, and draws
-# noise of its own, which it reads as 0.
-WET = parse_model("""model Wet {
-    param Wetness = 0.5
-    param Top = 1
-    stock S = 10
-    aux wet = 1 + noise(Wetness)
-    flow out : S -> = 0.1 * S * wet
-    event top every 4 { S += Top * wet + noise(1) }
-  }""")
-
-
-def variant_case(seed):
-    """A model to make variants of, parameter overrides, and its event: the
-    baseline plant for seed None, `WET` for "wet", else a generated model."""
-    if seed is None:
-        return build_baseline(), {"Dose": 30.0, "KEvap": 0.004}, "pickup"
-    if seed == "wet":
-        return WET, {"Wetness": 0.25, "Top": 2.0}, "top"
-    spec = generate_model(seed)
-    return spec, {"Rate0": 2.5, "Level0": 17.0}, spec.events[0].name if spec.events else None
-
-
-VARIANT_SEEDS = [None, "wet", *range(12)]
-EVENT_SEEDS = [seed for seed in VARIANT_SEEDS if variant_case(seed)[2] is not None]
-
-
-class TestValidatedVariants:
-    """`ValidatedModel.with_params`, `with_initial` and `with_event_schedule`
-    rebind one validated structure; each must equal `validate_model` of the
-    copied spec."""
-
-    @pytest.mark.parametrize("seed", VARIANT_SEEDS)
-    def test_with_params_equals_revalidation(self, seed):
-        spec, overrides, _ = variant_case(seed)
-        vm = validate_model(spec)
-        variant = vm.with_params(overrides)
-        same_model(variant, validate_model(spec.with_params(overrides)))
-        assert variant.source is vm.source
-        same_model(vm, validate_model(spec))
-
-    @pytest.mark.parametrize("seed", EVENT_SEEDS)
-    def test_with_event_schedule_equals_revalidation(self, seed):
-        spec, _, event = variant_case(seed)
-        vm = validate_model(spec)
-        for start, interval in ((21.0, 7.0), (5.0, None), (None, 0.0)):
-            variant = vm.with_event_schedule(event, start=start, interval=interval)
-            same_model(variant, validate_model(spec.with_event_schedule(event, start, interval)))
-        bound = validate_model(spec)
-        evaluator = bound.evaluator
-        moved = bound.with_event_schedule(event, start=14.0, interval=14.0)
-        assert moved.evaluator is evaluator
-        assert moved.actions is bound.actions
-
-    @pytest.mark.parametrize("seed", VARIANT_SEEDS)
-    def test_with_initial_equals_revalidation(self, seed):
-        spec, _, _ = variant_case(seed)
-        overrides = {s.name: 123.5 + i for i, s in enumerate(spec.stocks[::2])}
-        vm = validate_model(spec)
-        variant = vm.with_initial(overrides)
-        expected = validate_model(spec.with_initial(overrides))
-        same_model(variant, expected)
-        assert [s.initial for s in variant.spec.stocks] == [
-            overrides.get(s.name, s.initial) for s in spec.stocks]
-        assert variant.evaluator is vm.evaluator and variant.actions is vm.actions
-        same_model(vm, validate_model(spec))
-
-    @pytest.mark.parametrize("overrides", [
-        {"Missing": 1.0},
-        {"Tank": math.nan},
-        {"Tank": -math.inf},
-        {"Spill": math.inf, "Tank": math.nan},
-        {"Spill": math.nan, "Missing": 1.0},
-    ])
-    def test_bad_initials_raise_as_validation_does(self, overrides):
-        spec = tiny_model(stocks=(StockDef("Tank", 10.0, "m3"), StockDef("Spill", 0.0, "m3")))
-        expected = raised(lambda: validate_model(spec.with_initial(overrides)))
-        assert expected is not None
-        assert raised(lambda: validate_model(spec).with_initial(overrides)) == expected
-
-    def test_noise_turns_on_and_off_with_its_scale(self, baseline_spec):
-        vm = validate_model(baseline_spec)
-        assert vm.spec.param("NoiseStdDev") == 0.0 and not vm.draws_noise
-        noisy = vm.with_params({"NoiseStdDev": 1.5})
-        assert noisy.draws_noise
-        assert not noisy.with_params({"NoiseStdDev": 0.0}).draws_noise
-        assert noisy.with_event_schedule("pickup", start=10.0, interval=10.0).draws_noise
-
-    def test_noise_scales_are_evaluated_without_walking_expressions(
-            self, baseline_spec, monkeypatch):
-        vm = validate_model(baseline_spec)
-        vm.draws_noise
-        walks = []
-        original = sfdsim.expr.validate_expression
-        monkeypatch.setattr(sfdsim.expr, "validate_expression",
-                            lambda e, *args, **kwargs:
-                            walks.append(e) or original(e, *args, **kwargs))
-        assert vm.with_params({"NoiseStdDev": 2.0}).draws_noise
-        assert walks == []
-        # Fresh flows: a structure not seen before, so validation walks it.
-        validate_model(dataclasses.replace(baseline_spec, flows=tuple(list(baseline_spec.flows))))
-        assert walks  # the patch sees the walks that validation makes
-
-    @pytest.mark.parametrize("overrides", [
-        {"Missing": 1.0},
-        {"Rate": math.nan},
-        {"Rate": math.inf},
-        {"Rate": -math.inf, "Missing": 1.0},
-    ])
-    def test_bad_params_raise_as_validation_does(self, overrides):
-        spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Other", 2.0)))
-        expected = raised(lambda: validate_model(spec.with_params(overrides)))
-        assert expected is not None
-        assert raised(lambda: validate_model(spec).with_params(overrides)) == expected
-
-    def test_first_non_finite_parameter_is_named(self):
-        spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Other", 2.0)))
-        overrides = {"Other": math.nan, "Rate": math.inf}
-        got = raised(lambda: validate_model(spec).with_params(overrides))
-        assert got == (ModelError, "parameter 'Rate' has non-finite value")
-        assert got == raised(lambda: validate_model(spec.with_params(overrides)))
-
-    @pytest.mark.parametrize("name, start, interval", [
-        ("missing", 1.0, 1.0),
-        ("e", -1.0, None),
-        ("e", None, -2.0),
-        ("e", math.nan, None),
-        ("e", None, math.inf),
-        ("e", -math.inf, 1.0),
-    ])
-    def test_bad_schedules_raise_as_validation_does(self, name, start, interval):
-        spec = tiny_model(events=(
-            EventDef("e", 10.0, 10.0, (EventAction("Tank", "add", parse_expression("1")),)),
-        ))
-        expected = raised(lambda: validate_model(spec.with_event_schedule(name, start, interval)))
-        assert expected is not None
-        got = raised(lambda: validate_model(spec).with_event_schedule(name, start, interval))
-        assert got == expected
-
-
 def hex_outcome(fn, *args):
     """`fn(*args)` as the float.hex of each value, or the error it raises."""
     try:
@@ -954,19 +800,172 @@ def cold(spec):
     return validate_model(spec)
 
 
+# An event whose action evaluates the model, noise included, and draws
+# noise of its own, which it reads as 0.
+WET = parse_model("""model Wet {
+    param Wetness = 0.5
+    param Top = 1
+    stock S = 10
+    aux wet = 1 + noise(Wetness)
+    flow out : S -> = 0.1 * S * wet
+    event top every 4 { S += Top * wet + noise(1) }
+  }""")
+
+
+def variant_case(seed):
+    """A model to make variants of, parameter overrides, and its event: the
+    baseline plant for seed None, `WET` for "wet", else a generated model."""
+    if seed is None:
+        return build_baseline(), {"Dose": 30.0, "KEvap": 0.004}, "pickup"
+    if seed == "wet":
+        return WET, {"Wetness": 0.25, "Top": 2.0}, "top"
+    spec = generate_model(seed)
+    return spec, {"Rate0": 2.5, "Level0": 17.0}, spec.events[0].name if spec.events else None
+
+
+VARIANT_SEEDS = [None, "wet", *range(12)]
+EVENT_SEEDS = [seed for seed in VARIANT_SEEDS if variant_case(seed)[2] is not None]
+
+
+class TestValidatedVariants:
+    """A parameter, initial value or schedule variant of the last spec
+    validated is bound to its code without walking an expression; the
+    result, and any error, must be what validating it from scratch gives."""
+
+    @staticmethod
+    def hit(spec, variant, walks):
+        """`validate_model(variant)` after `validate_model(spec)`, checked
+        to walk nothing and to equal a cold validation bit for bit."""
+        remembered = validate_model(spec)
+        walks.clear()
+        got = validate_model(variant)
+        assert walks == []
+        assert got.source is remembered.source
+        bit_equal(got, cold(variant))
+        return got
+
+    @staticmethod
+    def hit_raises_as_cold(spec, variant, walks):
+        """The error that validating `variant()` raises cold, checked to be
+        raised, with no walk, after `validate_model(spec)`."""
+        expected = raised(lambda: cold(variant()))
+        assert expected is not None
+        validate_model(spec)
+        walks.clear()
+        assert raised(lambda: validate_model(variant())) == expected
+        assert walks == []
+        return expected
+
+    @pytest.mark.parametrize("seed", VARIANT_SEEDS)
+    def test_with_params_equals_revalidation(self, seed, walks):
+        spec, overrides, _ = variant_case(seed)
+        variant = self.hit(spec, spec.with_params(overrides), walks)
+        assert [variant.params[name] for name in overrides] == list(overrides.values())
+        bit_equal(validate_model(spec), cold(spec))
+
+    @pytest.mark.parametrize("seed", EVENT_SEEDS)
+    def test_with_event_schedule_equals_revalidation(self, seed, walks):
+        spec, _, event = variant_case(seed)
+        for start, interval in ((21.0, 7.0), (5.0, None), (None, 0.0)):
+            self.hit(spec, spec.with_event_schedule(event, start, interval), walks)
+
+    @pytest.mark.parametrize("seed", VARIANT_SEEDS)
+    def test_with_initial_equals_revalidation(self, seed, walks):
+        spec, _, _ = variant_case(seed)
+        overrides = {s.name: 123.5 + i for i, s in enumerate(spec.stocks[::2])}
+        variant = self.hit(spec, spec.with_initial(overrides), walks)
+        assert [s.initial for s in variant.spec.stocks] == [
+            overrides.get(s.name, s.initial) for s in spec.stocks]
+        bit_equal(validate_model(spec), cold(spec))
+
+    @pytest.mark.parametrize("overrides", [
+        {"Missing": 1.0},
+        {"Tank": math.nan},
+        {"Tank": -math.inf},
+        {"Spill": math.inf, "Tank": math.nan},
+        {"Spill": math.nan, "Missing": 1.0},
+    ])
+    def test_bad_initials_raise_as_validation_does(self, overrides, walks):
+        spec = tiny_model(stocks=(StockDef("Tank", 10.0, "m3"), StockDef("Spill", 0.0, "m3")))
+        self.hit_raises_as_cold(spec, lambda: spec.with_initial(overrides), walks)
+
+    def test_noise_turns_on_and_off_with_its_scale(self, baseline_spec):
+        vm = validate_model(baseline_spec)
+        assert vm.spec.param("NoiseStdDev") == 0.0 and not vm.draws_noise
+        noisy = baseline_spec.with_params({"NoiseStdDev": 1.5})
+        assert validate_model(noisy).draws_noise
+        assert not validate_model(noisy.with_params({"NoiseStdDev": 0.0})).draws_noise
+        moved = noisy.with_event_schedule("pickup", start=10.0, interval=10.0)
+        assert validate_model(moved).draws_noise
+
+    def test_noise_scales_are_evaluated_without_walking_expressions(self, baseline_spec, walks):
+        validate_model(baseline_spec)
+        walks.clear()
+        assert validate_model(baseline_spec.with_params({"NoiseStdDev": 2.0})).draws_noise
+        assert walks == []
+        # Fresh flows: a structure not seen before, so validation walks it.
+        validate_model(dataclasses.replace(baseline_spec, flows=tuple(list(baseline_spec.flows))))
+        assert walks  # the patch sees the walks that validation makes
+
+    @pytest.mark.parametrize("overrides", [
+        {"Missing": 1.0},
+        {"Rate": math.nan},
+        {"Rate": math.inf},
+        {"Rate": -math.inf, "Missing": 1.0},
+    ])
+    def test_bad_params_raise_as_validation_does(self, overrides, walks):
+        spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Other", 2.0)))
+        self.hit_raises_as_cold(spec, lambda: spec.with_params(overrides), walks)
+
+    def test_first_non_finite_parameter_is_named(self, walks):
+        spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Other", 2.0)))
+        got = self.hit_raises_as_cold(
+            spec, lambda: spec.with_params({"Other": math.nan, "Rate": math.inf}), walks)
+        assert got == (ModelError, "parameter 'Rate' has non-finite value")
+
+    @pytest.mark.parametrize("name, start, interval", [
+        ("missing", 1.0, 1.0),
+        ("e", -1.0, None),
+        ("e", None, -2.0),
+        ("e", math.nan, None),
+        ("e", None, math.inf),
+        ("e", -math.inf, 1.0),
+    ])
+    def test_bad_schedules_raise_as_validation_does(self, name, start, interval, walks):
+        spec = tiny_model(events=(
+            EventDef("e", 10.0, 10.0, (EventAction("Tank", "add", parse_expression("1")),)),
+        ))
+        self.hit_raises_as_cold(spec, lambda: spec.with_event_schedule(name, start, interval),
+                                walks)
+
+    @pytest.mark.parametrize("bad, message", [
+        (("initial", "parameter"), "stock 'Tank' has non-finite initial value"),
+        (("initial",), "stock 'Tank' has non-finite initial value"),
+        (("parameter",), "parameter 'Rate' has non-finite value"),
+        ((), "event 'e' has a negative schedule"),
+    ])
+    def test_bad_values_are_checked_in_cold_order(self, bad, message, walks):
+        # Each variant also has a bad schedule.
+        spec = tiny_model(events=(
+            EventDef("e", 10.0, 10.0, (EventAction("Tank", "add", parse_expression("1")),)),
+        ))
+
+        def variant():
+            out = spec
+            if "initial" in bad:
+                out = out.with_initial({"Tank": math.nan})
+            if "parameter" in bad:
+                out = out.with_params({"Rate": math.inf})
+            return out.with_event_schedule("e", start=-1.0)
+
+        assert self.hit_raises_as_cold(spec, variant, walks) == (ModelError, message)
+
+
 class TestLastStructure:
     """`validate_model` remembers the last structure it validated. A spec
-    that shares its tuples is bound to the remembered code; the result
-    must be what validating it from scratch gives, bit for bit."""
-
-    @pytest.fixture
-    def walks(self, monkeypatch):
-        """The expressions validation walks, in the order it walks them."""
-        seen = []
-        original = sfdsim.expr.validate_expression
-        monkeypatch.setattr(sfdsim.expr, "validate_expression",
-                            lambda e, *args, **kwargs: seen.append(e) or original(e, *args, **kwargs))
-        return seen
+    with its key and its expression tuples is bound to the remembered code;
+    the result must be what validating it from scratch gives, bit for bit.
+    Any other spec is validated from scratch."""
 
     @pytest.mark.parametrize("seed", VARIANT_SEEDS)
     def test_a_hit_equals_a_cold_validation(self, seed, walks):
@@ -988,6 +987,15 @@ class TestLastStructure:
         assert raised(lambda: validate_model(variant)) == expected
         assert walks == []
 
+    def test_the_baseline_built_twice_walks_once(self, walks):
+        first = validate_model(build_baseline())
+        once = list(walks)
+        assert once
+        second = validate_model(build_baseline())
+        assert walks == once
+        assert second.source is first.source
+        bit_equal(second, cold(second.spec))
+
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (1, 1.0)])
     def test_equal_specs_that_emit_other_text_get_their_own_source(self, first, second):
         def flows(value):
@@ -1003,17 +1011,56 @@ class TestLastStructure:
         assert hex_outcome(got_a.evaluator, 0.0, 0.0, 10.0) == [(first * 10.0).hex()]
         assert hex_outcome(got_b.evaluator, 0.0, 0.0, 10.0) == [(second * 10.0).hex()]
 
-    @pytest.mark.parametrize("group", ["stocks", "flows", "auxiliaries", "events"])
+    @pytest.mark.parametrize("group", ["flows", "auxiliaries", "actions"])
     def test_fresh_tuples_are_a_miss(self, baseline_spec, group, walks):
         validate_model(baseline_spec)
         walks.clear()
         validate_model(baseline_spec.with_params({"Dose": 5.0}))
         assert walks == []
-        fresh = dataclasses.replace(baseline_spec,
-                                    **{group: tuple(list(getattr(baseline_spec, group)))})
+        if group == "actions":
+            pickup = baseline_spec.events[0]
+            fresh = dataclasses.replace(baseline_spec, events=(
+                dataclasses.replace(pickup, actions=tuple(list(pickup.actions))),))
+        else:
+            fresh = dataclasses.replace(baseline_spec,
+                                        **{group: tuple(list(getattr(baseline_spec, group)))})
         assert fresh == baseline_spec
         validate_model(fresh)
         assert walks
+
+    @pytest.mark.parametrize("group", ["stocks", "events"])
+    def test_fresh_stocks_and_events_tuples_hit(self, baseline_spec, group, walks):
+        # Only each stock's name and unit, and each event's actions, enter
+        # the code and the structural checks.
+        validate_model(baseline_spec)
+        fresh = dataclasses.replace(baseline_spec,
+                                    **{group: tuple(list(getattr(baseline_spec, group)))})
+        assert getattr(fresh, group) is not getattr(baseline_spec, group)
+        walks.clear()
+        hit = validate_model(fresh)
+        assert walks == []
+        bit_equal(hit, cold(fresh))
+
+    @pytest.mark.parametrize("change", ["unit", "name", "order"])
+    def test_changed_stocks_are_a_miss(self, change, walks):
+        spec = tiny_model(stocks=(StockDef("Tank", 10.0, "m3"), StockDef("Spill", 0.0, "m3")))
+        tank, spill = spec.stocks
+        changed = dataclasses.replace(spec, stocks={
+            "unit": (dataclasses.replace(tank, unit="kg"), spill),
+            "name": (tank, dataclasses.replace(spill, name="Pool")),
+            "order": (spill, tank),
+        }[change])
+        validate_model(spec)
+        walks.clear()
+        try:
+            got = validate_model(changed)
+        except UnitError as err:  # a stock in kg drained in m3/day
+            got = err
+        assert walks
+        if change == "unit":
+            assert raised(lambda: cold(changed)) == (UnitError, str(got))
+        else:
+            bit_equal(got, cold(changed))
 
     def test_other_parameter_names_are_a_miss(self, walks):
         spec = tiny_model()
@@ -1024,8 +1071,35 @@ class TestLastStructure:
         assert walks
 
     def test_groups_held_in_lists_are_not_remembered(self):
+        # A spec holds a copy of a list it is given, as a tuple: changing
+        # the list afterwards changes neither the spec nor its code.
         flows = list(tiny_model().flows)
         spec = tiny_model(flows=flows)
+        assert type(spec.flows) is tuple
         assert validate_model(spec).evaluator(0.0, 0.0, 10.0) == (1.0,)
         flows[0] = FlowDef("drain", parse_expression("2 * Rate * Tank"), "Tank", None, "m3/day")
-        assert validate_model(spec).evaluator(0.0, 0.0, 10.0) == (2.0,)
+        assert spec == tiny_model()
+        assert validate_model(spec).evaluator(0.0, 0.0, 10.0) == (1.0,)
+        bit_equal(validate_model(spec), cold(spec))
+
+    @pytest.mark.parametrize("held", ["actions", "args"])
+    def test_a_list_in_an_event_or_call_changed_later_changes_nothing(self, held):
+        actions = [EventAction("Tank", "add", Num(1.0))]
+        args = [Num(0.0), Num(1.0)]
+        spec = ModelSpec("Held", stocks=(StockDef("Tank", 0.0),),
+                         flows=(FlowDef("fill", Call("max", args), None, "Tank"),),
+                         events=(EventDef("top", 1.0, 1.0, actions),))
+        config = SimConfig(t_end=3.0)
+
+        def tank():
+            return [row[0].hex() for row in run_simulation(spec, config).rows]
+
+        before = tank()
+        assert before == [v.hex() for v in (0.0, 2.0, 4.0, 6.0)]
+        if held == "actions":
+            actions[0] = EventAction("Tank", "add", Num(5.0))
+        else:
+            args[1] = Num(7.0)
+        assert tank() == before
+        sfdsim.model._last = None
+        assert tank() == before

@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+import sfdsim.model
 from sfdsim import (
     CalibrationProblem,
     NoFeasiblePolicyError,
@@ -363,12 +364,11 @@ def reference_calibrate(spec, problem, config, tol=1e-6, max_passes=200):
     """The coordinate pattern search as `calibrate` ran it before it kept
     the SSE of the points it had tried: every point tried is run. Returns
     the `CalibrationResult` fields as a tuple, and the points run."""
-    vm = validate_model(spec)
     points = []
 
     def objective(point):
         points.append(tuple(point))
-        traj = run_simulation(vm.with_params(dict(zip(problem.param_names, point))), config)
+        traj = run_simulation(spec.with_params(dict(zip(problem.param_names, point))), config)
         sse = 0.0
         for t_obs, v_obs in zip(problem.observed_times, problem.observed_values):
             err = traj.at(problem.column, t_obs) - v_obs
@@ -449,7 +449,7 @@ class TestCalibrationRunsDistinctPoints:
         original = sfdsim.scenarios.run_simulation
 
         def counted(model, cfg):
-            runs.append(tuple(model.params[name].hex() for name in problem.param_names))
+            runs.append(tuple(model.param(name).hex() for name in problem.param_names))
             return original(model, cfg)
 
         monkeypatch.setattr(sfdsim.scenarios, "run_simulation", counted)
@@ -534,57 +534,50 @@ def hexed(value):
 
 
 class TestValidateOnce:
-    """Grid points, sweep values and calibration evaluations are variants
-    of one validated model."""
+    """Grid points, sweep values, calibration evaluations and scenarios are
+    variants of one structure: a study walks its expressions once."""
 
     @pytest.fixture
-    def validations(self, monkeypatch):
-        # The engine and the scenario layer validate a spec through
-        # `model.as_validated` only, so counting the calls there sees all.
-        import sfdsim.engine
-        import sfdsim.model
-        import sfdsim.scenarios
+    def one_structure(self, baseline_spec, walks):
+        """The expressions a validation of the baseline walks. No structure
+        is remembered afterwards."""
+        validate_model(baseline_spec)
+        once = list(walks)
+        assert once
+        walks.clear()
+        sfdsim.model._last = None
+        return once
 
-        assert not hasattr(sfdsim.engine, "validate_model")
-        assert not hasattr(sfdsim.scenarios, "validate_model")
-        calls = []
-        original = sfdsim.model.validate_model
-
-        def counted(spec):
-            calls.append(spec)
-            return original(spec)
-
-        monkeypatch.setattr(sfdsim.model, "validate_model", counted)
-        return calls
-
-    def test_policy_grid(self, baseline_spec, year_config, validations):
+    def test_policy_grid(self, baseline_spec, year_config, one_structure, walks):
         result = optimize_transport_policy(baseline_spec, TestPolicySearch.GRID, year_config)
         assert len(result.rows) == 12
-        assert validations == [baseline_spec]
+        assert walks == one_structure
 
-    def test_sweep(self, baseline_spec, year_config, validations):
+    def test_sweep(self, baseline_spec, year_config, one_structure, walks):
         run_sweep(baseline_spec, "Dose", (0.0, 10.0, 20.0), year_config)
-        assert validations == [baseline_spec]
+        assert walks == one_structure
 
-    def test_calibration(self, baseline_spec, year_config, validations):
+    def test_calibration(self, baseline_spec, year_config, one_structure, walks):
         truth = run_simulation(baseline_spec, year_config)
         times = (100.0, 200.0, 300.0)
-        validations.clear()
+        walks.clear()
+        sfdsim.model._last = None
         problem = CalibrationProblem(
             ("KEvap",), ((0.001, 0.01),), "AccumulatedVinasse", times,
             tuple(truth.at("AccumulatedVinasse", t) for t in times),
         )
         result = calibrate(baseline_spec, problem, year_config, max_passes=3)
         assert result.evaluations > 3
-        assert validations == [baseline_spec]
+        assert walks == one_structure
 
-    def test_scenario_comparison(self, baseline_spec, year_config, fixtures_dir, validations):
+    def test_scenario_comparison(self, baseline_spec, year_config, fixtures_dir, one_structure,
+                                 walks):
         scenarios = [parse_scenario(path.read_text())
                      for path in sorted(fixtures_dir.glob("*.scn"))]
         assert all(not sc.initials for sc in scenarios)
         scenarios.append(parse_scenario("scenario Seeded { initial AccumulatedSludge = 500 }"))
         results = compare_to_baseline(baseline_spec, scenarios, year_config)
-        assert validations == [baseline_spec]
+        assert walks == one_structure
         assert results[-1].trajectory.at("AccumulatedSludge", 0.0) == 500.0
 
         def bits(traj):
@@ -596,7 +589,7 @@ class TestValidateOnce:
             assert bits(result.trajectory) == bits(alone)
 
     @pytest.mark.parametrize("entry", ["compare", "policy", "sweep", "calibrate"])
-    def test_validated_model_input(self, entry, baseline_spec, validations):
+    def test_validated_model_input(self, entry, baseline_spec, one_structure, walks):
         config = SimConfig(t_end=120.0)
         truth = run_simulation(baseline_spec.with_params({"KEvap": 0.004}), config)
         times = (40.0, 80.0, 120.0)
@@ -613,9 +606,14 @@ class TestValidateOnce:
             "sweep": lambda m: run_sweep(m, "Dose", (0.0, 15.0), config),
             "calibrate": lambda m: calibrate(m, problem, config, max_passes=3),
         }[entry]
-        validations.clear()
         vm = validate_model(baseline_spec)
+        walks.clear()
         from_model = hexed(run(vm))
-        assert validations == []
+        assert walks == []  # its structure is the one remembered
+        sfdsim.model._last = None
+        assert hexed(run(vm)) == from_model
+        assert walks == one_structure
+        walks.clear()
+        sfdsim.model._last = None
         assert from_model == hexed(run(baseline_spec))
-        assert validations == [baseline_spec]
+        assert walks == one_structure

@@ -472,9 +472,10 @@ class TestNothingInterpretedAfterValidation:
             raise AssertionError("eval_expression called")
 
         monkeypatch.setattr(sfdsim.expr, "eval_expression", refuse)
-        vm = validate_model(build_baseline())
-        noisy = vm.with_params({"NoiseStdDev": 1.5})
+        spec = build_baseline()
+        noisy = spec.with_params({"NoiseStdDev": 1.5})
         moved = noisy.with_event_schedule("pickup", start=10.0, interval=10.0)
+        vm, noisy, moved = map(validate_model, (spec, noisy, moved))
         assert (vm.draws_noise, noisy.draws_noise, moved.draws_noise) == (False, True, True)
         for model in (vm, noisy, moved):
             for method in ("euler", "rk4"):
