@@ -1,10 +1,11 @@
 """Fixed-step simulation engine.
 
-Integrates a validated model with Euler or classic Runge-Kutta steps on a
-uniform time grid, applies scheduled events between steps, and records a
-Trajectory. The Trajectory keeps the recorded times and rows as the lists
-the loop builds; its numpy views (`times`, `values`, `column()`) are built
-on first access, so a run that never asks for them never imports numpy.
+Validates a `ModelSpec`, integrates it with Euler or classic Runge-Kutta
+steps on a uniform time grid, applies scheduled events between steps, and
+records a Trajectory. The Trajectory keeps the recorded times and rows as
+the lists the loop builds; its numpy views (`times`, `values`, `column()`)
+are built on first access, so a run that never asks for them never
+imports numpy.
 
 A run is one generated Python loop per stretch of steps between event
 firings. The loop's source depends only on the model's topology: the
@@ -50,6 +51,7 @@ ClampError; mass is conserved through flow chains.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -58,7 +60,7 @@ from typing import TYPE_CHECKING, Callable
 
 from . import expr as ex
 from .errors import ClampError, EventGridError, NonFiniteError
-from .model import ModelSpec, ValidatedModel, as_validated
+from .model import ModelSpec, validate_model
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,7 +102,11 @@ class SimConfig:
             raise ValueError("record_every must be at least 1")
 
     def step_count(self) -> int:
+        """ValueError if the horizon has too many steps to index, or is not
+        a whole number of steps."""
         span = self.t_end - self.t_start
+        if not span / self.dt < sys.maxsize:  # also an infinite count
+            raise ValueError(f"simulation horizon has too many steps of dt={self.dt:g}")
         steps = round(span / self.dt)
         if abs(self.t_start + steps * self.dt - self.t_end) > _GRID_TOL * max(
             1.0, abs(self.t_start), abs(self.t_end)
@@ -206,15 +212,15 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Trajectory:
-    """Integrate `model` over the configured horizon.
+def run_simulation(spec: ModelSpec, config: SimConfig) -> Trajectory:
+    """Validate `spec` and integrate it over the configured horizon.
 
-    Raises EventGridError if an event schedule misses the step grid,
-    NonFiniteError if any rate or stock leaves the finite range, and
-    ClampError if the conserving clamp cannot settle a cycle of flows.
+    Raises what `validate_model` raises, EventGridError if an event
+    schedule misses the step grid, NonFiniteError if any rate or stock
+    leaves the finite range, and ClampError if the conserving clamp cannot
+    settle a cycle of flows.
     """
-    vm = as_validated(model)
-    spec = vm.spec
+    vm = validate_model(spec)
     steps = config.step_count()
     t_start, dt = config.t_start, config.dt
 
@@ -222,7 +228,7 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     flow_names = [f.name for f in spec.flows]
     columns = (*stock_names, *flow_names, *(a.name for a in spec.auxiliaries))
     event_steps = _event_schedule(spec, config, steps)
-    segment = _segment(*_topology(vm, config.method))
+    segment = _segment(*_topology(spec, config.method))
     draws = _noise_draws(vm.draws_noise, config, steps)
 
     n_stocks = len(stock_names)
@@ -232,7 +238,7 @@ def run_simulation(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traj
     times: list[float] = []
     rows: list[tuple[float, ...]] = []
 
-    fire = _event_firing(vm, event_deltas, event_log)
+    fire = _event_firing(spec, vm.actions, event_deltas, event_log)
     n = 0
     for stop in sorted({*event_steps, steps}):
         state = list(segment(n, stop, t_start, dt, config.record_every, times, rows,
@@ -276,15 +282,15 @@ def _noise_draws(noisy: bool, config: SimConfig, steps: int) -> tuple[list[float
     return tuple([drawn[day] for day in stage] for stage in days)
 
 
-def _topology(vm: ValidatedModel, method: str) -> tuple:
+def _topology(spec: ModelSpec, method: str) -> tuple:
     """What the generated step loop depends on: the method, each stock's
     floor, and each flow's (source, target) stock positions, -1 for the
     model boundary. Expressions and parameters never enter it."""
-    position = {s.name: i for i, s in enumerate(vm.spec.stocks)}
+    position = {s.name: i for i, s in enumerate(spec.stocks)}
     return (
         method,
-        tuple(s.non_negative for s in vm.spec.stocks),
-        tuple((position.get(f.source, -1), position.get(f.target, -1)) for f in vm.spec.flows),
+        tuple(s.non_negative for s in spec.stocks),
+        tuple((position.get(f.source, -1), position.get(f.target, -1)) for f in spec.flows),
     )
 
 
@@ -488,10 +494,11 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
     return schedule
 
 
-def _event_firing(vm, event_deltas, event_log) -> Callable[..., None]:
-    """`fire(fired, x, t, draw)` applies each event fired at time t, by
-    index, in declaration order, to the run's state `x` in place; stock i
-    is `x[i]`.
+def _event_firing(spec, actions, event_deltas, event_log) -> Callable[..., None]:
+    """`fire(fired, x, t, draw)` applies each event of `spec` fired at time
+    t, by index, in declaration order, to the run's state `x` in place;
+    stock i is `x[i]`. `actions` are the validated model's generated
+    actions, one per event.
 
     An event's generated action computes all its values against the state
     before that event changes anything; they are then applied sequentially.
@@ -499,14 +506,14 @@ def _event_firing(vm, event_deltas, event_log) -> Callable[..., None]:
     step's noise draw `draw`. Non-negative stocks are floored at zero. The
     stock positions and the floors are made once per run.
     """
-    index = {s.name: i for i, s in enumerate(vm.spec.stocks)}
-    floored = [s.non_negative for s in vm.spec.stocks]
+    index = {s.name: i for i, s in enumerate(spec.stocks)}
+    floored = [s.non_negative for s in spec.stocks]
 
     def fire(fired, x, t, draw) -> None:
         for k in fired:
-            event = vm.spec.events[k]
+            event = spec.events[k]
             try:
-                planned = vm.actions[k](t, x, draw)
+                planned = actions[k](t, x, draw)
             except ex.FAULTS_OR_UNBOUND:
                 raise NonFiniteError(f"event {event.name}", t) from None
             if not all(map(math.isfinite, planned)):

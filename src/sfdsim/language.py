@@ -31,9 +31,9 @@ a ParseError or a LintIssue are computed from that offset only when one is
 reported, one column per character: a tab or a CR counts as one.
 
 `format_model` renders a ModelSpec back to canonical text and round-trips
-with `parse_model`. `lint_model` reports naming-convention violations:
-parameters and stocks are UpperCamelCase, flows, auxiliaries, and events
-lowerCamelCase.
+with `parse_model`; a name that would not read back is a ValueError.
+`lint_model` reports naming-convention violations: parameters and stocks
+are UpperCamelCase, flows, auxiliaries, and events lowerCamelCase.
 
 `parse_model` and `lint_model` share one parse per text: a small,
 bounded cache keyed by the text itself, so `lint`, `fmt` and `simulate`
@@ -358,12 +358,29 @@ def parse_expression(text: str) -> ex.Expr:
     return node
 
 
+def _check_names(names) -> None:
+    """ValueError naming the first of `names` that `tokenize` does not read
+    back as that one identifier. An ASCII identifier needs no lexing."""
+    for name in names:
+        if name.isascii() and name.isidentifier():
+            continue
+        try:
+            readable = tokenize(name)[:-1] == [("ident", name, 0)]
+        except ParseError:
+            readable = False
+        if not readable:
+            raise ValueError(f"{name!r} cannot be written as a name")
+
+
 def format_model(spec: ModelSpec) -> str:
     """Render a ModelSpec as canonical model text.
 
     Definitions keep their declaration order within each section; sections
     are ordered param, stock, aux, flow, event. parse(format(m)) == m.
+    ValueError for a model or definition name the text cannot read back.
     """
+    groups = (spec.parameters, spec.stocks, spec.auxiliaries, spec.flows, spec.events)
+    _check_names([spec.name, *(d.name for group in groups for d in group)])
     def unit_suffix(unit: str) -> str:
         return f" [{unit}]" if unit else ""
 

@@ -199,9 +199,10 @@ class ValidatedModel:
     - `draws_noise` is whether some `noise()` scale can be non-zero; if
       not, the engine skips the daily draws and runs with g = 0.
 
-    For other values, pass a variant of `spec` to `validate_model`: if
-    this is the last model it built, the variant reuses its order, source
-    and compiled code.
+    It is for inspection: runs and studies take the `ModelSpec`. For other
+    values, pass a variant of `spec` to `validate_model`: if this is the
+    last model it built, the variant reuses its order, source and compiled
+    code.
     """
 
     spec: ModelSpec
@@ -464,11 +465,6 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     model = ValidatedModel(spec, order, params, source, evaluator, actions, noisy)
     _last = (key, model)
     return model
-
-
-def as_validated(model: ModelSpec | ValidatedModel) -> ValidatedModel:
-    """`model` if it is validated, else `validate_model(model)`."""
-    return model if isinstance(model, ValidatedModel) else validate_model(model)
 
 
 def _evaluation_order(spec: ModelSpec, reads: dict[str, set[str]]) -> tuple[str, ...]:

@@ -15,11 +15,11 @@ On top of plain scenario runs this module provides:
   observed series.
 * `run_sweep`: one-parameter sweeps, one run per value in input order.
 
-Scenarios apply to a `ModelSpec`. The scenario comparison, policy
-search, calibration and sweeps take a `ModelSpec` or a `ValidatedModel`,
-whose spec they use. Each scenario, grid point, evaluation or value is
-run as a variant of that spec (`ModelSpec.with_params`,
-`ModelSpec.with_initial`, `ModelSpec.with_event_schedule`).
+Scenarios apply to a `ModelSpec`, and the scenario comparison, policy
+search, calibration and sweeps take one. Each scenario, grid point,
+evaluation or value is run as a variant of that spec
+(`ModelSpec.with_params`, `ModelSpec.with_initial`,
+`ModelSpec.with_event_schedule`).
 `validate_model` remembers the last structure it validated, so the
 variants share one validation: their evaluation order and generated
 code. Calibration runs each distinct point once.
@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from .engine import SimConfig, Trajectory, run_simulation
 from .errors import NoFeasiblePolicyError
 from .expr import format_number
-from .language import _Parser
-from .model import ModelSpec, ValidatedModel
+from .language import _check_names, _Parser
+from .model import ModelSpec
 from .plant import summarize
 
 
@@ -81,11 +81,6 @@ def apply_scenarios(spec: ModelSpec,
     return out
 
 
-def _spec(model: ModelSpec | ValidatedModel) -> ModelSpec:
-    """The spec of `model`, which the studies make their variants of."""
-    return model.spec if isinstance(model, ValidatedModel) else model
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
     """One scenario's trajectory and metrics, with deltas against the
@@ -103,7 +98,7 @@ def run_scenario(spec: ModelSpec, scenario: Scenario, config: SimConfig) -> Scen
 
 
 def compare_to_baseline(
-    spec: ModelSpec | ValidatedModel,
+    spec: ModelSpec,
     scenarios: list[Scenario] | tuple[Scenario, ...],
     config: SimConfig,
 ) -> list[ScenarioResult]:
@@ -114,7 +109,6 @@ def compare_to_baseline(
     """
     base_traj = run_simulation(spec, config)
     base = ScenarioResult("baseline", base_traj, summarize(base_traj))
-    spec = _spec(spec)
     results = [base]
     for sc in scenarios:
         res = run_scenario(spec, sc, config)
@@ -171,7 +165,7 @@ class PolicySearchResult:
 
 
 def optimize_transport_policy(
-    spec: ModelSpec | ValidatedModel, grid: PolicyGrid, config: SimConfig
+    spec: ModelSpec, grid: PolicyGrid, config: SimConfig
 ) -> PolicySearchResult:
     """Exhaustively evaluate the policy grid and rank deterministically.
 
@@ -185,7 +179,6 @@ def optimize_transport_policy(
             raise ValueError(f"policy grid axis '{axis}' is empty")
     if not math.isfinite(grid.sludge_limit_kg):
         raise ValueError(f"sludge limit must be finite, got {grid.sludge_limit_kg:g}")
-    spec = _spec(spec)
     threshold = spec.param("CostThreshold")
     rows: list[PolicyRow] = []
     for interval in grid.intervals:
@@ -243,7 +236,7 @@ class CalibrationResult:
 
 
 def calibrate(
-    spec: ModelSpec | ValidatedModel,
+    spec: ModelSpec,
     problem: CalibrationProblem,
     config: SimConfig,
     tol: float = 1e-6,
@@ -275,7 +268,6 @@ def calibrate(
     if any(r <= 0 for r in ranges):
         raise ValueError("each bounds pair must satisfy lo < hi")
 
-    spec = _spec(spec)
     evaluations = 0
     # SSE by point, as the float.hex of each coordinate: -0.0 is not 0.0.
     seen: dict[tuple[str, ...], float] = {}
@@ -359,13 +351,12 @@ class SweepResult:
 
 
 def run_sweep(
-    spec: ModelSpec | ValidatedModel,
+    spec: ModelSpec,
     param: str,
     values: list[float] | tuple[float, ...],
     config: SimConfig,
 ) -> SweepResult:
     """Simulate once per value of `param`; rows come back in input order."""
-    spec = _spec(spec)
     rows = []
     for value in values:
         metrics = summarize(run_simulation(spec.with_params({param: value}), config))
@@ -432,11 +423,12 @@ def format_scenario(scenario: Scenario) -> str:
     """Render a Scenario as canonical text.
 
     `parse_scenario` reads the text back as an equal Scenario. Raises
-    ValueError for what the text format cannot say: a non-finite value, a
-    description with double quotes or newlines, and an event reschedule
-    that keeps the event's start (start None), since a bare `every N`
-    starts at N.
+    ValueError for what the text format cannot say: a name the text cannot
+    read back, a non-finite value, a description with double quotes or
+    newlines, and an event reschedule that keeps the event's start (start
+    None), since a bare `every N` starts at N.
     """
+    _check_names([scenario.name, *scenario.params, *scenario.initials, *scenario.events])
     lines = [f"scenario {scenario.name} {{"]
     if scenario.description:
         if '"' in scenario.description or "\n" in scenario.description:

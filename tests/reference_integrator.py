@@ -27,7 +27,7 @@ from sfdsim.engine import (
     _topology,
 )
 from sfdsim.errors import ClampError, NonFiniteError
-from sfdsim.model import ModelSpec, ValidatedModel, validate_model
+from sfdsim.model import ModelSpec, validate_model
 
 _CLAMP_TOL = 1e-12
 
@@ -51,9 +51,8 @@ def total(rates, flows):
     return s
 
 
-def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Trajectory:
-    vm = model if isinstance(model, ValidatedModel) else validate_model(model)
-    spec = vm.spec
+def reference_run(spec: ModelSpec, config: SimConfig) -> Trajectory:
+    vm = validate_model(spec)
     steps = config.step_count()
     dt = config.dt
 
@@ -69,7 +68,7 @@ def reference_run(model: ModelSpec | ValidatedModel, config: SimConfig) -> Traje
     ins = [tuple(flow_index[f] for f in inflows[name]) for name in stock_names]
     outs = [tuple(flow_index[f] for f in outflows[name]) for name in stock_names]
     floored = [s.non_negative for s in spec.stocks]
-    clamp = _ConservingClamp(*_topology(vm, config.method)[1:])
+    clamp = _ConservingClamp(*_topology(spec, config.method)[1:])
 
     evaluator = vm.evaluator
     draws_noise = vm.draws_noise

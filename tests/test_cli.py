@@ -439,6 +439,16 @@ class TestExitCodes:
     def test_bad_config_is_2(self, capsys):
         assert main(["simulate", "--dt", "0"]) == 2
 
+    @pytest.mark.parametrize("horizon", [
+        ["--t-end", "1", "--dt", "5e-324"],  # the step count overflows to inf
+        ["--t-start=-1e308", "--t-end", "1e308"],  # the span overflows to inf
+        ["--dt", "1e-300"],  # finite, but past any list index
+    ])
+    def test_too_many_steps_is_2(self, horizon, capsys):
+        assert main(["simulate", *horizon]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_unknown_plot_column_is_2(self, capsys):
         assert main(["plot", "--t-end", "5", "--columns", "NoSuchColumn"]) == 2
         assert "NoSuchColumn" in capsys.readouterr().err

@@ -228,7 +228,7 @@ def test_generated_code_calls_no_min_or_max():
     for spec in models:
         vm = validate_model(spec)
         assert not MIN_MAX_CALL.search(vm.source), spec.name
-        topologies |= {engine._topology(vm, method) for method in engine.METHODS}
+        topologies |= {engine._topology(spec, method) for method in engine.METHODS}
     sources = [engine.segment_source(*topology) for topology in topologies]
     assert all(not MIN_MAX_CALL.search(source) for source in sources)
     assert sum(bool(re.search(r"k\d+ = 1\.0\n", source)) for source in sources) >= 10

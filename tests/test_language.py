@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 import struct
@@ -11,7 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfdsim import (
+    ModelSpec,
+    ParamDef,
     ParseError,
+    StockDef,
     format_model,
     lint_model,
     parse_expression,
@@ -290,6 +294,37 @@ class TestFormatter:
     def test_generated_models_round_trip(self, seed):
         spec = generate_model(seed)
         assert parse_model(format_model(spec)) == spec
+
+    NAMED = ("model M { param P = 1 stock S = 1 aux a = P flow f : S -> = a "
+             "event e every 1 { S += 1 } }")
+    GROUPS = ("parameters", "stocks", "auxiliaries", "flows", "events")
+
+    def renamed(self, where: str, name: str):
+        """`NAMED` with its model, or the definition in group `where`, named
+        `name`. A spec built in Python may hold any string as a name."""
+        spec = parse_model(self.NAMED)
+        if where == "model":
+            return dataclasses.replace(spec, name=name)
+        (d,) = getattr(spec, where)
+        return dataclasses.replace(spec, **{where: (dataclasses.replace(d, name=name),)})
+
+    @pytest.mark.parametrize("name", ["k rate", " a", "a#", "1a", "", "\u2460", "a-b"])
+    @pytest.mark.parametrize("where", ["model", *GROUPS])
+    def test_name_the_text_cannot_read_back_rejected(self, where, name):
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            format_model(self.renamed(where, name))
+
+    @pytest.mark.parametrize("name", ["\u00e91", "a\u00b2", "_x", "model"])
+    @pytest.mark.parametrize("where", ["model", *GROUPS])
+    def test_names_the_text_reads_back_round_trip(self, where, name):
+        spec = self.renamed(where, name)
+        assert parse_model(format_model(spec)) == spec
+
+    def test_first_unreadable_name_in_text_order_is_named(self):
+        spec = ModelSpec("M", stocks=(StockDef("pond level", 1.0),),
+                         parameters=(ParamDef("k rate", 0.5),))
+        with pytest.raises(ValueError, match="'k rate'"):
+            format_model(spec)
 
 
 def literals(e: ex.Expr):

@@ -463,10 +463,10 @@ class TestGeneratedEvaluator:
         vm = validate_model(spec)
         assert vm.order[-1] == "last one"
         assert "_0" in vm.source and "o = evaluate(t, draw, x[0], x[1])" in vm.source
-        traj = run_simulation(vm, SimConfig(t_end=3.0))
+        traj = run_simulation(spec, SimConfig(t_end=3.0))
         assert traj.events
         with pytest.raises(NonFiniteError) as err:
-            run_simulation(vm, SimConfig(t_end=3.0, method="rk4"))
+            run_simulation(spec, SimConfig(t_end=3.0, method="rk4"))
         assert (err.value.name, err.value.t) == ("last one", 0.5)
         with pytest.raises(NonFiniteError) as err:
             vm.evaluator(0.5, 0.0, 5.0, 0.0)
@@ -587,10 +587,10 @@ class TestHoistedValues:
         config = SimConfig(t_start=2.0, t_end=6.0, method=method)
         if raises:
             with pytest.raises(NonFiniteError) as err:
-                run_simulation(vm, config)
+                run_simulation(vm.spec, config)
             assert (err.value.name, err.value.t) == ("a", 2.0)
         else:
-            traj = run_simulation(vm, config)
+            traj = run_simulation(vm.spec, config)
             for t, row in zip(traj.row_times, traj.rows):
                 assert as_bits(generated(vm, row[:1], t, 0.0)) == as_bits(
                     interpreted(vm, row[:1], t, 0.0))
@@ -615,7 +615,7 @@ class TestHoistedValues:
         vm = validate_model(spec)
         assert interpreted(vm, [0.0], 3.0, 0.0) == (fault, name)
         with pytest.raises(NonFiniteError) as err:
-            run_simulation(vm, SimConfig(t_start=3.0, t_end=4.0, method="rk4"))
+            run_simulation(spec, SimConfig(t_start=3.0, t_end=4.0, method="rk4"))
         assert (err.value.name, err.value.t) == (name, 3.0)
 
     @pytest.mark.parametrize("constant, text, faults", [("1e308 * 10", "(1e+308 * 10.0)", True),
@@ -730,7 +730,7 @@ class TestHoistedValues:
         with pytest.raises(NameError):
             vm.actions[0](2.0, [5.0], 0.0)
         with pytest.raises(NonFiniteError) as err:
-            run_simulation(vm, SimConfig(t_end=6.0, method=method))
+            run_simulation(spec, SimConfig(t_end=6.0, method=method))
         assert (err.value.name, err.value.t) == ("event empty", 2.0)
 
     def test_whole_parameter_value_reads_the_text_a_later_action_hoists(self):
@@ -754,7 +754,7 @@ class TestHoistedValues:
         vm = validate_model(spec)
         assert vm.source.count("(1.0 / _Zero)") == 1
         with pytest.raises(NonFiniteError) as err:
-            run_simulation(vm, SimConfig(t_end=6.0, method=method))
+            run_simulation(spec, SimConfig(t_end=6.0, method=method))
         assert (err.value.name, err.value.t) == ("event bump", 2.0)
 
 

@@ -8,7 +8,9 @@ import struct
 
 import pytest
 
+import sfdsim.engine as engine
 import sfdsim.model
+import sfdsim.scenarios
 from sfdsim import (
     CalibrationProblem,
     NoFeasiblePolicyError,
@@ -132,6 +134,16 @@ class TestScenarioText:
     ])
     def test_non_finite_value_rejected(self, scenario):
         with pytest.raises(ValueError, match="non-finite"):
+            format_scenario(scenario)
+
+    @pytest.mark.parametrize("scenario, name", [
+        (Scenario("my scen", params={"k rate": 1.0}), "my scen"),
+        (Scenario("S", params={"k rate": 1.0}), "k rate"),
+        (Scenario("S", initials={"pond level": 1.0}), "pond level"),
+        (Scenario("S", events={"pick-up": (10.0, 10.0)}), "pick-up"),
+    ])
+    def test_name_the_text_cannot_read_back_rejected(self, scenario, name):
+        with pytest.raises(ValueError, match=f"'{name}'"):
             format_scenario(scenario)
 
     def test_unprintable_description_rejected(self):
@@ -588,32 +600,29 @@ class TestValidateOnce:
             alone = run_simulation(apply_scenario(baseline_spec, sc), year_config)
             assert bits(result.trajectory) == bits(alone)
 
-    @pytest.mark.parametrize("entry", ["compare", "policy", "sweep", "calibrate"])
-    def test_validated_model_input(self, entry, baseline_spec, one_structure, walks):
-        config = SimConfig(t_end=120.0)
-        truth = run_simulation(baseline_spec.with_params({"KEvap": 0.004}), config)
-        times = (40.0, 80.0, 120.0)
-        problem = CalibrationProblem(
-            ("KEvap",), ((0.001, 0.01),), "AccumulatedVinasse", times,
-            tuple(truth.at("AccumulatedVinasse", t) for t in times),
-        )
-        grid = PolicyGrid(intervals=(15.0, 30.0), truck_capacities=(6000.0,),
-                          truck_counts=(1.0, 2.0))
+    @pytest.mark.parametrize("entry", ["run", "compare", "policy", "sweep", "calibrate"])
+    def test_validated_model_input(self, entry, baseline_spec, monkeypatch):
+        """A `ValidatedModel` is not an input: a run and each study fail on
+        it before any run, with an error that names it. Pass its `spec`."""
+        config = SimConfig(t_end=30.0)
+        problem = CalibrationProblem(("KEvap",), ((0.001, 0.01),), "AccumulatedVinasse",
+                                     (10.0,), (1.0,))
+        grid = PolicyGrid(intervals=(15.0,), truck_capacities=(6000.0,), truck_counts=(1.0,))
         run = {
+            "run": lambda m: run_simulation(m, config),
             "compare": lambda m: compare_to_baseline(
                 m, [Scenario("dosed", params={"Dose": 20.0})], config),
             "policy": lambda m: optimize_transport_policy(m, grid, config),
             "sweep": lambda m: run_sweep(m, "Dose", (0.0, 15.0), config),
             "calibrate": lambda m: calibrate(m, problem, config, max_passes=3),
         }[entry]
-        vm = validate_model(baseline_spec)
-        walks.clear()
-        from_model = hexed(run(vm))
-        assert walks == []  # its structure is the one remembered
-        sfdsim.model._last = None
-        assert hexed(run(vm)) == from_model
-        assert walks == one_structure
-        walks.clear()
-        sfdsim.model._last = None
-        assert from_model == hexed(run(baseline_spec))
-        assert walks == one_structure
+        loops, runs = [], []
+        segment = engine._segment
+        monkeypatch.setattr(engine, "_segment", lambda *key: loops.append(key) or segment(*key))
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation",
+                            lambda *args: runs.append(run_simulation(*args)) or runs[-1])
+        with pytest.raises(AttributeError, match="'ValidatedModel' object"):
+            run(validate_model(baseline_spec))
+        assert loops == [] and runs == []
+        run(baseline_spec)
+        assert loops and (runs or entry == "run")

@@ -193,7 +193,7 @@ def random_topology(seed: int) -> ModelSpec:
 def clamp_activations(spec, config):
     """The run of `spec`, and the time `t` of each step that entered the
     clamp block of the generated loop, read by a line trace of that loop."""
-    source = engine.segment_source(*engine._topology(validate_model(spec), config.method))
+    source = engine.segment_source(*engine._topology(spec, config.method))
     starts = [n for n, line in enumerate(source.splitlines(), 1)
               if re.fullmatch(r" +k\d+ = 1\.0", line)]
     assert starts, "the topology has a clamp block"
@@ -312,9 +312,9 @@ class TestLoopCache:
         flows = tuple(dataclasses.replace(f, expression=parse_expression("Rate1 * 2 + t"))
                       for f in a.flows)
         b = dataclasses.replace(a, flows=flows).with_params({"Rate0": 3.0, "Level0": 1.0})
-        key_a = engine._topology(validate_model(a), "rk4")
-        assert engine._topology(validate_model(b), "rk4") == key_a
-        assert engine._topology(validate_model(a), "euler") != key_a
+        key_a = engine._topology(a, "rk4")
+        assert engine._topology(b, "rk4") == key_a
+        assert engine._topology(a, "euler") != key_a
         engine._segment.cache_clear()
         run_simulation(a, SimConfig(t_end=10.0, method="rk4"))
         misses = engine._segment.cache_info().misses
@@ -352,14 +352,14 @@ class TestLoopCache:
         run_simulation(spec.with_initial({"A": 9.0}), SimConfig(t_end=12.0, seed=2))
         info = engine._segment.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        segment = engine._segment(*engine._topology(validate_model(spec), "euler"))
+        segment = engine._segment(*engine._topology(spec, "euler"))
         assert {name: value for name, value in segment.__globals__.items()
                 if name != "__builtins__"} == {"NonFiniteError": NonFiniteError,
                                                "ClampError": ClampError}
 
     def test_source_names_no_model_variable(self):
         vm = validate_model(build_baseline())
-        source = engine.segment_source(*engine._topology(vm, "rk4"))
+        source = engine.segment_source(*engine._topology(vm.spec, "rk4"))
         stocks = (s.name for s in vm.spec.stocks)
         assert all(name not in source for name in (*stocks, *vm.params, *vm.order))
         assert source.count("evaluate(") == 4
@@ -415,7 +415,7 @@ class TestNoiseDraws:
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_loop_keeps_no_noise_state(self, method):
-        source = engine.segment_source(*engine._topology(validate_model(build_baseline()), method))
+        source = engine.segment_source(*engine._topology(build_baseline(), method))
         assert not any(word in source for word in ("noisy", "gauss", "seed", "noise_day", "floor"))
         stages = ["g0[n]"] if method == "euler" else ["g0[n]", "gm[n]", "gm[n]", "ge[n]"]
         assert re.findall(r"evaluate\(\w+, (\w+\[n\])", source) == stages
@@ -426,8 +426,8 @@ class TestNoiseDraws:
                    for c in code.co_consts if isinstance(c, types.CodeType))
 
 
-def evaluations(vm, config):
-    """The run of `vm`, and the time of each call of its generated
+def evaluations(spec, config):
+    """The run of `spec`, and the time of each call of its generated
     evaluator, from the step loop or from an event action, read by a
     profile hook on the code named `evaluate` in `<sfdsim evaluator>`."""
     calls = []
@@ -441,7 +441,7 @@ def evaluations(vm, config):
     previous = sys.getprofile()
     sys.setprofile(evaluator_calls)
     try:
-        traj = run_simulation(vm, config)
+        traj = run_simulation(spec, config)
     finally:
         sys.setprofile(previous)
     return traj, calls
@@ -451,13 +451,12 @@ class TestEventEvaluations:
     def test_pickups_do_not_evaluate_the_model(self):
         # The pickup's action reads only a stock and parameters, so a
         # year evaluates once per step and once for the final row.
-        traj, calls = evaluations(validate_model(build_baseline()), SimConfig(t_end=365.0))
+        traj, calls = evaluations(build_baseline(), SimConfig(t_end=365.0))
         assert {e.event for e in traj.events} == {"pickup"}
         assert calls == [float(n) for n in range(366)]
 
     def test_an_action_reading_an_auxiliary_evaluates(self):
-        traj, calls = evaluations(validate_model(HAND_MODELS["event_reads_computed"]),
-                                  SimConfig(t_end=12.0))
+        traj, calls = evaluations(HAND_MODELS["event_reads_computed"], SimConfig(t_end=12.0))
         fired = sorted({e.t for e in traj.events})
         assert fired == [2.0, 5.0, 8.0, 11.0]
         assert sorted(calls) == sorted([*map(float, range(13)), *fired])
@@ -479,7 +478,7 @@ class TestNothingInterpretedAfterValidation:
         assert (vm.draws_noise, noisy.draws_noise, moved.draws_noise) == (False, True, True)
         for model in (vm, noisy, moved):
             for method in ("euler", "rk4"):
-                traj = run_simulation(model, SimConfig(t_end=365.0, method=method, seed=3))
+                traj = run_simulation(model.spec, SimConfig(t_end=365.0, method=method, seed=3))
                 assert traj.events
         reads = run_simulation(HAND_MODELS["event_reads_computed"], SimConfig(t_end=12.0))
         assert reads.events
