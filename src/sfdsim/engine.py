@@ -238,7 +238,7 @@ def run_simulation(spec: ModelSpec, config: SimConfig) -> Trajectory:
     times: list[float] = []
     rows: list[tuple[float, ...]] = []
 
-    fire = _event_firing(spec, vm.actions, event_deltas, event_log)
+    fire = _event_firing(vm, event_deltas, event_log)
     n = 0
     for stop in sorted({*event_steps, steps}):
         state = list(segment(n, stop, t_start, dt, config.record_every, times, rows,
@@ -494,11 +494,10 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
     return schedule
 
 
-def _event_firing(spec, actions, event_deltas, event_log) -> Callable[..., None]:
-    """`fire(fired, x, t, draw)` applies each event of `spec` fired at time
-    t, by index, in declaration order, to the run's state `x` in place;
-    stock i is `x[i]`. `actions` are the validated model's generated
-    actions, one per event.
+def _event_firing(vm, event_deltas, event_log) -> Callable[..., None]:
+    """`fire(fired, x, t, draw)` applies each event fired at time t, by
+    index, in declaration order, to the run's state `x` in place; stock i
+    is `x[i]`.
 
     An event's generated action computes all its values against the state
     before that event changes anything; they are then applied sequentially.
@@ -506,14 +505,14 @@ def _event_firing(spec, actions, event_deltas, event_log) -> Callable[..., None]
     step's noise draw `draw`. Non-negative stocks are floored at zero. The
     stock positions and the floors are made once per run.
     """
-    index = {s.name: i for i, s in enumerate(spec.stocks)}
-    floored = [s.non_negative for s in spec.stocks]
+    index = {s.name: i for i, s in enumerate(vm.spec.stocks)}
+    floored = [s.non_negative for s in vm.spec.stocks]
 
     def fire(fired, x, t, draw) -> None:
         for k in fired:
-            event = spec.events[k]
+            event = vm.spec.events[k]
             try:
-                planned = actions[k](t, x, draw)
+                planned = vm.actions[k](t, x, draw)
             except ex.FAULTS_OR_UNBOUND:
                 raise NonFiniteError(f"event {event.name}", t) from None
             if not all(map(math.isfinite, planned)):

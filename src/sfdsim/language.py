@@ -31,7 +31,8 @@ a ParseError or a LintIssue are computed from that offset only when one is
 reported, one column per character: a tab or a CR counts as one.
 
 `format_model` renders a ModelSpec back to canonical text and round-trips
-with `parse_model`; a name that would not read back is a ValueError.
+with `parse_model`; a model or definition name that would not read back
+is a ValueError.
 `lint_model` reports naming-convention violations: parameters and stocks
 are UpperCamelCase, flows, auxiliaries, and events lowerCamelCase.
 
@@ -360,10 +361,8 @@ def parse_expression(text: str) -> ex.Expr:
 
 def _check_names(names) -> None:
     """ValueError naming the first of `names` that `tokenize` does not read
-    back as that one identifier. An ASCII identifier needs no lexing."""
+    back as that one identifier."""
     for name in names:
-        if name.isascii() and name.isidentifier():
-            continue
         try:
             readable = tokenize(name)[:-1] == [("ident", name, 0)]
         except ParseError:
@@ -378,6 +377,8 @@ def format_model(spec: ModelSpec) -> str:
     Definitions keep their declaration order within each section; sections
     are ordered param, stock, aux, flow, event. parse(format(m)) == m.
     ValueError for a model or definition name the text cannot read back.
+    References (flow endpoints, action targets, variables) are not checked;
+    in a model that validates, each names a definition.
     """
     groups = (spec.parameters, spec.stocks, spec.auxiliaries, spec.flows, spec.events)
     _check_names([spec.name, *(d.name for group in groups for d in group)])
