@@ -3,9 +3,10 @@
 Validates a `ModelSpec`, integrates it with Euler or classic Runge-Kutta
 steps on a uniform time grid, applies scheduled events between steps, and
 records a Trajectory. The Trajectory keeps the recorded times and rows as
-the lists the loop builds; its numpy views (`times`, `values`, `column()`)
-are built on first access, so a run that never asks for them never
-imports numpy.
+the lists the loop builds, and its readers (`series`, `final`, `peak`,
+`at`) read those. Its numpy views `times` and `values` are kept only for
+`bench/tracer.py`; they are built on first access, so a run that never
+asks for them never imports numpy.
 
 A run is one generated Python loop per stretch of steps between event
 firings. The loop's source depends only on the model's topology: the
@@ -133,8 +134,9 @@ class Trajectory:
 
     `rows` holds one tuple per recorded time in `row_times`, with one value
     per variable in `columns` (stocks, then flows, then auxiliaries, in
-    declaration order): the lists the step loop builds. `times`, `values`
-    and `column()` are numpy views of them, built on first access.
+    declaration order): the lists the step loop builds. `series(name)`
+    reads one column. `times` and `values`, numpy views of the lists built
+    on first access, are kept only for `bench/tracer.py`.
     Flow columns are instantaneous rates as evaluated; `flow_integrals`
     holds each flow's realized time integral after clamp scaling, and
     `event_deltas` the net change events applied per stock, so that
@@ -173,14 +175,8 @@ class Trajectory:
 
         return np.array(self.rows, dtype=float).reshape(len(self.rows), len(self.columns))
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self._position(name)]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.column(name)
-
     def series(self, name: str) -> list[float]:
-        """One column's recorded values, as a list."""
+        """One column's recorded values, as a list: the one column reader."""
         return list(map(itemgetter(self._position(name)), self.rows))
 
     def final(self, name: str) -> float:

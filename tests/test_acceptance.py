@@ -57,7 +57,7 @@ def test_ac1_baseline_year():
     if elapsed >= 1.0:
         problems.append(f"year run took {elapsed:.3f}s")
 
-    vinasse = traj.column("AccumulatedVinasse")
+    vinasse = traj.series("AccumulatedVinasse")
     if not all(v <= 18000.0 for v in vinasse):
         problems.append(f"capacity exceeded: max {max(vinasse)}")
 
@@ -70,7 +70,7 @@ def test_ac1_baseline_year():
     if gaps != {30.0}:
         problems.append(f"pickup spacing {sorted(gaps)} is not uniformly 30 days")
 
-    cost = traj.column("TotalCost")
+    cost = traj.series("TotalCost")
     if not all(b >= a for a, b in zip(cost, cost[1:])):
         problems.append("TotalCost decreased")
 
@@ -79,7 +79,7 @@ def test_ac1_baseline_year():
     flat = [cost0.at("TotalCost", float(t)) for t in range(0, 30)]
     if any(v != 0.0 for v in flat):
         problems.append("cost moved before the first pickup with rate costs zeroed")
-    col0 = cost0.column("TotalCost")
+    col0 = cost0.series("TotalCost")
     if not all(b >= a for a, b in zip(col0, col0[1:])):
         problems.append("transport-only TotalCost decreased")
 
@@ -110,7 +110,7 @@ def test_ac2_mass_balance_random_models():
             if abs(final - expected) / denom > 1e-6:
                 failures.append(f"seed {seed} {stock.name}: "
                                 f"final {final} vs ledger {expected}")
-            if min(traj.column(stock.name)) < 0.0:
+            if min(traj.series(stock.name)) < 0.0:
                 failures.append(f"seed {seed} {stock.name} went negative")
     ok = _verdict("AC2", "mass balance on 50 random models within 1e-6", not failures)
     assert ok, "; ".join(failures[:5])

@@ -61,8 +61,8 @@ class TestEulerStepping:
             flows=[FlowDef("move", expr("0.1 * A"), "A", "B")],
         )
         traj = run_simulation(spec, SimConfig(t_end=3.0))
-        assert traj.column("A").tolist() == [100.0, 90.0, 81.0, 72.9]
-        assert traj.column("B").tolist() == [0.0, 10.0, 19.0, 27.1]
+        assert traj.series("A") == [100.0, 90.0, 81.0, 72.9]
+        assert traj.series("B") == [0.0, 10.0, 19.0, 27.1]
         assert traj.final("A") + traj.final("B") == 100.0
 
     def test_constant_inflow(self):
@@ -80,7 +80,7 @@ class TestEulerStepping:
             flows=[FlowDef("feed", expr("3"), None, "S")],
         )
         traj = run_simulation(spec, SimConfig(t_end=1.0, dt=0.25))
-        assert len(traj.times) == 5
+        assert len(traj.row_times) == 5
         assert traj.final("S") == 3.0
 
 
@@ -188,7 +188,7 @@ class TestConservingClamp:
             flows=[FlowDef("out", expr("5"), "S", None)],
         )
         traj = run_simulation(spec, SimConfig(t_end=1.0))
-        assert traj.column("out").tolist() == [5.0, 5.0]
+        assert traj.series("out") == [5.0, 5.0]
         assert traj.flow_integrals["out"] == 1.0
 
 
@@ -239,7 +239,7 @@ class TestEvents:
             events=[scheduled()],
         )
         traj = run_simulation(spec, SimConfig(t_end=65.0))
-        s = traj.column("S")
+        s = traj.series("S")
         assert s[29] == 2900.0
         assert s[30] == 0.0  # rows show post-event state
         assert s[31] == 100.0
@@ -255,7 +255,7 @@ class TestEvents:
             events=[scheduled(action_text="min(S, 10)", start=0.0, interval=10.0)],
         )
         traj = run_simulation(spec, SimConfig(t_end=25.0))
-        assert traj.column("S")[0] == 50.0  # initial row untouched
+        assert traj.series("S")[0] == 50.0  # initial row untouched
         assert [e.t for e in traj.events] == [10.0, 20.0]
 
     def test_one_shot_event(self):
@@ -346,7 +346,7 @@ class TestConfig:
             flows=[FlowDef("feed", expr("1"), None, "S")],
         )
         traj = run_simulation(spec, SimConfig(t_end=0.0))
-        assert traj.times.tolist() == [0.0]
+        assert traj.row_times == [0.0]
         assert traj.final("S") == 7.0
 
     def test_fractional_step_count_rejected(self):
@@ -377,7 +377,7 @@ class TestConfig:
             flows=[FlowDef("feed", expr("1"), None, "S")],
         )
         traj = run_simulation(spec, SimConfig(t_end=30.0, record_every=7))
-        assert traj.times.tolist() == [0.0, 7.0, 14.0, 21.0, 28.0, 30.0]
+        assert traj.row_times == [0.0, 7.0, 14.0, 21.0, 28.0, 30.0]
 
     def test_nonzero_t_start(self):
         spec = make_model(
@@ -386,7 +386,7 @@ class TestConfig:
             events=[scheduled(op="add", action_text="5", start=12.0, interval=0.0)],
         )
         traj = run_simulation(spec, SimConfig(t_start=10.0, t_end=14.0))
-        assert traj.times.tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
+        assert traj.row_times == [10.0, 11.0, 12.0, 13.0, 14.0]
         # Euler integral of t over [10, 14) plus the one-shot event.
         assert traj.final("S") == 10.0 + 11.0 + 12.0 + 13.0 + 5.0
 
@@ -424,6 +424,12 @@ class TestTrajectoryApi:
         traj = self.make()
         assert traj.columns == ("S", "feed", "doubled")
 
+    def test_series_reads_one_column_of_the_rows(self):
+        traj = self.make()
+        doubled = traj.series("doubled")
+        assert type(doubled) is list
+        assert doubled == [row[2] for row in traj.rows] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+
     def test_at_exact_grid_time(self):
         traj = self.make()
         assert traj.at("S", 3.0) == 3.0
@@ -433,7 +439,7 @@ class TestTrajectoryApi:
     def test_unknown_column(self):
         traj = self.make()
         with pytest.raises(KeyError):
-            traj.column("missing")
+            traj.series("missing")
 
     def test_parameters_snapshot(self):
         traj = self.make()
@@ -453,8 +459,6 @@ class TestTrajectoryApi:
         assert traj.values is traj.values and traj.times is traj.times
         assert traj.times.tolist() == traj.row_times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert traj.values.tolist() == [list(row) for row in traj.rows]
-        assert traj.column("doubled").tolist() == traj.series("doubled")
-        assert np.shares_memory(traj.column("S"), traj.values)
 
     def test_accessors_return_python_floats(self):
         # Integer time bounds record integer times; the accessors still
@@ -496,7 +500,7 @@ class TestMassBalance:
             expected = stock.initial + inflow - outflow + traj.event_deltas[stock.name]
             scale = max(1.0, abs(expected), abs(traj.final(stock.name)))
             assert abs(traj.final(stock.name) - expected) / scale < 1e-9
-            assert traj.column(stock.name).min() >= 0.0
+            assert min(traj.series(stock.name)) >= 0.0
 
 
 class TestDeterminism:
@@ -504,7 +508,7 @@ class TestDeterminism:
         spec = generate_model(3)
         a = run_simulation(spec, SimConfig(t_end=200.0, seed=5))
         b = run_simulation(spec, SimConfig(t_end=200.0, seed=5))
-        assert np.array_equal(a.values, b.values)
+        assert (a.row_times, a.rows) == (b.row_times, b.rows)
         assert a.to_csv() == b.to_csv()
 
     def test_noise_keyed_by_day_not_call_order(self, baseline_spec):
@@ -518,7 +522,7 @@ class TestDeterminism:
         noisy = baseline_spec.with_params({"NoiseStdDev": 2.0})
         a = run_simulation(noisy, SimConfig(t_end=50.0, seed=1))
         b = run_simulation(noisy, SimConfig(t_end=50.0, seed=2))
-        assert not np.array_equal(a.values, b.values)
+        assert a.rows != b.rows
 
 
 class TestLazyNoise:
@@ -552,5 +556,6 @@ class TestLazyNoise:
         )
         traj = run_simulation(spec, SimConfig(t_end=10.0))
         assert draws == list(range(11))
-        assert traj.column("feed")[0] == 1.0
-        assert traj.column("feed")[1] != 1.0
+        feed = traj.series("feed")
+        assert feed[0] == 1.0
+        assert feed[1] != 1.0

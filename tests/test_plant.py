@@ -51,7 +51,7 @@ class TestAgainstReference:
         ["AccumulatedVinasse", "AccumulatedSludge", "TotalCost", "vinasseInflow"],
     )
     def test_yearlong_trajectories_match_bitwise(self, baseline_run, oracle_run, column):
-        ours = baseline_run.column(column)
+        ours = baseline_run.series(column)
         theirs = oracle_run["series"][column]
         assert len(ours) == len(theirs)
         assert all(a == b for a, b in zip(ours, theirs))
@@ -68,10 +68,10 @@ class TestDynamics:
 
     def test_capacity_never_exceeded(self, baseline_run):
         cap = PlantParams().total_capacity_m3
-        assert max(baseline_run.column("AccumulatedVinasse")) <= cap
+        assert max(baseline_run.series("AccumulatedVinasse")) <= cap
 
     def test_sludge_sawtooth(self, baseline_run):
-        sludge = baseline_run.column("AccumulatedSludge")
+        sludge = baseline_run.series("AccumulatedSludge")
         # Rows land on integer days; pickups empty the stock on schedule.
         assert sludge[29] == 2900.0
         assert sludge[30] == 0.0
@@ -91,11 +91,11 @@ class TestDynamics:
     def test_dose_at_half_saturation_boosts_sludge_by_forty_percent(self):
         spec = build_baseline(coagulant=CoagulantResponse(dose_g_m3=20.0))
         traj = run_simulation(spec, SimConfig(t_end=10.0))
-        assert traj.column("sludgeProductionRate")[1] == pytest.approx(140.0, rel=1e-12)
+        assert traj.series("sludgeProductionRate")[1] == pytest.approx(140.0, rel=1e-12)
 
     def test_supply_rate(self, baseline_run):
         # 8000 L/day of ethanol at 12.5 L vinasse per L is 100 m3/day.
-        assert baseline_run.column("vinasseSupply")[0] == 100.0
+        assert baseline_run.series("vinasseSupply")[0] == 100.0
 
     def test_doubled_production_with_strong_evaporation_saturates_earlier(self):
         spec = build_baseline().with_params(
@@ -129,7 +129,7 @@ class TestTemperature:
         traj = run_simulation(spec, SimConfig(t_end=30.0, seed=7))
         assert all(
             value == temperature(t, profile, seed=7)
-            for t, value in zip(traj.times, traj.column("temperature"))
+            for t, value in zip(traj.row_times, traj.series("temperature"))
         )
 
     @pytest.mark.parametrize("profile, config", [
@@ -190,7 +190,7 @@ class TestCosts:
     def test_marginal_cost_guard_at_zero_volume(self):
         spec = build_baseline().with_initial({"AccumulatedVinasse": 0.0})
         traj = run_simulation(spec, SimConfig(t_end=0.0))
-        assert traj.column("marginalCost")[0] == 0.0
+        assert traj.series("marginalCost")[0] == 0.0
 
     def test_budget_threshold_not_crossed_at_baseline(self, baseline_run):
         assert cost_breakdown(baseline_run).threshold_cross_day is None
@@ -198,7 +198,7 @@ class TestCosts:
     def test_budget_threshold_crossing_day(self):
         spec = build_baseline().with_params({"CostThreshold": 1e6})
         traj = run_simulation(spec, SimConfig(t_end=365.0))
-        crossed = [t for t, c in zip(traj.times, traj.column("TotalCost")) if c > 1e6]
+        crossed = [t for t, c in zip(traj.row_times, traj.series("TotalCost")) if c > 1e6]
         assert cost_breakdown(traj).threshold_cross_day == crossed[0] == 100.0
 
     def test_reports_are_python_floats(self):

@@ -46,9 +46,9 @@ def outcome(run, spec, config):
         return (type(err), getattr(err, "name", None), getattr(err, "stocks", None),
                 bits([err.t]), str(err))
     return (
-        traj.values.shape,
-        traj.times.tobytes(),
-        traj.values.tobytes(),
+        (len(traj.rows), len(traj.columns)),
+        bits(traj.row_times),
+        bits(v for row in traj.rows for v in row),
         tuple(traj.flow_integrals), bits(traj.flow_integrals.values()),
         tuple(traj.event_deltas), bits(traj.event_deltas.values()),
         tuple((e.event, e.target) for e in traj.events),
@@ -302,7 +302,7 @@ class TestMatchesReference:
                            [("feed", "1", None, "S"), ("out", "if(t > 5, 3, 0)", "S", None)])
         traj, calls = clamp_activations(late_drain, SimConfig(t_end=12.0))
         assert calls == [9.0, 10.0, 11.0]
-        assert traj.column("S").tolist()[7:] == [4.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+        assert traj.series("S")[7:] == [4.0, 2.0, 0.0, 0.0, 0.0, 0.0]
         assert clamp_activations(build_baseline(), SimConfig(t_end=365.0))[1] == []
 
 
