@@ -7,6 +7,8 @@ is deterministic: the same trajectory always yields byte-identical markup.
 
 from __future__ import annotations
 
+import math
+
 from .engine import Trajectory
 
 _PALETTE = ("#2563eb", "#dc2626", "#059669", "#7c3aed", "#d97706", "#0891b2")
@@ -71,6 +73,8 @@ def render_chart(traj: Trajectory, columns: list[str] | tuple[str, ...],
         hi = max(series) + 0.0
         if hi <= lo:
             lo, hi = lo - 1.0, hi + 1.0
+            if hi <= lo:  # beyond 2**53 the 1.0 is lost to rounding
+                lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
         color = _PALETTE[idx % len(_PALETTE)]
 
         label_y = y_cursor + 14

@@ -90,6 +90,22 @@ def _config(args) -> SimConfig:
     )
 
 
+def _manifest_path(out: str) -> str:
+    return str(Path(out).with_suffix("")) + ".manifest.json"
+
+
+def _distinct_outputs(*named: tuple[str, str | None]) -> None:
+    """ValueError if two of the set (name, path) outputs resolve to the
+    same file: the later write would replace the earlier one."""
+    seen: dict[Path, str] = {}
+    for flag, path in named:
+        if path:
+            resolved = Path(path).resolve()
+            if resolved in seen:
+                raise ValueError(f"{seen[resolved]} and {flag} both name {path}")
+            seen[resolved] = flag
+
+
 def _write_out(args, command: str, spec: ModelSpec, source: str, scenarios: list[Scenario],
                text: str, written: tuple[str | None, ...] = ()) -> None:
     """Write `text` to --out, then `<out>.manifest.json`, which lists it and
@@ -110,7 +126,7 @@ def _write_out(args, command: str, spec: ModelSpec, source: str, scenarios: list
         "outputs": sorted(outputs),
         "version": __version__,
     }
-    manifest_path = str(Path(args.out).with_suffix("")) + ".manifest.json"
+    manifest_path = _manifest_path(args.out)
     Path(manifest_path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for path in (*outputs, manifest_path):
         print(f"wrote {path}")
@@ -131,6 +147,9 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.out:
+        _distinct_outputs(("--out", args.out), ("--events-out", args.events_out),
+                          ("the manifest", _manifest_path(args.out)))
     spec, source, scenarios = _load(args)
     traj = run_simulation(spec, _config(args))
     csv_text = traj.to_csv()

@@ -458,8 +458,9 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
     """Map step index (1-based end of step) to the indices of the events
     firing there, in declaration order.
 
-    Every firing must land on the grid. Firings at t_start are skipped: the
-    first row is the initial condition by definition.
+    Every firing must land on the grid. Firings at or before t_start are
+    skipped, without walking them: the first row is the initial condition
+    by definition.
     """
     schedule: dict[int, list[int]] = {}
     for k, event in enumerate(spec.events):
@@ -480,13 +481,14 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
         else:
             n_int = 0
 
-        n = n_start
-        while n <= steps:
-            if n >= 1:
-                schedule.setdefault(n, []).append(k)
-            if n_int == 0:
-                break
-            n += n_int
+        if n_int:
+            # The first firing at step 1 or later.
+            firings = range(n_start + max(0, (n_int - n_start) // n_int) * n_int,
+                            steps + 1, n_int)
+        else:
+            firings = (n_start,) if 1 <= n_start <= steps else ()
+        for n in firings:
+            schedule.setdefault(n, []).append(k)
     return schedule
 
 

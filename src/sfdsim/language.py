@@ -31,8 +31,8 @@ a ParseError or a LintIssue are computed from that offset only when one is
 reported, one column per character: a tab or a CR counts as one.
 
 `format_model` renders a ModelSpec back to canonical text and round-trips
-with `parse_model`; a model or definition name that would not read back
-is a ValueError.
+with `parse_model`; a model or definition name, or a unit, that would not
+read back is a ValueError.
 `lint_model` reports naming-convention violations: parameters and stocks
 are UpperCamelCase, flows, auxiliaries, and events lowerCamelCase.
 
@@ -376,12 +376,17 @@ def format_model(spec: ModelSpec) -> str:
 
     Definitions keep their declaration order within each section; sections
     are ordered param, stock, aux, flow, event. parse(format(m)) == m.
-    ValueError for a model or definition name the text cannot read back.
+    ValueError for a model or definition name the text cannot read back,
+    or for a unit the brackets cannot hold: one with a `]` or a newline,
+    or with whitespace at either end, which the reader strips.
     References (flow endpoints, action targets, variables) are not checked;
     in a model that validates, each names a definition.
     """
     groups = (spec.parameters, spec.stocks, spec.auxiliaries, spec.flows, spec.events)
     _check_names([spec.name, *(d.name for group in groups for d in group)])
+    for d in (*spec.parameters, *spec.stocks, *spec.auxiliaries, *spec.flows):
+        if "]" in d.unit or "\n" in d.unit or d.unit != d.unit.strip():
+            raise ValueError(f"unit {d.unit!r} of {d.name!r} cannot be written in brackets")
     def unit_suffix(unit: str) -> str:
         return f" [{unit}]" if unit else ""
 

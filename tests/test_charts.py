@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from sfdsim import SimConfig, Trajectory, charts, render_chart, run_simulation
+from sfdsim import SimConfig, Trajectory, charts, parse_model, render_chart, run_simulation
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +32,16 @@ class TestRenderChart:
         assert render_chart(short_run, columns) == render_chart(short_run, columns)
 
     def test_flat_series_still_renders(self, baseline_spec):
-        traj = run_simulation(baseline_spec, SimConfig(t_end=0.0))
-        svg = render_chart(traj, ["AccumulatedVinasse"])
-        assert "<polyline" in svg
+        # Beyond 2**53 a padding of 1.0 rounds away, and the range with it.
+        big = parse_model("model Big { stock S = 1e20 flow f : S -> = 0 }")
+        mid = charts._TOP_PAD + charts._PANEL_LABEL_H + charts._PANEL_PLOT_H / 2
+        for spec, t_end, column in ((baseline_spec, 0.0, "AccumulatedVinasse"),
+                                    (big, 3.0, "S")):
+            traj = run_simulation(spec, SimConfig(t_end=t_end))
+            svg = render_chart(traj, [column])
+            assert "<polyline" in svg
+            (points,) = re.findall(r'points="([^"]*)"', svg)
+            assert {point.split(",")[1] for point in points.split()} == {f"{mid:.2f}"}
 
     def test_points_are_the_scaled_time_and_value(self, short_run):
         columns = ["AccumulatedVinasse", "TotalCost", "temperature"]

@@ -79,6 +79,39 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "alone.csv", "run.csv", "run.manifest.json", "with_out.csv"]
 
+    @pytest.mark.parametrize("out, events_out, named", [
+        ("run.csv", "run.csv", "--out and --events-out"),
+        ("run.csv", "sub/../run.csv", "--out and --events-out"),
+        ("run.csv", "run.manifest.json", "--events-out and the manifest"),
+    ])
+    def test_outputs_on_one_path_exit_2_before_the_run(self, out, events_out, named, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_simulation", None)  # a run would raise TypeError
+        assert main(["simulate", "--t-end", "3", "--out", out, "--events-out", events_out]) == 2
+        assert f"error: {named} both name {events_out}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_late_t_start_does_not_walk_earlier_firings(self, tmp_path):
+        # The pickups every 30 days from day 30 have fired about 3.3e10
+        # times before t_start = 1e12; the first after it is at 1e12 + 20.
+        # In a subprocess, so a walk over them fails by timing out.
+        src = str(Path(sfdsim.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        events = tmp_path / "events.csv"
+        argv = ["simulate", "--t-start", "1e12", "--t-end", "1000000000040",
+                "--events-out", str(events)]
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from sfdsim.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.count("\n") == 1 + 41
+        assert events.read_text() == (
+            "t,event,target,amount\n"
+            "1000000000020.000000,pickup,AccumulatedSludge,2000.000000\n"
+            "1000000000020.000000,pickup,TotalCost,70000.000000\n")
+
     def test_scenario_flag_applies_overrides(self, tmp_path, fixtures_dir):
         out = tmp_path / "dosed.csv"
         rc = main([

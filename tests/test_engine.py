@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+import sfdsim.engine as engine
 import sfdsim.expr
 from sfdsim import (
     AuxDef,
@@ -231,6 +233,47 @@ def scheduled(stock="S", op="subtract", action_text="min(S, 3000)",
     )
 
 
+def walked_schedule(spec, config, steps):
+    """`engine._event_schedule` as it was, walking every firing from each
+    event's start, those before t_start included: the differential's
+    reference."""
+    schedule = {}
+    for k, event in enumerate(spec.events):
+        rel = (event.start - config.t_start) / config.dt
+        n_start = round(rel)
+        if abs(rel - n_start) > 1e-9:
+            raise EventGridError(
+                f"event '{event.name}' start {event.start:g} is off the dt={config.dt:g} grid"
+            )
+        if event.interval > 0:
+            ri = event.interval / config.dt
+            n_int = round(ri)
+            if n_int == 0 or abs(ri - n_int) > 1e-9:
+                raise EventGridError(
+                    f"event '{event.name}' interval {event.interval:g} is off the "
+                    f"dt={config.dt:g} grid"
+                )
+        else:
+            n_int = 0
+
+        n = n_start
+        while n <= steps:
+            if n >= 1:
+                schedule.setdefault(n, []).append(k)
+            if n_int == 0:
+                break
+            n += n_int
+    return schedule
+
+
+def schedule_outcome(schedule, spec, config, steps):
+    """The schedule's items in order, or its error."""
+    try:
+        return list(schedule(spec, config, steps).items())
+    except EventGridError as err:
+        return str(err)
+
+
 class TestEvents:
     def test_sawtooth(self):
         spec = make_model(
@@ -287,6 +330,44 @@ class TestEvents:
         )
         with pytest.raises(EventGridError):
             run_simulation(spec, SimConfig(t_end=20.0))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_schedule_matches_a_walk_of_every_firing(self, seed):
+        # Random grids and schedules, on and off the grid: starts before,
+        # at and after t_start, one-shot events, and horizons of 0 steps.
+        rng = random.Random(seed)
+        for _ in range(20):
+            dt = rng.choice((1.0, 0.5, 0.25, 2.0, 0.1))
+            t_start = rng.randint(-50, 50) * dt
+            events = []
+            for k in range(rng.randint(1, 3)):
+                start = t_start + rng.randint(-300, 100) * dt
+                interval = 0.0 if rng.random() < 0.25 else rng.randint(1, 40) * dt
+                if rng.random() < 0.04:
+                    start += dt / 3
+                if rng.random() < 0.04:
+                    interval = dt * 1.5
+                events.append(EventDef(f"e{k}", start, interval, ()))
+            spec = make_model(stocks=[StockDef("S", 0.0)], flows=[], events=events)
+            config = SimConfig(t_start=t_start, t_end=t_start + rng.randint(0, 200) * dt, dt=dt)
+            steps = config.step_count()
+            assert schedule_outcome(engine._event_schedule, spec, config, steps) == \
+                schedule_outcome(walked_schedule, spec, config, steps)
+
+    @pytest.mark.parametrize("start, interval, t_start, expected", [
+        (0.0, 30.0, 100.0, [20, 50, 80]),  # starts before t_start
+        (100.0, 30.0, 100.0, [30, 60, 90]),  # starts on step 0: skipped there
+        (40.0, 0.0, 10.0, [30]),  # one-shot
+        (10.0, 0.0, 40.0, []),  # one-shot before t_start
+        (10.0, 0.0, 10.0, []),  # one-shot on step 0
+        (200.0, 0.0, 10.0, []),  # one-shot past t_end
+    ])
+    def test_schedule_edges(self, start, interval, t_start, expected):
+        spec = make_model(stocks=[StockDef("S", 0.0)], flows=[],
+                          events=[EventDef("e", start, interval, ())])
+        config = SimConfig(t_start=t_start, t_end=t_start + 100.0)
+        assert engine._event_schedule(spec, config, 100) == {n: [0] for n in expected}
+        assert walked_schedule(spec, config, 100) == {n: [0] for n in expected}
 
     def test_actions_snapshot_pre_event_state(self):
         # Both actions see S = 5 even though the first removes 3 of it.

@@ -4,11 +4,15 @@ and numpy stays off the paths that do not need arrays."""
 from __future__ import annotations
 
 import ast
+import functools
 import importlib.util
+import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,6 +212,18 @@ def test_numpy_is_not_loaded_without_arrays(fixtures_dir, tmp_path):
     assert (tmp_path / "run.csv").read_text().count("\n") == 32
 
 
+@functools.cache
+def bench_module(name: str):
+    """`bench/<name>.py`, loaded from its file as module `bench_<name>`:
+    `bench` is not a package. It is registered before it runs, as its
+    dataclasses need."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    module_spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = sys.modules[module_spec.name] = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
 # A call of the builtin min or max; a model variable's local starts with "_".
 MIN_MAX_CALL = re.compile(r"\b(?:min|max)\(")
 
@@ -217,10 +233,7 @@ def test_generated_code_calls_no_min_or_max():
     # evaluator, `bind`, the actions and the step loop alike. Models: the
     # baseline, the first 50 seed-21 `model_corpus` models and 60 random
     # models; loops: each model's topology under both methods, and a cycle.
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(workloads)
+    workloads = bench_module("workloads")
     corpus = [workloads.corpus_model(workloads._rng(21, i), i)[0] for i in range(50)]
     assert all("max(0, drive)" in text for text in corpus)
     models = [build_baseline(), *map(parse_model, corpus), *map(generate_model, range(60))]
@@ -233,3 +246,43 @@ def test_generated_code_calls_no_min_or_max():
     assert all(not MIN_MAX_CALL.search(source) for source in sources)
     assert sum(bool(re.search(r"k\d+ = 1\.0\n", source)) for source in sources) >= 10
     assert any("for _ in range(" in source for source in sources)  # a cyclic clamp
+
+
+# The targets of `bench/tracer.py` that the package no longer has. ROADMAP
+# item 1, which drops them from the tracer, must update this list.
+TRACER_ABSENT = ["expr.compile_function", "model.ValidatedModel.compiled"]
+
+
+@pytest.mark.parametrize("name", ["plant_year", "policy_batch", "model_corpus"])
+def test_benchmark_tracer_runs_over_the_package(name, tmp_path):
+    # The tracer wraps package functions from outside and reads what they
+    # return (`_measure_run` reads each run's Trajectory), so a package
+    # change can break a traced benchmark run that no other test makes.
+    # As the traced run does: trace one set-up and two ops, check each op
+    # untraced, then read the layer metrics.
+    workloads, tracing = bench_module("workloads"), bench_module("tracer")
+    workload = workloads.WORKLOADS[name](0, tmp_path)
+    workload.setup()
+    tracer = tracing.Tracer()
+    tracer.install()
+    problems, walls = [], []
+    try:
+        tracer.op = tracing.SETUP
+        workload.setup()
+        for i in range(2):
+            inp = workload.make_input(i)
+            tracer.op = i
+            start = time.perf_counter()
+            out = workload.run(inp)
+            walls.append((time.perf_counter() - start) * 1e3)
+            tracer.op = None
+            problems += workload.check(inp, out)
+    finally:
+        tracer.op = None
+        tracer.uninstall()
+    assert problems == []
+    assert tracer.absent == TRACER_ABSENT
+    assert tracer.runs  # every workload runs a simulation
+    layers = tracer.layer_metrics(2, sum(walls), 1)
+    assert all(value is None or math.isfinite(value) for value, _unit in layers.values())
+    json.dumps(layers, allow_nan=False)

@@ -320,6 +320,29 @@ class TestFormatter:
         spec = self.renamed(where, name)
         assert parse_model(format_model(spec)) == spec
 
+    UNIT_GROUPS = ("parameters", "stocks", "auxiliaries", "flows")
+
+    def with_unit(self, where: str, unit: str):
+        """`NAMED` with the definition in group `where` given `unit`."""
+        spec = parse_model(self.NAMED)
+        (d,) = getattr(spec, where)
+        return dataclasses.replace(spec, **{where: (dataclasses.replace(d, unit=unit),)})
+
+    @pytest.mark.parametrize("unit", ["a]b", "]", "m3\n", "a\nb", " m3", "m3 ", "\tm3",
+                                      "m3\u3000", " "])
+    @pytest.mark.parametrize("where", UNIT_GROUPS)
+    def test_unit_the_brackets_cannot_hold_rejected(self, where, unit):
+        spec = self.with_unit(where, unit)
+        (d,) = getattr(spec, where)
+        with pytest.raises(ValueError, match=re.escape(f"unit {unit!r} of {d.name!r}")):
+            format_model(spec)
+
+    @pytest.mark.parametrize("unit", ["m3/day", "a[b", "kg m-3", "#", '"', "\u00b0C", ""])
+    @pytest.mark.parametrize("where", UNIT_GROUPS)
+    def test_units_the_brackets_hold_round_trip(self, where, unit):
+        spec = self.with_unit(where, unit)
+        assert parse_model(format_model(spec)) == spec
+
     def test_first_unreadable_name_in_text_order_is_named(self):
         spec = ModelSpec("M", stocks=(StockDef("pond level", 1.0),),
                          parameters=(ParamDef("k rate", 0.5),))
@@ -346,6 +369,18 @@ def number_bits(spec) -> list[bytes]:
     for e in spec.events:
         values += [e.start, e.interval, *(v for a in e.actions for v in literals(a.expression))]
     return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit=st.text(alphabet=st.sampled_from(" \t\r\n\x0b\x85\u3000[]#\"am3/-"), max_size=6))
+def test_format_rejects_or_round_trips_every_unit(unit):
+    spec = ModelSpec("M", stocks=(StockDef("S", 1.0, unit),))
+    try:
+        text = format_model(spec)
+    except ValueError:
+        assert "]" in unit or "\n" in unit or unit != unit.strip()
+    else:
+        assert parse_model(text) == spec
 
 
 @settings(max_examples=200, deadline=None)
