@@ -97,10 +97,10 @@ def _manifest_path(out: str) -> str:
 def _distinct_outputs(*named: tuple[str, str | None]) -> None:
     """ValueError if two of the set (name, path) outputs resolve to the
     same file: the later write would replace the earlier one."""
-    seen: dict[Path, str] = {}
+    seen: dict[str, str] = {}
     for flag, path in named:
         if path:
-            resolved = Path(path).resolve()
+            resolved = os.path.realpath(path)
             if resolved in seen:
                 raise ValueError(f"{seen[resolved]} and {flag} both name {path}")
             seen[resolved] = flag

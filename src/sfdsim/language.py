@@ -384,32 +384,31 @@ def format_model(spec: ModelSpec) -> str:
     """
     groups = (spec.parameters, spec.stocks, spec.auxiliaries, spec.flows, spec.events)
     _check_names([spec.name, *(d.name for group in groups for d in group)])
-    for d in (*spec.parameters, *spec.stocks, *spec.auxiliaries, *spec.flows):
+    def unit_suffix(d) -> str:
         if "]" in d.unit or "\n" in d.unit or d.unit != d.unit.strip():
             raise ValueError(f"unit {d.unit!r} of {d.name!r} cannot be written in brackets")
-    def unit_suffix(unit: str) -> str:
-        return f" [{unit}]" if unit else ""
+        return f" [{d.unit}]" if d.unit else ""
 
     spelling = {op: text for text, op in _ACTION_OPS.items()}
     lines = [f"model {spec.name} {{"]
     for p in spec.parameters:
-        lines.append(f"  param {p.name} = {ex.format_number(p.value)}{unit_suffix(p.unit)}")
+        lines.append(f"  param {p.name} = {ex.format_number(p.value)}{unit_suffix(p)}")
     if spec.parameters and spec.stocks:
         lines.append("")
     for s in spec.stocks:
         flag = "" if s.non_negative else " allow_negative"
         lines.append(
-            f"  stock {s.name} = {ex.format_number(s.initial)}{unit_suffix(s.unit)}{flag}"
+            f"  stock {s.name} = {ex.format_number(s.initial)}{unit_suffix(s)}{flag}"
         )
     if spec.stocks and (spec.flows or spec.auxiliaries):
         lines.append("")
     for a in spec.auxiliaries:
-        lines.append(f"  aux {a.name} = {ex.to_source(a.expression)}{unit_suffix(a.unit)}")
+        lines.append(f"  aux {a.name} = {ex.to_source(a.expression)}{unit_suffix(a)}")
     for f in spec.flows:
         endpoints = f"{f.source or ''} -> {f.target or ''}".strip()
         lines.append(
             f"  flow {f.name} : {endpoints} = "
-            f"{ex.to_source(f.expression)}{unit_suffix(f.unit)}"
+            f"{ex.to_source(f.expression)}{unit_suffix(f)}"
         )
     for e in spec.events:
         lines.append("")
