@@ -36,12 +36,7 @@ from .model import (
     validate_model,
 )
 from .plant import (
-    CoagulantResponse,
-    CostParams,
     CostReport,
-    PlantParams,
-    TemperatureProfile,
-    TransportPolicy,
     build_baseline,
     cost_breakdown,
     peak_sludge,
@@ -77,8 +72,6 @@ __all__ = [
     "AuxDef",
     "CalibrationProblem",
     "CalibrationResult",
-    "CoagulantResponse",
-    "CostParams",
     "CostReport",
     "ClampError",
     "CycleError",
@@ -95,7 +88,6 @@ __all__ = [
     "NonFiniteError",
     "ParamDef",
     "ParseError",
-    "PlantParams",
     "PolicyGrid",
     "PolicyRow",
     "PolicySearchResult",
@@ -106,9 +98,7 @@ __all__ = [
     "SimulationError",
     "StockDef",
     "SweepResult",
-    "TemperatureProfile",
     "Trajectory",
-    "TransportPolicy",
     "UnitError",
     "UnknownSymbolError",
     "ValidatedModel",

@@ -25,7 +25,8 @@ class ModelError(SfdError):
 
 
 class InvalidParameterError(ModelError):
-    """A builder parameter is out of its physically meaningful range."""
+    """A model parameter's value is outside the range its definition
+    declares (`ParamDef.bound`); `field` is the parameter's name."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")

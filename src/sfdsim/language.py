@@ -15,8 +15,10 @@ model file looks like:
     }
 
 Flows read `source -> target`; either side may be blank for a boundary
-flow. Units in square brackets are optional everywhere. A stock may be
-marked `allow_negative` after its unit. `#` starts a comment. Keywords are
+flow. Units in square brackets are optional everywhere. A parameter may
+declare its range after its unit, `> NUMBER` or `>= NUMBER`
+(`param PondArea = 5000 [m2] > 0`); validation checks every value it
+takes against it. A stock may be marked `allow_negative` after its unit. `#` starts a comment. Keywords are
 contextual, so they remain usable as variable names. Operators bind as
 `expr.PRECEDENCE` says: comparisons loosest and unchained, `^` tightest.
 
@@ -272,8 +274,10 @@ class _Parser:
             if self.take_keyword("param"):
                 pname = self.define("param", "parameter name")
                 self.expect_punct("=")
-                value = self.number()
-                params.append(ParamDef(pname, value, self.unit()))
+                value, unit, bound = self.number(), self.unit(), None
+                if self.at_punct(">", ">="):
+                    bound = (self.advance().text, self.number())
+                params.append(ParamDef(pname, value, unit, bound))
             elif self.take_keyword("stock"):
                 sname = self.define("stock", "stock name")
                 self.expect_punct("=")
@@ -392,7 +396,8 @@ def format_model(spec: ModelSpec) -> str:
     spelling = {op: text for text, op in _ACTION_OPS.items()}
     lines = [f"model {spec.name} {{"]
     for p in spec.parameters:
-        lines.append(f"  param {p.name} = {ex.format_number(p.value)}{unit_suffix(p)}")
+        bound = f" {p.bound[0]} {ex.format_number(p.bound[1])}" if p.bound else ""
+        lines.append(f"  param {p.name} = {ex.format_number(p.value)}{unit_suffix(p)}{bound}")
     if spec.parameters and spec.stocks:
         lines.append("")
     for s in spec.stocks:

@@ -2,10 +2,11 @@
 
 A model is a declarative bundle of stocks, flows, auxiliaries, parameters,
 and scheduled events. `validate_model` checks it for duplicate names,
-undefined references, dependency cycles, and unit mismatches, and returns a
-`ValidatedModel` carrying the dependency-sorted evaluation order and the
-generated code the engine runs, bound to the parameters: the evaluator,
-the event actions and whether noise is drawn. The generated code names
+undefined references, dependency cycles, unit mismatches and parameters
+outside their declared bounds, and returns a `ValidatedModel` carrying the
+dependency-sorted evaluation order and the generated code the engine runs,
+bound to the parameters: the evaluator, the event actions and whether
+noise is drawn. The generated code names
 its own faults, so nothing walks an expression tree after validation.
 `validate_model` remembers the last structure it validated. A variant of
 that spec in parameter values, initial values or schedules, as
@@ -25,6 +26,7 @@ from . import expr as ex
 from .errors import (
     CycleError,
     DuplicateNameError,
+    InvalidParameterError,
     ModelError,
     NonFiniteError,
     UnitError,
@@ -71,11 +73,27 @@ class AuxDef:
 
 @dataclass(frozen=True, slots=True)
 class ParamDef:
-    """A constant the scenario layer may override."""
+    """A constant the scenario layer may override. `bound` is the range
+    its value must lie in, (">", x) or (">=", x); None allows any finite
+    value."""
 
     name: str
     value: float
     unit: str = ""
+    bound: tuple[str, float] | None = None
+
+    def check(self, value: float) -> None:
+        """ModelError if `value` is not finite or `bound` is not one of
+        the two forms; InvalidParameterError, naming this parameter, if
+        `value` is outside `bound`."""
+        if not math.isfinite(value):
+            raise ModelError(f"parameter '{self.name}' has non-finite value")
+        if self.bound is not None:
+            op, limit = self.bound
+            if op not in (">", ">="):
+                raise ModelError(f"parameter '{self.name}' has unknown bound '{op}'")
+            if not (value > limit if op == ">" else value >= limit):
+                raise InvalidParameterError(self.name, f"must be {op} {limit:g}, got {value:g}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,12 +353,10 @@ def _first_bad(order: tuple[tuple[str, str], ...], values: dict[str, object]) ->
 
 
 def _checked_params(spec: ModelSpec) -> dict[str, float]:
-    """The parameter values by name; ModelError for a non-finite one."""
-    params = {p.name: p.value for p in spec.parameters}
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ModelError(f"parameter '{name}' has non-finite value")
-    return params
+    """The parameter values by name, each checked by `ParamDef.check`."""
+    for p in spec.parameters:
+        p.check(p.value)
+    return {p.name: p.value for p in spec.parameters}
 
 
 def _check_initial(stock: StockDef) -> None:
@@ -370,9 +386,10 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     """Check `spec`, derive its evaluation order, and generate its code and
     bind it to the parameters.
 
-    Raises DuplicateNameError, UnknownSymbolError, CycleError, UnitError, or
-    ModelError. Event grid alignment is checked at simulation time because
-    it depends on the step size.
+    Raises DuplicateNameError, UnknownSymbolError, CycleError, UnitError,
+    InvalidParameterError for a parameter outside its bound, or ModelError.
+    Event grid alignment is checked at simulation time because it depends
+    on the step size.
 
     The last model built is remembered. A spec with the same `_key`, whose
     `flows` and `auxiliaries` tuples and each event's `actions` tuple are

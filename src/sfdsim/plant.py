@@ -18,13 +18,12 @@ Structure:
   dosed m3, amortized capacity expansion) and in steps (truck pickups, a
   fixed cost per truck trip plus a per-kg disposal fee).
 
-The model itself is the shipped model file `fixtures/baseline.sfd`;
-`build_baseline` parses it and sets its parameters from the groups below.
-Each group field declares, once, its default value, the model parameter
-it sets and its range rule. `temperature` evaluates the model's own
-`temperature` auxiliary rather than a copy of its formula: it validates
-the baseline with the profile's values, a parameter variant that reuses
-the baseline's validation when that is the last one made. All magnitudes
+The model itself is the shipped model file `fixtures/baseline.sfd`, which
+holds every default value, the pickup schedule and each parameter's range;
+`build_baseline` returns its parse. A variant is a `ModelSpec.with_params`
+or `ModelSpec.with_event_schedule` copy of it, checked against those
+ranges when it is validated. `temperature` evaluates a model's own
+`temperature` auxiliary rather than a copy of its formula. All magnitudes
 are plain floats in day units, so any of them can be overridden per
 scenario.
 """
@@ -32,139 +31,36 @@ scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .engine import Trajectory
-from .errors import InvalidParameterError
 from .expr import daily_gauss
 from .language import parse_model
 from .model import ModelSpec, validate_model
 
 
-def _knob(default: float, param: str | None, rule: str | None = None):
-    """A group field with its default, the model parameter it sets (None
-    for none) and its range rule: "positive", "non-negative" or None."""
-    return field(default=default, metadata={"param": param, "rule": rule})
+@cache
+def build_baseline() -> ModelSpec:
+    """The shipped treatment pond model: the parse of `fixtures/baseline.sfd`.
 
-
-@dataclass(frozen=True, slots=True)
-class PlantParams:
-    """Physical plant: pond geometry, production, settling."""
-
-    total_capacity_m3: float = _knob(18000.0, "TotalCapacity", "positive")
-    base_capacity_m3: float = _knob(18000.0, "BaseCapacity", "positive")
-    ethanol_production_l_day: float = _knob(8000.0, "EthanolProduction", "positive")
-    vinasse_per_ethanol: float = _knob(12.5, "VinassePerEthanol", "positive")
-    pond_area_m2: float = _knob(5000.0, "PondArea", "positive")
-    evap_coefficient: float = _knob(0.004, "KEvap", "positive")
-    evap_temp_slope: float = _knob(0.05, "Alpha")
-    reference_temp_c: float = _knob(16.0, "TRef")
-    sludge_yield_kg_m3: float = _knob(1.0, "Sigma", "positive")
-    sludge_density_kg_m3: float = _knob(400.0, "SludgeDensity", "positive")
-
-
-@dataclass(frozen=True, slots=True)
-class TemperatureProfile:
-    """Sinusoidal annual temperature with optional daily noise."""
-
-    mean_c: float = _knob(16.0, "TMean")
-    amplitude_c: float = _knob(6.0, "TAmp", "non-negative")
-    phase_days: float = _knob(0.0, "TPhase")
-    noise_std_c: float = _knob(0.0, "NoiseStdDev", "non-negative")
-
-
-@dataclass(frozen=True, slots=True)
-class CoagulantResponse:
-    """Settling enhancement from coagulant dosing, saturating in dose."""
-
-    dose_g_m3: float = _knob(0.0, "Dose", "non-negative")
-    eta_max: float = _knob(0.8, "EtaMax", "non-negative")
-    half_dose_g_m3: float = _knob(20.0, "KHalf", "positive")
-
-
-@dataclass(frozen=True, slots=True)
-class TransportPolicy:
-    """Sludge pickup schedule and truck fleet."""
-
-    interval_days: float = _knob(30.0, None, "positive")  # the pickup schedule
-    truck_capacity_kg: float = _knob(3000.0, "TruckCapacityKg", "positive")
-    trucks_per_pickup: float = _knob(1.0, "TrucksPerPickup", "positive")
-    start_day: float | None = None  # defaults to the first interval
-
-
-@dataclass(frozen=True, slots=True)
-class CostParams:
-    """Cost rates and the budget threshold used for feasibility checks."""
-
-    trip_fixed: float = _knob(50000.0, "TripFixedCost", "non-negative")
-    per_kg: float = _knob(10.0, "PerKgCost", "non-negative")
-    coagulant_unit: float = _knob(5.0, "CoagulantUnitCost", "non-negative")
-    op_per_m3_day: float = _knob(2.0, "OpCostPerM3Day", "non-negative")
-    capex_per_m3: float = _knob(1000.0, "CapexPerM3", "non-negative")
-    amortization_days: float = _knob(3650.0, "AmortDays", "positive")
-    cost_threshold: float = _knob(20000000.0, "CostThreshold", "non-negative")
-
-
-def _settings(group) -> dict[str, float]:
-    """The model parameter values that `group`'s fields set, by name."""
-    return {f.metadata["param"]: getattr(group, f.name)
-            for f in fields(group) if f.metadata.get("param")}
-
-
-def build_baseline(
-    plant: PlantParams = PlantParams(),
-    temperature: TemperatureProfile = TemperatureProfile(),
-    coagulant: CoagulantResponse = CoagulantResponse(),
-    transport: TransportPolicy = TransportPolicy(),
-    costs: CostParams = CostParams(),
-    allow_unusual_ratio: bool = False,
-) -> ModelSpec:
-    """The shipped treatment pond model with the given parameter groups.
-
-    Parses `fixtures/baseline.sfd` and sets each group field on the model
-    parameter it names, so scenarios can override any of them without
-    rebuilding. The transport policy's interval and start day become the
-    schedule of the `pickup` event; scenarios reschedule it by name.
-    Each field is range-checked by its rule, in group order; a vinasse
-    yield outside the usual 10-15 L per L of ethanol additionally requires
-    `allow_unusual_ratio=True`.
+    Scenarios override its parameters and reschedule its `pickup` event by
+    name; validation checks each value against the range the file declares.
     """
-    overrides: dict[str, float] = {}
-    for group in (plant, temperature, coagulant, transport, costs):
-        for f in fields(group):
-            value, rule = getattr(group, f.name), f.metadata.get("rule")
-            if rule == "positive" and not value > 0.0:
-                raise InvalidParameterError(f.name, f"must be positive, got {value:g}")
-            if rule == "non-negative" and not value >= 0.0:
-                raise InvalidParameterError(f.name, f"must not be negative, got {value:g}")
-        overrides |= _settings(group)
-    if transport.start_day is not None and not transport.start_day >= 0.0:
-        raise InvalidParameterError("start_day",
-                                    f"must not be negative, got {transport.start_day:g}")
-    if not allow_unusual_ratio and not 10.0 <= plant.vinasse_per_ethanol <= 15.0:
-        raise InvalidParameterError(
-            "vinasse_per_ethanol",
-            f"{plant.vinasse_per_ethanol:g} is outside the usual 10-15 L/L range; "
-            "pass allow_unusual_ratio=True to build anyway",
-        )
-    text = (resources.files(__package__) / "fixtures" / "baseline.sfd").read_text()
-    start = transport.start_day if transport.start_day is not None else transport.interval_days
-    return parse_model(text).with_params(overrides).with_event_schedule(
-        "pickup", start=start, interval=transport.interval_days)
+    return parse_model((resources.files(__package__) / "fixtures" / "baseline.sfd").read_text())
 
 
-def temperature(t: float, profile: TemperatureProfile = TemperatureProfile(),
-                seed: int = 0) -> float:
-    """Ambient temperature at time `t` in days: the built-in model's
-    `temperature` auxiliary, evaluated at `t` with the profile's values.
+def temperature(t: float, spec: ModelSpec | None = None, seed: int = 0) -> float:
+    """Ambient temperature at time `t` in days: the `temperature`
+    auxiliary of `spec`, the built-in model when omitted, evaluated at `t`.
 
     The per-day noise draw is keyed by (seed, floor(t)) as in a run, so
     every evaluation within one day returns the same value. Raises
-    ModelError for a non-finite profile value and NonFiniteError for a
-    non-finite `t` or result, as a run would.
+    ModelError for a parameter that is not finite or is outside its range,
+    and NonFiniteError for a non-finite `t` or result, as a run would.
     """
-    vm = validate_model(build_baseline().with_params(_settings(profile)))
+    vm = validate_model(build_baseline() if spec is None else spec)
     spec = vm.spec
     g = daily_gauss(seed, math.floor(t)) if vm.draws_noise and math.isfinite(t) else 0.0
     values = vm.evaluator(t, g, *(s.initial for s in spec.stocks))

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 from .engine import SimConfig, Trajectory, run_simulation
-from .errors import NoFeasiblePolicyError
+from .errors import NoFeasiblePolicyError, UnknownSymbolError
 from .expr import format_number
 from .language import _check_names, _Parser
 from .model import ModelSpec
@@ -121,6 +121,18 @@ def compare_to_baseline(
     return results
 
 
+def _check_values(spec: ModelSpec, name: str, values) -> None:
+    """Check each of `values` as a value of parameter `name` of `spec`
+    (`ParamDef.check`), so a study fails before its first run, as the
+    validation of that run would. UnknownSymbolError for an unknown name."""
+    for p in spec.parameters:
+        if p.name == name:
+            for value in values:
+                p.check(float(value))
+            return
+    raise UnknownSymbolError(f"no parameter named '{name}'")
+
+
 # --- transport policy search ------------------------------------------------
 
 
@@ -171,8 +183,10 @@ def optimize_transport_policy(
 
     Rows are ordered feasible first, then by (total cost, interval, truck
     capacity, truck count); ties cannot reorder nondeterministically since
-    the key includes every axis. ValueError, before any run, for an empty
-    axis or a non-finite limit; NoFeasiblePolicyError if no point is feasible.
+    the key includes every axis. Before any run: ValueError for an empty
+    axis or a non-finite limit, and the errors of `ParamDef.check` for a
+    truck capacity or count outside its parameter's range.
+    NoFeasiblePolicyError if no point is feasible.
     """
     for axis in ("intervals", "truck_capacities", "truck_counts"):
         if not getattr(grid, axis):
@@ -180,6 +194,8 @@ def optimize_transport_policy(
     if not math.isfinite(grid.sludge_limit_kg):
         raise ValueError(f"sludge limit must be finite, got {grid.sludge_limit_kg:g}")
     threshold = spec.param("CostThreshold")
+    _check_values(spec, "TruckCapacityKg", grid.truck_capacities)
+    _check_values(spec, "TrucksPerPickup", grid.truck_counts)
     rows: list[PolicyRow] = []
     for interval in grid.intervals:
         for truck in grid.truck_capacities:
@@ -248,8 +264,10 @@ def calibrate(
     every coordinate, keeping the first strict improvement. When a whole
     pass improves nothing, all steps are halved. The search stops when
     every step is below tol times its coordinate's range, or after
-    `max_passes`. ValueError, before any run, for a mismatched problem, a
-    parameter named twice, or an observation or bound that is not finite.
+    `max_passes`. Before any run: ValueError for a mismatched problem, a
+    parameter named twice, or an observation or bound that is not finite,
+    and the errors of `ParamDef.check` for a bound outside its parameter's
+    range. The search never leaves the bounds, so no point it tries is.
 
     `evaluations` counts the points tried. A step often returns to a point
     tried before; its SSE is looked up, not run again.
@@ -267,6 +285,8 @@ def calibrate(
     ranges = [hi - lo for lo, hi in problem.bounds]
     if any(r <= 0 for r in ranges):
         raise ValueError("each bounds pair must satisfy lo < hi")
+    for name, pair in zip(problem.param_names, problem.bounds):
+        _check_values(spec, name, pair)
 
     evaluations = 0
     # SSE by point, as the float.hex of each coordinate: -0.0 is not 0.0.
@@ -356,7 +376,9 @@ def run_sweep(
     values: list[float] | tuple[float, ...],
     config: SimConfig,
 ) -> SweepResult:
-    """Simulate once per value of `param`; rows come back in input order."""
+    """Simulate once per value of `param`; rows come back in input order.
+    The values are checked against the parameter's range before any run."""
+    _check_values(spec, param, values)
     rows = []
     for value in values:
         metrics = summarize(run_simulation(spec.with_params({param: value}), config))

@@ -5,10 +5,14 @@ full year, and must satisfy per-stock mass balance. Stocks form a chain so
 stock-to-stock flows cannot create dependency problems; expressions are
 built from a safe set of non-negative templates. A generated model may
 include one scheduled event (withdrawal, deposit, or reset).
+
+`unbounded` drops the parameter bounds of a model, so a test can run a
+value that validation would reject.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from sfdsim import (
@@ -89,3 +93,11 @@ def generate_model(seed: int) -> ModelSpec:
         parameters=tuple(params),
         events=tuple(events),
     )
+
+
+def unbounded(spec: ModelSpec) -> ModelSpec:
+    """`spec` with every parameter's bound dropped, so any finite value
+    validates. The expressions are the very same, so a variant of `spec`
+    and one of this model share one validation."""
+    return dataclasses.replace(spec, parameters=tuple(
+        dataclasses.replace(p, bound=None) for p in spec.parameters))

@@ -124,6 +124,17 @@ class TestSimulate:
         assert manifest["model"]["parameters"]["Dose"] == 30.0
         assert manifest["scenarios"] == ["CoagulantAddition"]
 
+    def test_stacking_later_wins(self, tmp_path, capsys):
+        first, second = tmp_path / "a.scn", tmp_path / "b.scn"
+        first.write_text("scenario A {\n  set Dose = 10\n  set KEvap = 0.005\n}\n")
+        second.write_text("scenario B {\n  set Dose = 20\n}\n")
+        assert main(["simulate", "--t-end", "5", "--scenario", str(first),
+                     "--scenario", str(second), "--out", str(tmp_path / "run.csv")]) == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert manifest["scenarios"] == ["A", "B"]
+        assert manifest["model"]["parameters"]["Dose"] == 20.0
+        assert manifest["model"]["parameters"]["KEvap"] == 0.005
+
     def test_model_file(self, tmp_path, capsys):
         model = tmp_path / "tank.sfd"
         model.write_text(MINI_MODEL)
@@ -449,6 +460,35 @@ class TestPlot:
         assert "Pond temperature" in svg
         assert svg.count("<polyline") == 1
         assert list(tmp_path.iterdir()) == [out]  # plot writes no manifest
+
+
+class TestParameterRanges:
+    """A value outside its parameter's declared range stops a command with
+    exit 2 and one error line naming the parameter, before it writes."""
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("PondArea", "-5000", "PondArea: must be > 0, got -5000"),
+        ("Dose", "-30", "Dose: must be >= 0, got -30"),
+        ("TruckCapacityKg", "-3000", "TruckCapacityKg: must be > 0, got -3000"),
+    ])
+    def test_scenario_set_exits_2(self, name, value, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.scn").write_text(f"scenario Bad {{\n  set {name} = {value}\n}}\n")
+        assert main(["simulate", "--scenario", "bad.scn", "--t-end", "30",
+                     "--out", "run.csv", "--events-out", "events.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.scn"]
+
+    def test_sweep_value_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--param", "Dose", "--values=-30,0", "--t-end", "30",
+                     "--out", "sweep.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: Dose: must be >= 0, got -30"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:

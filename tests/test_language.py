@@ -241,6 +241,22 @@ class TestParser:
         spec = parse_model("model M { param X = -5 stock S = 0 flow f : -> S = X }")
         assert spec.parameters[0].value == -5.0
 
+    def test_param_bounds(self):
+        spec = parse_model("model M { param A = 5 [m2] > 0 param B = 0 >= -1.5 param C = 2 "
+                           "stock S = 0 flow f : -> S = A + B + C }")
+        assert [p.bound for p in spec.parameters] == [(">", 0.0), (">=", -1.5), None]
+        assert spec.parameters[0].unit == "m2"
+
+    @pytest.mark.parametrize("text, message", [
+        ("model M { param P = 1 > }", "expected a number, got '}'"),
+        ("model M { param P = 1 >= Q }", "expected a number, got 'Q'"),
+        ("model M { param P = 1 > 0 [m] }", "expected 'param', 'stock'"),
+        ("model M { param P = 1 < 0 }", "expected 'param', 'stock'"),
+    ])
+    def test_malformed_bound_rejected(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_model(text)
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_model("model M {\n  stok S = 0\n}")
@@ -400,6 +416,23 @@ def test_format_keeps_every_number_bit_for_bit(value):
     spec = parse_model(text)
     assert number_bits(spec) == [struct.pack("<d", value)] * 9
     assert number_bits(parse_model(format_model(spec))) == number_bits(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@example(op=">=", limit=-0.0, unit="")
+@example(op=">", limit=5e-324, unit="m2")
+@example(op=">", limit=-1.7976931348623157e308, unit="")
+@given(op=st.sampled_from((">", ">=")), limit=st.floats(allow_nan=False, allow_infinity=False),
+       unit=st.sampled_from(("", "m2", "currency/m3/day")))
+def test_bounds_survive_format_and_parse(op, limit, unit):
+    spec = ModelSpec("M", stocks=(StockDef("S", 1.0),),
+                     parameters=(ParamDef("P", 1.0, unit, (op, limit)), ParamDef("Q", 2.0, unit)))
+    text = format_model(spec)
+    back = parse_model(text)
+    assert back == spec
+    assert [p.bound for p in back.parameters] == [(op, limit), None]
+    assert struct.pack("<d", back.parameters[0].bound[1]) == struct.pack("<d", limit)
+    assert format_model(back) == text
 
 
 class TestLinter:

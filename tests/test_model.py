@@ -23,6 +23,7 @@ from sfdsim import (
     EventAction,
     EventDef,
     FlowDef,
+    InvalidParameterError,
     ModelError,
     ModelSpec,
     NonFiniteError,
@@ -39,7 +40,7 @@ from sfdsim import (
 )
 from sfdsim.expr import BUILTINS, BinOp, Call, Num, Var, eval_expression, validate_expression
 
-from modelgen import generate_model
+from modelgen import generate_model, unbounded
 from reference_integrator import attachments
 
 
@@ -674,16 +675,21 @@ class TestHoistedValues:
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_faulting_baseline_value_is_named_at_the_first_time(self, baseline_spec, method):
-        variant = baseline_spec.with_params({"Dose": -baseline_spec.param("KHalf")})
+        # Dose = -KHalf is outside Dose's bound, so the baseline's bounds are
+        # dropped to reach the run; with them, validation rejects it first.
+        base = unbounded(baseline_spec)
+        variant = base.with_params({"Dose": -base.param("KHalf")})
         variant = variant.with_event_schedule("pickup", start=30.35)
         config = SimConfig(t_start=0.35, t_end=5.35, method=method)
-        for remembered in (None, baseline_spec):  # validated cold, then as a variant
+        for remembered in (None, base):  # validated cold, then as a variant
             sfdsim.model._last = None
             if remembered is not None:
                 validate_model(remembered)
             with pytest.raises(NonFiniteError) as err:
                 run_simulation(variant, config)
             assert (err.value.name, err.value.t) == ("eta", 0.35)
+        with pytest.raises(InvalidParameterError, match="Dose: must be >= 0, got -20"):
+            run_simulation(baseline_spec.with_params({"Dose": -20.0}), config)
 
     def test_baseline_evaluator_reads_hoisted_values_only(self, baseline_spec):
         vm = validate_model(baseline_spec.with_params({"Dose": 20.0}))
@@ -969,7 +975,9 @@ class TestLastStructure:
 
     @pytest.mark.parametrize("seed", VARIANT_SEEDS)
     def test_a_hit_equals_a_cold_validation(self, seed, walks):
+        # Without bounds, so that every value is one validation accepts.
         spec, overrides, _ = variant_case(seed)
+        spec = unbounded(spec)
         cold(spec)
         for value in (0.0, -0.0, 1e308, -1e308, 0.0):
             variant = spec.with_params(dict.fromkeys(overrides, value))
@@ -982,6 +990,22 @@ class TestLastStructure:
         variant = baseline_spec.with_params({"KEvap": math.nan})
         expected = raised(lambda: cold(variant))
         assert expected == (ModelError, "parameter 'KEvap' has non-finite value")
+        validate_model(baseline_spec)
+        walks.clear()
+        assert raised(lambda: validate_model(variant)) == expected
+        assert walks == []
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("Dose", -1e308, "Dose: must be >= 0, got -1e+308"),
+        ("Dose", -5e-324, "Dose: must be >= 0, got -4.94066e-324"),
+        ("KEvap", 0.0, "KEvap: must be > 0, got 0"),
+        ("KEvap", -0.0, "KEvap: must be > 0, got -0"),
+    ])
+    def test_an_out_of_range_parameter_on_a_hit_raises_as_cold(self, baseline_spec, walks,
+                                                               name, value, message):
+        variant = baseline_spec.with_params({name: value})
+        expected = raised(lambda: cold(variant))
+        assert expected == (InvalidParameterError, message)
         validate_model(baseline_spec)
         walks.clear()
         assert raised(lambda: validate_model(variant)) == expected

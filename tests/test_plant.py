@@ -2,35 +2,35 @@
 
 from __future__ import annotations
 
-import dataclasses
 import fnmatch
+import inspect
 import math
 from pathlib import Path
 
 import pytest
 
 from sfdsim import (
-    CoagulantResponse,
-    CostParams,
     InvalidParameterError,
     ModelError,
     NonFiniteError,
-    PlantParams,
     SimConfig,
-    TemperatureProfile,
-    TransportPolicy,
+    UnknownSymbolError,
+    apply_scenario,
     build_baseline,
     cost_breakdown,
     parse_model,
+    parse_scenario,
     peak_sludge,
     pickup_summary,
     run_simulation,
     saturation_time,
     summarize,
     temperature,
+    validate_model,
 )
 
 import vinasse_oracle as oracle
+from modelgen import unbounded
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ class TestDynamics:
         assert saturation_time(baseline_run) == 232.0
 
     def test_capacity_never_exceeded(self, baseline_run):
-        cap = PlantParams().total_capacity_m3
+        cap = baseline_run.parameters["TotalCapacity"]
         assert max(baseline_run.series("AccumulatedVinasse")) <= cap
 
     def test_sludge_sawtooth(self, baseline_run):
@@ -89,7 +89,7 @@ class TestDynamics:
         )
 
     def test_dose_at_half_saturation_boosts_sludge_by_forty_percent(self):
-        spec = build_baseline(coagulant=CoagulantResponse(dose_g_m3=20.0))
+        spec = build_baseline().with_params({"Dose": 20.0})
         traj = run_simulation(spec, SimConfig(t_end=10.0))
         assert traj.series("sludgeProductionRate")[1] == pytest.approx(140.0, rel=1e-12)
 
@@ -118,49 +118,53 @@ class TestTemperature:
     def test_peak_at_quarter_period(self):
         assert temperature(91.25) == pytest.approx(22.0, abs=1e-9)
 
+    def test_omitted_model_is_the_baseline(self, baseline_spec):
+        assert temperature(91.25) == temperature(91.25, baseline_spec)
+
     def test_noise_constant_within_a_day(self):
-        flat = TemperatureProfile(amplitude_c=0.0, noise_std_c=2.0)
+        flat = build_baseline().with_params({"TAmp": 0.0, "NoiseStdDev": 2.0})
         assert temperature(3.2, flat, seed=7) == temperature(3.9, flat, seed=7)
         assert temperature(3.9, flat, seed=7) != temperature(4.1, flat, seed=7)
 
     def test_matches_model_auxiliary_bitwise(self):
-        profile = TemperatureProfile(noise_std_c=1.5)
-        spec = build_baseline(temperature=profile)
+        spec = build_baseline().with_params({"NoiseStdDev": 1.5})
         traj = run_simulation(spec, SimConfig(t_end=30.0, seed=7))
         assert all(
-            value == temperature(t, profile, seed=7)
+            value == temperature(t, spec, seed=7)
             for t, value in zip(traj.row_times, traj.series("temperature"))
         )
 
-    @pytest.mark.parametrize("profile, config", [
-        (TemperatureProfile(amplitude_c=-4.0, noise_std_c=0.5), SimConfig(t_end=30.0, seed=3)),
-        (TemperatureProfile(mean_c=0.0, amplitude_c=0.0), SimConfig(t_end=30.0, seed=7)),
-        (TemperatureProfile(phase_days=40.5, noise_std_c=1.5), SimConfig(t_end=30.0, seed=11)),
-        (TemperatureProfile(mean_c=20.0, noise_std_c=2.0),
+    @pytest.mark.parametrize("overrides, config", [
+        ({"TAmp": -4.0, "NoiseStdDev": 0.5}, SimConfig(t_end=30.0, seed=3)),
+        ({"TMean": 0.0, "TAmp": 0.0}, SimConfig(t_end=30.0, seed=7)),
+        ({"TPhase": 40.5, "NoiseStdDev": 1.5}, SimConfig(t_end=30.0, seed=11)),
+        ({"TMean": 20.0, "NoiseStdDev": 2.0},
          SimConfig(t_end=30.0, dt=0.5, method="rk4", seed=5)),
     ], ids=["negative-amplitude", "zero-noise", "phase", "rk4-half-days"])
-    def test_profiles_match_model_auxiliary_bitwise(self, profile, config):
-        # Built through with_params: a negative amplitude fails the group's range check.
-        spec = build_baseline().with_params({
-            GROUP_PARAMETERS[("temperature", f.name)]: getattr(profile, f.name)
-            for f in dataclasses.fields(profile)
-        })
+    def test_profiles_match_model_auxiliary_bitwise(self, overrides, config):
+        # On the baseline without its bounds: a negative amplitude is outside TAmp's.
+        spec = unbounded(build_baseline()).with_params(overrides)
         traj = run_simulation(spec, config)
         assert len(traj.row_times) == 1 + round(config.t_end / config.dt)
         assert [float.hex(value) for value in traj.series("temperature")] == [
-            float.hex(temperature(t, profile, seed=config.seed)) for t in traj.row_times
+            float.hex(temperature(t, spec, seed=config.seed)) for t in traj.row_times
         ]
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("noise", [0.0, 1.5])
     def test_non_finite_time_is_named(self, t, noise):
         with pytest.raises(NonFiniteError) as err:
-            temperature(t, TemperatureProfile(noise_std_c=noise))
+            temperature(t, build_baseline().with_params({"NoiseStdDev": noise}))
         assert err.value.name == "temperature"
 
     def test_non_finite_profile_value_is_rejected(self):
         with pytest.raises(ModelError, match="TAmp"):
-            temperature(1.0, TemperatureProfile(amplitude_c=math.inf))
+            temperature(1.0, build_baseline().with_params({"TAmp": math.inf}))
+
+    def test_out_of_range_profile_value_is_rejected(self):
+        with pytest.raises(InvalidParameterError) as err:
+            temperature(1.0, build_baseline().with_params({"TAmp": -4.0}))
+        assert err.value.field == "TAmp"
 
 
 class TestCosts:
@@ -182,7 +186,7 @@ class TestCosts:
         assert traj.final("TotalCost") == 320000.0
 
     def test_capacity_expansion_amortizes_capex(self):
-        spec = build_baseline(plant=PlantParams(total_capacity_m3=27000.0))
+        spec = build_baseline().with_params({"TotalCapacity": 27000.0})
         traj = run_simulation(spec, SimConfig(t_end=365.0))
         assert saturation_time(traj) == 338.0
         assert traj.final("TotalCost") == pytest.approx(12129860.81, abs=0.01)
@@ -211,10 +215,9 @@ class TestCosts:
         assert type(traj.at("AccumulatedVinasse", 100.0)) is float
 
     def test_zero_cost_model_never_crosses(self):
-        spec = build_baseline(costs=CostParams(
-            trip_fixed=0.0, per_kg=0.0, coagulant_unit=0.0,
-            op_per_m3_day=0.0, capex_per_m3=0.0,
-        ))
+        spec = build_baseline().with_params(dict.fromkeys(
+            ("TripFixedCost", "PerKgCost", "CoagulantUnitCost", "OpCostPerM3Day", "CapexPerM3"),
+            0.0))
         traj = run_simulation(spec, SimConfig(t_end=365.0))
         report = cost_breakdown(traj)
         assert report.total == 0.0
@@ -236,18 +239,17 @@ class TestSummary:
 
 
 class TestConstruction:
-    def test_policy_start_day_override(self):
-        spec = build_baseline(transport=TransportPolicy(interval_days=30.0, start_day=10.0))
+    def test_policy_start_day_override(self, baseline_spec):
+        spec = baseline_spec.with_event_schedule("pickup", start=10.0)
         event = spec.events[0]
         assert event.start == 10.0 and event.interval == 30.0
-        spec = build_baseline(transport=TransportPolicy(interval_days=20.0, start_day=5.0))
+        spec = baseline_spec.with_event_schedule("pickup", start=5.0, interval=20.0)
         assert (spec.events[0].start, spec.events[0].interval) == (5.0, 20.0)
-        spec = build_baseline(transport=TransportPolicy(interval_days=20.0, start_day=None))
+        # A scenario's `every` without `start` starts at the first interval.
+        spec = apply_scenario(baseline_spec, parse_scenario("scenario S { event pickup every 20 }"))
         assert (spec.events[0].start, spec.events[0].interval) == (20.0, 20.0)
 
     def test_builder_rejects_unknown_overrides(self):
-        from sfdsim import UnknownSymbolError
-
         with pytest.raises(UnknownSymbolError):
             build_baseline().with_params({"NoSuchKnob": 1.0})
 
@@ -256,71 +258,58 @@ class TestConstruction:
         assert spec.param("NoiseStdDev") == 0.0
 
 
-# Each group field and the model parameter it sets.
-GROUP_PARAMETERS = {
-    ("plant", "total_capacity_m3"): "TotalCapacity",
-    ("plant", "base_capacity_m3"): "BaseCapacity",
-    ("plant", "ethanol_production_l_day"): "EthanolProduction",
-    ("plant", "vinasse_per_ethanol"): "VinassePerEthanol",
-    ("plant", "pond_area_m2"): "PondArea",
-    ("plant", "evap_coefficient"): "KEvap",
-    ("plant", "evap_temp_slope"): "Alpha",
-    ("plant", "reference_temp_c"): "TRef",
-    ("plant", "sludge_yield_kg_m3"): "Sigma",
-    ("plant", "sludge_density_kg_m3"): "SludgeDensity",
-    ("temperature", "mean_c"): "TMean",
-    ("temperature", "amplitude_c"): "TAmp",
-    ("temperature", "phase_days"): "TPhase",
-    ("temperature", "noise_std_c"): "NoiseStdDev",
-    ("coagulant", "dose_g_m3"): "Dose",
-    ("coagulant", "eta_max"): "EtaMax",
-    ("coagulant", "half_dose_g_m3"): "KHalf",
-    ("transport", "truck_capacity_kg"): "TruckCapacityKg",
-    ("transport", "trucks_per_pickup"): "TrucksPerPickup",
-    ("costs", "trip_fixed"): "TripFixedCost",
-    ("costs", "per_kg"): "PerKgCost",
-    ("costs", "coagulant_unit"): "CoagulantUnitCost",
-    ("costs", "op_per_m3_day"): "OpCostPerM3Day",
-    ("costs", "capex_per_m3"): "CapexPerM3",
-    ("costs", "amortization_days"): "AmortDays",
-    ("costs", "cost_threshold"): "CostThreshold",
-}
-GROUPS = {
-    "plant": PlantParams,
-    "temperature": TemperatureProfile,
-    "coagulant": CoagulantResponse,
-    "transport": TransportPolicy,
-    "costs": CostParams,
+# The range the shipped file declares for each parameter, in its order:
+# "> 0" for a quantity that must be positive, ">= 0" for one that may be
+# zero, None for any finite value.
+BOUNDS = {
+    "TotalCapacity": (">", 0.0),
+    "BaseCapacity": (">", 0.0),
+    "DtNominal": (">", 0.0),
+    "EthanolProduction": (">", 0.0),
+    "VinassePerEthanol": (">", 0.0),
+    "PondArea": (">", 0.0),
+    "KEvap": (">", 0.0),
+    "Alpha": None,
+    "TRef": None,
+    "TMean": None,
+    "TAmp": (">=", 0.0),
+    "TPhase": None,
+    "NoiseStdDev": (">=", 0.0),
+    "Sigma": (">=", 0.0),  # a zero yield only means no sludge
+    "SludgeDensity": (">", 0.0),
+    "Dose": (">=", 0.0),
+    "EtaMax": (">=", 0.0),
+    "KHalf": (">", 0.0),
+    "TruckCapacityKg": (">", 0.0),
+    "TrucksPerPickup": (">", 0.0),
+    "TripFixedCost": (">=", 0.0),
+    "PerKgCost": (">=", 0.0),
+    "CoagulantUnitCost": (">=", 0.0),
+    "OpCostPerM3Day": (">=", 0.0),
+    "CapexPerM3": (">=", 0.0),
+    "AmortDays": (">", 0.0),
+    "CostThreshold": (">=", 0.0),
 }
 
 
 class TestSingleDefinition:
-    """The shipped baseline.sfd is the plant model; the groups only set its
-    parameters and the pickup schedule."""
+    """The shipped baseline.sfd is the plant model: every default, the
+    pickup schedule and every parameter's range are written there once."""
 
     def test_defaults_equal_the_shipped_file(self, fixtures_dir):
+        assert inspect.signature(build_baseline).parameters == {}
         assert build_baseline() == parse_model((fixtures_dir / "baseline.sfd").read_text())
 
     def test_table_covers_every_parameter_field(self):
-        fields = {
-            (group, f.name)
-            for group, cls in GROUPS.items()
-            for f in dataclasses.fields(cls)
-        } - {("transport", "interval_days"), ("transport", "start_day")}
-        assert set(GROUP_PARAMETERS) == fields
-        assert len(GROUP_PARAMETERS) == 26
+        assert {p.name: p.bound for p in build_baseline().parameters} == BOUNDS
+        assert len(BOUNDS) == 27
 
-    @pytest.mark.parametrize(
-        "group,field_name", list(GROUP_PARAMETERS), ids=list(GROUP_PARAMETERS.values())
-    )
-    def test_each_field_sets_only_its_parameter(self, group, field_name):
+    @pytest.mark.parametrize("name", list(BOUNDS), ids=list(BOUNDS))
+    def test_each_field_sets_only_its_parameter(self, name):
         base = build_baseline()
-        value = 1000.0 + 7.25 * list(GROUP_PARAMETERS).index((group, field_name))
-        changed = build_baseline(
-            **{group: GROUPS[group](**{field_name: value})}, allow_unusual_ratio=True,
-        )
-        name = GROUP_PARAMETERS[(group, field_name)]
-        assert changed.param(name) == value
+        value = 1000.0 + 7.25 * list(BOUNDS).index(name)
+        changed = base.with_params({name: value})
+        assert validate_model(changed).params[name] == value  # inside every bound
         assert all(
             new == old
             for new, old in zip(changed.parameters, base.parameters)
@@ -336,41 +325,41 @@ class TestSingleDefinition:
 
 
 class TestParameterValidation:
+    """Validation checks each value against the range its parameter
+    declares, whichever way the value was set."""
+
     def test_rejects_nonpositive_field_by_name(self):
         with pytest.raises(InvalidParameterError) as err:
-            build_baseline(plant=PlantParams(pond_area_m2=0.0))
-        assert err.value.field == "pond_area_m2"
-        assert "positive" in str(err.value)
+            validate_model(build_baseline().with_params({"PondArea": 0.0}))
+        assert err.value.field == "PondArea"
+        assert str(err.value) == "PondArea: must be > 0, got 0"
 
     def test_rejects_negative_cost(self):
         with pytest.raises(InvalidParameterError) as err:
-            build_baseline(costs=CostParams(per_kg=-1.0))
-        assert err.value.field == "per_kg"
+            validate_model(build_baseline().with_params({"PerKgCost": -1.0}))
+        assert err.value.field == "PerKgCost"
 
     def test_rejects_negative_pickup_start(self):
-        with pytest.raises(InvalidParameterError) as err:
-            build_baseline(transport=TransportPolicy(start_day=-1.0))
-        assert err.value.field == "start_day"
-
-    def test_rejects_unusual_vinasse_ratio_by_default(self):
-        with pytest.raises(InvalidParameterError) as err:
-            build_baseline(plant=PlantParams(vinasse_per_ethanol=20.0))
-        assert err.value.field == "vinasse_per_ethanol"
-
-    def test_field_without_parameter_is_range_checked(self):
-        with pytest.raises(InvalidParameterError) as err:
-            build_baseline(transport=TransportPolicy(interval_days=0.0))
-        assert err.value.field == "interval_days"
-        assert "positive" in str(err.value)
+        with pytest.raises(ModelError, match="event 'pickup' has a negative schedule"):
+            validate_model(build_baseline().with_event_schedule("pickup", start=-1.0))
 
     def test_first_invalid_field_in_group_order(self):
+        # In the file's order: TAmp is declared before KHalf.
         with pytest.raises(InvalidParameterError) as err:
-            build_baseline(temperature=TemperatureProfile(amplitude_c=-1.0),
-                           coagulant=CoagulantResponse(half_dose_g_m3=0.0))
-        assert err.value.field == "amplitude_c"
+            validate_model(build_baseline().with_params({"KHalf": 0.0, "TAmp": -1.0}))
+        assert err.value.field == "TAmp"
 
-    def test_unusual_ratio_allowed_when_flagged(self):
-        spec = build_baseline(
-            plant=PlantParams(vinasse_per_ethanol=20.0), allow_unusual_ratio=True,
-        )
-        assert spec.param("VinassePerEthanol") == 20.0
+    @pytest.mark.parametrize("name", [name for name, bound in BOUNDS.items() if bound])
+    def test_each_bound_holds_at_its_edge(self, name):
+        op, limit = BOUNDS[name]
+        base = build_baseline()
+        edges = [(math.nextafter(limit, -math.inf), False), (limit, op == ">="),
+                 (-limit, op == ">="), (math.nextafter(limit, math.inf), True)]
+        for value, allowed in edges:
+            variant = base.with_params({name: value})
+            if allowed:
+                assert validate_model(variant).params[name] == value
+            else:
+                with pytest.raises(InvalidParameterError) as err:
+                    validate_model(variant)
+                assert err.value.field == name

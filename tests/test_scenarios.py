@@ -13,6 +13,7 @@ import sfdsim.model
 import sfdsim.scenarios
 from sfdsim import (
     CalibrationProblem,
+    InvalidParameterError,
     NoFeasiblePolicyError,
     ParseError,
     PolicyGrid,
@@ -527,6 +528,52 @@ class TestSweep:
         assert result.rows[0].saturation_day is None
         line = result.to_csv().strip().split("\n")[1]
         assert line.split(",")[3] == ""
+
+
+class TestOutOfRangeValues:
+    """Each study checks every value it will set against its parameter's
+    range before its first run, wherever the value is among the others."""
+
+    @pytest.mark.parametrize("study, field", [
+        ("grid-capacity", "TruckCapacityKg"),
+        ("grid-count", "TrucksPerPickup"),
+        ("sweep-dose", "Dose"),
+        ("sweep-area", "PondArea"),
+        ("fit-low-bound", "KEvap"),
+        ("fit-second-parameter", "Sigma"),
+    ])
+    def test_rejected_before_the_first_run(self, study, field, baseline_spec, monkeypatch):
+        config = SimConfig(t_end=30.0)
+        grid = dict(intervals=(15.0, 30.0), truck_capacities=(3000.0,), truck_counts=(1.0,))
+        observed = dict(column="AccumulatedVinasse", observed_times=(10.0,),
+                        observed_values=(1.0,))
+        run = {
+            "grid-capacity": lambda: optimize_transport_policy(baseline_spec, PolicyGrid(
+                **{**grid, "truck_capacities": (3000.0, -3000.0)}), config),
+            "grid-count": lambda: optimize_transport_policy(baseline_spec, PolicyGrid(
+                **{**grid, "truck_counts": (1.0, 0.0)}), config),
+            "sweep-dose": lambda: run_sweep(baseline_spec, "Dose", (0.0, 10.0, -30.0), config),
+            "sweep-area": lambda: run_sweep(baseline_spec, "PondArea", (5000.0, -5000.0),
+                                            config),
+            "fit-low-bound": lambda: calibrate(baseline_spec, CalibrationProblem(
+                ("KEvap",), ((0.0, 0.01),), **observed), config),
+            "fit-second-parameter": lambda: calibrate(baseline_spec, CalibrationProblem(
+                ("KEvap", "Sigma"), ((0.001, 0.01), (-1.0, 1.0)), **observed), config),
+        }[study]
+        runs = []
+        original = sfdsim.scenarios.run_simulation
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation",
+                            lambda *args: runs.append(args) or original(*args))
+        with pytest.raises(InvalidParameterError) as err:
+            run()
+        assert err.value.field == field
+        assert runs == []
+
+    def test_unknown_sweep_parameter_rejected_before_the_first_run(self, baseline_spec,
+                                                                   monkeypatch):
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation", None)  # a run would raise
+        with pytest.raises(UnknownSymbolError, match="no parameter named 'Nope'"):
+            run_sweep(baseline_spec, "Nope", (1.0,), SimConfig(t_end=30.0))
 
 
 def hexed(value):
