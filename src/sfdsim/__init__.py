@@ -55,13 +55,11 @@ from .scenarios import (
     ScenarioResult,
     SweepResult,
     apply_scenario,
-    apply_scenarios,
     calibrate,
     compare_to_baseline,
     format_scenario,
     optimize_transport_policy,
     parse_scenario,
-    run_scenario,
     run_sweep,
 )
 from .charts import render_chart
@@ -103,7 +101,6 @@ __all__ = [
     "UnknownSymbolError",
     "ValidatedModel",
     "apply_scenario",
-    "apply_scenarios",
     "build_baseline",
     "calibrate",
     "compare_to_baseline",
@@ -118,7 +115,6 @@ __all__ = [
     "peak_sludge",
     "pickup_summary",
     "render_chart",
-    "run_scenario",
     "run_simulation",
     "run_sweep",
     "saturation_time",

@@ -8,6 +8,7 @@ is deterministic: the same trajectory always yields byte-identical markup.
 from __future__ import annotations
 
 import math
+import sys
 
 from .engine import Trajectory
 
@@ -90,9 +91,14 @@ def render_chart(traj: Trajectory, columns: list[str] | tuple[str, ...],
             f'x2="{_MARGIN_LEFT + plot_w}" y2="{mid_y}"/>'
         )
 
-        bottom, scale = plot_y + _PANEL_PLOT_H, hi - lo
-        points = " ".join([f"{x},{bottom - (v - lo) / scale * _PANEL_PLOT_H:.2f}"
-                           for x, v in zip(xs, series)])
+        bottom, values, shift, scale = plot_y + _PANEL_PLOT_H, series, lo, hi - lo
+        if not math.isfinite(scale):
+            # Wider than the largest float: keep the bounds finite and scale
+            # from halves, whose differences cannot overflow.
+            lo, hi = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
+            values, shift, scale = [v / 2 for v in series], lo / 2, hi / 2 - lo / 2
+        points = " ".join([f"{x},{bottom - (v - shift) / scale * _PANEL_PLOT_H:.2f}"
+                           for x, v in zip(xs, values)])
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

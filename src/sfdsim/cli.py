@@ -44,7 +44,7 @@ from .scenarios import (
     CalibrationProblem,
     PolicyGrid,
     Scenario,
-    apply_scenarios,
+    apply_scenario,
     calibrate,
     optimize_transport_policy,
     parse_scenario,
@@ -64,14 +64,16 @@ def _error(message: str) -> None:
 
 
 def _load(args) -> tuple[ModelSpec, str, list[Scenario]]:
-    """The model with the --scenario files applied, its source, and the
-    scenarios."""
+    """The model with the --scenario files applied in order, so a later
+    file's value wins, its source, and the scenarios."""
     if args.model:
         spec, source = parse_model(Path(args.model).read_text()), args.model
     else:
         spec, source = build_baseline(), "builtin"
     scenarios = [parse_scenario(Path(path).read_text()) for path in args.scenario or []]
-    return apply_scenarios(spec, scenarios), source, scenarios
+    for scenario in scenarios:
+        spec = apply_scenario(spec, scenario)
+    return spec, source, scenarios
 
 
 def _float_list(text: str) -> tuple[float, ...]:

@@ -72,15 +72,6 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario) -> ModelSpec:
     return out
 
 
-def apply_scenarios(spec: ModelSpec,
-                    scenarios: list[Scenario] | tuple[Scenario, ...]) -> ModelSpec:
-    """Apply scenarios left to right; later overrides win on conflict."""
-    out = spec
-    for sc in scenarios:
-        out = apply_scenario(out, sc)
-    return out
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
     """One scenario's trajectory and metrics, with deltas against the
@@ -90,11 +81,6 @@ class ScenarioResult:
     trajectory: Trajectory
     metrics: dict[str, float | None]
     deltas: dict[str, float] = field(default_factory=dict)
-
-
-def run_scenario(spec: ModelSpec, scenario: Scenario, config: SimConfig) -> ScenarioResult:
-    traj = run_simulation(apply_scenario(spec, scenario), config)
-    return ScenarioResult(name=scenario.name, trajectory=traj, metrics=summarize(traj))
 
 
 def compare_to_baseline(
@@ -111,13 +97,14 @@ def compare_to_baseline(
     base = ScenarioResult("baseline", base_traj, summarize(base_traj))
     results = [base]
     for sc in scenarios:
-        res = run_scenario(spec, sc, config)
+        traj = run_simulation(apply_scenario(spec, sc), config)
+        metrics = summarize(traj)
         deltas = {
-            key: res.metrics[key] - base.metrics[key]
-            for key in res.metrics
-            if isinstance(res.metrics[key], float) and isinstance(base.metrics[key], float)
+            key: value - base.metrics[key]
+            for key, value in metrics.items()
+            if isinstance(value, float) and isinstance(base.metrics[key], float)
         }
-        results.append(ScenarioResult(res.name, res.trajectory, res.metrics, deltas))
+        results.append(ScenarioResult(sc.name, traj, metrics, deltas))
     return results
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
@@ -42,6 +43,24 @@ class TestRenderChart:
             assert "<polyline" in svg
             (points,) = re.findall(r'points="([^"]*)"', svg)
             assert {point.split(",")[1] for point in points.split()} == {f"{mid:.2f}"}
+
+    @pytest.mark.parametrize("text, ys", [
+        ("model Wide { stock S = -1e308 allow_negative flow f : -> S = 1e308 }",
+         ["158.00", "98.00", "38.00"]),
+        ("model Top { stock S = 1.7976931348623157e308 flow f : S -> = 0 }", None),
+        ("model Bottom { stock S = -1.7976931348623157e308 allow_negative flow f : S -> = 0 }",
+         None),
+    ], ids=["wider-than-the-largest-float", "flat-at-the-largest", "flat-at-the-lowest"])
+    def test_huge_ranges_give_finite_coordinates_and_labels(self, text, ys):
+        traj = run_simulation(parse_model(text), SimConfig(t_end=2.0))
+        svg = render_chart(traj, ["S"])
+        (points,) = re.findall(r'points="([^"]*)"', svg)
+        pairs = [point.split(",") for point in points.split()]
+        labels = re.findall(rf'<text x="{charts._MARGIN_LEFT - 6}" [^>]*>([^<]*)<', svg)
+        assert len(labels) == 2
+        assert all(math.isfinite(float(v)) for v in [*labels, *(c for pair in pairs for c in pair)])
+        if ys is not None:
+            assert [y for _, y in pairs] == ys
 
     def test_points_are_the_scaled_time_and_value(self, short_run):
         columns = ["AccumulatedVinasse", "TotalCost", "temperature"]

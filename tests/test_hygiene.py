@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -286,3 +287,29 @@ def test_benchmark_tracer_runs_over_the_package(name, tmp_path):
     layers = tracer.layer_metrics(2, sum(walls), 1)
     assert all(value is None or math.isfinite(value) for value, _unit in layers.values())
     json.dumps(layers, allow_nan=False)
+
+
+def reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("name", ["plant_year", "policy_batch", "model_corpus"])
+def test_traced_benchmark_run_ends_with_a_strict_result(name, tmp_path):
+    # As the benchmark is run: `bench/run.py` in a fresh process, from a
+    # copy of the checkout, and judged by its last printed line. In process,
+    # pytest has already imported every module, and no line is printed.
+    root = Path(__file__).resolve().parents[1]
+    ignore = shutil.ignore_patterns("__pycache__", ".bench_out")
+    for part in ("bench", "src"):
+        shutil.copytree(root / part, tmp_path / part, ignore=ignore)
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", name, "--trace", "1", "--seconds", "0.5"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=170,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1], parse_constant=reject_constant)
+    assert result["correct"] is True, done.stdout[-2000:]
+    report = json.loads((tmp_path / ".bench_out" / f"report-{name}-seed0-trace1.json").read_text())
+    assert report["absent"] == TRACER_ABSENT

@@ -21,7 +21,6 @@ from sfdsim import (
     SimConfig,
     UnknownSymbolError,
     apply_scenario,
-    apply_scenarios,
     build_baseline,
     calibrate,
     compare_to_baseline,
@@ -52,13 +51,6 @@ class TestApply:
         # The source model is untouched.
         assert baseline_spec.param("Dose") == 0.0
 
-    def test_stacking_later_wins(self, baseline_spec):
-        first = Scenario("a", params={"Dose": 10.0, "KEvap": 0.005})
-        second = Scenario("b", params={"Dose": 20.0})
-        out = apply_scenarios(baseline_spec, [first, second])
-        assert out.param("Dose") == 20.0
-        assert out.param("KEvap") == 0.005
-
     def test_unknown_name_rejected(self, baseline_spec):
         with pytest.raises(UnknownSymbolError):
             apply_scenario(baseline_spec, Scenario("bad", params={"Nope": 1.0}))
@@ -88,6 +80,41 @@ class TestCompare:
         assert scen.deltas["total_cost"] < 0
         # None-valued metrics never produce deltas.
         assert all(isinstance(v, float) for v in scen.deltas.values())
+
+
+class TestShippedScenarioClaims:
+    """The effects that the shipped scenario files state in their comments,
+    over a year against the baseline."""
+
+    @pytest.fixture(scope="class")
+    def results(self, baseline_spec, year_config, fixtures_dir):
+        names = ("transport_policy", "coagulant_addition", "capacity_expansion")
+        scenarios = [parse_scenario((fixtures_dir / f"{name}.scn").read_text())
+                     for name in names]
+        base, *rest = compare_to_baseline(baseline_spec, scenarios, year_config)
+        return base, dict(zip(names, rest))
+
+    def test_frequent_transport_about_halves_peak_sludge(self, results):
+        base, scenarios = results
+        result = scenarios["transport_policy"]
+        assert (base.metrics["peak_sludge_kg"], result.metrics["peak_sludge_kg"]) == (
+            2900.0, 1400.0)
+        assert result.deltas["transport_cost"] > 0
+
+    def test_coagulant_raises_sludge_production_by_48_percent(self, results):
+        base, scenarios = results
+        result = scenarios["coagulant_addition"]
+        ratio = (result.trajectory.series("sludgeProductionRate")[1]
+                 / base.trajectory.series("sludgeProductionRate")[1])
+        assert ratio == pytest.approx(1.48, rel=1e-12)
+        assert result.deltas["coagulant_cost"] > 0
+
+    def test_capacity_expansion_saturates_months_later(self, results):
+        base, scenarios = results
+        result = scenarios["capacity_expansion"]
+        assert (base.metrics["saturation_day"], result.metrics["saturation_day"]) == (
+            232.0, 338.0)
+        assert result.metrics["capex_cost"] > 0
 
 
 class TestScenarioText:
