@@ -18,9 +18,10 @@ Flows read `source -> target`; either side may be blank for a boundary
 flow. Units in square brackets are optional everywhere. A parameter may
 declare its range after its unit, `> NUMBER` or `>= NUMBER`
 (`param PondArea = 5000 [m2] > 0`); validation checks every value it
-takes against it. A stock may be marked `allow_negative` after its unit. `#` starts a comment. Keywords are
-contextual, so they remain usable as variable names. Operators bind as
-`expr.PRECEDENCE` says: comparisons loosest and unchained, `^` tightest.
+takes against it. A stock may be marked `allow_negative` after its unit.
+`#` starts a comment. Keywords are contextual, so they remain usable as
+variable names. Operators bind as `expr.PRECEDENCE` says: comparisons
+loosest and unchained, `^` tightest.
 
 Identifiers start with a letter (`str.isalpha`) or `_` and go on with
 letters, digits, other numeric characters (`str.isalnum`) or `_`, so `é1`

@@ -6,8 +6,8 @@ undefined references, dependency cycles, unit mismatches and parameters
 outside their declared bounds, and returns a `ValidatedModel` carrying the
 dependency-sorted evaluation order and the generated code the engine runs,
 bound to the parameters: the evaluator, the event actions and whether
-noise is drawn. The generated code names
-its own faults, so nothing walks an expression tree after validation.
+noise is drawn. The generated code names its own faults, so nothing walks
+an expression tree after validation.
 `validate_model` remembers the last structure it validated. A variant of
 that spec in parameter values, initial values or schedules, as
 `ModelSpec.with_params`, `ModelSpec.with_initial`,
@@ -93,7 +93,9 @@ class ParamDef:
             if op not in (">", ">="):
                 raise ModelError(f"parameter '{self.name}' has unknown bound '{op}'")
             if not (value > limit if op == ">" else value >= limit):
-                raise InvalidParameterError(self.name, f"must be {op} {limit:g}, got {value:g}")
+                raise InvalidParameterError(
+                    self.name, f"must be {op} {ex.format_number(limit)}, "
+                    f"got {ex.format_number(value)}")
 
 
 @dataclass(frozen=True, slots=True)

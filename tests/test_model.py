@@ -80,6 +80,19 @@ class TestValidation:
         with pytest.raises(DuplicateNameError):
             validate_model(spec)
 
+    @pytest.mark.parametrize("bound, error, message", [
+        ((">", 0.1), InvalidParameterError, "Rate: must be > 0.1, got 0.1"),
+        ((">=", 0.2), InvalidParameterError, "Rate: must be >= 0.2, got 0.1"),
+        (("<", 1.0), ModelError, "parameter 'Rate' has unknown bound '<'"),
+    ])
+    def test_parameter_outside_or_with_an_unknown_bound_rejected(self, bound, error, message):
+        spec = tiny_model(parameters=(ParamDef("Rate", 0.1, bound=bound),))
+        with pytest.raises(error) as err:
+            validate_model(spec)
+        assert type(err.value) is error and str(err.value) == message
+        inside = tiny_model(parameters=(ParamDef("Rate", 0.3, bound=(">=", 0.2)),))
+        assert validate_model(inside).params == {"Rate": 0.3}
+
     def test_unknown_symbol_rejected(self):
         spec = tiny_model(
             flows=(FlowDef("drain", parse_expression("Missing * Tank"), "Tank", None),)
@@ -997,7 +1010,7 @@ class TestLastStructure:
 
     @pytest.mark.parametrize("name, value, message", [
         ("Dose", -1e308, "Dose: must be >= 0, got -1e+308"),
-        ("Dose", -5e-324, "Dose: must be >= 0, got -4.94066e-324"),
+        ("Dose", -5e-324, "Dose: must be >= 0, got -5e-324"),
         ("KEvap", 0.0, "KEvap: must be > 0, got 0"),
         ("KEvap", -0.0, "KEvap: must be > 0, got -0"),
     ])
