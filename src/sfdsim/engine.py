@@ -302,10 +302,17 @@ def segment_source(method: str, floored: tuple[bool, ...],
     Stock i is the local `x{i}`, flow j's rate `r{j}` and its integral
     `i{j}`, and a clamped stock's scale factor `k{i}`. Every sum of rates
     is spelled out as `(0.0 + r1 + r2)`, the float additions of CPython
-    3.11's `sum()`, and an empty one as the int 0. The conserving clamp is
-    inlined as straight-line code (see `_clamp_order`). One test per step
-    checks every stock; NonFiniteError names the first in `names` that is
-    not finite. The globals are `NonFiniteError` and `ClampError`.
+    3.11's `sum()`. A stock's change is its inflows' sum minus its
+    outflows', `0.0 - (…)` with no inflows and the inflows' sum alone with
+    no outflows, the bits of subtracting `sum()`'s int 0 either way. No
+    int literal enters float arithmetic: an int operand is converted to
+    the same float on every use, so `2.0 * b` has the bits of `2 * b`. The
+    conserving clamp is inlined as straight-line code (see `_clamp_order`).
+    One test per step checks every stock with one sum, `(s := x0 + x1) - s
+    != 0.0`; only if it fails are the stocks scanned in order, and
+    NonFiniteError names the first in `names` that is not finite. A sum of
+    finite stocks that overflows fails the test, and the scan finds none.
+    The globals are `NonFiniteError` and `ClampError`.
     """
     ns, nf = len(floored), len(endpoints)
     ins = [[j for j, (_, dst) in enumerate(endpoints) if dst == i] for i in range(ns)]
@@ -316,11 +323,12 @@ def segment_source(method: str, floored: tuple[bool, ...],
         return "(" + "".join(f"{v}, " for v in names) + ")"
 
     def total(flows, rate: str) -> str:
-        return "(" + " + ".join(["0.0"] + [f"{rate}{j}" for j in flows]) + ")" if flows else "0"
+        return "(" + " + ".join(["0.0"] + [f"{rate}{j}" for j in flows]) + ")" if flows else "0.0"
 
     def advance(target: str, rate: str, h: str) -> list[str]:
-        return [f"{target}{i} = x{i} + {h} * ({total(ins[i], rate)} - {total(outs[i], rate)})"
-                for i in range(ns)]
+        net = [f"({total(ins[i], rate)} - {total(outs[i], rate)})" if outs[i]
+               else total(ins[i], rate) for i in range(ns)]
+        return [f"{target}{i} = x{i} + {h} * {net[i]}" for i in range(ns)]
 
     def stage(tv: str, g: str, stocks: str) -> str:
         """Evaluate at time `tv`, draw `g` and stock locals `{stocks}{i}` into `o`."""
@@ -367,7 +375,7 @@ def segment_source(method: str, floored: tuple[bool, ...],
         body += advance("s", "b", "h2") + [stage("tm", "gm[n]", "s")]
         body += [f"c{j} = o[{j}]" for j in range(nf)]
         body += advance("s", "c", "dt") + ["te = t + dt", stage("te", "ge[n]", "s")]
-        body += [f"r{j} = (a{j} + 2 * b{j} + 2 * c{j} + o[{j}]) / 6" for j in range(nf)]
+        body += [f"r{j} = (a{j} + 2.0 * b{j} + 2.0 * c{j} + o[{j}]) / 6.0" for j in range(nf)]
     body += advance("y", "r", "dt")
     if clamped:
         # The clamp changes a rate only where a clamped stock's update
@@ -395,9 +403,10 @@ def segment_source(method: str, floored: tuple[bool, ...],
     body += [f"x{i} = 0.0 if y{i} < 0.0 else y{i}" if floored[i] else f"x{i} = y{i}"
              for i in range(ns)]
     if ns:
-        body += [f"if {' + '.join(f'({x} - {x})' for x in xs)} != 0.0:",
-                 f"    raise NonFiniteError(next(name for name, v in zip(names, {tup(xs)}) "
-                 "if v - v != 0.0), t0 + (n + 1) * dt)"]
+        body += [f"if (s := {' + '.join(xs)}) - s != 0.0:",
+                 f"    for name, v in zip(names, {tup(xs)}):",
+                 "        if v - v != 0.0:",
+                 "            raise NonFiniteError(name, t0 + (n + 1) * dt)"]
     body += [f"i{j} = i{j} + dt * r{j}" for j in range(nf)]
 
     draws = ["g0"] if method == "euler" else ["g0", "gm", "ge"]
@@ -405,7 +414,7 @@ def segment_source(method: str, floored: tuple[bool, ...],
               *xs, *integrals]
     lines = [f"def segment({', '.join(params)}):"]
     if method == "rk4":
-        lines.append("    h2 = dt / 2")
+        lines.append("    h2 = dt / 2.0")
     lines.append("    for n in range(n0, n1):")
     lines += ["        " + line for line in body]
     lines.append(f"    return {tup([*xs, *integrals])}")

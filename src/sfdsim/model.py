@@ -259,10 +259,14 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     or subtree of the same text reads the local that holds it.
     Each is assigned in its own `try`, so one that faults, or reads one
     that did, stays unbound. `evaluate` computes the rest of `order`, then
-    tests once that all of `order` is finite. A fault, the NameError of an
-    unbound read, or a failed test names the first variable in `order`
-    that is unbound or not finite: `first_bad` scans the module-level
-    `ORDER`, (name, local) pairs, in `evaluate`'s own `locals()`. An action
+    tests that all of `order` is finite with one sum, `(s := _a + _b) - s
+    == 0.0`: a sum of finite floats is finite or overflows, and an
+    infinite or NaN term makes it non-finite. Only if that test fails does
+    `first_bad` scan the module-level `ORDER`, (name, local) pairs, in
+    `evaluate`'s own `locals()`; it finds nothing if the sum overflowed.
+    A fault, the NameError of an unbound read, or a value that is not
+    finite names the first variable in `order` that is unbound or not
+    finite, by the same scan. An action
     hoists its subtrees on parameters alone the same way, by the same texts,
     but reads each flow and auxiliary as `o[j]`, computed whole or not, and
     a whole value on parameters alone reads the local of its text if any."""
@@ -301,9 +305,9 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
             hoisted.setdefault(text, var)
         else:
             body.append(f"            {var} = {text}")
-    finite = " + ".join(f"({local[name]} - {local[name]})" for name in order) or "0.0"
+    total = " + ".join(local[name] for name in order) or "0.0"
     lines += [f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:", *body,
-              f"            if {finite} == 0.0:",
+              f"            if (s := {total}) - s == 0.0 or first_bad(ORDER, locals()) is None:",
               f"                return {tup(local[name] for name in computed)}",
               "        except FAULTS_OR_UNBOUND:",
               "            pass",
@@ -347,11 +351,12 @@ def _compile_evaluator(source: str) -> Callable[..., tuple]:
     return namespace.pop("bind")  # type: ignore[return-value]
 
 
-def _first_bad(order: tuple[tuple[str, str], ...], values: dict[str, object]) -> str:
+def _first_bad(order: tuple[tuple[str, str], ...], values: dict[str, object]) -> str | None:
     """The first name in `order`, pairs of a variable's name and its local,
-    whose local is unbound in `values` or not finite."""
-    return next(name for name, var in order
-                if var not in values or values[var] - values[var] != 0.0)
+    whose local is unbound in `values` or not finite; None if every one is
+    bound and finite, as when only their sum overflowed."""
+    return next((name for name, var in order
+                 if var not in values or values[var] - values[var] != 0.0), None)
 
 
 def _checked_params(spec: ModelSpec) -> dict[str, float]:

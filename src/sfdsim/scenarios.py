@@ -40,11 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .engine import SimConfig, Trajectory, run_simulation
+from .engine import SimConfig, Trajectory, _event_schedule, run_simulation
 from .errors import NoFeasiblePolicyError, UnknownSymbolError
 from .expr import format_number
 from .language import _check_names, _Parser
-from .model import ModelSpec
+from .model import ModelSpec, _check_schedule, validate_model
 from .plant import summarize
 
 
@@ -92,12 +92,17 @@ def compare_to_baseline(
 
     Returns the baseline result first, then one result per scenario in
     input order, each carrying metric deltas relative to the baseline.
+    Every scenario is applied and its model validated before the first
+    run, so a bad one fails with no run.
     """
+    variants = [apply_scenario(spec, sc) for sc in scenarios]
+    for variant in variants:
+        validate_model(variant)
     base_traj = run_simulation(spec, config)
     base = ScenarioResult("baseline", base_traj, summarize(base_traj))
     results = [base]
-    for sc in scenarios:
-        traj = run_simulation(apply_scenario(spec, sc), config)
+    for sc, variant in zip(scenarios, variants):
+        traj = run_simulation(variant, config)
         metrics = summarize(traj)
         deltas = {
             key: value - base.metrics[key]
@@ -171,9 +176,10 @@ def optimize_transport_policy(
     Rows are ordered feasible first, then by (total cost, interval, truck
     capacity, truck count); ties cannot reorder nondeterministically since
     the key includes every axis. Before any run: ValueError for an empty
-    axis or a non-finite limit, and the errors of `ParamDef.check` for a
-    truck capacity or count outside its parameter's range.
-    NoFeasiblePolicyError if no point is feasible.
+    axis or a non-finite limit, the errors of `ParamDef.check` for a
+    truck capacity or count outside its parameter's range, and the
+    ModelError or EventGridError that a run would raise for an interval's
+    schedule. NoFeasiblePolicyError if no point is feasible.
     """
     for axis in ("intervals", "truck_capacities", "truck_counts"):
         if not getattr(grid, axis):
@@ -183,13 +189,18 @@ def optimize_transport_policy(
     threshold = spec.param("CostThreshold")
     _check_values(spec, "TruckCapacityKg", grid.truck_capacities)
     _check_values(spec, "TrucksPerPickup", grid.truck_counts)
+    scheduled = [spec.with_event_schedule("pickup", start=interval, interval=interval)
+                 for interval in grid.intervals]
+    for variant in scheduled:
+        for event in variant.events:
+            _check_schedule(event)
+        _event_schedule(variant, config, config.step_count())
     rows: list[PolicyRow] = []
-    for interval in grid.intervals:
+    for interval, variant in zip(grid.intervals, scheduled):
         for truck in grid.truck_capacities:
             for count in grid.truck_counts:
-                candidate = spec.with_params(
-                    {"TruckCapacityKg": truck, "TrucksPerPickup": count}
-                ).with_event_schedule("pickup", start=interval, interval=interval)
+                candidate = variant.with_params(
+                    {"TruckCapacityKg": truck, "TrucksPerPickup": count})
                 traj = run_simulation(candidate, config)
                 peak = traj.peak("AccumulatedSludge")
                 cost = traj.final("TotalCost")

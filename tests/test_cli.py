@@ -222,6 +222,21 @@ class TestOptimize:
         assert "sludge limit must be finite" in captured.err and captured.out == ""
         assert not out.exists() and not (tmp_path / "policies.manifest.json").exists()
 
+    @pytest.mark.parametrize("intervals, message", [
+        ("30,-5", "event 'pickup' has a negative schedule"),
+        ("30,nan", "event 'pickup' has a non-finite schedule"),
+    ])
+    def test_bad_interval_exits_2_before_any_run(self, intervals, message, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation", None)  # a run would raise
+        assert main(["optimize", "--intervals", intervals, "--trucks", "6000",
+                     "--counts", "1", "--t-end", "30", "--out", "policies.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_infeasible_grid_exits_4(self, capsys):
         rc = main([
             "optimize", "--intervals", "30", "--trucks", "3000",

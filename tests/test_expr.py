@@ -450,12 +450,13 @@ def test_compile_source_names_env():
     assert "def bind(_x, _y):" in src
     assert "def evaluate(t, g, _z):" in src
     assert "_e = (_x + t)" in src
-    # One finiteness test; its failure, or a fault, names the first bad
-    # variable in evaluation order.
-    assert "            if (_e - _e) == 0.0:\n                return (_e, )\n" in src
+    # One finiteness test, a sum; where it fails, or on a fault, the scan
+    # names the first bad variable in evaluation order.
+    assert ("            if (s := _e) - s == 0.0 or first_bad(ORDER, locals()) is None:\n"
+            "                return (_e, )\n") in src
     assert ("        except FAULTS_OR_UNBOUND:\n            pass\n"
             "        raise NonFiniteError(first_bad(ORDER, locals()), t)\n") in src
-    assert src.count(" - _e)") == 1 and src.count("raise") == 1
+    assert src.count(" - s == 0.0") == 1 and src.count("raise") == 1
     lines = src.splitlines()
     assert lines[-1] == "ORDER = (('e', '_e'), )"
     assert lines[3] == "            _e = (_x + t)"

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import functools
 import importlib.util
+import io
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ import sfdsim
 from sfdsim import build_baseline, engine, parse_model, validate_model
 
 from modelgen import generate_model
+from test_step_loop import HAND_MODELS, random_topology
 
 PACKAGE = Path(sfdsim.__file__).parent
 
@@ -247,6 +250,44 @@ def test_generated_code_calls_no_min_or_max():
     assert all(not MIN_MAX_CALL.search(source) for source in sources)
     assert sum(bool(re.search(r"k\d+ = 1\.0\n", source)) for source in sources) >= 10
     assert any("for _ in range(" in source for source in sources)  # a cyclic clamp
+
+
+ARITHMETIC = {"+", "-", "*", "/"}
+
+
+def int_operands(source: str) -> list[str]:
+    """Each int literal in `source` that is an operand of `+ - * /`, with
+    the tokens around it; the step index's `n + 1` is int arithmetic."""
+    tokens = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                                  tokenize.DEDENT)]
+    return [" ".join(tokens[k - 2:k + 3]) for k in range(1, len(tokens) - 1)
+            if tokens[k].isdigit() and ARITHMETIC & {tokens[k - 1], tokens[k + 1]}
+            and tokens[k - 2:k] != ["n", "+"]]
+
+
+def test_emitted_kernels_test_finiteness_with_one_sum():
+    # Models: the hand models, 60 random topologies and the first 300
+    # seed-21 `model_corpus` models; loops: each one's topology under both
+    # methods. A stock test, or an evaluator's, is one sum, and no int
+    # literal enters float arithmetic.
+    workloads = bench_module("workloads")
+    corpus = [workloads.corpus_model(workloads._rng(21, i), i)[0] for i in range(300)]
+    models = [*HAND_MODELS.values(), *map(random_topology, range(60)),
+              *map(parse_model, corpus)]
+    topologies = {engine._topology(spec, method) for spec in models for method in engine.METHODS}
+    assert int_operands("y = x + 2 * b\nt = t0 + (n + 1) * dt\nz = (0 - q)") == [
+        "x + 2 * b", "= ( 0 - q"]
+    for topology in topologies:
+        source = engine.segment_source(*topology)
+        assert source.count(") - s != 0.0:") == 1, topology
+        assert "- 0)" not in source and "(0 - " not in source, topology
+        assert int_operands(source) == [], topology
+    for spec in models:
+        source = validate_model(spec).source
+        assert not re.search(r"\((_\w+) - \1\)", source), spec.name
+        assert source.count(") - s == 0.0 or first_bad(ORDER, locals()) is None:") == 1
+        assert int_operands(source) == [], spec.name
 
 
 # The targets of `bench/tracer.py` that the package no longer has. ROADMAP

@@ -12,6 +12,8 @@ import struct
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfdsim.expr
 import sfdsim.model
@@ -401,6 +403,29 @@ def as_bits(outcome):
     if isinstance(outcome, list):
         return [struct.pack("<d", v) for v in outcome]
     return outcome
+
+
+# Auxiliary value texts that are not finite or are -0.0, by arithmetic,
+# and each one's value.
+SPECIAL_VALUES = [("1e308", 1e308), ("-1e308", -1e308), ("1e308 * 10", math.inf),
+                  ("-1e308 * 10", -math.inf), ("1e308 * 10 - 1e308 * 10", math.nan),
+                  ("0 * -1", -0.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(picks=st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(
+        lambda v: (sfdsim.expr.format_number(v), v)), st.sampled_from(SPECIAL_VALUES)),
+    min_size=1, max_size=8))
+def test_evaluate_returns_exactly_when_every_value_is_finite(picks):
+    # Each auxiliary a{i} is its drawn value times the stock S = 1, so the
+    # evaluator computes it; a sum of finite ones may pass the largest float.
+    auxes = "\n".join(f"aux a{i} = ({text}) * S" for i, (text, _) in enumerate(picks))
+    vm = validate_model(parse_model(f"model Drawn {{\nstock S = 1\n{auxes}\n}}"))
+    values = [value for _, value in picks]
+    bad = [name for name in vm.order if not math.isfinite(values[int(name[1:])])]
+    expected = (NonFiniteError, bad[0]) if bad else values
+    assert as_bits(generated(vm, [1.0], 3.0, 0.0)) == as_bits(expected)
 
 
 class TestGeneratedEvaluator:

@@ -13,7 +13,9 @@ import sfdsim.model
 import sfdsim.scenarios
 from sfdsim import (
     CalibrationProblem,
+    EventGridError,
     InvalidParameterError,
+    ModelError,
     NoFeasiblePolicyError,
     ParseError,
     PolicyGrid,
@@ -561,6 +563,14 @@ class TestOutOfRangeValues:
     """Each study checks every value it will set against its parameter's
     range before its first run, wherever the value is among the others."""
 
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        original = sfdsim.scenarios.run_simulation
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation",
+                            lambda *args: calls.append(args) or original(*args))
+        return calls
+
     @pytest.mark.parametrize("study, field", [
         ("grid-capacity", "TruckCapacityKg"),
         ("grid-count", "TrucksPerPickup"),
@@ -569,7 +579,7 @@ class TestOutOfRangeValues:
         ("fit-low-bound", "KEvap"),
         ("fit-second-parameter", "Sigma"),
     ])
-    def test_rejected_before_the_first_run(self, study, field, baseline_spec, monkeypatch):
+    def test_rejected_before_the_first_run(self, study, field, baseline_spec, runs):
         config = SimConfig(t_end=30.0)
         grid = dict(intervals=(15.0, 30.0), truck_capacities=(3000.0,), truck_counts=(1.0,))
         observed = dict(column="AccumulatedVinasse", observed_times=(10.0,),
@@ -587,10 +597,6 @@ class TestOutOfRangeValues:
             "fit-second-parameter": lambda: calibrate(baseline_spec, CalibrationProblem(
                 ("KEvap", "Sigma"), ((0.001, 0.01), (-1.0, 1.0)), **observed), config),
         }[study]
-        runs = []
-        original = sfdsim.scenarios.run_simulation
-        monkeypatch.setattr(sfdsim.scenarios, "run_simulation",
-                            lambda *args: runs.append(args) or original(*args))
         with pytest.raises(InvalidParameterError) as err:
             run()
         assert err.value.field == field
@@ -601,6 +607,39 @@ class TestOutOfRangeValues:
         monkeypatch.setattr(sfdsim.scenarios, "run_simulation", None)  # a run would raise
         with pytest.raises(UnknownSymbolError, match="no parameter named 'Nope'"):
             run_sweep(baseline_spec, "Nope", (1.0,), SimConfig(t_end=30.0))
+
+    @pytest.mark.parametrize("interval, error, message", [
+        (-5.0, ModelError, "event 'pickup' has a negative schedule"),
+        (math.nan, ModelError, "event 'pickup' has a non-finite schedule"),
+        (7.5, EventGridError, "event 'pickup' start 7.5 is off the dt=1 grid"),
+    ])
+    def test_bad_interval_rejected_before_the_first_run(self, interval, error, message,
+                                                         baseline_spec, runs):
+        grid = PolicyGrid(intervals=(30.0, interval), truck_capacities=(6000.0,),
+                          truck_counts=(1.0,))
+        with pytest.raises(error) as err:
+            optimize_transport_policy(baseline_spec, grid, SimConfig(t_end=30.0))
+        assert str(err.value) == message
+        assert runs == []
+
+    @pytest.mark.parametrize("override, error", [
+        (dict(params={"Dose": -30.0}), InvalidParameterError),
+        (dict(params={"Nope": 1.0}), UnknownSymbolError),
+        (dict(initials={"AccumulatedSludge": math.nan}), ModelError),
+    ])
+    def test_bad_scenario_rejected_before_the_baseline_run(self, override, error,
+                                                            baseline_spec, runs):
+        good = parse_scenario("scenario Good { set Dose = 10 }")
+        bad = Scenario("Bad", **override)
+        with pytest.raises(error):
+            compare_to_baseline(baseline_spec, [good, bad], SimConfig(t_end=30.0))
+        assert runs == []
+
+    def test_good_scenarios_each_run_once(self, baseline_spec, runs):
+        good = parse_scenario("scenario Good { set Dose = 10 }")
+        results = compare_to_baseline(baseline_spec, [good], SimConfig(t_end=30.0))
+        assert [r.name for r in results] == ["baseline", "Good"]
+        assert [args[0].param("Dose") for args in runs] == [baseline_spec.param("Dose"), 10.0]
 
 
 def hexed(value):

@@ -306,6 +306,70 @@ class TestMatchesReference:
         assert clamp_activations(build_baseline(), SimConfig(t_end=365.0))[1] == []
 
 
+class TestFinitenessDecisions:
+    """Finite values whose sum passes the largest float do not stop a run;
+    a value that is not finite stops it, named, at the time it appears.
+    The reference checks each value on its own."""
+
+    @staticmethod
+    def check(spec, method):
+        config = SimConfig(t_end=10.0, method=method)
+        result = outcome(run_simulation, spec, config)
+        assert result == outcome(reference_run, spec, config)
+        return result
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_auxiliaries_summing_past_the_largest_float_run(self, method):
+        spec = parse_model("""model BigAux {
+            stock S = 1
+            aux a = 1e308 + 0 * S
+            aux b = 1e308 + 0 * t
+            flow f : -> S = 1
+          }""")
+        self.check(spec, method)
+        traj = run_simulation(spec, SimConfig(t_end=10.0, method=method))
+        assert traj.series("a") == traj.series("b") == [1e308] * 11
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_stocks_summing_past_the_largest_float_run(self, method):
+        spec = parse_model("""model BigStocks {
+            stock A = 1e308
+            stock B = 1e308
+            flow f : A -> B = 0 * A
+          }""")
+        self.check(spec, method)
+        traj = run_simulation(spec, SimConfig(t_end=10.0, method=method))
+        assert traj.series("A") == traj.series("B") == [1e308] * 11
+
+    @pytest.mark.parametrize("method, t", [("euler", 2.0), ("rk4", 1.5)])
+    @pytest.mark.parametrize("opposite", ["", "aux b = 0 - a"])
+    def test_an_infinite_auxiliary_is_named(self, method, t, opposite):
+        # a is 1e308 at t = 1 and infinite from t = 1.5, an RK4 midpoint;
+        # b, where declared, is its opposite, so a sum of the two is NaN.
+        spec = parse_model(f"""model InfAux {{
+            stock S = 1
+            aux before = 2 * S
+            aux a = 1e308 * t * t
+            {opposite}
+            aux after = S + 1
+            flow f : -> S = 1
+          }}""")
+        error = self.check(spec, method)
+        assert error[:2] == (NonFiniteError, "a") and error[3] == bits([t])
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_an_overflowing_stock_is_named(self, method):
+        # S gains 1e307 a day from 1e308 and passes the largest float on day 8.
+        spec = parse_model("""model Overflow {
+            stock A = 1
+            stock S = 1e308
+            stock B = 1e308
+            flow f : -> S = 1e307
+          }""")
+        error = self.check(spec, method)
+        assert error[:2] == (NonFiniteError, "S") and error[3] == bits([8.0])
+
+
 class TestLoopCache:
     def test_same_topology_shares_one_loop(self):
         a = generate_model(5)
@@ -365,8 +429,9 @@ class TestLoopCache:
         assert source.count("evaluate(") == 4
         assert "try" not in source  # the evaluator names its own faults
         assert "clamp(" not in source and "k0 = 1.0" in source  # the clamp is inlined
-        # One finiteness test per step, over every stock.
-        assert source.count("if (x0 - x0) + (x1 - x1) + (x2 - x2) != 0.0:") == 1
+        # One finiteness test per step, a sum over every stock.
+        assert source.count("if (s := x0 + x1 + x2) - s != 0.0:") == 1
+        assert source.count(" - s != 0.0") == 1
         assert source.count("NonFiniteError(") == 1
 
 
