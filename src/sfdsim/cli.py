@@ -96,11 +96,14 @@ def _manifest_path(out: str) -> str:
     return str(Path(out).with_suffix("")) + ".manifest.json"
 
 
-def _distinct_outputs(*named: tuple[str, str | None]) -> None:
-    """ValueError if two of the set (name, path) outputs resolve to the
-    same file: the later write would replace the earlier one."""
+def _distinct_outputs(out: str | None, *named: tuple[str, str | None]) -> None:
+    """ValueError if two of --out `out`, the set (name, path) outputs and
+    the manifest resolve to the same file: the later write would replace
+    the earlier one. Without --out a command writes at most one file."""
+    if not out:
+        return
     seen: dict[str, str] = {}
-    for flag, path in named:
+    for flag, path in (("--out", out), *named, ("the manifest", _manifest_path(out))):
         if path:
             resolved = os.path.realpath(path)
             if resolved in seen:
@@ -149,9 +152,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.out:
-        _distinct_outputs(("--out", args.out), ("--events-out", args.events_out),
-                          ("the manifest", _manifest_path(args.out)))
+    _distinct_outputs(args.out, ("--events-out", args.events_out))
     spec, source, scenarios = _load(args)
     traj = run_simulation(spec, _config(args))
     csv_text = traj.to_csv()
@@ -165,6 +166,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _distinct_outputs(args.out)
     effective, source, scenarios = _load(args)
     if not args.values:
         raise ValueError("--values must list at least one number")
@@ -178,6 +180,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _distinct_outputs(args.out)
     effective, source, scenarios = _load(args)
     grid = PolicyGrid(
         intervals=args.intervals,
@@ -223,6 +226,7 @@ def _read_observed(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def cmd_calibrate(args) -> int:
+    _distinct_outputs(args.out)
     effective, source, scenarios = _load(args)
     names: list[str] = []
     bounds: list[tuple[float, float]] = []

@@ -8,24 +8,28 @@ the lists the loop builds, and its readers (`series`, `final`, `peak`,
 `bench/tracer.py`; they are built on first access, so a run that never
 asks for them never imports numpy.
 
-A run is one generated Python loop per stretch of steps between event
-firings. The loop's source depends only on the model's topology: the
-method, which stocks are floored at zero, and each flow's source and
-target (`segment_source`). It is compiled once per topology and cached,
-so parameter and scenario variants, and models that differ only in their
-expressions, share it. Inside the loop the stocks, rates and flow
-integrals are Python locals; each stage calls the model's generated
-evaluator (`ValidatedModel.evaluator`) once, and the stage states, the
-RK4 combination, the stock updates, the floor, the finiteness check, the
-flow integrals and the recorded rows are inlined. Every sum of rates is
-spelled out as the float additions CPython 3.11's `sum()` performs, so
-results match the former list-based loop bit for bit (and do not change
-with the compensated float `sum()` of later versions). Events run the
-model's generated actions (`ValidatedModel.actions`) on the run's state
-and the step's noise draw; an action evaluates the model itself, and only
-when it reads a flow or auxiliary, so the engine never interprets an
-expression tree. The evaluator raises only NonFiniteError, naming the
-variable behind a non-finite value or an arithmetic fault.
+A run is one call of a generated Python loop, from the first step to the
+last; events fire inside it. The loop's source depends only on the
+model's topology: the method, which stocks are floored at zero, and each
+flow's source and target (`segment_source`). It is compiled once per
+topology and cached, so parameter and scenario variants, and models that
+differ only in their expressions, share it. Inside the loop the stocks,
+rates and flow integrals are Python locals; each stage calls the model's
+generated evaluator (`ValidatedModel.evaluator`) once, and the stage
+states, the RK4 combination, the stock updates, the floor, the finiteness
+check and the flow integrals are inlined. The evaluator returns a whole
+row of `Trajectory.columns`, its stock arguments first, so the loop
+records the tuple it returns as it is. Every sum of rates is spelled out
+as the float additions CPython 3.11's `sum()` performs, so results match
+the former list-based loop bit for bit (and do not change with the
+compensated float `sum()` of later versions). At a step where events
+fire, the loop hands the stocks to the run's firing function
+(`_event_firing`), which runs the model's generated actions
+(`ValidatedModel.actions`) on them and the step's noise draw, and applies
+their values by a plan made once per run. An action evaluates the model
+itself, and only when it reads a flow or auxiliary, so the engine never
+interprets an expression tree. The evaluator raises only NonFiniteError,
+naming the variable behind a non-finite value or an arithmetic fault.
 
 Determinism is a hard requirement: identical inputs produce byte-identical
 CSV output, including under the stochastic `noise` builtin, whose draws are
@@ -57,7 +61,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import expr as ex
 from .errors import ClampError, EventGridError, NonFiniteError
@@ -116,11 +120,11 @@ class SimConfig:
         return steps
 
 
-@dataclass(frozen=True, slots=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One applied event action. `amount` is the removed quantity for
     subtract actions, the signed change for add, and the assigned value
-    for set."""
+    for set. A named tuple: it equals the plain tuple `(t, event, target,
+    amount)`, and the engine builds it with `tuple.__new__`."""
 
     t: float
     event: str
@@ -134,9 +138,10 @@ class Trajectory:
 
     `rows` holds one tuple per recorded time in `row_times`, with one value
     per variable in `columns` (stocks, then flows, then auxiliaries, in
-    declaration order): the lists the step loop builds. `series(name)`
-    reads one column. `times` and `values`, numpy views of the lists built
-    on first access, are kept only for `bench/tracer.py`.
+    declaration order): the lists the step loop builds. Each row is the
+    tuple the model's evaluator returned for that time and state.
+    `series(name)` reads one column. `times` and `values`, numpy views of
+    the lists built on first access, are kept only for `bench/tracer.py`.
     Flow columns are instantaneous rates as evaluated; `flow_integrals`
     holds each flow's realized time integral after clamp scaling, and
     `event_deltas` the net change events applied per stock, so that
@@ -188,12 +193,7 @@ class Trajectory:
 
     def at(self, name: str, t: float) -> float:
         """Value at a recorded time; `t` must be on the recorded grid."""
-        times = self.row_times
-        idx = bisect_left(times, t)
-        for i in (idx, idx - 1, idx + 1):
-            if 0 <= i < len(times) and abs(times[i] - t) <= 1e-9:
-                return float(self.rows[i][self._position(name)])
-        raise KeyError(f"t={t:g} is not a recorded time")
+        return float(self.rows[_time_index(self.row_times, t)][self._position(name)])
 
     def to_csv(self) -> str:
         row = "%.6f," + ",".join(["%.6f"] * len(self.columns))
@@ -206,6 +206,25 @@ class Trajectory:
         for rec in self.events:
             lines.append(f"{rec.t:.6f},{rec.event},{rec.target},{rec.amount:.6f}")
         return "\n".join(lines) + "\n"
+
+
+def _time_index(times: list[float], t: float) -> int:
+    """The index in `times`, a run's recorded times, of the time that `t`
+    stands for: the first within 1e-9 of it of the times at, before and
+    after where it would sort. KeyError if there is none."""
+    idx = bisect_left(times, t)
+    for i in (idx, idx - 1, idx + 1):
+        if 0 <= i < len(times) and abs(times[i] - t) <= 1e-9:
+            return i
+    raise KeyError(f"t={t:g} is not a recorded time")
+
+
+def _row_times(config: SimConfig) -> list[float]:
+    """The times a run of `config` records, computed as its loop computes
+    them: every `record_every`-th step's, and the final time's."""
+    steps = config.step_count()
+    t0, dt = config.t_start, config.dt
+    return [t0 + n * dt for n in range(0, steps, config.record_every)] + [t0 + steps * dt]
 
 
 def run_simulation(spec: ModelSpec, config: SimConfig) -> Trajectory:
@@ -224,29 +243,24 @@ def run_simulation(spec: ModelSpec, config: SimConfig) -> Trajectory:
     flow_names = [f.name for f in spec.flows]
     columns = (*stock_names, *flow_names, *(a.name for a in spec.auxiliaries))
     event_steps = _event_schedule(spec, config, steps)
+    stops = sorted(event_steps.items())
+    if steps not in event_steps:
+        stops.append((steps, None))
     segment = _segment(*_topology(spec, config.method))
     draws = _noise_draws(vm.draws_noise, config, steps)
 
     n_stocks = len(stock_names)
-    state = [float(s.initial) for s in spec.stocks] + [0.0] * len(flow_names)
     event_deltas = {name: 0.0 for name in stock_names}
     event_log: list[EventRecord] = []
     times: list[float] = []
     rows: list[tuple[float, ...]] = []
 
-    fire = _event_firing(vm, event_deltas, event_log)
-    n = 0
-    for stop in sorted({*event_steps, steps}):
-        state = list(segment(n, stop, t_start, dt, config.record_every, times, rows,
-                             vm.evaluator, stock_names, *draws, *state))
-        n = stop
-        if stop in event_steps:
-            fire(event_steps[stop], state, t_start + stop * dt, draws[0][stop])
-
-    x = state[:n_stocks]
+    state = segment(stops, _event_firing(vm, event_deltas, event_log), t_start, dt,
+                    config.record_every, times, rows, vm.evaluator, stock_names, *draws,
+                    *(float(s.initial) for s in spec.stocks), *[0.0] * len(flow_names))
     t_end = t_start + steps * dt
     times.append(t_end)
-    rows.append((*x, *vm.evaluator(t_end, draws[0][steps], *x)))
+    rows.append(vm.evaluator(t_end, draws[0][steps], *state[:n_stocks]))
 
     return Trajectory(
         row_times=times,
@@ -294,15 +308,21 @@ def segment_source(method: str, floored: tuple[bool, ...],
                    endpoints: tuple[tuple[int, int], ...]) -> str:
     """Python source of the step loop for one topology (see `_topology`).
 
-    `segment(n0, n1, t0, dt, every, times, rows, evaluate, names, *draws,
-    *stocks, *integrals)` runs steps n0..n1-1, recording each step whose
-    index is a multiple of `every`, and returns `(*stocks, *integrals)` at
-    step n1. `draws` are the run's lists from `_noise_draws` (`g0`, or
-    `g0, gm, ge` for RK4); a stage reads `g0[n]`, `gm[n]` or `ge[n]`.
-    Stock i is the local `x{i}`, flow j's rate `r{j}` and its integral
-    `i{j}`, and a clamped stock's scale factor `k{i}`. Every sum of rates
-    is spelled out as `(0.0 + r1 + r2)`, the float additions of CPython
-    3.11's `sum()`. A stock's change is its inflows' sum minus its
+    `segment(stops, fire, t0, dt, every, times, rows, evaluate, names,
+    *draws, *stocks, *integrals)` runs a whole run from step 0, recording
+    each step whose index is a multiple of `every`, and returns `(*stocks,
+    *integrals)` at the last step. `stops` are `(n, fired)` pairs in
+    ascending n, the last n being the step count: the loop runs the steps
+    up to n, and if `fired` is not None it packs the stocks into a list
+    `x`, calls `fire(fired, x, t0 + n * dt, g0[n])` and reads them back.
+    `draws` are the run's lists from `_noise_draws` (`g0`, or `g0, gm, ge`
+    for RK4); a stage reads `g0[n]`, `gm[n]` or `ge[n]`. A stage's
+    `evaluate` returns the row `(*stocks, *flows, *auxiliaries)`: a step's
+    row is recorded as it is, and flow j's rate is `o[ns + j]`, for ns
+    stocks. Stock i is the local `x{i}`, flow j's rate `r{j}` and its
+    integral `i{j}`, and a clamped stock's scale factor `k{i}`. Every sum
+    of rates is spelled out as `(0.0 + r1 + r2)`, the float additions of
+    CPython 3.11's `sum()`. A stock's change is its inflows' sum minus its
     outflows', `0.0 - (…)` with no inflows and the inflows' sum alone with
     no outflows, the bits of subtracting `sum()`'s int 0 either way. No
     int literal enters float arithmetic: an int operand is converted to
@@ -363,19 +383,20 @@ def segment_source(method: str, floored: tuple[bool, ...],
     body = ["t = t0 + n * dt", stage("t", "g0[n]", "x"),
             "if n % every == 0:",
             "    times.append(t)",
-            f"    rows.append({tup(xs)} + o)"]
+            "    rows.append(o)"]
     if method == "euler":
-        body += [f"r{j} = o[{j}]" for j in range(nf)]
+        body += [f"r{j} = o[{ns + j}]" for j in range(nf)]
     else:
         # Classic fourth-order combination of per-flow rates. Stage states
         # are not clamped; the clamp sees the combined rates.
-        body += [f"a{j} = o[{j}]" for j in range(nf)]
+        body += [f"a{j} = o[{ns + j}]" for j in range(nf)]
         body += advance("s", "a", "h2") + ["tm = t + h2", stage("tm", "gm[n]", "s")]
-        body += [f"b{j} = o[{j}]" for j in range(nf)]
+        body += [f"b{j} = o[{ns + j}]" for j in range(nf)]
         body += advance("s", "b", "h2") + [stage("tm", "gm[n]", "s")]
-        body += [f"c{j} = o[{j}]" for j in range(nf)]
+        body += [f"c{j} = o[{ns + j}]" for j in range(nf)]
         body += advance("s", "c", "dt") + ["te = t + dt", stage("te", "ge[n]", "s")]
-        body += [f"r{j} = (a{j} + 2.0 * b{j} + 2.0 * c{j} + o[{j}]) / 6.0" for j in range(nf)]
+        body += [f"r{j} = (a{j} + 2.0 * b{j} + 2.0 * c{j} + o[{ns + j}]) / 6.0"
+                 for j in range(nf)]
     body += advance("y", "r", "dt")
     if clamped:
         # The clamp changes a rate only where a clamped stock's update
@@ -410,14 +431,19 @@ def segment_source(method: str, floored: tuple[bool, ...],
     body += [f"i{j} = i{j} + dt * r{j}" for j in range(nf)]
 
     draws = ["g0"] if method == "euler" else ["g0", "gm", "ge"]
-    params = ["n0", "n1", "t0", "dt", "every", "times", "rows", "evaluate", "names", *draws,
-              *xs, *integrals]
+    params = ["stops", "fire", "t0", "dt", "every", "times", "rows", "evaluate", "names",
+              *draws, *xs, *integrals]
     lines = [f"def segment({', '.join(params)}):"]
     if method == "rk4":
         lines.append("    h2 = dt / 2.0")
-    lines.append("    for n in range(n0, n1):")
-    lines += ["        " + line for line in body]
-    lines.append(f"    return {tup([*xs, *integrals])}")
+    lines += ["    n0 = 0", "    for n1, fired in stops:", "        for n in range(n0, n1):"]
+    lines += ["            " + line for line in body]
+    if ns:  # an event acts on a stock, so a model without one has none
+        lines += ["        if fired is not None:",
+                  f"            x = [{', '.join(xs)}]",
+                  "            fire(fired, x, t0 + n1 * dt, g0[n1])",
+                  f"            {', '.join(xs)}, = x"]
+    lines += ["        n0 = n1", f"    return {tup([*xs, *integrals])}"]
     return "\n".join(lines) + "\n"
 
 
@@ -509,32 +535,36 @@ def _event_firing(vm, event_deltas, event_log) -> Callable[..., None]:
     An event's generated action computes all its values against the state
     before that event changes anything; they are then applied sequentially.
     An action that reads a flow or auxiliary evaluates the model with the
-    step's noise draw `draw`. Non-negative stocks are floored at zero. The
-    stock positions and the floors are made once per run.
+    step's noise draw `draw`. Non-negative stocks are floored at zero.
+    Each event's plan is made once per run: the `event <name>` label its
+    errors name, its name, its action, and per action the stock's index
+    and name, the op and whether the stock is floored.
     """
-    index = {s.name: i for i, s in enumerate(vm.spec.stocks)}
-    floored = [s.non_negative for s in vm.spec.stocks]
+    stocks = vm.spec.stocks
+    index = {s.name: i for i, s in enumerate(stocks)}
+    plans = [(f"event {event.name}", event.name, act,
+              [(index[a.target], a.target, a.op, stocks[index[a.target]].non_negative)
+               for a in event.actions])
+             for event, act in zip(vm.spec.events, vm.actions)]
+    log, record = event_log.append, tuple.__new__
 
     def fire(fired, x, t, draw) -> None:
         for k in fired:
-            event = vm.spec.events[k]
+            label, name, act, applied = plans[k]
             try:
-                planned = vm.actions[k](t, x, draw)
+                planned = act(t, x, draw)
             except ex.FAULTS_OR_UNBOUND:
-                raise NonFiniteError(f"event {event.name}", t) from None
+                raise NonFiniteError(label, t) from None
             if not all(map(math.isfinite, planned)):
-                raise NonFiniteError(f"event {event.name}", t)
-            for act, v in zip(event.actions, planned):
-                i = index[act.target]
+                raise NonFiniteError(label, t)
+            for (i, target, op, floored), v in zip(applied, planned):
                 old = x[i]
-                new = old + v if act.op == "add" else old - v if act.op == "subtract" else v
-                if floored[i] and new < 0.0:
+                new = old + v if op == "add" else old - v if op == "subtract" else v
+                if floored and new < 0.0:
                     new = 0.0
                 x[i] = new
-                event_deltas[act.target] += new - old
-                amount = (old - new if act.op == "subtract"
-                          else new if act.op == "set" else new - old)
-                event_log.append(EventRecord(t=t, event=event.name, target=act.target,
-                                             amount=amount))
+                event_deltas[target] += new - old
+                amount = old - new if op == "subtract" else new if op == "set" else new - old
+                log(record(EventRecord, (t, name, target, amount)))
 
     return fire

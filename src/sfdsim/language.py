@@ -366,13 +366,13 @@ def parse_expression(text: str) -> ex.Expr:
 
 def _check_names(names) -> None:
     """ValueError naming the first of `names` that `tokenize` does not read
-    back as that one identifier."""
+    back as that one identifier: one `_TOKEN` match must cover all of it,
+    as an `ident`, or as a `word` that starts with a letter."""
     for name in names:
-        try:
-            readable = tokenize(name)[:-1] == [("ident", name, 0)]
-        except ParseError:
-            readable = False
-        if not readable:
+        m = _TOKEN.match(name)
+        kind = m.lastgroup
+        if not (m.span(kind) == (0, len(name))
+                and (kind == "ident" or kind == "word" and name[0].isalpha())):
             raise ValueError(f"{name!r} cannot be written as a name")
 
 

@@ -203,10 +203,11 @@ class ValidatedModel:
     noisy)`, emitted once by `validate_model`; `evaluator`, `actions` and
     `draws_noise` are what it returns for `params`:
 
-    - `evaluator(t, g, *stocks)` gives every flow, then every auxiliary, in
-      declaration order, for stock values in declaration order. It raises
-      only NonFiniteError, naming `t` and the first variable in `order`
-      that faults or is not finite.
+    - `evaluator(t, g, *stocks)` gives a whole row of `Trajectory.columns`
+      for stock values in declaration order: the stocks, the very floats
+      passed in, then every flow, then every auxiliary, in declaration
+      order. It raises only NonFiniteError, naming `t` and the first
+      variable in `order` that faults or is not finite.
     - `bind` computes the values that read only parameters once, and the
       evaluator reads them. One that faults in `bind` stays unbound; the
       evaluator raises for it only where it reads it, naming the variable
@@ -246,7 +247,7 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     """Python source of `bind(*params) -> (evaluator, actions, noisy)`
     (see `ValidatedModel`). Every model name `x` is the local `_x`, except
     that an action reads stock i as `x[i]` and flow or auxiliary j as
-    `o[j]`. `scales` are the `noise()` scales of the flows and auxiliaries,
+    `o[ns + j]`, for ns stocks: its place in the evaluator's row. `scales` are the `noise()` scales of the flows and auxiliaries,
     and `events` the names each event's actions read, as
     `ex.validate_expression` collects them.
 
@@ -268,7 +269,7 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     finite names the first variable in `order` that is unbound or not
     finite, by the same scan. An action
     hoists its subtrees on parameters alone the same way, by the same texts,
-    but reads each flow and auxiliary as `o[j]`, computed whole or not, and
+    but reads each flow and auxiliary from `o`, computed whole or not, and
     a whole value on parameters alone reads the local of its text if any."""
     names = [d.name for group in (spec.stocks, spec.parameters, spec.auxiliaries,
                                   spec.flows) for d in group]
@@ -308,12 +309,12 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     total = " + ".join(local[name] for name in order) or "0.0"
     lines += [f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:", *body,
               f"            if (s := {total}) - s == 0.0 or first_bad(ORDER, locals()) is None:",
-              f"                return {tup(local[name] for name in computed)}",
+              f"                return {tup([*stocks, *(local[name] for name in computed)])}",
               "        except FAULTS_OR_UNBOUND:",
               "            pass",
               "        raise NonFiniteError(first_bad(ORDER, locals()), t)"]
     reads = {**local, **{s.name: f"x[{i}]" for i, s in enumerate(spec.stocks)},
-             **{name: f"o[{j}]" for j, name in enumerate(computed)}}
+             **{name: f"o[{j}]" for j, name in enumerate(computed, len(stocks))}}
     state = ", ".join(["t", "draw", *(f"x[{i}]" for i in range(len(stocks)))])
     for k, (event, read) in enumerate(zip(spec.events, events)):
         # Walk every action first: a later one may hoist a whole value's text.

@@ -63,8 +63,9 @@ def temperature(t: float, spec: ModelSpec | None = None, seed: int = 0) -> float
     vm = validate_model(build_baseline() if spec is None else spec)
     spec = vm.spec
     g = daily_gauss(seed, math.floor(t)) if vm.draws_noise and math.isfinite(t) else 0.0
-    values = vm.evaluator(t, g, *(s.initial for s in spec.stocks))
-    return values[len(spec.flows) + [a.name for a in spec.auxiliaries].index("temperature")]
+    row = vm.evaluator(t, g, *(s.initial for s in spec.stocks))
+    return row[len(spec.stocks) + len(spec.flows)
+               + [a.name for a in spec.auxiliaries].index("temperature")]
 
 
 def saturation_time(traj: Trajectory) -> float | None:

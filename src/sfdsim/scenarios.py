@@ -40,7 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .engine import SimConfig, Trajectory, _event_schedule, run_simulation
+from .engine import (
+    SimConfig,
+    Trajectory,
+    _event_schedule,
+    _row_times,
+    _time_index,
+    run_simulation,
+)
 from .errors import NoFeasiblePolicyError, UnknownSymbolError
 from .expr import format_number
 from .language import _check_names, _Parser
@@ -264,8 +271,10 @@ def calibrate(
     every step is below tol times its coordinate's range, or after
     `max_passes`. Before any run: ValueError for a mismatched problem, a
     parameter named twice, or an observation or bound that is not finite,
-    and the errors of `ParamDef.check` for a bound outside its parameter's
-    range. The search never leaves the bounds, so no point it tries is.
+    the errors of `ParamDef.check` for a bound outside its parameter's
+    range, and the KeyError of `Trajectory.at` for an observed time off
+    the recorded grid or an unknown column. The search never leaves the
+    bounds, so no point it tries is.
 
     `evaluations` counts the points tried. A step often returns to a point
     tried before; its SSE is looked up, not run again.
@@ -285,6 +294,12 @@ def calibrate(
         raise ValueError("each bounds pair must satisfy lo < hi")
     for name, pair in zip(problem.param_names, problem.bounds):
         _check_values(spec, name, pair)
+    recorded = _row_times(config)
+    for t_obs in problem.observed_times:
+        _time_index(recorded, t_obs)
+    if problem.column not in [d.name for group in (spec.stocks, spec.flows, spec.auxiliaries)
+                              for d in group]:
+        raise KeyError(f"no recorded column '{problem.column}'")
 
     evaluations = 0
     # SSE by point, as the float.hex of each coordinate: -0.0 is not 0.0.

@@ -77,12 +77,16 @@ def reference_run(spec: ModelSpec, config: SimConfig) -> Trajectory:
     g = 0.0
 
     def evaluate(x: list[float], tv: float) -> tuple[float, ...]:
+        """The flows and auxiliaries at state `x`: the evaluator's row with
+        its stock prefix, which must be `x` bit for bit, sliced off."""
         nonlocal noise_day, g
         if draws_noise:
             day = math.floor(tv)
             if day != noise_day:
                 noise_day, g = day, ex.daily_gauss(seed, day)
-        return evaluator(tv, g, *x)
+        row = evaluator(tv, g, *x)
+        assert list(map(float.hex, row[:len(x)])) == list(map(float.hex, x))
+        return row[len(x):]
 
     def advance(base: list[float], rates, h: float) -> list[float]:
         return [v + h * (total(rates, i) - total(rates, o))

@@ -338,6 +338,31 @@ class TestCalibrate:
             "expected numeric 't,value' rows", line, 1)
 
 
+class TestOutNamesItsManifest:
+    # `a.csv` is a symlink to `a.manifest.json`, so the manifest would
+    # replace the output it lists. Each command refuses it before a run.
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--param", "Dose", "--values", "1,2"],
+        ["optimize", "--intervals", "30", "--trucks", "6000", "--counts", "1"],
+        ["calibrate", "--param", "KEvap:0.001:0.01", "--column", "AccumulatedVinasse",
+         "--observed", "obs.csv"],
+    ], ids=["sweep", "optimize", "calibrate"])
+    def test_exits_2_before_any_run(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("obs.csv").write_text("t,value\n10,500\n")
+        os.symlink("a.manifest.json", "a.csv")
+        runs = []
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation",
+                            lambda *args: runs.append(args))
+        assert main([*argv, "--t-end", "30", "--out", "a.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --out and the manifest both name a.manifest.json"]
+        assert captured.out == "" and runs == []
+        assert sorted(os.listdir()) == ["a.csv", "obs.csv"]
+        assert not os.path.exists("a.manifest.json")
+
+
 class TestLintFmt:
     def test_lint_violations_exit_2(self, fixtures_dir, capsys):
         path = fixtures_dir / "lint" / "naming_violations.sfd"

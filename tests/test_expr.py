@@ -284,8 +284,8 @@ def test_compiled_matches_interpreter(tree, g):
             vm.evaluator(7.0, g, 0.5)
         assert (err.value.name, err.value.t) == ("e", 7.0)
         return
-    (actual,) = vm.evaluator(7.0, g, 0.5)
-    assert bits(actual) == bits(expected)
+    # The row is the stock as passed in, then `e`.
+    assert list(map(bits, vm.evaluator(7.0, g, 0.5))) == [bits(0.5), bits(expected)]
 
 
 INF = 1e308 * 10
@@ -306,13 +306,14 @@ def stock_model(aux: str, actions: tuple[str, ...] = (), stocks: int = 3) -> Mod
 
 
 def assert_evaluates_as_interpreted(vm, stocks, g=0.0):
-    """The evaluator gives the interpreter's bits for `e`, or names `e`
-    when the interpreter's value is not finite."""
+    """The evaluator's row is the stocks as passed in and the interpreter's
+    bits for `e`, or it names `e` when the interpreter's value is not
+    finite."""
     env = {s.name: v for s, v in zip(vm.spec.stocks, stocks)}
     expected = eval_expression(vm.spec.auxiliaries[0].expression, env, 7.0, g)
     if math.isfinite(expected):
-        (actual,) = vm.evaluator(7.0, g, *stocks)
-        assert bits(actual) == bits(expected), (stocks, vm.source)
+        row = vm.evaluator(7.0, g, *stocks)
+        assert list(map(bits, row)) == [*map(bits, stocks), bits(expected)], (stocks, vm.source)
     else:
         with pytest.raises(NonFiniteError) as err:
             vm.evaluator(7.0, g, *stocks)
@@ -363,7 +364,8 @@ def test_nan_masked_only_where_the_builtin_masks_it(text, value, wrap):
             vm.evaluator(7.0, 0.0, INF - INF)
         assert err.value.name == "e"
     else:
-        assert vm.evaluator(7.0, 0.0, INF - INF) == (value,)
+        nan = INF - INF
+        assert list(map(bits, vm.evaluator(7.0, 0.0, nan))) == [bits(nan), bits(value)]
 
 
 NESTED = [
@@ -409,7 +411,7 @@ def test_if_on_min_is_not_read_as_a_comparison(x):
 @pytest.mark.parametrize("x", [-5.0, 0.0, 2.0, 5.0])
 def test_clamp_with_crossed_bounds_gives_the_upper(text, x):
     vm = validate_model(stock_model(text))
-    assert vm.evaluator(7.0, 0.0, x, 0.0, 0.0) == (1.0,)
+    assert vm.evaluator(7.0, 0.0, x, 0.0, 0.0) == (x, 0.0, 0.0, 1.0)
     assert_evaluates_as_interpreted(vm, [x, 0.0, 0.0])
 
 
@@ -436,7 +438,8 @@ def test_left_operand_of_its_own_level_is_emitted_bare(text, emitted):
         stocks = [rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 9.0) for _ in range(3)]
         env = {"P": 3.7, "Q": -0.3, **{f"s{i}": v for i, v in enumerate(stocks)}}
         expected = eval_expression(spec.auxiliaries[0].expression, env, 7.0, 0.0)
-        assert list(map(bits, vm.evaluator(7.0, 0.0, *stocks))) == [bits(expected)]
+        row = vm.evaluator(7.0, 0.0, *stocks)
+        assert list(map(bits, row)) == [*map(bits, stocks), bits(expected)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -453,7 +456,7 @@ def test_compile_source_names_env():
     # One finiteness test, a sum; where it fails, or on a fault, the scan
     # names the first bad variable in evaluation order.
     assert ("            if (s := _e) - s == 0.0 or first_bad(ORDER, locals()) is None:\n"
-            "                return (_e, )\n") in src
+            "                return (_z, _e, )\n") in src
     assert ("        except FAULTS_OR_UNBOUND:\n            pass\n"
             "        raise NonFiniteError(first_bad(ORDER, locals()), t)\n") in src
     assert src.count(" - s == 0.0") == 1 and src.count("raise") == 1

@@ -399,6 +399,33 @@ def test_format_rejects_or_round_trips_every_unit(unit):
         assert parse_model(text) == spec
 
 
+def readable_by_tokenize(name: str) -> bool:
+    """The name rule `format_model` used to apply: `tokenize` reads `name`
+    back as that one identifier."""
+    try:
+        return tokenize(name)[:-1] == [("ident", name, 0)]
+    except ParseError:
+        return False
+
+
+@settings(max_examples=500, deadline=None)
+@example(name="")
+@example(name="\u00e9\u00b2")
+@example(name="\u0663a")
+@example(name="a\n")
+@example(name="#a\nb")
+@given(name=st.text(alphabet=st.sampled_from(
+    "abzAZ019_\u00e9\u00b2\u0663 #[\n"), max_size=6))
+def test_name_check_agrees_with_tokenize(name):
+    try:
+        language._check_names([name])
+    except ValueError as err:
+        assert str(err) == f"{name!r} cannot be written as a name"
+        assert not readable_by_tokenize(name)
+    else:
+        assert readable_by_tokenize(name)
+
+
 @settings(max_examples=200, deadline=None)
 @example(value=-0.0)
 @example(value=5e-324)

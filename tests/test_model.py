@@ -373,8 +373,9 @@ class TestOverrides:
 
 
 def interpreted(vm, stocks, t, g):
-    """Per-variable `eval_expression` walk over `vm.order`: the flow and
-    auxiliary values, or the (exception type, variable) it stops at."""
+    """Per-variable `eval_expression` walk over `vm.order`: the row, the
+    stocks as given and then the flow and auxiliary values, or the
+    (exception type, variable) it stops at."""
     env = dict(vm.params)
     env.update(zip((s.name for s in vm.spec.stocks), stocks))
     expressions = computed_expressions(vm)
@@ -386,12 +387,12 @@ def interpreted(vm, stocks, t, g):
         if not math.isfinite(v):
             return NonFiniteError, name
         env[name] = v
-    return [env[d.name] for d in (*vm.spec.flows, *vm.spec.auxiliaries)]
+    return [env[d.name] for d in (*vm.spec.stocks, *vm.spec.flows, *vm.spec.auxiliaries)]
 
 
 def generated(vm, stocks, t, g):
-    """The generated evaluator's values, or (NonFiniteError, variable) for
-    the variable it names."""
+    """The generated evaluator's row, or (NonFiniteError, variable) for the
+    variable it names."""
     try:
         return list(vm.evaluator(t, g, *stocks))
     except NonFiniteError as err:
@@ -424,7 +425,7 @@ def test_evaluate_returns_exactly_when_every_value_is_finite(picks):
     vm = validate_model(parse_model(f"model Drawn {{\nstock S = 1\n{auxes}\n}}"))
     values = [value for _, value in picks]
     bad = [name for name in vm.order if not math.isfinite(values[int(name[1:])])]
-    expected = (NonFiniteError, bad[0]) if bad else values
+    expected = (NonFiniteError, bad[0]) if bad else [1.0, *values]
     assert as_bits(generated(vm, [1.0], 3.0, 0.0)) == as_bits(expected)
 
 
@@ -457,8 +458,8 @@ class TestGeneratedEvaluator:
         b = validate_model(spec.with_params({"Rate": 0.5}))
         assert a.source == b.source
         assert a.evaluator.__code__ is b.evaluator.__code__
-        assert a.evaluator(0.0, 0.0, 10.0) == (1.0,)
-        assert b.evaluator(0.0, 0.0, 10.0) == (5.0,)
+        assert a.evaluator(0.0, 0.0, 10.0) == (10.0, 1.0)
+        assert b.evaluator(0.0, 0.0, 10.0) == (10.0, 5.0)
 
     def test_dropped_bind_is_freed_by_refcount(self, gc_off):
         spec = tiny_model(parameters=(ParamDef("Rate", 0.1), ParamDef("Unused", 1.0)))
@@ -467,7 +468,7 @@ class TestGeneratedEvaluator:
         sfdsim.model._compile_evaluator.cache_clear()
         assert bind() is None
         # The model keeps what bind returned, not bind.
-        assert vm.evaluator(0.0, 0.0, 10.0) == (1.0,)
+        assert vm.evaluator(0.0, 0.0, 10.0) == (10.0, 1.0)
 
     def test_non_identifier_names_get_positional_locals(self):
         spec = ModelSpec(
@@ -478,7 +479,7 @@ class TestGeneratedEvaluator:
         )
         vm = validate_model(spec)
         assert "def evaluate(t, g, _0):" in vm.source
-        assert vm.evaluator(0.0, 0.0, 4.0) == (0.0, 2.0)
+        assert vm.evaluator(0.0, 0.0, 4.0) == (4.0, 0.0, 2.0)
 
     def test_fault_names_the_variable_at_its_source_line(self):
         # Non-identifier names get positional locals, and the events add
@@ -1070,8 +1071,10 @@ class TestLastStructure:
         assert got_a.source != got_b.source
         bit_equal(validate_model(b), cold(b))
         bit_equal(validate_model(a), cold(a))
-        assert hex_outcome(got_a.evaluator, 0.0, 0.0, 10.0) == [(first * 10.0).hex()]
-        assert hex_outcome(got_b.evaluator, 0.0, 0.0, 10.0) == [(second * 10.0).hex()]
+        assert hex_outcome(got_a.evaluator, 0.0, 0.0, 10.0) == ["0x1.4000000000000p+3",
+                                                                (first * 10.0).hex()]
+        assert hex_outcome(got_b.evaluator, 0.0, 0.0, 10.0) == ["0x1.4000000000000p+3",
+                                                                (second * 10.0).hex()]
 
     @pytest.mark.parametrize("group", ["flows", "auxiliaries", "actions"])
     def test_fresh_tuples_are_a_miss(self, baseline_spec, group, walks):
@@ -1138,10 +1141,10 @@ class TestLastStructure:
         flows = list(tiny_model().flows)
         spec = tiny_model(flows=flows)
         assert type(spec.flows) is tuple
-        assert validate_model(spec).evaluator(0.0, 0.0, 10.0) == (1.0,)
+        assert validate_model(spec).evaluator(0.0, 0.0, 10.0) == (10.0, 1.0)
         flows[0] = FlowDef("drain", parse_expression("2 * Rate * Tank"), "Tank", None, "m3/day")
         assert spec == tiny_model()
-        assert validate_model(spec).evaluator(0.0, 0.0, 10.0) == (1.0,)
+        assert validate_model(spec).evaluator(0.0, 0.0, 10.0) == (10.0, 1.0)
         bit_equal(validate_model(spec), cold(spec))
 
     @pytest.mark.parametrize("held", ["actions", "args"])

@@ -635,6 +635,35 @@ class TestOutOfRangeValues:
             compare_to_baseline(baseline_spec, [good, bad], SimConfig(t_end=30.0))
         assert runs == []
 
+    @pytest.mark.parametrize("column, times, every", [
+        ("AccumulatedVinasse", (10.0, 10.5), 1),
+        ("AccumulatedVinasse", (10.0, 31.0), 1),
+        ("AccumulatedVinasse", (14.0, 10.0), 7),
+        ("NoSuchColumn", (10.0,), 1),
+    ])
+    def test_bad_observation_rejected_before_the_first_run(self, column, times, every,
+                                                           baseline_spec, runs):
+        # With the KeyError that reading the run would raise: the message
+        # of `Trajectory.at` for the first bad time, or for the column.
+        config = SimConfig(t_end=30.0, record_every=every)
+        traj = run_simulation(baseline_spec, config)
+        with pytest.raises(KeyError) as expected:
+            for t in times:
+                traj.at(column, t)
+        problem = CalibrationProblem(("KEvap",), ((0.001, 0.01),), column, times,
+                                     (1.0,) * len(times))
+        with pytest.raises(KeyError) as err:
+            calibrate(baseline_spec, problem, config)
+        assert err.value.args == expected.value.args
+        assert runs == []
+
+    def test_observations_on_the_grid_run(self, baseline_spec, runs):
+        problem = CalibrationProblem(("KEvap",), ((0.001, 0.01),), "AccumulatedVinasse",
+                                     (0.0, 14.0, 30.0 + 1e-10), (1.0, 2.0, 3.0))
+        fit = calibrate(baseline_spec, problem, SimConfig(t_end=30.0, record_every=7),
+                        max_passes=1)
+        assert 0 < len(runs) <= fit.evaluations and math.isfinite(fit.sse)
+
     def test_good_scenarios_each_run_once(self, baseline_spec, runs):
         good = parse_scenario("scenario Good { set Dose = 10 }")
         results = compare_to_baseline(baseline_spec, [good], SimConfig(t_end=30.0))

@@ -4,6 +4,7 @@ the cache of compiled loops."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import re
 import struct
@@ -551,3 +552,56 @@ class TestNothingInterpretedAfterValidation:
             run_simulation(HAND_MODELS["stage_fault"], SimConfig(t_end=3.0, method="rk4"))
         assert (err.value.name, err.value.t) == ("out", 0.5)
         assert walked == []
+
+
+class TestOneCallOfTheLoop:
+    """A run is one call of the generated loop, events firing inside it,
+    and each recorded row is the evaluator's row as it returns it."""
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_each_row_is_the_evaluators_row(self, method, every):
+        specs = [*map(generate_model, range(20)), *map(random_topology, range(20)),
+                 build_baseline().with_params({"NoiseStdDev": 1.5}),
+                 HAND_MODELS["event_reads_noise"], HAND_MODELS["events_same_step"]]
+        config = SimConfig(t_end=40.0, method=method, record_every=every, seed=4)
+        ran = 0
+        for spec in specs:
+            try:
+                traj = run_simulation(spec, config)
+            except (NonFiniteError, ClampError):
+                continue
+            ran += 1
+            vm = validate_model(spec)
+            ns = len(spec.stocks)
+            for t, row in zip(traj.row_times, traj.rows):
+                g = sfdsim.expr.daily_gauss(config.seed, math.floor(t)) if vm.draws_noise else 0.0
+                assert bits(row) == bits(vm.evaluator(t, g, *row[:ns])), (spec.name, t)
+        assert ran > len(specs) // 2
+
+    def test_a_baseline_year_calls_the_loop_once(self, monkeypatch):
+        calls = []
+        segment = engine._segment
+
+        def counted(*key):
+            loop = segment(*key)
+            return lambda *args: calls.append(args[0]) or loop(*args)
+
+        monkeypatch.setattr(engine, "_segment", counted)
+        traj = run_simulation(build_baseline(), SimConfig(t_end=365.0))
+        assert sorted({e.t for e in traj.events}) == [30.0 * k for k in range(1, 13)]
+        # One call; its stops are the twelve pickups and the last step.
+        assert calls == [[*((30 * k, [0]) for k in range(1, 13)), (365, None)]]
+
+    def test_event_records_are_hashable_tuples_equal_to_the_reference(self):
+        spec, config = build_baseline(), SimConfig(t_end=365.0)
+        got, want = run_simulation(spec, config).events, reference_run(spec, config).events
+        assert len(got) == 24 and got == want
+        assert [(e.t.hex(), e.amount.hex()) for e in got] == [
+            (e.t.hex(), e.amount.hex()) for e in want]
+        record = got[0]
+        assert type(record) is engine.EventRecord
+        assert record == (30.0, "pickup", "AccumulatedSludge", record.amount)
+        assert hash(record) == hash(want[0]) and len(set(got)) == 24
+        with pytest.raises(AttributeError):
+            record.amount = 0.0
