@@ -247,8 +247,9 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
     """Python source of `bind(*params) -> (evaluator, actions, noisy)`
     (see `ValidatedModel`). Every model name `x` is the local `_x`, except
     that an action reads stock i as `x[i]` and flow or auxiliary j as
-    `o[ns + j]`, for ns stocks: its place in the evaluator's row. `scales` are the `noise()` scales of the flows and auxiliaries,
-    and `events` the names each event's actions read, as
+    `o[ns + j]`, for ns stocks: its place in the evaluator's row.
+    `scales` are the `noise()` scales of the flows and auxiliaries, and
+    `events` the names each event's actions read, as
     `ex.validate_expression` collects them.
 
     `bind` first computes, in evaluation order, each variable that is an
