@@ -17,6 +17,7 @@ from .errors import (
     ModelError,
     NoFeasiblePolicyError,
     NonFiniteError,
+    NotRecordedError,
     ParseError,
     SfdError,
     SimulationError,
@@ -84,6 +85,7 @@ __all__ = [
     "ModelSpec",
     "NoFeasiblePolicyError",
     "NonFiniteError",
+    "NotRecordedError",
     "ParamDef",
     "ParseError",
     "PolicyGrid",

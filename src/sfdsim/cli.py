@@ -32,6 +32,7 @@ from . import __version__
 from .engine import METHODS, SimConfig, run_simulation
 from .errors import (
     NoFeasiblePolicyError,
+    NotRecordedError,
     ParseError,
     SfdError,
     SimulationError,
@@ -377,9 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoFeasiblePolicyError as err:
         _error(str(err))
         return 4
-    except KeyError as err:
-        # Unknown column names surface as mapping lookups.
-        _error(err.args[0] if err.args else str(err))
+    except NotRecordedError as err:
+        # An unknown column or time; a KeyError prints its message quoted.
+        _error(err.args[0])
         return 2
     except (SfdError, ValueError) as err:
         _error(str(err))

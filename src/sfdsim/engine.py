@@ -9,7 +9,17 @@ the lists the loop builds, and its readers (`series`, `final`, `peak`,
 asks for them never imports numpy.
 
 A run is one call of a generated Python loop, from the first step to the
-last; events fire inside it. The loop's source depends only on the
+last; events fire inside it. There are two loops, from one emitter, and
+the count of runs that `validate_model`'s record of a structure keeps
+(`model._Emitted.runs`) chooses between them: a structure's first run
+under a method takes the shared loop, and every later run of it, or of
+a parameter, initial-value or schedule variant bound to it, takes the
+structure's fused loop. A one-shot model, as the CLI runs, compiles only
+its evaluator; a structure that runs again, as in the studies, pays one
+more compile for a loop without a call per stage. A structure that
+`validate_model` forgets and validates again counts from zero.
+
+The shared loop's source depends only on the
 model's topology: the method, which stocks are floored at zero, and each
 flow's source and target (`segment_source`). It is compiled once per
 topology and cached, so parameter and scenario variants, and models that
@@ -30,6 +40,16 @@ their values by a plan made once per run. An action evaluates the model
 itself, and only when it reads a flow or auxiliary, so the engine never
 interprets an expression tree. The evaluator raises only NonFiniteError,
 naming the variable behind a non-finite value or an arithmetic fault.
+
+The fused loop (`_fused_source`) is compiled once per evaluator source,
+topology and event plan, and bound once per run to the run's parameters.
+Each stage runs the evaluator's own statements, from the same emission,
+with the stage's stocks and time in place of the evaluator's, and tests
+them with the evaluator's one sum; at a stop it applies the fired events'
+action texts by the firing function's rules. On a fault or a sum that is
+not finite it calls the evaluator, which raises the NonFiniteError the
+shared loop would raise, so both loops give the same rows, events and
+errors, bit for bit.
 
 Determinism is a hard requirement: identical inputs produce byte-identical
 CSV output, including under the stochastic `noise` builtin, whose draws are
@@ -56,6 +76,7 @@ ClampError; mass is conserved through flow chains.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -64,7 +85,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import expr as ex
-from .errors import ClampError, EventGridError, NonFiniteError
+from .errors import ClampError, EventGridError, NonFiniteError, NotRecordedError
 from .model import ModelSpec, validate_model
 
 if TYPE_CHECKING:
@@ -165,7 +186,7 @@ class Trajectory:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"no recorded column '{name}'") from None
+            raise NotRecordedError(f"no recorded column '{name}'") from None
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -211,12 +232,12 @@ class Trajectory:
 def _time_index(times: list[float], t: float) -> int:
     """The index in `times`, a run's recorded times, of the time that `t`
     stands for: the first within 1e-9 of it of the times at, before and
-    after where it would sort. KeyError if there is none."""
+    after where it would sort. NotRecordedError if there is none."""
     idx = bisect_left(times, t)
     for i in (idx, idx - 1, idx + 1):
         if 0 <= i < len(times) and abs(times[i] - t) <= 1e-9:
             return i
-    raise KeyError(f"t={t:g} is not a recorded time")
+    raise NotRecordedError(f"t={t:g} is not a recorded time")
 
 
 def _row_times(config: SimConfig) -> list[float]:
@@ -246,7 +267,7 @@ def run_simulation(spec: ModelSpec, config: SimConfig) -> Trajectory:
     stops = sorted(event_steps.items())
     if steps not in event_steps:
         stops.append((steps, None))
-    segment = _segment(*_topology(spec, config.method))
+    topology = _topology(spec, config.method)
     draws = _noise_draws(vm.draws_noise, config, steps)
 
     n_stocks = len(stock_names)
@@ -255,9 +276,16 @@ def run_simulation(spec: ModelSpec, config: SimConfig) -> Trajectory:
     times: list[float] = []
     rows: list[tuple[float, ...]] = []
 
-    state = segment(stops, _event_firing(vm, event_deltas, event_log), t_start, dt,
-                    config.record_every, times, rows, vm.evaluator, stock_names, *draws,
-                    *(float(s.initial) for s in spec.stocks), *[0.0] * len(flow_names))
+    args = (t_start, dt, config.record_every, times, rows, vm.evaluator, stock_names, *draws,
+            *(float(s.initial) for s in spec.stocks), *[0.0] * len(flow_names))
+    runs = vm._emitted.runs  # shared by the variants of this structure
+    earlier = runs.get(config.method, 0)
+    runs[config.method] = earlier + 1
+    if earlier:
+        segment = _fused(vm._emitted, topology, _event_plan(spec))(*vm.params.values())
+        state = segment(stops, event_deltas, event_log.append, *args)
+    else:
+        state = _segment(*topology)(stops, _event_firing(vm, event_deltas, event_log), *args)
     t_end = t_start + steps * dt
     times.append(t_end)
     rows.append(vm.evaluator(t_end, draws[0][steps], *state[:n_stocks]))
@@ -306,7 +334,8 @@ def _topology(spec: ModelSpec, method: str) -> tuple:
 
 def segment_source(method: str, floored: tuple[bool, ...],
                    endpoints: tuple[tuple[int, int], ...]) -> str:
-    """Python source of the step loop for one topology (see `_topology`).
+    """Python source of the shared step loop for one topology (see
+    `_topology`), which runs a structure's first run under a method.
 
     `segment(stops, fire, t0, dt, every, times, rows, evaluate, names,
     *draws, *stocks, *integrals)` runs a whole run from step 0, recording
@@ -319,8 +348,9 @@ def segment_source(method: str, floored: tuple[bool, ...],
     for RK4); a stage reads `g0[n]`, `gm[n]` or `ge[n]`. A stage's
     `evaluate` returns the row `(*stocks, *flows, *auxiliaries)`: a step's
     row is recorded as it is, and flow j's rate is `o[ns + j]`, for ns
-    stocks. Stock i is the local `x{i}`, flow j's rate `r{j}` and its
-    integral `i{j}`, and a clamped stock's scale factor `k{i}`. Every sum
+    stocks. Stock i is the local `x{i}`, flow j's rate `r{j}` (the RK4
+    stage rates `ra{j}`, `rb{j}`, `rc{j}`) and its integral `i{j}`, and a
+    clamped stock's scale factor `k{i}`. Every sum
     of rates is spelled out as `(0.0 + r1 + r2)`, the float additions of
     CPython 3.11's `sum()`. A stock's change is its inflows' sum minus its
     outflows', `0.0 - (…)` with no inflows and the inflows' sum alone with
@@ -333,11 +363,45 @@ def segment_source(method: str, floored: tuple[bool, ...],
     NonFiniteError names the first in `names` that is not finite. A sum of
     finite stocks that overflows fails the test, and the scan finds none.
     The globals are `NonFiniteError` and `ClampError`.
+
+    A structure that runs again under the method gets its own loop,
+    `_fused_source`, from the same emitter (`_loop_source`): the same
+    steps, stages, clamp and stock test, with the evaluator's statements
+    written in place of each `evaluate` call and the fired events' actions
+    in place of `fire`.
     """
+    return _loop_source(method, floored, endpoints, None)
+
+
+# An action's read `x[i]` of stock i, or a name, in generated text. A
+# number's exponent matches as the name `e`; no renamed name is one.
+_TOKEN = re.compile(r"x\[\d+\]|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _renamed(text: str, names: dict[str, str]) -> str:
+    """`text`, generated code, with each name or `x[i]` that is a key of
+    `names` replaced by its value."""
+    return _TOKEN.sub(lambda m: names.get(m[0], m[0]), text)
+
+
+def _loop_source(method: str, floored: tuple[bool, ...],
+                 endpoints: tuple[tuple[int, int], ...], inline: tuple | None) -> str:
+    """The `segment` of `segment_source` if `inline` is None. Otherwise
+    `inline` is `(emitted, plan)`, a structure's `model._Emitted` record
+    and its `_event_plan`, and `segment` is that structure's fused loop
+    (see `_fused_source`). Both are built by the code below, so they step,
+    clamp and test the stocks alike; only the stages and the firings
+    differ. The fused loop's own names differ from every name the
+    evaluator's text uses: its step time is `tn`, its stock test's sum `z`,
+    and the evaluator it falls back on `evaluator`; `_pick`'s temporaries
+    `a{n}` and `b{n}` are no RK4 stage rate's."""
     ns, nf = len(floored), len(endpoints)
     ins = [[j for j, (_, dst) in enumerate(endpoints) if dst == i] for i in range(ns)]
     outs = [[j for j, (src, _) in enumerate(endpoints) if src == i] for i in range(ns)]
     clamped = [i for i in range(ns) if floored[i] and outs[i]]
+    xs = [f"x{i}" for i in range(ns)]
+    fused = inline is not None
+    now, probe, evaluate = ("tn", "z", "evaluator") if fused else ("t", "s", "evaluate")
 
     def tup(names) -> str:
         return "(" + "".join(f"{v}, " for v in names) + ")"
@@ -350,9 +414,37 @@ def segment_source(method: str, floored: tuple[bool, ...],
                else total(ins[i], rate) for i in range(ns)]
         return [f"{target}{i} = x{i} + {h} * {net[i]}" for i in range(ns)]
 
-    def stage(tv: str, g: str, stocks: str) -> str:
-        """Evaluate at time `tv`, draw `g` and stock locals `{stocks}{i}` into `o`."""
-        return f"o = evaluate({', '.join([tv, g, *(f'{stocks}{i}' for i in range(ns))])})"
+    if fused:
+        emitted, plan = inline
+        computed = emitted.row[ns:]
+        reads_g = "g" in _TOKEN.findall(" ".join(text for _, text in emitted.statements))
+
+    def stage(tv: str, g: str, stocks: str) -> list[str]:
+        """Evaluate at time `tv`, draw `g` and stock locals `{stocks}{i}`:
+        into `o`, or, fused, into the evaluator's own locals, its text run
+        with `t` and the stocks read as these names. On a fault, or a sum
+        that is not finite, the fused stage calls the evaluator, which
+        raises NonFiniteError, or returns if only the sum overflowed."""
+        state = [f"{stocks}{i}" for i in range(ns)]
+        call = f"{evaluate}({', '.join([tv, g, *state])})"
+        if not fused:
+            return [f"o = {call}"]
+        names = {**dict(zip(emitted.stocks, state)), "t": tv}
+        body = [_renamed(f"{var} = {text}", names) for var, text in emitted.statements]
+        if computed:
+            body += [f"if (s := {emitted.total}) - s != 0.0:", f"    {call}"]
+        lines = [f"g = {g}"] if reads_g else []
+        if body:
+            lines += ["try:", *("    " + line for line in body),
+                      "except FAULTS_OR_UNBOUND:",
+                      f"    {call}",
+                      "    raise RuntimeError('the evaluator passed a state that its "
+                      "inlined statements fault on')"]
+        return lines
+
+    def rate(j: int) -> str:
+        """Flow j's rate as the last stage evaluated it."""
+        return computed[j] if fused else f"o[{ns + j}]"
 
     # max(1.0, abs(x{i})), the scale of stock i's clamp tolerance, with no call.
     scale = [f"(x{i} if x{i} > 1.0 else -x{i} if x{i} < -1.0 else 1.0)" for i in range(ns)]
@@ -378,24 +470,24 @@ def segment_source(method: str, floored: tuple[bool, ...],
                 f"            k{i} = w",
                 *("            " + line for line in on_drop)]
 
-    xs = [f"x{i}" for i in range(ns)]
     integrals = [f"i{j}" for j in range(nf)]
-    body = ["t = t0 + n * dt", stage("t", "g0[n]", "x"),
+    row = tup([*xs, *computed]) if fused else "o"
+    body = [f"{now} = t0 + n * dt", *stage(now, "g0[n]", "x"),
             "if n % every == 0:",
-            "    times.append(t)",
-            "    rows.append(o)"]
+            f"    times.append({now})",
+            f"    rows.append({row})"]
     if method == "euler":
-        body += [f"r{j} = o[{ns + j}]" for j in range(nf)]
+        body += [f"r{j} = {rate(j)}" for j in range(nf)]
     else:
         # Classic fourth-order combination of per-flow rates. Stage states
         # are not clamped; the clamp sees the combined rates.
-        body += [f"a{j} = o[{ns + j}]" for j in range(nf)]
-        body += advance("s", "a", "h2") + ["tm = t + h2", stage("tm", "gm[n]", "s")]
-        body += [f"b{j} = o[{ns + j}]" for j in range(nf)]
-        body += advance("s", "b", "h2") + [stage("tm", "gm[n]", "s")]
-        body += [f"c{j} = o[{ns + j}]" for j in range(nf)]
-        body += advance("s", "c", "dt") + ["te = t + dt", stage("te", "ge[n]", "s")]
-        body += [f"r{j} = (a{j} + 2.0 * b{j} + 2.0 * c{j} + o[{ns + j}]) / 6.0"
+        body += [f"ra{j} = {rate(j)}" for j in range(nf)]
+        body += advance("s", "ra", "h2") + [f"tm = {now} + h2", *stage("tm", "gm[n]", "s")]
+        body += [f"rb{j} = {rate(j)}" for j in range(nf)]
+        body += advance("s", "rb", "h2") + stage("tm", "gm[n]", "s")
+        body += [f"rc{j} = {rate(j)}" for j in range(nf)]
+        body += advance("s", "rc", "dt") + [f"te = {now} + dt", *stage("te", "ge[n]", "s")]
+        body += [f"r{j} = (ra{j} + 2.0 * rb{j} + 2.0 * rc{j} + {rate(j)}) / 6.0"
                  for j in range(nf)]
     body += advance("y", "r", "dt")
     if clamped:
@@ -416,7 +508,7 @@ def segment_source(method: str, floored: tuple[bool, ...],
                       "        break",
                       "else:",
                       f"    raise ClampError(tuple(names[i] for i, m in "
-                      f"{tup(f'({i}, m{i})' for i in cyclic)} if m), t)"]
+                      f"{tup(f'({i}, m{i})' for i in cyclic)} if m), {now})"]
         block += [f"r{j} = r{j} * k{src}" for j, (src, _) in enumerate(endpoints)
                   if src in clamped]
         body += [f"if {short}:", *("    " + line for line in block + advance("y", "r", "dt"))]
@@ -424,27 +516,72 @@ def segment_source(method: str, floored: tuple[bool, ...],
     body += [f"x{i} = 0.0 if y{i} < 0.0 else y{i}" if floored[i] else f"x{i} = y{i}"
              for i in range(ns)]
     if ns:
-        body += [f"if (s := {' + '.join(xs)}) - s != 0.0:",
+        body += [f"if ({probe} := {' + '.join(xs)}) - {probe} != 0.0:",
                  f"    for name, v in zip(names, {tup(xs)}):",
                  "        if v - v != 0.0:",
                  "            raise NonFiniteError(name, t0 + (n + 1) * dt)"]
     body += [f"i{j} = i{j} + dt * r{j}" for j in range(nf)]
 
     draws = ["g0"] if method == "euler" else ["g0", "gm", "ge"]
-    params = ["stops", "fire", "t0", "dt", "every", "times", "rows", "evaluate", "names",
+    events = ["deltas", "log_event"] if fused else ["fire"]
+    params = ["stops", *events, "t0", "dt", "every", "times", "rows", evaluate, "names",
               *draws, *xs, *integrals]
     lines = [f"def segment({', '.join(params)}):"]
     if method == "rk4":
         lines.append("    h2 = dt / 2.0")
     lines += ["    n0 = 0", "    for n1, fired in stops:", "        for n in range(n0, n1):"]
     lines += ["            " + line for line in body]
-    if ns:  # an event acts on a stock, so a model without one has none
+    if not fused and ns:  # an event acts on a stock, so a model without one has none
         lines += ["        if fired is not None:",
                   f"            x = [{', '.join(xs)}]",
                   "            fire(fired, x, t0 + n1 * dt, g0[n1])",
                   f"            {', '.join(xs)}, = x"]
+    elif fused and plan:
+        lines += ["        if fired is not None:",
+                  "            tv = t0 + n1 * dt",
+                  "            for ev in fired:"]
+        for k, ((name, applied), (values, reads)) in enumerate(zip(plan, emitted.actions)):
+            firing = _firing_lines(name, applied, values, reads, ns)
+            lines += [f"                {'el' if k else ''}if ev == {k}:",
+                      *("                    " + line for line in firing)]
     lines += ["        n0 = n1", f"    return {tup([*xs, *integrals])}"]
     return "\n".join(lines) + "\n"
+
+
+def _firing_lines(name: str, applied: tuple, values: tuple[str, ...], reads: bool,
+                  ns: int) -> list[str]:
+    """The fused loop's firing of one event at the stop time `tv`, by
+    `_event_firing`'s rules: `values`, the action texts, read the
+    pre-event stocks `x{i}` as the locals and `t` as `tv`; they call the
+    evaluator first only if they read the row `o` (`reads`), and read
+    their own `noise()` draw `g` as 0.0. A fault or a value that is not
+    finite raises NonFiniteError naming `event <name>`. Then each action
+    of `applied`, (stock index, stock name, op, floored), is applied in
+    order, with the floor, its stock's entry of `deltas` and an
+    EventRecord of its amount."""
+    xs = [f"x{i}" for i in range(ns)]
+    texts = [_renamed(text, {**{f"x[{i}]": x for i, x in enumerate(xs)}, "t": "tv"})
+             for text in values]
+    label = repr(f"event {name}")
+    planned = [f"e{a}" for a in range(len(texts))]
+    lines = [f"o = evaluator({', '.join(['tv', 'g0[n1]', *xs])})"] if reads else []
+    if "g" in _TOKEN.findall(" ".join(texts)):
+        lines.append("g = 0.0")
+    lines += ["try:", *(f"    {e} = {text}" for e, text in zip(planned, texts)),
+              "except FAULTS_OR_UNBOUND:",
+              f"    raise NonFiniteError({label}, tv) from None",
+              f"if not ({' and '.join(f'{e} - {e} == 0.0' for e in planned)}):",
+              f"    raise NonFiniteError({label}, tv)"]
+    for (i, target, op, floor), e in zip(applied, planned):
+        new = {"add": f"old + {e}", "subtract": f"old - {e}", "set": e}[op]
+        amount = {"add": "new - old", "subtract": "old - new", "set": "new"}[op]
+        lines += [f"old = x{i}", f"new = {new}"]
+        if floor:
+            lines.append("new = 0.0 if new < 0.0 else new")
+        lines += [f"x{i} = new",
+                  f"deltas[{target!r}] += new - old",
+                  f"log_event(record(EventRecord, (tv, {name!r}, {target!r}, {amount})))"]
+    return lines
 
 
 def _clamp_order(clamped: list[int],
@@ -489,6 +626,49 @@ def _segment(method: str, floored: tuple[bool, ...],
     return namespace.pop("segment")  # type: ignore[return-value]
 
 
+def _fused_source(emitted, topology: tuple, plan: tuple) -> str:
+    """Python source of the fused module of one structure: `emitted`, its
+    `model._Emitted` record, run under `topology` with events by `plan`
+    (see `_event_plan`).
+
+    `bind(*params)` computes the values on parameters alone as the
+    evaluator's `bind` does, each in its own `try`, and returns the loop
+    defined inside it, `segment(stops, deltas, log_event, t0, dt, every,
+    times, rows, evaluator, names, *draws, *stocks, *integrals)`, which
+    reads them, and the parameters, as closure cells, as `evaluate` does.
+    It runs a run as the shared loop does (see `segment_source`), with
+    `evaluator`, the structure's generic evaluator bound to the same
+    parameters, called only on a fault, a sum that is not finite or an
+    action that reads a flow or auxiliary. Each stage runs the evaluator's
+    statements with its stocks and time in place of `evaluate`'s, and
+    checks them with its one-sum test; flow j's rate is its local, and a
+    recorded step's row is the tuple of the stocks and the flows' and
+    auxiliaries' locals. At a stop, each fired event's actions are applied
+    as `_event_firing` applies them, writing to the dict `deltas` and
+    passing each EventRecord to `log_event`.
+    """
+    loop = _loop_source(*topology, (emitted, plan))
+    lines = [f"def bind({', '.join(emitted.params)}):"]
+    for var, text in emitted.hoists:
+        lines += [f"    try: {var} = {text}", "    except FAULTS_OR_UNBOUND: pass"]
+    lines += [*("    " + line for line in loop.splitlines()), "    return segment"]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=8)
+def _fused(emitted, topology: tuple, plan: tuple) -> Callable[..., Callable[..., tuple]]:
+    """The compiled `bind` of `_fused_source`, once per evaluator source,
+    topology and event plan (`emitted` is equal to and hashed as its
+    source). It is popped from its globals, so refcounting frees it once
+    the cache drops it."""
+    namespace = {**ex.CODEGEN_GLOBALS, "FAULTS_OR_UNBOUND": ex.FAULTS_OR_UNBOUND,
+                 "NonFiniteError": NonFiniteError, "ClampError": ClampError,
+                 "EventRecord": EventRecord, "record": tuple.__new__}
+    source = _fused_source(emitted, topology, plan)
+    exec(compile(source, "<sfdsim fused step loop>", "exec"), namespace)
+    return namespace.pop("bind")  # type: ignore[return-value]
+
+
 def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int, list[int]]:
     """Map step index (1-based end of step) to the indices of the events
     firing there, in declaration order.
@@ -527,25 +707,34 @@ def _event_schedule(spec: ModelSpec, config: SimConfig, steps: int) -> dict[int,
     return schedule
 
 
+def _event_plan(spec: ModelSpec) -> tuple:
+    """Per event, its name and, per action, the target stock's index and
+    name, the op and whether the stock is floored: what firing the event
+    reads of `spec` besides its generated action."""
+    stocks = spec.stocks
+    index = {s.name: i for i, s in enumerate(stocks)}
+    return tuple((event.name, tuple((index[a.target], a.target, a.op,
+                                     stocks[index[a.target]].non_negative)
+                                    for a in event.actions))
+                 for event in spec.events)
+
+
 def _event_firing(vm, event_deltas, event_log) -> Callable[..., None]:
     """`fire(fired, x, t, draw)` applies each event fired at time t, by
     index, in declaration order, to the run's state `x` in place; stock i
-    is `x[i]`.
+    is `x[i]`. The shared step loop calls it; the fused loop applies the
+    same rules in its own code (`_firing_lines`).
 
     An event's generated action computes all its values against the state
     before that event changes anything; they are then applied sequentially.
     An action that reads a flow or auxiliary evaluates the model with the
     step's noise draw `draw`. Non-negative stocks are floored at zero.
     Each event's plan is made once per run: the `event <name>` label its
-    errors name, its name, its action, and per action the stock's index
-    and name, the op and whether the stock is floored.
+    errors name, its name, its action, and its actions' part of
+    `_event_plan`.
     """
-    stocks = vm.spec.stocks
-    index = {s.name: i for i, s in enumerate(stocks)}
-    plans = [(f"event {event.name}", event.name, act,
-              [(index[a.target], a.target, a.op, stocks[index[a.target]].non_negative)
-               for a in event.actions])
-             for event, act in zip(vm.spec.events, vm.actions)]
+    plans = [(f"event {name}", name, act, applied)
+             for (name, applied), act in zip(_event_plan(vm.spec), vm.actions)]
     log, record = event_log.append, tuple.__new__
 
     def fire(fired, x, t, draw) -> None:

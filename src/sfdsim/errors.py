@@ -82,5 +82,11 @@ class ClampError(SimulationError):
         self.t = t
 
 
+class NotRecordedError(SfdError, KeyError):
+    """A run's output was read at a column or a time it did not record: an
+    unknown column name, or a time off the recorded grid. It is a KeyError,
+    as the failed lookup it is; `args[0]` is the message."""
+
+
 class NoFeasiblePolicyError(SfdError):
     """No point in a policy grid satisfies the feasibility constraint."""

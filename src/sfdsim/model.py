@@ -158,12 +158,17 @@ class ModelSpec:
 
     def with_params(self, overrides: dict[str, float]) -> ModelSpec:
         """Copy of the model with the given parameter values replaced."""
-        parameters = _overridden(self.parameters, overrides, "parameter", "value")
-        return replace(self, parameters=parameters)
+        parameters = _overridden(self.parameters, overrides, "parameter",
+                                 lambda p, value: ParamDef(p.name, value, p.unit, p.bound))
+        return ModelSpec(self.name, self.stocks, self.flows, self.auxiliaries, parameters,
+                         self.events)
 
     def with_initial(self, overrides: dict[str, float]) -> ModelSpec:
         """Copy of the model with the given stock initial values replaced."""
-        return replace(self, stocks=_overridden(self.stocks, overrides, "stock", "initial"))
+        stocks = _overridden(self.stocks, overrides, "stock",
+                             lambda s, value: StockDef(s.name, value, s.unit, s.non_negative))
+        return ModelSpec(self.name, stocks, self.flows, self.auxiliaries, self.parameters,
+                         self.events)
 
     def with_event_schedule(self, name: str, start: float | None = None,
                             interval: float | None = None) -> ModelSpec:
@@ -183,14 +188,16 @@ class ModelSpec:
         return replace(self, events=events)
 
 
-def _overridden(defs: tuple, overrides: dict[str, float], kind: str, attr: str) -> tuple:
-    """`defs` with the `attr` of each one named in `overrides` set to its
-    value as a float. UnknownSymbolError names the first unknown name, in
-    sorted order, as a `kind`."""
+def _overridden(defs: tuple, overrides: dict[str, float], kind: str,
+                rebuilt: Callable[..., object]) -> tuple:
+    """`defs` with each one named in `overrides` replaced by `rebuilt(d,
+    value)`, its value as a float; the others are kept, the very objects.
+    UnknownSymbolError names the first unknown name, in sorted order, as a
+    `kind`."""
     missing = sorted(set(overrides) - {d.name for d in defs})
     if missing:
         raise UnknownSymbolError(f"no {kind} named '{missing[0]}'")
-    return tuple(replace(d, **{attr: float(overrides[d.name])}) if d.name in overrides else d
+    return tuple(rebuilt(d, float(overrides[d.name])) if d.name in overrides else d
                  for d in defs)
 
 
@@ -223,7 +230,7 @@ class ValidatedModel:
     It is for inspection: runs and studies take the `ModelSpec`. For other
     values, pass a variant of `spec` to `validate_model`: if this is the
     last model it built, the variant reuses its order, source and compiled
-    code.
+    code, and shares its `_emitted` record.
     """
 
     spec: ModelSpec
@@ -233,19 +240,47 @@ class ValidatedModel:
     evaluator: Callable[..., tuple[float, ...]] = field(repr=False, compare=False)
     actions: tuple[Callable[..., tuple], ...] = field(repr=False, compare=False)
     draws_noise: bool
+    _emitted: _Emitted = field(repr=False, compare=False)
 
     def _rebound(self, spec: ModelSpec, params: dict[str, float]) -> ValidatedModel:
         """This model for `spec`, a variant of its structure, with the code
         bound to `params`, the checked parameter values of `spec`."""
         evaluator, actions, noisy = _compile_evaluator(self.source)(*params.values())
-        return replace(self, spec=spec, params=params, evaluator=evaluator, actions=actions,
-                       draws_noise=noisy)
+        return ValidatedModel(spec, self.order, params, self.source, evaluator, actions, noisy,
+                              self._emitted)
+
+
+@dataclass(frozen=True)
+class _Emitted:
+    """What `_evaluator_source` emitted for one validated structure, in the
+    pieces that the engine's fused step loop inlines: `bind`'s parameters
+    and its statements on parameters alone, as (local, text) pairs in
+    order; `evaluate`'s stock locals, its (local, text) statements, its sum
+    and the locals of its row; and per event, its action value texts and
+    whether they read the row `o`. Every piece is text of `source`, so a
+    record is equal to, and hashed as, its `source`.
+
+    `runs` counts the runs of the structure per method: the variants that
+    `validate_model` binds to this structure share the record. The engine
+    runs a structure's first run under a method on the shared step loop,
+    and later ones on the fused loop."""
+
+    source: str
+    params: tuple[str, ...] = field(compare=False)
+    hoists: tuple[tuple[str, str], ...] = field(compare=False)
+    stocks: tuple[str, ...] = field(compare=False)
+    statements: tuple[tuple[str, str], ...] = field(compare=False)
+    total: str = field(compare=False)
+    row: tuple[str, ...] = field(compare=False)
+    actions: tuple[tuple[tuple[str, ...], bool], ...] = field(compare=False)
+    runs: dict[str, int] = field(default_factory=dict, compare=False)
 
 
 def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict[str, ex.Expr],
-                      scales: list[ex.Expr], events: list[set[str]]) -> str:
+                      scales: list[ex.Expr], events: list[set[str]]) -> _Emitted:
     """Python source of `bind(*params) -> (evaluator, actions, noisy)`
-    (see `ValidatedModel`). Every model name `x` is the local `_x`, except
+    (see `ValidatedModel`), in an `_Emitted` record with the pieces of it
+    that the fused step loop inlines. Every model name `x` is the local `_x`, except
     that an action reads stock i as `x[i]` and flow or auxiliary j as
     `o[ns + j]`, for ns stocks: its place in the evaluator's row.
     `scales` are the `noise()` scales of the flows and auxiliaries, and
@@ -284,17 +319,22 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
 
     stocks = [local[s.name] for s in spec.stocks]
     computed = [d.name for d in (*spec.flows, *spec.auxiliaries)]
-    lines = [f"def bind({', '.join(local[p.name] for p in spec.parameters)}):"]
-    body: list[str] = []
+    arguments = [local[p.name] for p in spec.parameters]
+    lines = [f"def bind({', '.join(arguments)}):"]
+    hoists: list[tuple[str, str]] = []
+    body: list[tuple[str, str]] = []
     params = {p.name for p in spec.parameters}
     fixed = set(params)
     hoisted: dict[str, str] = {}
 
+    def assign(var: str, text: str) -> None:
+        hoists.append((var, text))
+        lines.extend((f"    try: {var} = {text}", "    except FAULTS_OR_UNBOUND: pass"))
+
     def hoist(text: str) -> str:
         if text not in hoisted:
             hoisted[text] = f"_{len(names) + len(hoisted)}"
-            lines.extend((f"    try: {hoisted[text]} = {text}",
-                          "    except FAULTS_OR_UNBOUND: pass"))
+            assign(hoisted[text], text)
         return hoisted[text]
 
     for name in order:
@@ -302,28 +342,31 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
         text, whole = ex.hoisting_source(expression, local.__getitem__, fixed, hoist)
         if whole and isinstance(expression, (ex.BinOp, ex.Call)):
             fixed.add(name)
-            lines += [f"    try: {var} = {hoisted.get(text, text)}",
-                      "    except FAULTS_OR_UNBOUND: pass"]
+            assign(var, hoisted.get(text, text))
             hoisted.setdefault(text, var)
         else:
-            body.append(f"            {var} = {text}")
+            body.append((var, text))
     total = " + ".join(local[name] for name in order) or "0.0"
-    lines += [f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:", *body,
+    row = (*stocks, *(local[name] for name in computed))
+    lines += [f"    def evaluate({', '.join(['t', 'g', *stocks])}):", "        try:",
+              *(f"            {var} = {text}" for var, text in body),
               f"            if (s := {total}) - s == 0.0 or first_bad(ORDER, locals()) is None:",
-              f"                return {tup([*stocks, *(local[name] for name in computed)])}",
+              f"                return {tup(row)}",
               "        except FAULTS_OR_UNBOUND:",
               "            pass",
               "        raise NonFiniteError(first_bad(ORDER, locals()), t)"]
     reads = {**local, **{s.name: f"x[{i}]" for i, s in enumerate(spec.stocks)},
              **{name: f"o[{j}]" for j, name in enumerate(computed, len(stocks))}}
     state = ", ".join(["t", "draw", *(f"x[{i}]" for i in range(len(stocks)))])
+    actions = []
     for k, (event, read) in enumerate(zip(spec.events, events)):
         # Walk every action first: a later one may hoist a whole value's text.
         values = [ex.hoisting_source(a.expression, reads.__getitem__, params, hoist)
                   for a in event.actions]
         values = [hoisted.get(text, text) if whole else text for text, whole in values]
+        actions.append((tuple(values), not read.isdisjoint(computed)))
         lines += [f"    def act{k}(t, x, draw):", "        g = 0.0"]
-        if not read.isdisjoint(computed):
+        if actions[-1][1]:
             lines.append(f"        o = evaluate({state})")
         lines.append(f"        return {tup(values)}")
     # Noise is drawn if a scale reads state, time or noise, or if one of
@@ -336,7 +379,8 @@ def _evaluator_source(spec: ModelSpec, order: tuple[str, ...], expressions: dict
         lines.append(f"    noisy = {bool(scales)}")
     lines += [f"    return evaluate, {tup(f'act{k}' for k in range(len(spec.events)))}, noisy",
               f"ORDER = {tup((name, local[name]) for name in order)}"]
-    return "\n".join(lines) + "\n"
+    return _Emitted("\n".join(lines) + "\n", tuple(arguments), tuple(hoists), tuple(stocks),
+                    tuple(body), total, row, tuple(actions))
 
 
 @lru_cache(maxsize=64)
@@ -405,7 +449,9 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     the very tuples of that model's spec, is a variant of its structure:
     its initial values, parameters and schedules are checked, in that
     order, with the errors given here, and that model's code is bound to
-    its parameters. Values, schedules and `non_negative` never enter the
+    its parameters. A stock, parameter or event that is the very object of
+    that model's spec, in its place, passed these checks and is not
+    checked again. Values, schedules and `non_negative` never enter the
     code. The tuples are compared by identity, not equality:
     `Num(0.0) == Num(-0.0)`, but their code differs.
     """
@@ -417,12 +463,17 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         if (spec.flows is known.flows and spec.auxiliaries is known.auxiliaries
                 and len(spec.events) == len(known.events)
                 and all(e.actions is k.actions for e, k in zip(spec.events, known.events))):
-            for s in spec.stocks:
-                _check_initial(s)
-            params = _checked_params(spec)
-            for e in spec.events:
-                _check_schedule(e)
-            return last[1]._rebound(spec, params)
+            # The remembered spec passed these checks: only new objects need them.
+            for s, k in zip(spec.stocks, known.stocks):
+                if s is not k:
+                    _check_initial(s)
+            for p, k in zip(spec.parameters, known.parameters):
+                if p is not k:
+                    p.check(p.value)
+            for e, k in zip(spec.events, known.events):
+                if e is not k:
+                    _check_schedule(e)
+            return last[1]._rebound(spec, {p.name: p.value for p in spec.parameters})
 
     seen: set[str] = set()
     for name in (d.name for group in (spec.stocks, spec.flows, spec.auxiliaries,
@@ -486,9 +537,10 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         events.append(read)
 
     order = _evaluation_order(spec, reads)
-    source = _evaluator_source(spec, order, expressions, scales, events)
-    evaluator, actions, noisy = _compile_evaluator(source)(*params.values())
-    model = ValidatedModel(spec, order, params, source, evaluator, actions, noisy)
+    emitted = _evaluator_source(spec, order, expressions, scales, events)
+    evaluator, actions, noisy = _compile_evaluator(emitted.source)(*params.values())
+    model = ValidatedModel(spec, order, params, emitted.source, evaluator, actions, noisy,
+                           emitted)
     _last = (key, model)
     return model
 

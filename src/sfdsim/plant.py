@@ -103,10 +103,17 @@ class CostReport:
     threshold_cross_day: float | None = None
 
 
+def _added(values) -> float:
+    """`values` added left to right onto the int 0, as CPython 3.11's
+    `sum()` adds floats; later versions compensate the sum."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 def cost_breakdown(traj: Trajectory) -> CostReport:
-    transport = sum(
-        rec.amount for rec in traj.events if rec.target == "TotalCost"
-    )
+    transport = _added(rec.amount for rec in traj.events if rec.target == "TotalCost")
     threshold = traj.parameters.get("CostThreshold")
     cross = None
     if threshold is not None:
@@ -127,7 +134,7 @@ def cost_breakdown(traj: Trajectory) -> CostReport:
 def pickup_summary(traj: Trajectory) -> tuple[int, float]:
     """Number of pickups and total sludge mass hauled away."""
     removals = [r for r in traj.events if r.target == "AccumulatedSludge"]
-    return len(removals), sum(r.amount for r in removals)
+    return len(removals), _added(r.amount for r in removals)
 
 
 def summarize(traj: Trajectory) -> dict[str, float | None]:

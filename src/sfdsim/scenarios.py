@@ -48,7 +48,7 @@ from .engine import (
     _time_index,
     run_simulation,
 )
-from .errors import NoFeasiblePolicyError, UnknownSymbolError
+from .errors import NoFeasiblePolicyError, NotRecordedError, UnknownSymbolError
 from .expr import format_number
 from .language import _check_names, _Parser
 from .model import ModelSpec, _check_schedule, validate_model
@@ -99,12 +99,16 @@ def compare_to_baseline(
 
     Returns the baseline result first, then one result per scenario in
     input order, each carrying metric deltas relative to the baseline.
-    Every scenario is applied and its model validated before the first
-    run, so a bad one fails with no run.
+    Every scenario is applied, its model validated and its event schedule
+    checked against the step grid before the first run, so a bad one fails
+    with no run.
     """
     variants = [apply_scenario(spec, sc) for sc in scenarios]
     for variant in variants:
         validate_model(variant)
+    steps = config.step_count()
+    for variant in variants:
+        _event_schedule(variant, config, steps)
     base_traj = run_simulation(spec, config)
     base = ScenarioResult("baseline", base_traj, summarize(base_traj))
     results = [base]
@@ -272,8 +276,8 @@ def calibrate(
     `max_passes`. Before any run: ValueError for a mismatched problem, a
     parameter named twice, or an observation or bound that is not finite,
     the errors of `ParamDef.check` for a bound outside its parameter's
-    range, and the KeyError of `Trajectory.at` for an observed time off
-    the recorded grid or an unknown column. The search never leaves the
+    range, and the NotRecordedError, a KeyError, of `Trajectory.at` for an
+    observed time off the recorded grid or an unknown column. The search never leaves the
     bounds, so no point it tries is.
 
     `evaluations` counts the points tried. A step often returns to a point
@@ -299,7 +303,7 @@ def calibrate(
         _time_index(recorded, t_obs)
     if problem.column not in [d.name for group in (spec.stocks, spec.flows, spec.auxiliaries)
                               for d in group]:
-        raise KeyError(f"no recorded column '{problem.column}'")
+        raise NotRecordedError(f"no recorded column '{problem.column}'")
 
     evaluations = 0
     # SSE by point, as the float.hex of each coordinate: -0.0 is not 0.0.

@@ -564,7 +564,19 @@ class TestExitCodes:
 
     def test_unknown_plot_column_is_2(self, capsys):
         assert main(["plot", "--t-end", "5", "--columns", "NoSuchColumn"]) == 2
-        assert "NoSuchColumn" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: no recorded column 'NoSuchColumn'\n"
+
+    def test_a_stray_key_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        # Only the package's NotRecordedError, an unknown column or time,
+        # exits 2; a KeyError from a bug propagates.
+        def broken(*args):
+            raise KeyError("not a usage error")
+
+        monkeypatch.setattr(cli, "run_simulation", broken)
+        with pytest.raises(KeyError) as err:
+            main(["simulate", "--t-end", "5"])
+        assert type(err.value) is KeyError
+        assert capsys.readouterr().err == ""
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

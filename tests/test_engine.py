@@ -19,7 +19,9 @@ from sfdsim import (
     FlowDef,
     ModelSpec,
     NonFiniteError,
+    NotRecordedError,
     ParamDef,
+    SfdError,
     SimConfig,
     StockDef,
     Trajectory,
@@ -514,13 +516,18 @@ class TestTrajectoryApi:
     def test_at_exact_grid_time(self):
         traj = self.make()
         assert traj.at("S", 3.0) == 3.0
-        with pytest.raises(KeyError):
+        with pytest.raises(NotRecordedError, match="t=2.5 is not a recorded time"):
             traj.at("S", 2.5)
 
     def test_unknown_column(self):
         traj = self.make()
-        with pytest.raises(KeyError):
-            traj.series("missing")
+        for read in (traj.series, traj.final, traj.peak, lambda name: traj.at(name, 3.0)):
+            with pytest.raises(NotRecordedError) as err:
+                read("missing")
+            assert err.value.args == ("no recorded column 'missing'",)
+
+    def test_not_recorded_is_a_key_error_of_the_package(self):
+        assert issubclass(NotRecordedError, KeyError) and issubclass(NotRecordedError, SfdError)
 
     def test_parameters_snapshot(self):
         traj = self.make()

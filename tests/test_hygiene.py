@@ -4,6 +4,7 @@ and numpy stays off the paths that do not need arrays."""
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
 import importlib.util
 import io
@@ -16,12 +17,13 @@ import subprocess
 import sys
 import time
 import tokenize
+import types
 from pathlib import Path
 
 import pytest
 
 import sfdsim
-from sfdsim import build_baseline, engine, parse_model, validate_model
+from sfdsim import build_baseline, cli, engine, parse_model, validate_model
 
 from modelgen import generate_model
 from test_step_loop import HAND_MODELS, random_topology
@@ -288,6 +290,82 @@ def test_emitted_kernels_test_finiteness_with_one_sum():
         assert not re.search(r"\((_\w+) - \1\)", source), spec.name
         assert source.count(") - s == 0.0 or first_bad(ORDER, locals()) is None:") == 1
         assert int_operands(source) == [], spec.name
+
+
+def fused_segment(source: str):
+    """The code of `segment`, defined inside `bind` in a fused module."""
+    (bind,) = [c for c in compile(source, "<fused>", "exec").co_consts
+               if isinstance(c, types.CodeType)]
+    (segment,) = [c for c in bind.co_consts if isinstance(c, types.CodeType)]
+    return segment
+
+
+@functools.cache
+def line_tokens(line: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The int operands (see `int_operands`) and the names of one line of
+    generated code. Generated lines repeat across models and stages, so
+    each is tokenized once; no operation spans two lines."""
+    names = [tok.string for tok in tokenize.generate_tokens(io.StringIO(line).readline)
+             if tok.type == tokenize.NAME]
+    return tuple(int_operands(line)), tuple(names)
+
+
+def test_fused_loops_are_hygienic():
+    # Models: the hand models, 60 random topologies and the first 300
+    # seed-21 `model_corpus` models; loops: each one's fused loop under
+    # both methods. No int literal enters float arithmetic; each step tests
+    # its stocks once; the loop binds no name of the evaluator's text but
+    # those its inlined text binds, and no `_pick` temporary of its own;
+    # every model name it reads is a closure cell of its `bind`.
+    workloads = bench_module("workloads")
+    corpus = [workloads.corpus_model(workloads._rng(21, i), i)[0] for i in range(300)]
+    models = [*HAND_MODELS.values(), *map(random_topology, range(60)),
+              *map(parse_model, corpus)]
+    for spec in models:
+        vm = validate_model(spec)
+        emitted = vm._emitted
+        evaluator_names = {name for line in vm.source.splitlines()
+                           for name in line_tokens(line)[1]}
+        texts = [text for _, text in emitted.statements]
+        texts += [text for values, _ in emitted.actions for text in values]
+        # What the inlined text binds: its statements' variables, its `_pick`
+        # temporaries, the sum `s`, and the draw `g` and row `o` it reads.
+        inlined = {var for var, _ in emitted.statements} | {"s", "g", "o"}
+        inlined |= {name for text in texts for name in re.findall(r"(\w+) :=", text)}
+        cells = {*emitted.params, *(var for var, _ in emitted.hoists)}
+        for method in engine.METHODS:
+            source = engine._fused_source(emitted, engine._topology(spec, method),
+                                          engine._event_plan(spec))
+            lines = source.splitlines()
+            assert [hit for line in lines for hit in line_tokens(line)[0]] == [], spec.name
+            assert "- 0)" not in source and "(0 - " not in source, spec.name
+            assert source.count(") - z != 0.0:") == 1, spec.name
+            stages = 1 if method == "euler" else 4
+            assert source.count("(s := ") == (stages if vm.order else 0), spec.name
+            segment = fused_segment(source)
+            own = set(segment.co_varnames) - inlined
+            assert not own & evaluator_names, (spec.name, own & evaluator_names)
+            assert not [name for name in own if re.fullmatch(r"[ab]\d+|_\w+", name)], spec.name
+            assert set(segment.co_freevars) <= cells, spec.name
+            assert not [name for name in segment.co_names if name.startswith("_")], spec.name
+
+
+def test_a_model_run_once_compiles_no_fused_loop(tmp_path):
+    # As `model_corpus` runs them: 200 distinct corpus models, each linted,
+    # formatted and simulated once through `cli.main` in process.
+    workloads = bench_module("workloads")
+    engine._fused.cache_clear()
+    misses = engine._segment.cache_info().misses
+    path, out = tmp_path / "model.sfd", tmp_path / "model.csv"
+    for i in range(200):
+        path.write_text(workloads.corpus_model(workloads._rng(21, i), i)[0])
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["lint", str(path)], ["fmt", str(path)],
+                         ["simulate", "--model", str(path), "--t-end", "60", "--out", str(out)]):
+                assert cli.main(argv) == 0, (i, argv)
+    info = engine._fused.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert engine._segment.cache_info().misses > misses  # the shared loops ran
 
 
 # The targets of `bench/tracer.py` that the package no longer has. ROADMAP

@@ -1005,6 +1005,31 @@ class TestValidatedVariants:
 
         assert self.hit_raises_as_cold(spec, variant, walks) == (ModelError, message)
 
+    def test_a_hit_checks_only_the_values_it_does_not_share(self, baseline_spec, monkeypatch):
+        # A variant shares every object it does not override, and a hit
+        # checks only the parameters that are not the remembered spec's.
+        checked = []
+        check = ParamDef.check
+        monkeypatch.setattr(ParamDef, "check",
+                            lambda p, value: checked.append(p.name) or check(p, value))
+        validate_model(baseline_spec)
+        assert len(checked) == len(baseline_spec.parameters)
+        variant = baseline_spec.with_params({"Dose": 10.0})
+        assert [p is q for p, q in zip(variant.parameters, baseline_spec.parameters)] == [
+            p.name != "Dose" for p in baseline_spec.parameters]
+        assert all(getattr(variant, group) is getattr(baseline_spec, group)
+                   for group in ("stocks", "flows", "auxiliaries", "events"))
+        checked.clear()
+        validate_model(variant)
+        assert checked == ["Dose"]
+        checked.clear()
+        validate_model(variant.with_initial({"TotalCost": 1.0}).with_event_schedule("pickup", 10.0))
+        assert checked == ["Dose"]
+        checked.clear()
+        with pytest.raises(InvalidParameterError, match="Dose"):
+            validate_model(variant.with_params({"Dose": -1.0, "Sigma": 2.0}))
+        assert checked == ["Sigma", "Dose"]  # in declaration order, to the first bad one
+
 
 class TestLastStructure:
     """`validate_model` remembers the last structure it validated. A spec

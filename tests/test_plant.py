@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import fnmatch
 import inspect
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from sfdsim import (
+    EventRecord,
     InvalidParameterError,
     ModelError,
     NonFiniteError,
@@ -213,6 +215,21 @@ class TestCosts:
         assert type(traj.final("TotalCost")) is float
         assert type(traj.peak("AccumulatedSludge")) is float
         assert type(traj.at("AccumulatedVinasse", 100.0)) is float
+
+    def test_transport_and_hauled_mass_are_added_left_to_right(self):
+        # Not compensated, as `sum()` is from CPython 3.12: 1e16 + 1 rounds
+        # back to 1e16, so the three amounts add to 0.0, not 1.0.
+        amounts = [1e16, 1.0, -1e16]
+        events = tuple(EventRecord(30.0 * k, "pickup", target, amount)
+                       for k, amount in enumerate(amounts, 1)
+                       for target in ("AccumulatedSludge", "TotalCost"))
+        traj = dataclasses.replace(run_simulation(build_baseline(), SimConfig(t_end=10.0)),
+                                   events=events)
+        assert cost_breakdown(traj).transport == 0.0
+        assert pickup_summary(traj) == (3, 0.0)
+        # With no pickup the total is the int 0 that `sum()` of nothing gives.
+        bare = dataclasses.replace(traj, events=())
+        assert [type(cost_breakdown(bare).transport), type(pickup_summary(bare)[1])] == [int, int]
 
     def test_zero_cost_model_never_crosses(self):
         spec = build_baseline().with_params(dict.fromkeys(

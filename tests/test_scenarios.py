@@ -17,6 +17,7 @@ from sfdsim import (
     InvalidParameterError,
     ModelError,
     NoFeasiblePolicyError,
+    NotRecordedError,
     ParseError,
     PolicyGrid,
     Scenario,
@@ -635,6 +636,21 @@ class TestOutOfRangeValues:
             compare_to_baseline(baseline_spec, [good, bad], SimConfig(t_end=30.0))
         assert runs == []
 
+    @pytest.mark.parametrize("events, message", [
+        ({"pickup": (None, 7.5)}, "event 'pickup' interval 7.5 is off the dt=1 grid"),
+        ({"pickup": (2.5, None)}, "event 'pickup' start 2.5 is off the dt=1 grid"),
+    ])
+    def test_off_grid_scenario_rejected_before_the_baseline_run(self, events, message,
+                                                                 baseline_spec, runs):
+        # The scenario's schedule is valid, but off the step grid: the
+        # variant's run would raise, after the baseline's.
+        good = parse_scenario("scenario Good { set Dose = 10 }")
+        with pytest.raises(EventGridError) as err:
+            compare_to_baseline(baseline_spec, [good, Scenario("x", events=events)],
+                                SimConfig())
+        assert str(err.value) == message
+        assert runs == []
+
     @pytest.mark.parametrize("column, times, every", [
         ("AccumulatedVinasse", (10.0, 10.5), 1),
         ("AccumulatedVinasse", (10.0, 31.0), 1),
@@ -652,9 +668,10 @@ class TestOutOfRangeValues:
                 traj.at(column, t)
         problem = CalibrationProblem(("KEvap",), ((0.001, 0.01),), column, times,
                                      (1.0,) * len(times))
-        with pytest.raises(KeyError) as err:
+        with pytest.raises(NotRecordedError) as err:
             calibrate(baseline_spec, problem, config)
         assert err.value.args == expected.value.args
+        assert type(expected.value) is NotRecordedError
         assert runs == []
 
     def test_observations_on_the_grid_run(self, baseline_spec, runs):

@@ -605,3 +605,188 @@ class TestOneCallOfTheLoop:
         assert hash(record) == hash(want[0]) and len(set(got)) == 24
         with pytest.raises(AttributeError):
             record.amount = 0.0
+
+
+# Models whose runs fail, for the fused loop's errors: an auxiliary that
+# becomes infinite at an RK4 midpoint, an action that reads it, and an
+# action whose value is infinite once a flow has moved.
+FAULTY = {
+    "infinite_auxiliary": parse_model("""model InfAux {
+        stock S = 1
+        aux a = 1e308 * t * t
+        aux b = 0 - a
+        flow f : -> S = 1
+      }"""),
+    "action_reads_infinite_auxiliary": parse_model("""model ActInf {
+        stock S = 1
+        aux a = if(t > 3.5, 1e308 * t, 0)
+        flow f : -> S = 1
+        event e every 2 { S += a * 0 + 1 }
+      }"""),
+    "action_value_overflows": parse_model("""model ActOverflow {
+        stock S = 1
+        flow f : -> S = S
+        event e every 3 start 1 { S += f * 1e307 }
+      }"""),
+    "unbound_in_bind": parse_model("""model Unbound {
+        param Zero = 0
+        stock S = 1
+        aux inv = 1 / Zero
+        flow f : -> S = 1
+      }"""),
+}
+
+
+FUSED_MODULES = engine._fused
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """The loop each run takes, "shared" or "fused", in order."""
+    taken = []
+    shared, fused = engine._segment, engine._fused
+    monkeypatch.setattr(engine, "_segment", lambda *key: taken.append("shared") or shared(*key))
+    monkeypatch.setattr(engine, "_fused", lambda *key: taken.append("fused") or fused(*key))
+    return taken
+
+
+def on_both_loops(spec, config, loops):
+    """The outcomes of a first run of `spec`, a structure not remembered,
+    on the shared loop, and of a second run, on its fused loop."""
+    sfdsim.model._last = None
+    loops.clear()
+    first = outcome(run_simulation, spec, config)
+    second = outcome(run_simulation, spec, config)
+    assert loops == ["shared", "fused"], spec.name
+    return first, second
+
+
+class TestFusedLoop:
+    """A structure's second run under a method takes its fused loop, which
+    gives what the shared loop gives, bit for bit, errors included."""
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_generated_models(self, method, every, loops):
+        errors = set()
+        for seed in range(30):
+            config = SimConfig(t_start=float(seed % 2), t_end=41.0 + seed % 2,
+                               dt=0.5 if seed % 3 == 0 else 1.0, method=method,
+                               record_every=every, seed=seed)
+            for spec in variants(seed):
+                first, second = on_both_loops(spec, config, loops)
+                assert second == first, (seed, spec.name)
+                errors.add(first[0])
+        assert NonFiniteError in errors
+
+    @pytest.mark.parametrize("name", sorted({**HAND_MODELS, **FAULTY}))
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_hand_models(self, name, method, every, loops):
+        spec = {**HAND_MODELS, **FAULTY}[name]
+        for config in (SimConfig(t_end=12.0, method=method, record_every=every),
+                       SimConfig(t_start=1.0, t_end=13.0, dt=0.5, method=method,
+                                 record_every=every, seed=5)):
+            first, second = on_both_loops(spec, config, loops)
+            assert second == first
+
+    def test_failing_runs_fail_alike(self, loops):
+        cases = {
+            ("stage_fault", "rk4"): (NonFiniteError, "out", 0.5),
+            ("unconverged_cycle", "euler"): (ClampError, None, 0.0),
+            ("infinite_auxiliary", "rk4"): (NonFiniteError, "a", 1.5),
+            ("action_reads_infinite_auxiliary", "euler"): (NonFiniteError, "a", 4.0),
+            ("action_value_overflows", "euler"): (NonFiniteError, "event e", 4.0),
+            ("event_fault", "euler"): (NonFiniteError, "event boom", 4.0),
+            ("event_overflow", "rk4"): (NonFiniteError, "event boom", 4.0),
+            ("unbound_in_bind", "euler"): (NonFiniteError, "inv", 0.0),
+        }
+        for (name, method), (error, variable, t) in cases.items():
+            spec = {**HAND_MODELS, **FAULTY}[name]
+            first, second = on_both_loops(spec, SimConfig(t_end=12.0, method=method), loops)
+            assert second == first
+            assert first[:2] == (error, variable) and first[3] == bits([t]), name
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_random_topologies(self, method, every, loops):
+        for seed in range(60):
+            config = SimConfig(t_end=12.0, method=method, record_every=every)
+            first, second = on_both_loops(random_topology(seed), config, loops)
+            assert second == first, seed
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_noisy_plant_with_events(self, method, every, loops):
+        spec = (build_baseline().with_params({"NoiseStdDev": 1.5})
+                .with_event_schedule("pickup", start=7.0, interval=7.0))
+        config = SimConfig(t_start=2.0, t_end=122.0, dt=0.5, method=method,
+                           record_every=every, seed=11)
+        first, second = on_both_loops(spec, config, loops)
+        assert second == first
+        assert len(first[-2]) > 20  # the pickups fired
+
+    def test_variants_share_the_count_and_the_module(self, loops):
+        # The first run of a structure under a method takes the shared
+        # loop; every later run of it or of a variant, the fused loop. A
+        # module is compiled once per source, topology and event plan: a
+        # schedule is not part of it, a stock's floor is.
+        spec, config = build_baseline(), SimConfig(t_end=60.0)
+        compiled = FUSED_MODULES  # `_fused` itself, which the fixture wraps
+        compiled.cache_clear()
+        run_simulation(spec, config)
+        for dose in (1.0, 2.0):
+            run_simulation(spec.with_params({"Dose": dose}), config)
+        run_simulation(spec.with_event_schedule("pickup", 10.0, 10.0), config)
+        run_simulation(spec, SimConfig(t_end=60.0, method="rk4"))
+        assert loops == ["shared", "fused", "fused", "fused", "shared"]
+        assert compiled.cache_info().misses == 1
+        free = dataclasses.replace(spec.stocks[1], non_negative=False)
+        run_simulation(dataclasses.replace(spec, stocks=(spec.stocks[0], free, spec.stocks[2])),
+                       config)
+        assert loops[-1] == "fused" and compiled.cache_info().misses == 2
+
+    def test_a_forgotten_structure_counts_again(self, loops):
+        a, b, config = generate_model(1), generate_model(2), SimConfig(t_end=10.0)
+        for _ in range(3):
+            run_simulation(a, config)
+            run_simulation(b, config)
+        assert loops == ["shared"] * 6
+        run_simulation(b, config)
+        assert loops[-1] == "fused"
+
+    def test_a_fused_run_binds_once(self, monkeypatch):
+        binds = []
+        fused = engine._fused
+
+        def counted(*key):
+            bind = fused(*key)
+            return lambda *params: binds.append(params) or bind(*params)
+
+        monkeypatch.setattr(engine, "_fused", counted)
+        spec, config = build_baseline(), SimConfig(t_end=30.0)
+        run_simulation(spec, config)
+        for dose in (1.0, 2.0, 3.0):
+            run_simulation(spec.with_params({"Dose": dose}), config)
+        dose = [p.name for p in spec.parameters].index("Dose")
+        assert [params[dose] for params in binds] == [1.0, 2.0, 3.0]
+
+    def test_the_evaluator_runs_only_where_the_fused_loop_needs_it(self):
+        # For the final row, and for an action that reads an auxiliary.
+        run_simulation(build_baseline(), SimConfig(t_end=365.0))
+        assert evaluations(build_baseline(), SimConfig(t_end=365.0))[1] == [365.0]
+        spec = HAND_MODELS["event_reads_computed"]
+        run_simulation(spec, SimConfig(t_end=12.0))
+        traj, calls = evaluations(spec, SimConfig(t_end=12.0))
+        assert calls == [2.0, 5.0, 8.0, 11.0, 12.0] == [*sorted({e.t for e in traj.events}), 12.0]
+
+    def test_a_fault_the_evaluator_passes_is_an_internal_error(self):
+        # The fused stage hands a fault to the evaluator, which must raise.
+        spec, config = HAND_MODELS["stage_fault"], SimConfig(t_end=3.0, method="rk4")
+        vm = validate_model(spec)
+        bind = engine._fused(vm._emitted, engine._topology(spec, "rk4"), engine._event_plan(spec))
+        segment = bind(*vm.params.values())
+        draws = engine._noise_draws(False, config, 3)
+        with pytest.raises(RuntimeError, match="inlined statements fault"):
+            segment([(3, None)], {"S": 0.0}, [].append, 0.0, 1.0, 1, [], [],
+                    lambda *args: None, ("S",), *draws, 1.0, 0.0)
