@@ -1023,7 +1023,8 @@ class TestValidatedVariants:
         validate_model(variant)
         assert checked == ["Dose"]
         checked.clear()
-        validate_model(variant.with_initial({"TotalCost": 1.0}).with_event_schedule("pickup", 10.0))
+        moved = variant.with_initial({"TotalCost": 1.0}).with_event_schedule("pickup", 10.0)
+        validate_model(moved)
         assert checked == ["Dose"]
         checked.clear()
         with pytest.raises(InvalidParameterError, match="Dose"):
