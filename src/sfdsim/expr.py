@@ -335,7 +335,9 @@ def _pick(fn: str, a: str, b: str) -> str:
     number is held in the temporary `a{n}` or `b{n}`, n = len(a) + len(b).
     A call nested in an operand has a shorter text, so it never reuses a
     live temporary, and equal subtrees still give equal text. No other
-    name in `bind`, `evaluate` or an action has this form."""
+    name in `bind`, `evaluate`, an action or the engine's fused step loop
+    (whose RK4 stage rates are `ra{j}`, `rb{j}` and `rc{j}`) has this
+    form."""
     n, held = len(a) + len(b), []
     for name, text in ((f"a{n}", a), (f"b{n}", b)):
         plain = text.isidentifier() or text.lstrip("-")[:1].isdigit()
