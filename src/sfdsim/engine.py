@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -93,6 +92,7 @@ if TYPE_CHECKING:
 
 _GRID_TOL = 1e-9
 _CLAMP_TOL = 1e-12
+_MAX_STEPS = 10_000_000
 
 METHODS = ("euler", "rk4")
 
@@ -103,7 +103,8 @@ class SimConfig:
 
     `t_end == t_start` is allowed and yields a single recorded row of the
     initial state. `record_every` keeps one row per that many steps; the
-    final time is always recorded. It and `seed` must be ints.
+    final time is always recorded. It and `seed` must be ints. A horizon
+    of more than 10,000,000 steps (`_MAX_STEPS`) is refused.
     """
 
     t_start: float = 0.0
@@ -128,11 +129,10 @@ class SimConfig:
             raise ValueError("record_every must be at least 1")
 
     def step_count(self) -> int:
-        """ValueError if the horizon has too many steps to index, or is not
-        a whole number of steps."""
+        """ValueError for over `_MAX_STEPS` steps, or a fractional number of them."""
         span = self.t_end - self.t_start
-        if not span / self.dt < sys.maxsize:  # also an infinite count
-            raise ValueError(f"simulation horizon has too many steps of dt={self.dt:g}")
+        if not span / self.dt <= _MAX_STEPS:  # also an infinite count
+            raise ValueError(f"simulation horizon has over {_MAX_STEPS} steps of dt={self.dt:g}")
         steps = round(span / self.dt)
         if abs(self.t_start + steps * self.dt - self.t_end) > _GRID_TOL * max(
             1.0, abs(self.t_start), abs(self.t_end)

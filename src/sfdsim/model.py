@@ -9,10 +9,8 @@ bound to the parameters: the evaluator, the event actions and whether
 noise is drawn. The generated code names its own faults, so nothing walks
 an expression tree after validation.
 `validate_model` remembers the last structure it validated. A variant of
-that spec in parameter values, initial values or schedules, as
-`ModelSpec.with_params`, `ModelSpec.with_initial`,
-`ModelSpec.with_event_schedule` and `dataclasses.replace` make, has only
-those values checked, and the remembered code is bound to its parameters.
+it in values or schedules, as `ModelSpec.with_*` and `dataclasses.replace`
+make, has only those checked (`_variant_checked`) and takes its code.
 """
 
 from __future__ import annotations
@@ -227,10 +225,9 @@ class ValidatedModel:
     - `draws_noise` is whether some `noise()` scale can be non-zero; if
       not, the engine skips the daily draws and runs with g = 0.
 
-    It is for inspection: runs and studies take the `ModelSpec`. For other
-    values, pass a variant of `spec` to `validate_model`: if this is the
-    last model it built, the variant reuses its order, source and compiled
-    code, and shares its `_emitted` record.
+    It is for inspection: runs and studies take the `ModelSpec`. While it
+    is the last model `validate_model` built, a variant of `spec` validated
+    shares its order, source, compiled code and `_emitted` record.
     """
 
     spec: ModelSpec
@@ -415,13 +412,6 @@ def _first_bad(order: tuple[tuple[str, str], ...], values: dict[str, object]) ->
                  if var not in values or values[var] - values[var] != 0.0), None)
 
 
-def _checked_params(spec: ModelSpec) -> dict[str, float]:
-    """The parameter values by name, each checked by `ParamDef.check`."""
-    for p in spec.parameters:
-        p.check(p.value)
-    return {p.name: p.value for p in spec.parameters}
-
-
 def _check_initial(stock: StockDef) -> None:
     if not math.isfinite(stock.initial):
         raise ModelError(f"stock '{stock.name}' has non-finite initial value")
@@ -434,15 +424,36 @@ def _check_schedule(event: EventDef) -> None:
         raise ModelError(f"event '{event.name}' has a negative schedule")
 
 
-# The last model `validate_model` built, and its key (see `_key`).
-_last: tuple[tuple, ValidatedModel] | None = None
+# The last model `validate_model` built.
+_last: ValidatedModel | None = None
 
 
-def _key(spec: ModelSpec) -> tuple:
-    """What the generated code and the structural checks read of `spec`
-    besides its expressions: the parameter names, and each stock's name
-    and unit, in order."""
-    return [p.name for p in spec.parameters], [(s.name, s.unit) for s in spec.stocks]
+def _variant_checked(spec: ModelSpec, known: ModelSpec) -> bool:
+    """Whether `spec` differs from `known`, a spec that passed
+    `validate_model`, only in values, schedules and `non_negative`, which
+    never enter the code: it has the very `flows`, `auxiliaries` and event
+    `actions` tuples (`Num(0.0) == Num(-0.0)`, but their code differs), and
+    the same parameter names and stock names and units, in order. If so,
+    its stocks, parameters and events that are not the very objects of
+    `known` in their place are checked, in order, as `validate_model` does."""
+    stocks = [(s, k) for s, k in zip(spec.stocks, known.stocks) if s is not k]
+    params = [(p, k) for p, k in zip(spec.parameters, known.parameters) if p is not k]
+    if not (spec.flows is known.flows and spec.auxiliaries is known.auxiliaries
+            and len(spec.stocks) == len(known.stocks)
+            and len(spec.parameters) == len(known.parameters)
+            and len(spec.events) == len(known.events)
+            and all((s.name, s.unit) == (k.name, k.unit) for s, k in stocks)
+            and all(p.name == k.name for p, k in params)
+            and all(e.actions is k.actions for e, k in zip(spec.events, known.events))):
+        return False
+    for s, _ in stocks:
+        _check_initial(s)
+    for p, _ in params:
+        p.check(p.value)
+    for e, k in zip(spec.events, known.events):
+        if e is not k:
+            _check_schedule(e)
+    return True
 
 
 def validate_model(spec: ModelSpec) -> ValidatedModel:
@@ -454,36 +465,14 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     Event grid alignment is checked at simulation time because it depends
     on the step size.
 
-    The last model built is remembered. A spec with the same `_key`, whose
-    `flows` and `auxiliaries` tuples and each event's `actions` tuple are
-    the very tuples of that model's spec, is a variant of its structure:
-    its initial values, parameters and schedules are checked, in that
-    order, with the errors given here, and that model's code is bound to
-    its parameters. A stock, parameter or event that is the very object of
-    that model's spec, in its place, passed these checks and is not
-    checked again. Values, schedules and `non_negative` never enter the
-    code. The tuples are compared by identity, not equality:
-    `Num(0.0) == Num(-0.0)`, but their code differs.
+    The last model built is remembered. A variant of its spec has only the
+    objects it does not share with that spec checked, by
+    `_variant_checked`, and that model's code is bound to its parameters.
     """
     global _last
-    key = _key(spec)
     last = _last
-    if last is not None and last[0] == key:
-        known = last[1].spec
-        if (spec.flows is known.flows and spec.auxiliaries is known.auxiliaries
-                and len(spec.events) == len(known.events)
-                and all(e.actions is k.actions for e, k in zip(spec.events, known.events))):
-            # The remembered spec passed these checks: only new objects need them.
-            for s, k in zip(spec.stocks, known.stocks):
-                if s is not k:
-                    _check_initial(s)
-            for p, k in zip(spec.parameters, known.parameters):
-                if p is not k:
-                    p.check(p.value)
-            for e, k in zip(spec.events, known.events):
-                if e is not k:
-                    _check_schedule(e)
-            return last[1]._rebound(spec, {p.name: p.value for p in spec.parameters})
+    if last is not None and _variant_checked(spec, last.spec):
+        return last._rebound(spec, {p.name: p.value for p in spec.parameters})
 
     seen: set[str] = set()
     for name in (d.name for group in (spec.stocks, spec.flows, spec.auxiliaries,
@@ -499,7 +488,9 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
 
     for s in spec.stocks:
         _check_initial(s)
-    params = _checked_params(spec)
+    for p in spec.parameters:
+        p.check(p.value)
+    params = {p.name: p.value for p in spec.parameters}
 
     known = seen | {"t"}
     reads: dict[str, set[str]] = {}
@@ -551,7 +542,7 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     evaluator, actions, noisy = _compile_evaluator(emitted.source)(*params.values())
     model = ValidatedModel(spec, order, params, emitted.source, evaluator, actions, noisy,
                            emitted)
-    _last = (key, model)
+    _last = model
     return model
 
 

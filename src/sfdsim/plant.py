@@ -158,3 +158,18 @@ def summarize(traj: Trajectory) -> dict[str, float | None]:
         "sludge_removed_kg": removed,
         "within_budget": None if threshold is None else float(breakdown.total <= threshold),
     }
+
+
+# The model names the studies read, as (kind, name) pairs, each in the order
+# a run meets them: those `summarize` needs, for the scenario comparison and
+# the sweep; the policy search's; and, optional, those read with a default.
+STUDY_READS = {
+    "summary": (("column", "TotalCost"), ("column", "vinasseInflow"), ("column", "vinasseSupply"),
+                ("column", "AccumulatedVinasse"), ("column", "AccumulatedSludge"),
+                ("column", "marginalCost")),
+    "policy": (("parameter", "CostThreshold"), ("parameter", "TruckCapacityKg"),
+               ("parameter", "TrucksPerPickup"), ("event", "pickup"),
+               ("column", "AccumulatedSludge"), ("column", "TotalCost")),
+    "optional": (("parameter", "CostThreshold"), ("flow", "operatingCostRate"),
+                 ("flow", "coagulantCostRate"), ("flow", "capexAmortizationRate")),
+}

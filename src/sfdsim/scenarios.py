@@ -20,9 +20,9 @@ search, calibration and sweeps take one. Each scenario, grid point,
 evaluation or value is run as a variant of that spec
 (`ModelSpec.with_params`, `ModelSpec.with_initial`,
 `ModelSpec.with_event_schedule`).
-`validate_model` remembers the last structure it validated, so the
-variants share one validation: their evaluation order and generated
-code. Calibration runs each distinct point once.
+The variants share one validation, their evaluation order and generated
+code, and each study checks them before its first run (`_checked_runs`).
+Calibration runs each distinct point once.
 
 Scenario files use a small text format sharing the expression-language
 lexer; semicolons between directives are optional:
@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, product
+from typing import Iterable
 
 from .engine import (
     SimConfig,
@@ -51,8 +53,8 @@ from .engine import (
 from .errors import NoFeasiblePolicyError, NotRecordedError, UnknownSymbolError
 from .expr import format_number
 from .language import _check_names, _Parser
-from .model import ModelSpec, _check_schedule, validate_model
-from .plant import summarize
+from .model import ModelSpec, _variant_checked, validate_model
+from .plant import STUDY_READS, summarize
 
 
 @dataclass(frozen=True)
@@ -98,42 +100,53 @@ def compare_to_baseline(
     """Run the unmodified model plus each scenario.
 
     Returns the baseline result first, then one result per scenario in
-    input order, each carrying metric deltas relative to the baseline.
-    Every scenario is applied, its model validated and its event schedule
-    checked against the step grid before the first run, so a bad one fails
-    with no run.
+    input order, each carrying metric deltas relative to the baseline. The
+    scenarios are applied and checked before the first run (`_checked_runs`).
     """
-    variants = [apply_scenario(spec, sc) for sc in scenarios]
-    for variant in variants:
-        validate_model(variant)
-    steps = config.step_count()
-    for variant in variants:
-        _event_schedule(variant, config, steps)
-    base_traj = run_simulation(spec, config)
-    base = ScenarioResult("baseline", base_traj, summarize(base_traj))
-    results = [base]
-    for sc, variant in zip(scenarios, variants):
+    runs = _checked_runs("scenario comparison", spec, config,
+                         chain((spec,), (apply_scenario(spec, sc) for sc in scenarios)),
+                         STUDY_READS["summary"])
+    results: list[ScenarioResult] = []
+    for name, variant in zip(["baseline", *(sc.name for sc in scenarios)], runs):
         traj = run_simulation(variant, config)
         metrics = summarize(traj)
-        deltas = {
-            key: value - base.metrics[key]
-            for key, value in metrics.items()
-            if isinstance(value, float) and isinstance(base.metrics[key], float)
-        }
-        results.append(ScenarioResult(sc.name, traj, metrics, deltas))
+        base = results[0].metrics if results else {}
+        deltas = {key: value - base[key] for key, value in metrics.items()
+                  if isinstance(value, float) and isinstance(base.get(key), float)}
+        results.append(ScenarioResult(name, traj, metrics, deltas))
     return results
 
 
-def _check_values(spec: ModelSpec, name: str, values) -> None:
-    """Check each of `values` as a value of parameter `name` of `spec`
-    (`ParamDef.check`), so a study fails before its first run, as the
-    validation of that run would. UnknownSymbolError for an unknown name."""
-    for p in spec.parameters:
-        if p.name == name:
-            for value in values:
-                p.check(float(value))
-            return
-    raise UnknownSymbolError(f"no parameter named '{name}'")
+def _checked_runs(study: str, spec: ModelSpec, config: SimConfig, runs: Iterable[ModelSpec],
+                  reads: tuple[tuple[str, str], ...] = (), column: str | None = None,
+                  times: tuple[float, ...] = ()) -> list[ModelSpec]:
+    """`runs`, the variants of `spec` that a study will run, as a list,
+    after every check that the runs and the study's reads of them would
+    make, with their errors: `validate_model(spec)`; each of `reads` (a
+    `plant.STUDY_READS` entry) defined, else UnknownSymbolError naming
+    `study`; each run, as it is built, by `model._variant_checked` and
+    `engine._event_schedule`; and `times` and `column` as `Trajectory.at`
+    reads them. So a bad study fails with no run."""
+    validate_model(spec)
+    defined = {"column": {d.name for d in (*spec.stocks, *spec.flows, *spec.auxiliaries)},
+               "parameter": {p.name for p in spec.parameters},
+               "event": {e.name for e in spec.events}}
+    for kind, name in reads:
+        if name not in defined[kind]:
+            raise UnknownSymbolError(f"{study} needs {kind} '{name}'")
+    steps, checked = config.step_count(), []
+    for variant in runs:
+        if not _variant_checked(variant, spec):
+            validate_model(variant)
+        if all(variant.events is not other.events for other in checked):
+            _event_schedule(variant, config, steps)
+        checked.append(variant)
+    recorded = _row_times(config) if times else []
+    for t in times:
+        _time_index(recorded, t)
+    if column is not None and column not in defined["column"]:
+        raise NotRecordedError(f"no recorded column '{column}'")
+    return checked
 
 
 # --- transport policy search ------------------------------------------------
@@ -186,50 +199,39 @@ def optimize_transport_policy(
 
     Rows are ordered feasible first, then by (total cost, interval, truck
     capacity, truck count); ties cannot reorder nondeterministically since
-    the key includes every axis. Before any run: ValueError for an empty
-    axis or a non-finite limit, the errors of `ParamDef.check` for a
-    truck capacity or count outside its parameter's range, and the
-    ModelError or EventGridError that a run would raise for an interval's
-    schedule. NoFeasiblePolicyError if no point is feasible.
+    the key includes every axis. ValueError for an empty axis or a
+    non-finite limit, then every candidate is checked before the first run
+    (`_checked_runs`). NoFeasiblePolicyError if no point is feasible.
     """
     for axis in ("intervals", "truck_capacities", "truck_counts"):
         if not getattr(grid, axis):
             raise ValueError(f"policy grid axis '{axis}' is empty")
     if not math.isfinite(grid.sludge_limit_kg):
         raise ValueError(f"sludge limit must be finite, got {grid.sludge_limit_kg:g}")
-    threshold = spec.param("CostThreshold")
-    _check_values(spec, "TruckCapacityKg", grid.truck_capacities)
-    _check_values(spec, "TrucksPerPickup", grid.truck_counts)
-    scheduled = [spec.with_event_schedule("pickup", start=interval, interval=interval)
-                 for interval in grid.intervals]
-    for variant in scheduled:
-        for event in variant.events:
-            _check_schedule(event)
-        _event_schedule(variant, config, config.step_count())
+    threshold, capacity, trucks, pickup, sludge, cost_column = (
+        name for _, name in STUDY_READS["policy"])
+    candidates = _checked_runs("policy search", spec, config, (
+        variant.with_params({capacity: truck, trucks: count})
+        for variant in (spec.with_event_schedule(pickup, start=interval, interval=interval)
+                        for interval in grid.intervals)
+        for truck in grid.truck_capacities for count in grid.truck_counts),
+        STUDY_READS["policy"])
+    limit = spec.param(threshold)
     rows: list[PolicyRow] = []
-    for interval, variant in zip(grid.intervals, scheduled):
-        for truck in grid.truck_capacities:
-            for count in grid.truck_counts:
-                candidate = variant.with_params(
-                    {"TruckCapacityKg": truck, "TrucksPerPickup": count})
-                traj = run_simulation(candidate, config)
-                peak = traj.peak("AccumulatedSludge")
-                cost = traj.final("TotalCost")
-                rows.append(PolicyRow(
-                    interval=float(interval),
-                    truck_capacity_kg=float(truck),
-                    trucks=float(count),
-                    feasible=peak <= grid.sludge_limit_kg and cost <= threshold,
-                    total_cost=cost,
-                    peak_sludge=peak,
-                ))
+    points = product(grid.intervals, grid.truck_capacities, grid.truck_counts)
+    for (interval, truck, count), candidate in zip(points, candidates):
+        traj = run_simulation(candidate, config)
+        peak = traj.peak(sludge)
+        cost = traj.final(cost_column)
+        rows.append(PolicyRow(float(interval), float(truck), float(count),
+                              peak <= grid.sludge_limit_kg and cost <= limit, cost, peak))
     rows.sort(key=lambda r: (
         not r.feasible, r.total_cost, r.interval, r.truck_capacity_kg, r.trucks,
     ))
     if not rows[0].feasible:
         raise NoFeasiblePolicyError(
             f"no policy keeps peak sludge within {grid.sludge_limit_kg:g} kg "
-            f"and cost within {threshold:g}"
+            f"and cost within {limit:g}"
         )
     return PolicySearchResult(best=rows[0], rows=tuple(rows))
 
@@ -273,12 +275,11 @@ def calibrate(
     every coordinate, keeping the first strict improvement. When a whole
     pass improves nothing, all steps are halved. The search stops when
     every step is below tol times its coordinate's range, or after
-    `max_passes`. Before any run: ValueError for a mismatched problem, a
-    parameter named twice, or an observation or bound that is not finite,
-    the errors of `ParamDef.check` for a bound outside its parameter's
-    range, and the NotRecordedError, a KeyError, of `Trajectory.at` for an
-    observed time off the recorded grid or an unknown column. The search never leaves the
-    bounds, so no point it tries is.
+    `max_passes`. ValueError for a mismatched problem, a parameter named
+    twice, or an observation or bound that is not finite. Then the two
+    corners of the bounds, all low and all high, the column and the
+    observed times are checked before the first run (`_checked_runs`);
+    the search never leaves the bounds.
 
     `evaluations` counts the points tried. A step often returns to a point
     tried before; its SSE is looked up, not run again.
@@ -296,14 +297,10 @@ def calibrate(
     ranges = [hi - lo for lo, hi in problem.bounds]
     if any(r <= 0 for r in ranges):
         raise ValueError("each bounds pair must satisfy lo < hi")
-    for name, pair in zip(problem.param_names, problem.bounds):
-        _check_values(spec, name, pair)
-    recorded = _row_times(config)
-    for t_obs in problem.observed_times:
-        _time_index(recorded, t_obs)
-    if problem.column not in [d.name for group in (spec.stocks, spec.flows, spec.auxiliaries)
-                              for d in group]:
-        raise NotRecordedError(f"no recorded column '{problem.column}'")
+    _checked_runs("calibration", spec, config, (
+        spec.with_params(dict(zip(problem.param_names, corner)))
+        for corner in zip(*problem.bounds)), column=problem.column,
+        times=problem.observed_times)
 
     evaluations = 0
     # SSE by point, as the float.hex of each coordinate: -0.0 is not 0.0.
@@ -394,19 +391,16 @@ def run_sweep(
     config: SimConfig,
 ) -> SweepResult:
     """Simulate once per value of `param`; rows come back in input order.
-    The values are checked against the parameter's range before any run."""
-    _check_values(spec, param, values)
+    Every value is checked before the first run (`_checked_runs`)."""
+    variants = _checked_runs("sweep", spec, config,
+                             (spec.with_params({param: value}) for value in values),
+                             STUDY_READS["summary"])
     rows = []
-    for value in values:
-        metrics = summarize(run_simulation(spec.with_params({param: value}), config))
-        rows.append(SweepRow(
-            value=float(value),
-            total_cost=metrics["total_cost"],
-            peak_sludge=metrics["peak_sludge_kg"],
-            saturation_day=metrics["saturation_day"],
-            final_vinasse=metrics["final_vinasse_m3"],
-            final_sludge=metrics["final_sludge_kg"],
-        ))
+    for value, variant in zip(values, variants):
+        metrics = summarize(run_simulation(variant, config))
+        rows.append(SweepRow(float(value), metrics["total_cost"], metrics["peak_sludge_kg"],
+                             metrics["saturation_day"], metrics["final_vinasse_m3"],
+                             metrics["final_sludge_kg"]))
     return SweepResult(param=param, rows=tuple(rows))
 
 

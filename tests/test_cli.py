@@ -562,6 +562,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_a_horizon_past_the_step_cap_is_2(self, tmp_path, capsys):
+        # An eventless model, so the run would fail at its noise draws'
+        # list, not in a long walk of its schedule, if no cap refused it.
+        model = tmp_path / "mini.sfd"
+        model.write_text(MINI_MODEL)
+        assert main(["simulate", "--model", str(model), "--t-end", "1e12"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_study_on_a_model_without_the_plant_names_is_2(self, tmp_path, capsys):
+        model = tmp_path / "mini.sfd"
+        model.write_text(MINI_MODEL)
+        assert main(["sweep", "--model", str(model), "--param", "Rate", "--values", "1,2"]) == 2
+        assert capsys.readouterr().err == "error: sweep needs column 'TotalCost'\n"
+
     def test_unknown_plot_column_is_2(self, capsys):
         assert main(["plot", "--t-end", "5", "--columns", "NoSuchColumn"]) == 2
         assert capsys.readouterr().err == "error: no recorded column 'NoSuchColumn'\n"

@@ -436,6 +436,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(t_end=10.3, dt=1.0).step_count()
 
+    @pytest.mark.parametrize("t_end, dt", [(2.0, 1e-9), (1e12, 1.0)])
+    def test_a_horizon_past_the_step_cap_rejected(self, t_end, dt):
+        with pytest.raises(ValueError, match="has over 10000000 steps"):
+            SimConfig(t_end=t_end, dt=dt).step_count()
+
+    def test_the_step_cap_itself_is_allowed(self):
+        assert SimConfig(t_end=1e7, dt=1.0).step_count() == 10_000_000
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(t_end=-1.0)

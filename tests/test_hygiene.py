@@ -1,5 +1,6 @@
 """Source hygiene: no unused module-level imports or private definitions,
-and numpy stays off the paths that do not need arrays."""
+numpy stays off the paths that do not need arrays, and the studies name
+no name of the plant model but through its table."""
 
 from __future__ import annotations
 
@@ -204,6 +205,27 @@ for argv in (["simulate", "--model", model, "--t-end", "30", "--out", out],
     assert "numpy" not in sys.modules, argv
 print("ok")
 """
+
+
+def plant_literals(source: str) -> list[tuple[str, int]]:
+    """`(text, line)` of each string constant of `source` that is a name the
+    built-in model defines: a stock, flow, auxiliary, parameter or event. A
+    docstring is one constant, compared whole, so it does not match."""
+    spec = build_baseline()
+    names = {d.name for group in (spec.stocks, spec.flows, spec.auxiliaries, spec.parameters,
+                                  spec.events) for d in group}
+    return [(node.value, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value in names]
+
+
+def test_studies_take_the_plant_names_from_its_table():
+    """`scenarios.py` reads the plant's names from `plant.STUDY_READS`."""
+    assert plant_literals((PACKAGE / "scenarios.py").read_text()) == []
+
+
+def test_scan_sees_a_plant_name():
+    source = '"""Reads TotalCost."""\ntraj.final("TotalCost")\nf"{x} pickup"\n'
+    assert plant_literals(source) == [("TotalCost", 2)]
 
 
 def test_numpy_is_not_loaded_without_arrays(fixtures_dir, tmp_path):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import struct
+from importlib import resources
 
 import pytest
 
@@ -35,6 +37,8 @@ from sfdsim import (
     run_sweep,
     validate_model,
 )
+
+from sfdsim.plant import STUDY_READS
 
 import vinasse_oracle as oracle
 
@@ -560,17 +564,19 @@ class TestSweep:
         assert line.split(",")[3] == ""
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The arguments of every run a study makes."""
+    calls = []
+    original = sfdsim.scenarios.run_simulation
+    monkeypatch.setattr(sfdsim.scenarios, "run_simulation",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 class TestOutOfRangeValues:
     """Each study checks every value it will set against its parameter's
     range before its first run, wherever the value is among the others."""
-
-    @pytest.fixture
-    def runs(self, monkeypatch):
-        calls = []
-        original = sfdsim.scenarios.run_simulation
-        monkeypatch.setattr(sfdsim.scenarios, "run_simulation",
-                            lambda *args: calls.append(args) or original(*args))
-        return calls
 
     @pytest.mark.parametrize("study, field", [
         ("grid-capacity", "TruckCapacityKg"),
@@ -686,6 +692,137 @@ class TestOutOfRangeValues:
         results = compare_to_baseline(baseline_spec, [good], SimConfig(t_end=30.0))
         assert [r.name for r in results] == ["baseline", "Good"]
         assert [args[0].param("Dose") for args in runs] == [baseline_spec.param("Dose"), 10.0]
+
+
+ONE_STOCK = """model One {
+  param K = 0.1 [1/day] > 0
+  stock Tank = 10 [kg]
+  flow drain : Tank -> = K * Tank [kg/day]
+}
+"""
+
+# Each name a study reads of the plant model, and the studies that need it.
+COMPARE, SWEEP, POLICY, CALIBRATION = ("scenario comparison", "sweep", "policy search",
+                                       "calibration")
+PLANT_READS = [
+    ("column", "TotalCost", (COMPARE, SWEEP, POLICY)),
+    ("column", "vinasseInflow", (COMPARE, SWEEP)),
+    ("column", "vinasseSupply", (COMPARE, SWEEP)),
+    ("column", "AccumulatedVinasse", (COMPARE, SWEEP)),
+    ("column", "AccumulatedSludge", (COMPARE, SWEEP, POLICY)),
+    ("column", "marginalCost", (COMPARE, SWEEP)),
+    ("parameter", "CostThreshold", (POLICY,)),
+    ("parameter", "TruckCapacityKg", (POLICY,)),
+    ("parameter", "TrucksPerPickup", (POLICY,)),
+    ("event", "pickup", (POLICY,)),
+]
+# Read with a default: the cost-flow integrals, and CostThreshold outside
+# the policy search.
+OPTIONAL = ("operatingCostRate", "coagulantCostRate", "capexAmortizationRate")
+
+
+def renamed_baseline(*names):
+    """The baseline model with each of `names` renamed wherever it occurs."""
+    text = (resources.files("sfdsim") / "fixtures" / "baseline.sfd").read_text()
+    for name in names:
+        text = re.sub(rf"\b{name}\b", f"{name}Renamed", text)
+    return parse_model(text)
+
+
+def run_study(study, spec, param, config=SimConfig(t_end=30.0)):
+    """`study` on `spec`, setting parameter `param` where it sets one."""
+    value = spec.param(param)
+    if study == COMPARE:
+        return compare_to_baseline(spec, [Scenario("More", params={param: value + 1.0})], config)
+    if study == SWEEP:
+        return run_sweep(spec, param, (value, value + 1.0), config)
+    if study == POLICY:
+        return optimize_transport_policy(spec, PolicyGrid(
+            intervals=(15.0,), truck_capacities=(6000.0,), truck_counts=(2.0,)), config)
+    return calibrate(spec, CalibrationProblem(
+        (param,), ((value, value + 1.0),), spec.stocks[0].name, (10.0,), (1.0,)), config,
+        max_passes=1)
+
+
+class TestStudyChecks:
+    """Before its first run, each study checks that the model defines the
+    plant names it reads, and checks its runs as `validate_model` would."""
+
+    def test_the_table_lists_what_the_studies_read(self):
+        needed = {study: {(kind, name) for kind, name, readers in PLANT_READS
+                          if study in readers} for study in (COMPARE, POLICY)}
+        assert set(STUDY_READS["summary"]) == needed[COMPARE]
+        assert set(STUDY_READS["policy"]) == needed[POLICY]
+        assert {name for _, name in STUDY_READS["optional"]} == {*OPTIONAL, "CostThreshold"}
+
+    @pytest.mark.parametrize("study, message", [
+        (COMPARE, "scenario comparison needs column 'TotalCost'"),
+        (SWEEP, "sweep needs column 'TotalCost'"),
+        (POLICY, "policy search needs parameter 'CostThreshold'"),
+    ])
+    def test_a_one_stock_model_fails_with_no_run(self, study, message, runs):
+        with pytest.raises(UnknownSymbolError) as err:
+            run_study(study, parse_model(ONE_STOCK), "K")
+        assert str(err.value) == message
+        assert runs == []
+
+    @pytest.mark.parametrize("kind, name, readers", PLANT_READS)
+    def test_each_renamed_name_fails_the_studies_that_read_it(self, kind, name, readers,
+                                                              runs):
+        spec = renamed_baseline(name)
+        for study in readers:
+            with pytest.raises(UnknownSymbolError) as err:
+                run_study(study, spec, "Dose")
+            assert str(err.value) == f"{study} needs {kind} '{name}'"
+        assert runs == []
+
+    @pytest.mark.parametrize("study", [COMPARE, SWEEP, POLICY, CALIBRATION])
+    def test_a_model_without_the_optional_names_runs_every_study(self, study):
+        # The policy search needs CostThreshold; the others read it with a default.
+        spec = renamed_baseline(*OPTIONAL, *(() if study == POLICY else ("CostThreshold",)))
+        assert run_study(study, spec, "Dose")
+
+    @pytest.mark.parametrize("study, checked", [
+        (COMPARE, ["Dose", "KEvap", "Dose"]),
+        (SWEEP, ["Dose"] * 3),
+        (POLICY, ["TruckCapacityKg", "TrucksPerPickup"] * 4),
+        (CALIBRATION, ["KEvap", "Sigma"] * 2),
+    ])
+    def test_the_check_validates_once_and_checks_each_changed_value_once(
+            self, study, checked, baseline_spec, monkeypatch):
+        validate_model(baseline_spec)
+        validated, checks = [], []
+        validate, check = sfdsim.scenarios.validate_model, sfdsim.model.ParamDef.check
+        monkeypatch.setattr(sfdsim.scenarios, "validate_model",
+                            lambda spec: validated.append(spec) or validate(spec))
+        monkeypatch.setattr(sfdsim.model.ParamDef, "check",
+                            lambda p, value: checks.append(p.name) or check(p, value))
+
+        class FirstRun(Exception):
+            pass
+
+        def first_run(*args):
+            raise FirstRun
+
+        monkeypatch.setattr(sfdsim.scenarios, "run_simulation", first_run)
+        config = SimConfig(t_end=30.0)
+        with pytest.raises(FirstRun):
+            if study == COMPARE:
+                compare_to_baseline(baseline_spec, [
+                    Scenario("A", params={"Dose": 10.0}),
+                    Scenario("B", params={"Dose": 20.0, "KEvap": 0.005})], config)
+            elif study == SWEEP:
+                run_sweep(baseline_spec, "Dose", (1.0, 2.0, 3.0), config)
+            elif study == POLICY:
+                optimize_transport_policy(baseline_spec, PolicyGrid(
+                    intervals=(15.0, 30.0), truck_capacities=(3000.0, 6000.0),
+                    truck_counts=(1.0,)), config)
+            else:
+                calibrate(baseline_spec, CalibrationProblem(
+                    ("KEvap", "Sigma"), ((0.001, 0.01), (0.5, 1.5)), "AccumulatedVinasse",
+                    (10.0,), (1.0,)), config)
+        assert validated == [baseline_spec]
+        assert checks == checked
 
 
 def hexed(value):
